@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError
 from .linear_attention import linear_branch_flops
 from .masking import LatentGrid, MaskPlan, head_sparsity_stats
 from .numerics import Array, Rng, numerical_rank
+from .tensor_io import record_from_dict
 
 DEFAULT_PERCENTILES = (0.2, 0.4, 0.6, 0.8)
 
@@ -41,13 +42,6 @@ class GateRecord:
     layer: int
     timestep: int
     gate: float
-
-    def to_dict(self) -> dict:
-        return {"layer": self.layer, "timestep": self.timestep, "gate": self.gate}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GateRecord":
-        return GateRecord(layer=d["layer"], timestep=d["timestep"], gate=d["gate"])
 
 
 def percentile(sorted_values: Array, q: float) -> float:
@@ -114,24 +108,8 @@ class DropPlan:
     preferred: bool
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "params": self.params,
-            "dropped_layers": list(self.dropped_layers),
-            "preferred": self.preferred,
-            "note": self.note,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DropPlan":
-        return DropPlan(
-            strategy=d["strategy"],
-            params=d["params"],
-            dropped_layers=tuple(d["dropped_layers"]),
-            preferred=d["preferred"],
-            note=d["note"],
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "dropped_layers", tuple(self.dropped_layers))
 
 
 def plan_branch_drop(
@@ -244,6 +222,18 @@ def layer_method_flops(
             "total": sparse + linear + proj + gate, "dropped": dropped}
 
 
+def flops_after_drop(layer_rows: Sequence[dict], dropped_layers: set[int], grid: LatentGrid) -> float:
+    """Method FLOPs of a run's per-layer rows once the linear branch of
+    every layer in ``dropped_layers`` is removed.
+
+    Each row keeps its sparse FLOPs; surviving layers add one branch,
+    priced by :func:`layer_method_flops` with no attended pairs.
+    """
+    branch = layer_method_flops((), grid, include_linear=True, dropped=False)["total"]
+    return sum(row["sparse"] + (0 if row["layer"] in dropped_layers else branch)
+               for row in layer_rows)
+
+
 def estimate_speedup(
     plan: MaskPlan,
     grid: LatentGrid,
@@ -296,36 +286,5 @@ class RunReport:
     oracle_checks: list[dict]
     timestamp: str | None = None
 
-    def to_dict(self) -> dict:
-        doc = {
-            "config": self.config,
-            "sparsity": self.sparsity,
-            "flops": self.flops,
-            "speedup_estimate": self.speedup_estimate,
-            "gates": self.gates,
-            "drop_plan": self.drop_plan,
-            "ranks": self.ranks,
-            "gradcheck": self.gradcheck,
-            "oracle_checks": self.oracle_checks,
-        }
-        if self.timestamp is not None:
-            doc["timestamp"] = self.timestamp
-        return doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "RunReport":
-        return RunReport(
-            config=doc["config"],
-            sparsity=doc["sparsity"],
-            flops=doc["flops"],
-            speedup_estimate=doc["speedup_estimate"],
-            gates=doc["gates"],
-            drop_plan=doc["drop_plan"],
-            ranks=doc["ranks"],
-            gradcheck=doc["gradcheck"],
-            oracle_checks=doc["oracle_checks"],
-            timestamp=doc.get("timestamp"),
-        )
-
     def gate_records(self) -> list[GateRecord]:
-        return [GateRecord.from_dict(d) for d in self.gates["records"]]
+        return [record_from_dict(GateRecord, d) for d in self.gates["records"]]

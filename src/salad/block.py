@@ -18,7 +18,6 @@ Q/K/V from its own projection matrices instead of sharing.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,10 +30,11 @@ from .linear_attention import (
     linear_attention_streaming,
     rope3d_apply,
 )
-from .masking import LatentGrid, MaskPlan, Window, realize_head_mask
-from .numerics import Array, matmul, relu, sigmoid, softmax_masked, tanh
+from .masking import LatentGrid, MaskPlan, sparse_head_attention
+from .numerics import Array, matmul, relu, sigmoid, tanh
 
-GATE_ACTIVATIONS = ("sigmoid", "tanh", "relu", "constant")
+_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
+GATE_ACTIVATIONS = (*_ACTIVATIONS, "constant")
 VARIANTS = ("shared", "non_shared")
 
 
@@ -108,7 +108,7 @@ class SaladParams:
         for key, u in self.lora.items():
             if key not in ("q", "k", "v", "o"):
                 raise ConfigError(f"unknown lora target {key!r}")
-            base = {"q": (d, h), "k": (d, h), "v": (d, h), "o": (h, d)}[key]
+            base = expect[f"w_{key}"]
             r = u.a.shape[0]
             if u.a.shape != (r, base[0]) or u.b.shape != (base[1], r):
                 raise ConfigError(
@@ -116,6 +116,37 @@ class SaladParams:
                 )
         if grid.channels != h:
             raise ConfigError(f"grid supplies {grid.channels} channels but weights carry {h}")
+
+    def param_names(self) -> list[str]:
+        """Every parameter this block carries, in bundle order: the weight
+        fields, "gate_b", the non-shared branch weights, then adapter
+        factors "lora_<target>.a" / "lora_<target>.b" by target."""
+        names = ["w_q", "w_k", "w_v", "w_o", "proj", "gate_w", "gate_b"]
+        if self.variant == "non_shared":
+            names += ["w_q_lin", "w_k_lin", "w_v_lin"]
+        for target in sorted(self.lora):
+            names += [f"lora_{target}.a", f"lora_{target}.b"]
+        return names
+
+    def param(self, name: str) -> Array:
+        """One parameter named as in :meth:`param_names`, as a float64
+        array; "gate_b" comes back with shape (1,)."""
+        if name == "gate_b":
+            return np.array([self.gate_b], dtype=np.float64)
+        if name.startswith("lora_"):
+            target, fld = name[len("lora_"):].split(".")
+            return np.asarray(getattr(self.lora[target], fld), dtype=np.float64)
+        return np.asarray(getattr(self, name), dtype=np.float64)
+
+    def with_param(self, name: str, value: Array) -> "SaladParams":
+        """Copy with the parameter named as in :meth:`param` replaced."""
+        if name == "gate_b":
+            return replace(self, gate_b=float(value.reshape(())))
+        if name.startswith("lora_"):
+            target, fld = name[len("lora_"):].split(".")
+            adapter = replace(self.lora[target], **{fld: value})
+            return replace(self, lora={**self.lora, target: adapter})
+        return replace(self, **{name: value})
 
 
 def lora_apply(w: Array, a: Array, b: Array, scale: float = 1.0) -> Array:
@@ -130,16 +161,6 @@ def lora_apply(w: Array, a: Array, b: Array, scale: float = 1.0) -> Array:
     if a.shape[1] != w.shape[0] or b.shape[0] != w.shape[1] or a.shape[0] != b.shape[1]:
         raise DimensionError(f"lora shapes a={a.shape} b={b.shape} do not fit weight {w.shape}")
     return w + scale * matmul(b, a).T
-
-
-def lora_apply_unmerged(x: Array, w: Array, a: Array, b: Array, scale: float = 1.0) -> Array:
-    """Adapter applied as two extra matmuls: x W + scale (x a^T) b^T.
-
-    Numerically interchangeable with multiplying by the merged weight;
-    kept for gradient work where the factors stay separate.
-    """
-    return matmul(x, w) + scale * matmul(matmul(x, np.asarray(a, dtype=np.float64).T),
-                                         np.asarray(b, dtype=np.float64).T)
 
 
 def merged_weight(params: SaladParams, name: str) -> Array:
@@ -195,27 +216,62 @@ def compute_gate(
     """
     if activation == "constant":
         return float(constant)
-    u = gate_pre_activations(x, gate_w, gate_b)
-    if activation == "sigmoid":
-        g = sigmoid(u)
-    elif activation == "tanh":
-        g = tanh(u)
-    elif activation == "relu":
-        g = relu(u)
-    else:
+    if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown gate activation {activation!r}")
-    return float(np.mean(g))
+    u = gate_pre_activations(x, gate_w, gate_b)
+    return float(np.mean(_ACTIVATIONS[activation](u)))
+
+
+@dataclass
+class Projection:
+    """The projection stage of one forward pass: merged weights plus the
+    rotated queries and keys and the values, all heads side by side.
+
+    ``q_lin``/``k_lin``/``v_lin`` feed the linear branch; in the shared
+    variant they are the same arrays as ``q``/``k``/``v``. ``rope_cfg`` is
+    the rotation that was applied, kept so the backward pass can undo it.
+    """
+
+    wq: Array
+    wk: Array
+    wv: Array
+    wo: Array
+    q: Array
+    k: Array
+    v: Array
+    q_lin: Array
+    k_lin: Array
+    v_lin: Array
+    rope_cfg: RopeConfig
+
+
+def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfig) -> Projection:
+    """Merge adapters, project X to Q/K/V, and rotate every head of Q and K."""
+    wq, wk, wv, wo = (merged_weight(params, m) for m in ("q", "k", "v", "o"))
+    q = rope3d_apply(matmul(x, wq), grid, rope_cfg)
+    k = rope3d_apply(matmul(x, wk), grid, rope_cfg)
+    v = matmul(x, wv)
+    if params.variant == "non_shared":
+        q_lin = rope3d_apply(matmul(x, params.w_q_lin), grid, rope_cfg)
+        k_lin = rope3d_apply(matmul(x, params.w_k_lin), grid, rope_cfg)
+        v_lin = matmul(x, params.w_v_lin)
+    else:
+        q_lin, k_lin, v_lin = q, k, v
+    return Projection(wq, wk, wv, wo, q, k, v, q_lin, k_lin, v_lin, rope_cfg)
 
 
 @dataclass
 class BlockTrace:
-    """Intermediate products of one forward pass.
+    """The record of one forward pass.
 
     ``gate`` is the scalar the gate path computed; ``gate_applied`` is the
     value that actually scaled the linear branch (None when the branch is
-    dropped). Attention maps are captured only on request; sparse maps of
-    reordered heads are stored in the order they were computed in, i.e.
-    after the permutation, where the band structure is visible.
+    dropped). The remaining fields are filled only when the forward pass
+    runs with ``keep_intermediates``: the projection stage, the branch
+    projection output, and per head the realized ``mask``, the
+    permutation ``perm`` and the attention weights ``attn`` (for reordered
+    heads in permuted order, where the band structure is visible). The
+    backward pass and map export read them.
     """
 
     o_s: Array
@@ -225,45 +281,14 @@ class BlockTrace:
     fused: Array
     final: Array
     attended_pairs: list[int]
-    reordered: list[bool]
-    sparse_maps: list[Array] | None = None
-    linear_maps: list[Array] | None = None
+    projection: Projection | None = None
+    heads: list[dict] | None = None
+    proj_out: Array | None = None
 
 
 def head_slices(channels: int, heads: int) -> list[slice]:
     d = channels // heads
     return [slice(h * d, (h + 1) * d) for h in range(heads)]
-
-
-def sparse_head_attention(
-    q: Array,
-    k: Array,
-    v: Array,
-    entry,
-    grid: LatentGrid,
-) -> tuple[Array, dict]:
-    """One head of masked softmax attention under a plan entry.
-
-    Realizes the entry's mask (permuting the sequence first for reordered
-    window entries), runs scaled masked softmax attention, and scatters
-    the output back to the original token order. The returned info dict
-    carries the realized mask, permutation, and attention weights.
-    """
-    d = q.shape[1]
-    mask, perm = realize_head_mask(entry, grid, q, k)
-    if perm is not None:
-        q2, k2, v2 = q[perm], k[perm], v[perm]
-    else:
-        q2, k2, v2 = q, k, v
-    logits = matmul(q2, k2.T) * (1.0 / math.sqrt(d))
-    attn = softmax_masked(logits, mask)
-    o2 = matmul(attn, v2)
-    if perm is not None:
-        out = np.empty_like(o2)
-        out[perm] = o2
-    else:
-        out = o2
-    return out, {"mask": mask, "perm": perm, "attn": attn, "q2": q2, "k2": k2, "v2": v2}
 
 
 def salad_forward(
@@ -272,14 +297,12 @@ def salad_forward(
     plan: MaskPlan,
     grid: LatentGrid,
     rope_cfg: RopeConfig | None = None,
-    capture_maps: bool = False,
-    _tape: dict | None = None,
+    keep_intermediates: bool = False,
 ) -> tuple[Array, BlockTrace]:
     """Run the block on one sequence; returns (output, trace).
 
-    ``_tape`` is a private hook used by the gradient module: when a dict is
-    passed, every intermediate needed for the hand-derived backward pass is
-    recorded into it.
+    ``keep_intermediates`` records everything the hand-derived backward
+    pass and attention-map export need into the trace.
     """
     x = np.asarray(x, dtype=np.float64)
     params.validate(grid)
@@ -293,47 +316,18 @@ def salad_forward(
     if rope_cfg.head_dim != d:
         raise ConfigError(f"rope split covers {rope_cfg.head_dim} channels, head_dim is {d}")
 
-    wq, wk, wv, wo = (merged_weight(params, m) for m in ("q", "k", "v", "o"))
-    q_pre = matmul(x, wq)
-    k_pre = matmul(x, wk)
-    v = matmul(x, wv)
-
-    slices = head_slices(params.channels, grid.heads)
-    q_rot = np.concatenate([rope3d_apply(q_pre[:, s], grid, rope_cfg) for s in slices], axis=1)
-    k_rot = np.concatenate([rope3d_apply(k_pre[:, s], grid, rope_cfg) for s in slices], axis=1)
-
-    if params.variant == "non_shared":
-        ql_pre = matmul(x, params.w_q_lin)
-        kl_pre = matmul(x, params.w_k_lin)
-        vl = matmul(x, params.w_v_lin)
-        ql_rot = np.concatenate([rope3d_apply(ql_pre[:, s], grid, rope_cfg) for s in slices], axis=1)
-        kl_rot = np.concatenate([rope3d_apply(kl_pre[:, s], grid, rope_cfg) for s in slices], axis=1)
-    else:
-        ql_rot, kl_rot, vl = q_rot, k_rot, v
-
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-    o_s = np.zeros_like(q_rot)
-    o_l = np.zeros_like(q_rot)
+    pr = project(x, params, grid, rope_cfg)
+    o_s = np.zeros_like(pr.q)
+    o_l = np.zeros_like(pr.q)
     attended: list[int] = []
-    reordered: list[bool] = []
-    sparse_maps: list[Array] | None = [] if capture_maps else None
-    linear_maps: list[Array] | None = [] if capture_maps else None
-    head_tapes: list[dict] = []
+    heads: list[dict] = []
 
-    for head, s in enumerate(slices):
-        oh, info = sparse_head_attention(q_rot[:, s], k_rot[:, s], v[:, s], plan[head], grid)
-        o_s[:, s] = oh
-
-        ol_h = linear_attention_streaming(ql_rot[:, s], kl_rot[:, s], vl[:, s])
-        o_l[:, s] = ol_h
-
+    for head, s in enumerate(head_slices(params.channels, grid.heads)):
+        o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
+        o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
         attended.append(int(info["mask"].sum()))
-        reordered.append(isinstance(plan[head], Window) and plan[head].reordered)
-        if capture_maps:
-            sparse_maps.append(info["attn"])
-            linear_maps.append(linear_attention_map(ql_rot[:, s], kl_rot[:, s]))
-        if _tape is not None:
-            head_tapes.append(info)
+        if keep_intermediates:
+            heads.append(info)
 
     gate = compute_gate(x, params.gate_w, params.gate_b,
                         params.gate_activation, params.gate_constant)
@@ -346,19 +340,7 @@ def salad_forward(
         gate_applied = params.lambda_override if params.lambda_override is not None else gate
         proj_out = matmul(o_l, params.proj)
         fused = o_s + gate_applied * proj_out
-    final = matmul(fused, wo)
-
-    if _tape is not None:
-        _tape.update({
-            "x": x, "params": params, "grid": grid, "rope_cfg": rope_cfg,
-            "wq": wq, "wk": wk, "wv": wv, "wo": wo,
-            "q_rot": q_rot, "k_rot": k_rot, "v": v,
-            "ql_rot": ql_rot, "kl_rot": kl_rot, "vl": vl,
-            "heads": head_tapes, "slices": slices,
-            "o_s": o_s, "o_l": o_l, "proj_out": proj_out,
-            "gate": gate, "gate_applied": gate_applied,
-            "fused": fused, "final": final, "inv_sqrt_d": inv_sqrt_d,
-        })
+    final = matmul(fused, pr.wo)
 
     trace = BlockTrace(
         o_s=o_s,
@@ -368,10 +350,9 @@ def salad_forward(
         fused=fused,
         final=final,
         attended_pairs=attended,
-        reordered=reordered,
-        sparse_maps=sparse_maps,
-        linear_maps=linear_maps,
     )
+    if keep_intermediates:
+        trace.projection, trace.heads, trace.proj_out = pr, heads, proj_out
     return final, trace
 
 
@@ -390,16 +371,19 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
     """Write one head's sparse and linear maps as CSV plus 8-bit PGM.
 
     CSV keeps full precision; the PGM scales each row by its maximum.
-    Raises :class:`StateError` if the forward pass did not capture maps.
+    Raises :class:`StateError` if the forward pass kept no intermediates.
     """
-    if trace.sparse_maps is None or trace.linear_maps is None:
-        raise StateError("attention maps were not captured; run the forward pass with capture_maps")
-    if not 0 <= head < len(trace.sparse_maps):
-        raise ConfigError(f"head {head} out of range for {len(trace.sparse_maps)} captured heads")
+    pr = trace.projection
+    if pr is None or trace.heads is None:
+        raise StateError("attention maps need the forward pass run with keep_intermediates")
+    if not 0 <= head < len(trace.heads):
+        raise ConfigError(f"head {head} out of range for {len(trace.heads)} recorded heads")
+    s = head_slices(pr.q.shape[1], len(trace.heads))[head]
+    linear = linear_attention_map(pr.q_lin[:, s], pr.k_lin[:, s])
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind, mat in (("sparse", trace.sparse_maps[head]), ("linear", trace.linear_maps[head])):
+    for kind, mat in (("sparse", trace.heads[head]["attn"]), ("linear", linear)):
         csv_path = prefix.with_name(f"{prefix.name}_{kind}_h{head}.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)

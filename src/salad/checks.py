@@ -57,7 +57,7 @@ from .masking import (
 from .analysis import GateRecord, estimate_speedup, layer_method_flops
 from .numerics import Array, Rng, matmul
 from .runner import run_pipeline
-from .tensor_io import dumps_json
+from .tensor_io import dumps_json, record_to_dict
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class CheckResult:
 # Reference implementations (built on plain numpy, not the production paths)
 
 
-def dense_masked_attention_ref(q: Array, k: Array, v: Array, mask: Array) -> Array:
+def dense_attention_ref(q: Array, k: Array, v: Array, mask: Array) -> Array:
     """Dense scaled softmax attention with a boolean mask, plain numpy."""
     logits = (q @ k.T) / math.sqrt(q.shape[1])
     shifted = np.where(mask, logits - np.where(mask, logits, -np.inf).max(axis=1)[:, None], 0.0)
@@ -163,7 +163,7 @@ def check_sparse_oracle() -> CheckResult:
             conj = np.zeros_like(mask)
             conj[np.ix_(perm, perm)] = mask  # same pairs, original order
             mask = conj
-        ref = dense_masked_attention_ref(q, k, v, mask)
+        ref = dense_attention_ref(q, k, v, mask)
         worst = max(worst, float(np.max(np.abs(out - ref))))
 
     # Full-window plan reproduces unmasked full attention to the bit.
@@ -258,7 +258,7 @@ def check_permutation() -> CheckResult:
     g = st_reorder_permutation(grid_c)
     conj = np.zeros((n, n), dtype=bool)
     conj[np.ix_(g, g)] = info["mask"]
-    ref = dense_masked_attention_ref(q, k, v, conj)
+    ref = dense_attention_ref(q, k, v, conj)
     err = float(np.max(np.abs(out - ref)))
     if err > 1e-12:
         ok = False
@@ -455,13 +455,13 @@ def check_calibration() -> CheckResult:
         got = calibrate_window(profiles, candidates, delta)
 
         # Exhaustive scan with independently computed RSE at every candidate.
-        full = [dense_masked_attention_ref(q, k, v, np.ones((n, n), dtype=bool))
+        full = [dense_attention_ref(q, k, v, np.ones((n, n), dtype=bool))
                 for q, k, v in profiles]
         expected_radius, expected_qualified = candidates[-1], False
         for r in candidates:
             num = den = 0.0
             for (q, k, v), f in zip(profiles, full):
-                sparse = dense_masked_attention_ref(q, k, v, build_window_mask(n, r))
+                sparse = dense_attention_ref(q, k, v, build_window_mask(n, r))
                 num += float(np.sum((sparse - f) ** 2))
                 den += float(np.sum(f**2))
             if num / den <= delta:
@@ -741,8 +741,8 @@ def check_determinism() -> CheckResult:
         "grid": {"frames": 2, "height": 2, "width": 2, "heads": 2, "head_dim": 4},
         "mask": {"kind": "window", "radius": 2},
     })
-    a = dumps_json(run_pipeline(cfg).to_dict())
-    b = dumps_json(run_pipeline(cfg).to_dict())
+    a = dumps_json(record_to_dict(run_pipeline(cfg)))
+    b = dumps_json(record_to_dict(run_pipeline(cfg)))
     return CheckResult("determinism", a == b, None,
                        "two pipeline runs with one seed serialize identically",
                        time.monotonic() - t0)

@@ -76,8 +76,7 @@ def _load_bundle_if_configured(cfg: RunConfig) -> None:
     if cfg.block.params_bundle is not None:
         from .tensor_io import read_params
 
-        params = read_params(cfg.block.params_bundle)
-        params.validate(cfg.to_grid())
+        read_params(cfg.block.params_bundle, cfg.to_grid())
 
 
 def cmd_gen(cfg: RunConfig) -> int:

@@ -3,17 +3,21 @@
 A config with nothing but a ``grid`` (or even an empty object) is
 runnable. Any key can be overridden on the command line with repeated
 ``--set dotted.path=value`` flags; values parse as JSON with a plain
-string fallback. Unknown keys are rejected so typos fail loudly.
+string fallback. Unknown keys are rejected so typos fail loudly, and every
+value must match its field's annotation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .block import GATE_ACTIVATIONS, VARIANTS
 from .errors import ConfigError
 from .linear_attention import DEFAULT_ROPE_BASE, RopeConfig
 from .masking import (
@@ -24,6 +28,7 @@ from .masking import (
     TopK,
     Window,
 )
+from .tensor_io import parse_plan_record, read_plan
 
 MASK_KINDS = ("window", "topk", "calibrate", "explicit", "per_head")
 DROP_STRATEGIES = ("none", "interval", "random", "threshold", "explicit")
@@ -157,16 +162,16 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.layers < 1 or self.timesteps < 1 or self.threads < 1:
             raise ConfigError("layers, timesteps, and threads must be >= 1")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         self.grid.to_grid()
         if self.mask.kind not in MASK_KINDS:
             raise ConfigError(f"mask.kind must be one of {MASK_KINDS}, got {self.mask.kind!r}")
         if self.drop.strategy not in DROP_STRATEGIES:
             raise ConfigError(f"drop.strategy must be one of {DROP_STRATEGIES}, got {self.drop.strategy!r}")
-        if self.block.variant not in ("shared", "non_shared"):
-            raise ConfigError(f"block.variant must be shared or non_shared, got {self.block.variant!r}")
-        if self.block.gate_activation not in ("sigmoid", "tanh", "relu", "constant"):
+        if self.block.variant not in VARIANTS:
+            raise ConfigError(f"block.variant must be one of {VARIANTS}, got {self.block.variant!r}")
+        if self.block.gate_activation not in GATE_ACTIVATIONS:
             raise ConfigError(f"unknown gate activation {self.block.gate_activation!r}")
         if self.block.lora_rank < 0:
             raise ConfigError("block.lora_rank must be >= 0")
@@ -221,23 +226,11 @@ class RunConfig:
         if m.kind == "per_head":
             if not m.per_head or len(m.per_head) != heads:
                 raise ConfigError(f"mask.per_head must list {heads} entries")
-            entries = []
-            for rec in m.per_head:
-                kind = rec.get("kind")
-                if kind == "window":
-                    entries.append(Window(radius=int(rec["radius"]),
-                                          reordered=bool(rec.get("reordered", False))))
-                elif kind == "topk":
-                    entries.append(TopK(block_size=int(rec["block_size"]),
-                                        k=int(rec.get("k", DEFAULT_TOPK))))
-                else:
-                    raise ConfigError(f"mask.per_head entries must be window or topk, got {kind!r}")
-            return MaskPlan(entries)
+            return MaskPlan([parse_plan_record(rec, f"mask.per_head[{i}]")
+                             for i, rec in enumerate(m.per_head)])
         if m.kind == "explicit":
             if not m.plan_path:
                 raise ConfigError("mask.kind=explicit requires mask.plan_path")
-            from .tensor_io import read_plan
-
             plan = read_plan(m.plan_path)
             if len(plan) != heads:
                 raise ConfigError(f"plan at {m.plan_path} has {len(plan)} heads, config wants {heads}")
@@ -258,34 +251,53 @@ _SECTION_TYPES = {
 }
 
 
+def _matches(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits a field annotation. A bool is not an int;
+    an int is a valid float (JSON has one number type)."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is int:
+        return type(value) is int
+    return isinstance(value, hint)
+
+
+def _check_keys(cls, doc: dict, prefix: str) -> None:
+    """Reject keys ``cls`` does not declare and values that do not match
+    their field's annotation; sections are checked by their own class."""
+    hints = typing.get_type_hints(cls)
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in sorted(doc):
+        if key not in declared:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        if key not in _SECTION_TYPES and not _matches(doc[key], hints[key]):
+            raise ConfigError(f"config key {prefix}{key} must be {declared[key]}, got {doc[key]!r}")
+
+
 def _build_section(cls, doc: Any, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"config section {path!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config key {path}.{sorted(unknown)[0]}")
+    _check_keys(cls, doc, f"{path}.")
     return cls(**doc)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+    _check_keys(RunConfig, doc, "")
     kwargs: dict[str, Any] = {}
     for key, value in doc.items():
         if key in _SECTION_TYPES:
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
         else:
             kwargs[key] = value
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg.validate()
+    return RunConfig(**kwargs).validate()
 
 
 def load_config(path: str | Path | None, overrides: list[str] | None = None) -> RunConfig:

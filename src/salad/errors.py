@@ -30,9 +30,13 @@ class ConfigError(SaladError, ValueError):
     """A config document, plan, or parameter bundle failed validation."""
 
 
+class NumericError(SaladError, ValueError):
+    """A computation produced non-finite values (overflow or NaN)."""
+
+
 class DataError(SaladError, ValueError):
     """Analysis input records are missing or malformed."""
 
 
 class StateError(SaladError, RuntimeError):
-    """An operation needs state (maps, tapes) that was not captured."""
+    """An operation needs state (such as forward intermediates) that was not recorded."""

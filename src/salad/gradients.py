@@ -1,24 +1,22 @@
 """Hand-derived reverse-mode gradients for the block, checked against
 central finite differences.
 
-There is no autodiff engine here: the forward pass records its
-intermediates onto a tape and ``salad_loss_grads`` walks the chain
+There is no autodiff engine here: the forward pass keeps its
+intermediates in its trace and ``salad_loss_grads`` walks the chain
 backwards with explicit formulas. The loss is the sum of squares of the
 block output, which is enough to exercise every parameter path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .block import SaladParams, gate_pre_activations, salad_forward
-from .errors import StateError
-from .linear_attention import EPSILON, RopeConfig, rope3d_rotate
-from .masking import LatentGrid, MaskPlan
+from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
+from .linear_attention import RopeConfig, rope3d_rotate, streaming_terms
+from .masking import LatentGrid, MaskPlan, invert_permutation
 from .numerics import Array, matmul, relu, sigmoid, tanh
 
 FD_STEP = 1e-5
@@ -34,25 +32,6 @@ class GradCheckReport:
     max_rel_err: float
     passed: bool
     step: float
-
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "analytic_norm": self.analytic_norm,
-            "max_rel_err": self.max_rel_err,
-            "passed": self.passed,
-            "step": self.step,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GradCheckReport":
-        return GradCheckReport(
-            param=d["param"],
-            analytic_norm=d["analytic_norm"],
-            max_rel_err=d["max_rel_err"],
-            passed=d["passed"],
-            step=d["step"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +83,7 @@ def relu_linear_attention_backward(
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    fq = relu(q)
-    fk = relu(k)
-    h = matmul(fk.T, v)
-    z = fk.sum(axis=0)
-    num = matmul(fq, h)
-    den = matmul(fq, z[:, None])[:, 0] + EPSILON
-
+    fq, fk, h, z, num, den = streaming_terms(q, k, np.asarray(v, dtype=np.float64))
     dnum = go / den[:, None]
     dden = -np.sum(num * go, axis=1) / (den * den)
     dfq = matmul(dnum, h.T) + dden[:, None] * z[None, :]
@@ -161,20 +133,15 @@ def salad_loss_grads(
     own gradient under the key "lambda"; a detached gate keeps its
     parameter gradients but sends nothing back into X.
     """
-    tape: dict = {}
-    out, _ = salad_forward(x, params, plan, grid, rope_cfg, _tape=tape)
-    if not tape:
-        raise StateError("forward pass recorded no tape")
+    out, rec = salad_forward(x, params, plan, grid, rope_cfg, keep_intermediates=True)
+    pr = rec.projection
     loss = float(np.sum(out * out))
-    grid = tape["grid"]
     coords = grid.coords()
-    cfg = tape["rope_cfg"]
-    slices = tape["slices"]
+    inv_sqrt_d = 1.0 / math.sqrt(grid.head_dim)
     shared = params.variant == "shared"
 
     dfinal = 2.0 * out
-    dwo = matmul(tape["fused"].T, dfinal)
-    dfused = matmul(dfinal, tape["wo"].T)
+    dfused, dwo = matmul_backward(rec.fused, pr.wo, dfinal)
 
     zeros_like = lambda a: np.zeros_like(np.asarray(a, dtype=np.float64))
     grads: dict[str, Array | float] = {
@@ -187,11 +154,9 @@ def salad_loss_grads(
     do_l = None
     dx = np.zeros_like(x, dtype=np.float64)
     if not params.dropped:
-        gate_applied = tape["gate_applied"]
-        dproj_out = gate_applied * dfused
-        dg_applied = float(np.sum(tape["proj_out"] * dfused))
-        grads["proj"] = matmul(tape["o_l"].T, dproj_out)
-        do_l = matmul(dproj_out, np.asarray(params.proj).T)
+        dproj_out = rec.gate_applied * dfused
+        dg_applied = float(np.sum(rec.proj_out * dfused))
+        do_l, grads["proj"] = matmul_backward(rec.o_l, params.proj, dproj_out)
         if params.lambda_override is not None or params.gate_activation == "constant":
             grads["lambda"] = dg_applied
         else:
@@ -203,67 +168,45 @@ def salad_loss_grads(
             if not params.gate_detached:
                 dx += dx_gate
 
-    dq_rot = np.zeros_like(tape["q_rot"])
-    dk_rot = np.zeros_like(tape["k_rot"])
-    dv = np.zeros_like(tape["v"])
-    dql_rot = np.zeros_like(tape["ql_rot"])
-    dkl_rot = np.zeros_like(tape["kl_rot"])
-    dvl = np.zeros_like(tape["vl"])
+    dq_rot, dk_rot, dv = (np.zeros_like(a) for a in (pr.q, pr.k, pr.v))
+    if shared:  # both branches read the same Q/K/V, so their gradients add up in place
+        dql_rot, dkl_rot, dvl = dq_rot, dk_rot, dv
+    else:
+        dql_rot, dkl_rot, dvl = (np.zeros_like(a) for a in (pr.q_lin, pr.k_lin, pr.v_lin))
 
-    for head, s in enumerate(slices):
-        ht = tape["heads"][head]
-        doh = do_s[:, s]
-        perm = ht["perm"]
-        do2 = doh[perm] if perm is not None else doh
-        attn, v2 = ht["attn"], ht["v2"]
-        dattn = matmul(do2, v2.T)
-        dv2 = matmul(attn.T, do2)
-        dlogits = softmax_masked_backward(attn, ht["mask"], dattn)
-        dq2 = matmul(dlogits, ht["k2"]) * tape["inv_sqrt_d"]
-        dk2 = matmul(dlogits.T, ht["q2"]) * tape["inv_sqrt_d"]
+    for head, s in enumerate(head_slices(params.channels, grid.heads)):
+        info = rec.heads[head]
+        perm, attn = info["perm"], info["attn"]
+        q2, k2, v2, do2 = pr.q[:, s], pr.k[:, s], pr.v[:, s], do_s[:, s]
         if perm is not None:
-            for dst, src in ((dq_rot, dq2), (dk_rot, dk2), (dv, dv2)):
-                buf = np.zeros_like(src)
-                buf[perm] = src
-                dst[:, s] += buf
-        else:
-            dq_rot[:, s] += dq2
-            dk_rot[:, s] += dk2
-            dv[:, s] += dv2
+            q2, k2, v2, do2 = q2[perm], k2[perm], v2[perm], do2[perm]
+        dattn, dv2 = matmul_backward(attn, v2, do2)
+        dlogits = softmax_masked_backward(attn, info["mask"], dattn)
+        dq2 = matmul(dlogits, k2) * inv_sqrt_d
+        dk2 = matmul(dlogits.T, q2) * inv_sqrt_d
+        for dst, src in ((dq_rot, dq2), (dk_rot, dk2), (dv, dv2)):
+            dst[:, s] += src if perm is None else src[invert_permutation(perm)]
 
         if do_l is not None:
             dql_h, dkl_h, dvl_h = relu_linear_attention_backward(
-                tape["ql_rot"][:, s], tape["kl_rot"][:, s], tape["vl"][:, s], do_l[:, s]
+                pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s], do_l[:, s]
             )
             dql_rot[:, s] += dql_h
             dkl_rot[:, s] += dkl_h
             dvl[:, s] += dvl_h
 
-    if shared:
-        dq_rot += dql_rot
-        dk_rot += dkl_rot
-        dv += dvl
-
-    dq_pre = np.concatenate([rope3d_backward(dq_rot[:, s], coords, cfg) for s in slices], axis=1)
-    dk_pre = np.concatenate([rope3d_backward(dk_rot[:, s], coords, cfg) for s in slices], axis=1)
-
-    grads["w_q"] = matmul(x.T, dq_pre)
-    grads["w_k"] = matmul(x.T, dk_pre)
-    grads["w_v"] = matmul(x.T, dv)
-    grads["w_o"] = dwo
-    dx += matmul(dq_pre, tape["wq"].T)
-    dx += matmul(dk_pre, tape["wk"].T)
-    dx += matmul(dv, tape["wv"].T)
-
+    # Each projection X W: undo the rotation (queries and keys only), then
+    # route the gradient onto W and back into X.
+    stages = [("w_q", dq_rot, pr.wq, True), ("w_k", dk_rot, pr.wk, True), ("w_v", dv, pr.wv, False)]
     if not shared:
-        dql_pre = np.concatenate([rope3d_backward(dql_rot[:, s], coords, cfg) for s in slices], axis=1)
-        dkl_pre = np.concatenate([rope3d_backward(dkl_rot[:, s], coords, cfg) for s in slices], axis=1)
-        grads["w_q_lin"] = matmul(x.T, dql_pre)
-        grads["w_k_lin"] = matmul(x.T, dkl_pre)
-        grads["w_v_lin"] = matmul(x.T, dvl)
-        dx += matmul(dql_pre, np.asarray(params.w_q_lin).T)
-        dx += matmul(dkl_pre, np.asarray(params.w_k_lin).T)
-        dx += matmul(dvl, np.asarray(params.w_v_lin).T)
+        stages += [("w_q_lin", dql_rot, params.w_q_lin, True),
+                   ("w_k_lin", dkl_rot, params.w_k_lin, True),
+                   ("w_v_lin", dvl, params.w_v_lin, False)]
+    for name, d_out, w, rotated in stages:
+        d_pre = rope3d_backward(d_out, coords, pr.rope_cfg) if rotated else d_out
+        grads[name] = matmul(x.T, d_pre)
+        dx += matmul(d_pre, np.asarray(w).T)
+    grads["w_o"] = dwo
 
     for name, u in params.lora.items():
         dmerged = grads[f"w_{name}"]
@@ -278,39 +221,8 @@ def salad_loss_grads(
 # Finite-difference verification
 
 
-def _with_param(x: Array, params: SaladParams, name: str, value: Array):
-    """(x, params) with the named parameter replaced by ``value``."""
-    if name == "x":
-        return value, params
-    if name == "gate_b":
-        return x, dataclasses.replace(params, gate_b=float(value.reshape(())))
-    if name.startswith("lora_"):
-        target, fld = name[len("lora_"):].split(".")
-        u = params.lora[target]
-        lora = dict(params.lora)
-        lora[target] = dataclasses.replace(u, **{fld: value})
-        return x, dataclasses.replace(params, lora=lora)
-    return x, dataclasses.replace(params, **{name: value})
-
-
-def _param_value(x: Array, params: SaladParams, name: str) -> Array:
-    if name == "x":
-        return np.asarray(x, dtype=np.float64)
-    if name == "gate_b":
-        return np.array(params.gate_b, dtype=np.float64)
-    if name.startswith("lora_"):
-        target, fld = name[len("lora_"):].split(".")
-        return np.asarray(getattr(params.lora[target], fld), dtype=np.float64)
-    return np.asarray(getattr(params, name), dtype=np.float64)
-
-
 def checkable_params(params: SaladParams) -> list[str]:
-    names = ["x", "w_q", "w_k", "w_v", "w_o", "proj", "gate_w", "gate_b"]
-    if params.variant == "non_shared":
-        names += ["w_q_lin", "w_k_lin", "w_v_lin"]
-    for target in sorted(params.lora):
-        names += [f"lora_{target}.a", f"lora_{target}.b"]
-    return names
+    return ["x", *params.param_names()]
 
 
 def fd_gradient(
@@ -322,16 +234,22 @@ def fd_gradient(
     name: str,
     step: float = FD_STEP,
 ) -> Array:
-    """Central-difference gradient of the sum-of-squares loss."""
-    base = _param_value(x, params, name).copy()
+    """Central-difference gradient of the sum-of-squares loss.
+
+    ``name`` is "x" for the input or a :meth:`SaladParams.param` name.
+    """
+    base = np.array(x, dtype=np.float64) if name == "x" else params.param(name).copy()
     flat = base.reshape(-1)
     out = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (+1.0, -1.0):
             bumped = flat.copy()
             bumped[i] += sign * step
-            x2, p2 = _with_param(x, params, name, bumped.reshape(base.shape))
-            y, _ = salad_forward(x2, p2, plan, grid, rope_cfg)
+            value = bumped.reshape(base.shape)
+            if name == "x":
+                y, _ = salad_forward(value, params, plan, grid, rope_cfg)
+            else:
+                y, _ = salad_forward(x, params.with_param(name, value), plan, grid, rope_cfg)
             out[i] += sign * float(np.sum(y * y))
     return (out / (2.0 * step)).reshape(base.shape)
 

@@ -75,19 +75,21 @@ def rope3d_rotate(x: Array, coords: Array, cfg: RopeConfig) -> Array:
     Channels are laid out [t-budget | h-budget | w-budget]; pair i of an
     axis with budget b turns by angle coordinate * base^(-2i/b). Each
     rotation is an isometry of its pair, and a token at (0, 0, 0) is
-    returned unchanged.
+    returned unchanged. ``x`` may hold several heads side by side (any
+    multiple of the head dimension); every head turns by the same angles.
     """
     x = np.asarray(x, dtype=np.float64)
     coords = np.asarray(coords)
-    if x.ndim != 2 or x.shape[1] != cfg.head_dim:
+    if x.ndim != 2 or not cfg.head_dim or x.shape[1] % cfg.head_dim:
         raise ConfigError(f"input has {x.shape[1] if x.ndim == 2 else '?'} channels, rope split covers {cfg.head_dim}")
     if coords.shape != (x.shape[0], 3):
         raise DimensionError(f"coords shape {coords.shape} does not match {x.shape[0]} rows")
     freqs = np.concatenate([_pair_freqs(b, cfg.base) for b in cfg.split])
     axis_of_pair = np.concatenate([np.full(b // 2, a, dtype=np.int64) for a, b in enumerate(cfg.split)])
     angles = coords[:, axis_of_pair].astype(np.float64) * freqs[None, :]
-    c = np.cos(angles)
-    s = np.sin(angles)
+    heads = x.shape[1] // cfg.head_dim
+    c = np.tile(np.cos(angles), heads)
+    s = np.tile(np.sin(angles), heads)
     x0 = x[:, 0::2]
     x1 = x[:, 1::2]
     out = np.empty_like(x)
@@ -135,14 +137,19 @@ def linear_attention_streaming(q: Array, k: Array, v: Array) -> Array:
     state: O_i = relu(Q_i) H / (relu(Q_i) Z + EPSILON). Algebraically
     identical to the quadratic form at Theta(N d^2) cost.
     """
+    _, _, _, _, num, den = streaming_terms(q, k, v)
+    return num / den[:, None]
+
+
+def streaming_terms(q: Array, k: Array, v: Array) -> tuple[Array, ...]:
+    """(relu(Q), relu(K), H, Z, numerators, guarded denominators) of the
+    streaming form; the backward pass reuses them."""
     _check_qkv(q, k, v)
     fq = relu(q)
     fk = relu(k)
     h = matmul(fk.T, v)
     z = fk.sum(axis=0)
-    num = matmul(fq, h)
-    den = matmul(fq, z[:, None])[:, 0] + EPSILON
-    return num / den[:, None]
+    return fq, fk, h, z, matmul(fq, h), matmul(fq, z[:, None])[:, 0] + EPSILON
 
 
 def linear_branch_flops(n: int, d: int) -> int:

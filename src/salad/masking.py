@@ -25,10 +25,6 @@ DEFAULT_CALIBRATION_DELTA = 2.0
 #: Default number of key blocks each query block keeps in top-k plans.
 DEFAULT_TOPK = 4
 
-#: Above this sequence length the closed-form window pair count is trusted
-#: without rebuilding the boolean mask as a cross-check.
-_WINDOW_CROSSCHECK_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class LatentGrid:
@@ -283,30 +279,48 @@ def realize_head_mask(
 
 
 # ---------------------------------------------------------------------------
-# Window calibration
+# Attention kernel
 
 
-def masked_attention(q: Array, k: Array, v: Array, mask: Array) -> Array:
-    """Scaled dot-product attention restricted to ``mask``."""
-    d = q.shape[1]
-    logits = matmul(q, k.T) * (1.0 / math.sqrt(d))
-    return matmul(softmax_masked(logits, mask), v)
+def attend(q: Array, k: Array, v: Array, mask: Array) -> tuple[Array, Array]:
+    """Scaled dot-product attention restricted to ``mask``.
 
-
-def attention_rse(q: Array, k: Array, v: Array, mask: Array, full: Array | None = None) -> float:
-    """Relative squared error of masked vs full attention output.
-
-    Frobenius ratio ||O_masked - O_full||^2 / ||O_full||^2; a zero full
-    output with a nonzero residual maps to +inf.
+    Returns the output and the attention weights. This is the package's
+    one masked-softmax attention kernel: plan execution and calibration
+    both run through it.
     """
-    if full is None:
-        full = masked_attention(q, k, v, np.ones((q.shape[0],) * 2, dtype=bool))
-    sparse = masked_attention(q, k, v, mask)
-    num = float(np.sum((sparse - full) ** 2))
-    den = float(np.sum(full**2))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+    logits = matmul(q, k.T) * (1.0 / math.sqrt(q.shape[1]))
+    attn = softmax_masked(logits, mask)
+    return matmul(attn, v), attn
+
+
+def sparse_head_attention(
+    q: Array,
+    k: Array,
+    v: Array,
+    entry: HeadPlan,
+    grid: LatentGrid,
+) -> tuple[Array, dict]:
+    """One head of masked softmax attention under a plan entry.
+
+    Realizes the entry's mask (permuting the sequence first for reordered
+    window entries), runs :func:`attend`, and scatters the output back to
+    the original token order. The returned info dict carries the realized
+    ``mask``, the permutation ``perm`` (or None) and the attention weights
+    ``attn``, both in the order attention was computed in.
+    """
+    mask, perm = realize_head_mask(entry, grid, q, k)
+    if perm is None:
+        out, attn = attend(q, k, v, mask)
+    else:
+        permuted, attn = attend(q[perm], k[perm], v[perm], mask)
+        out = np.empty_like(permuted)
+        out[perm] = permuted
+    return out, {"mask": mask, "perm": perm, "attn": attn}
+
+
+# ---------------------------------------------------------------------------
+# Window calibration
 
 
 @dataclass(frozen=True)
@@ -341,7 +355,7 @@ def calibrate_window(
         if perm is not None:
             q, k, v = q[perm], k[perm], v[perm]
         n = q.shape[0]
-        full = masked_attention(q, k, v, np.ones((n, n), dtype=bool))
+        full, _ = attend(q, k, v, np.ones((n, n), dtype=bool))
         prepared.append((q, k, v, full))
 
     last_rse = math.inf
@@ -349,8 +363,9 @@ def calibrate_window(
         num = 0.0
         den = 0.0
         for q, k, v, full in prepared:
-            mask = build_window_mask(q.shape[0], radius)
-            sparse = masked_attention(q, k, v, mask)
+            # The RSE sums in calibration token order; summing the output
+            # scattered back to default order would change its last bits.
+            sparse, _ = attend(q, k, v, build_window_mask(q.shape[0], radius))
             num += float(np.sum((sparse - full) ** 2))
             den += float(np.sum(full**2))
         last_rse = (0.0 if num == 0.0 else math.inf) if den == 0.0 else num / den
@@ -411,30 +426,20 @@ def head_sparsity_stats(
 ) -> SparsityStats:
     """Pair counts for one head's realized mask.
 
-    Window entries use the closed form (cross-checked against an explicit
-    mask count up to N=512); top-k entries count the realized mask when
+    Window entries use the closed form (the ``window_counts`` check
+    verifies it exhaustively); top-k entries count the realized mask when
     queries and keys are supplied and otherwise fall back to the static
     model of k full-size key blocks per query row.
     """
     n = grid.seq_len
     d = grid.head_dim
     if isinstance(entry, Window):
-        attended = window_attended_pairs(n, entry.radius)
-        if n <= _WINDOW_CROSSCHECK_LIMIT:
-            counted = int(build_window_mask(n, entry.radius).sum())
-            if counted != attended:
-                raise AssertionError(f"window pair count mismatch: {counted} vs {attended}")
-        return SparsityStats.from_pairs(attended, n, d)
-    if isinstance(entry, TopK):
-        if q is not None and k is not None:
-            mask, _ = realize_head_mask(entry, grid, q, k)
-            return SparsityStats.from_pairs(int(mask.sum()), n, d)
+        return SparsityStats.from_pairs(window_attended_pairs(n, entry.radius), n, d)
+    if isinstance(entry, TopK) and (q is None or k is None):
         per_row = min(entry.k * entry.block_size, n)
         return SparsityStats.from_pairs(n * per_row, n, d)
-    if isinstance(entry, Explicit):
-        mask, _ = realize_head_mask(entry, grid)
-        return SparsityStats.from_pairs(int(mask.sum()), n, d)
-    raise ConfigError(f"unknown plan entry {entry!r}")
+    mask, _ = realize_head_mask(entry, grid, q, k)
+    return SparsityStats.from_pairs(int(mask.sum()), n, d)
 
 
 def plan_sparsity_stats(

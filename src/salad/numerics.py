@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateRowError, DimensionError
+from .errors import DegenerateRowError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -38,7 +38,7 @@ def tensor(data, shape=None) -> Array:
 
 def ensure_finite(x: Array, label: str = "array") -> Array:
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{label} contains non-finite values")
+        raise NumericError(f"{label} contains non-finite values")
     return x
 
 
@@ -105,18 +105,6 @@ def sigmoid(x: Array) -> Array:
 
 def tanh(x: Array) -> Array:
     return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-_ELEMENTWISE = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def elementwise(op: str, x: Array) -> Array:
-    """Apply one of the supported pointwise nonlinearities by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; expected one of {sorted(_ELEMENTWISE)}") from None
-    return fn(x)
 
 
 def jacobi_singular_values(x: Array) -> Array:

@@ -22,37 +22,20 @@ from .analysis import (
     RunReport,
     atypical_gates,
     branch_rank_analysis,
+    flops_after_drop,
     gate_percentiles,
     layer_method_flops,
     plan_branch_drop,
 )
-from .block import export_attention_maps, head_slices, merged_weight, salad_forward, sparse_only_params
+from .block import export_attention_maps, head_slices, project, salad_forward, sparse_only_params
 from .config import RunConfig
 from .errors import ConfigError, DataError
 from .gradients import gradcheck_salad
-from .linear_attention import linear_branch_flops, rope3d_apply
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
-from .numerics import Array, matmul
-from .tensor_io import dumps_json
+from .tensor_io import dumps_json, record_from_dict, record_to_dict
 from .workload import Workload, generate_workload, load_workload
 
 REPORT_NAME = "report.json"
-
-
-def _head_qkv(x: Array, params, grid, rope_cfg) -> list[tuple[Array, Array, Array]]:
-    """Per-head (Q, K, V) after projection and rotation, default order."""
-    wq = merged_weight(params, "q")
-    wk = merged_weight(params, "k")
-    wv = merged_weight(params, "v")
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    out = []
-    for s in head_slices(grid.channels, grid.heads):
-        out.append((rope3d_apply(q[:, s], grid, rope_cfg),
-                    rope3d_apply(k[:, s], grid, rope_cfg),
-                    v[:, s]))
-    return out
 
 
 def resolve_plan(cfg: RunConfig, workload: Workload) -> tuple[MaskPlan, list[dict] | None]:
@@ -64,21 +47,13 @@ def resolve_plan(cfg: RunConfig, workload: Workload) -> tuple[MaskPlan, list[dic
     rope_cfg = cfg.to_rope()
     sigma0 = cfg.sigma.schedule(cfg.timesteps)[0]
     x = workload.inputs[0, 0] * sigma0
-    profiles = [[qkv] for qkv in _head_qkv(x, workload.params[0], grid, rope_cfg)]
+    pr = project(x, workload.params[0], grid, rope_cfg)
+    profiles = [[(pr.q[:, s], pr.k[:, s], pr.v[:, s])]
+                for s in head_slices(grid.channels, grid.heads)]
     plan, results = calibrate_plan(
         profiles, cfg.mask.candidates, grid, cfg.mask.delta, cfg.mask.choose_reorder
     )
-    summary = [
-        {"head": i, "radius": r.radius, "rse": r.rse,
-         "qualified": r.qualified, "reordered": r.reordered}
-        for i, r in enumerate(results)
-    ]
-    return plan, summary
-
-
-def _branch_flops_per_layer(grid) -> int:
-    n, h = grid.seq_len, grid.channels
-    return grid.heads * linear_branch_flops(n, grid.head_dim) + 2 * n * h * h + 2 * n * h
+    return plan, [{"head": i, **record_to_dict(r)} for i, r in enumerate(results)]
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
@@ -97,12 +72,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     if cfg.block.params_bundle is not None:
         from .tensor_io import read_params
 
-        bundle = read_params(cfg.block.params_bundle)
-        try:
-            bundle.validate(grid)
-        except ConfigError as exc:
-            raise ConfigError(f"params bundle {cfg.block.params_bundle}: {exc}") from None
-        workload.params = [bundle] * cfg.layers  # one block everywhere
+        # One block everywhere.
+        workload.params = [read_params(cfg.block.params_bundle, grid)] * cfg.layers
     plan, calibration = resolve_plan(cfg, workload)
 
     explicit_dropped = set(cfg.drop.layers or []) if cfg.drop.strategy == "explicit" else set()
@@ -116,8 +87,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         if layer in explicit_dropped and not params.dropped:
             params = sparse_only_params(params)
         x = workload.inputs[layer, t] * sigmas[t]
-        capture = cfg.maps.export and layer == cfg.maps.layer and t == cfg.maps.timestep
-        return salad_forward(x, params, plan, grid, rope_cfg, capture_maps=capture)
+        keep = cfg.maps.export and layer == cfg.maps.layer and t == cfg.maps.timestep
+        return salad_forward(x, params, plan, grid, rope_cfg, keep_intermediates=keep)
 
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
     if cfg.threads > 1:
@@ -167,13 +138,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             fraction=cfg.drop.fraction, tau=cfg.drop.tau,
             seed=cfg.drop.seed if cfg.drop.seed is not None else cfg.seed,
         )
-        branch = _branch_flops_per_layer(grid)
-        method_after = sum(
-            row["sparse"] + (0 if (row["layer"] in set(plan_drop.dropped_layers) or row["dropped"])
-                             else branch)
-            for row in layer_rows
-        )
-        drop_section = plan_drop.to_dict()
+        method_after = flops_after_drop(layer_rows, set(plan_drop.dropped_layers) | explicit_dropped,
+                                        grid)
+        drop_section = record_to_dict(plan_drop)
         drop_section["speedup_estimate"] = full_total / method_after
     elif explicit_dropped:
         drop_section = {
@@ -206,13 +173,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             gradcheck_section = {
                 "run": True,
                 "all_passed": all(r.passed for r in reports),
-                "reports": [r.to_dict() for r in reports],
+                "reports": [record_to_dict(r) for r in reports],
             }
 
     gates_section = {
-        "records": [r.to_dict() for r in records],
+        "records": [record_to_dict(r) for r in records],
         "percentiles": gate_percentiles(records),
-        "atypical": [r.to_dict() for r in atypical_gates(records)],
+        "atypical": [record_to_dict(r) for r in atypical_gates(records)],
     }
 
     report = RunReport(
@@ -233,7 +200,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / REPORT_NAME).write_text(dumps_json(report.to_dict()))
+        (out / REPORT_NAME).write_text(dumps_json(record_to_dict(report)))
         if cfg.maps.export:
             trace = traces[(cfg.maps.layer, cfg.maps.timestep)]
             export_attention_maps(trace, cfg.maps.head,
@@ -287,7 +254,7 @@ def load_report(path: str | Path) -> RunReport:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report {path} is not valid JSON: {exc}") from None
     try:
-        return RunReport.from_dict(doc)
+        return record_from_dict(RunReport, doc)
     except KeyError as exc:
         raise ConfigError(f"report {path} is missing key {exc}") from None
 
@@ -317,7 +284,6 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
 
     base_cfg = config_from_dict(base.config)
     grid = base_cfg.to_grid()
-    branch = _branch_flops_per_layer(grid)
     full_total = base.flops["full_total"]
     layer_rows = base.flops["per_layer"]
 
@@ -329,12 +295,9 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
         if spec_["strategy"] == "random" and "seed" not in kwargs:
             kwargs["seed"] = cfg.seed
         plan = plan_branch_drop(records, spec_["strategy"], **kwargs)
-        dropped = set(plan.dropped_layers)
-        method_after = sum(
-            row["sparse"] + (0 if row["layer"] in dropped else branch) for row in layer_rows
-        )
-        doc = plan.to_dict()
-        doc["speedup_estimate"] = full_total / method_after
+        doc = record_to_dict(plan)
+        doc["speedup_estimate"] = full_total / flops_after_drop(layer_rows, set(plan.dropped_layers),
+                                                                grid)
         plans.append(doc)
 
     percentiles = gate_percentiles(records)
@@ -357,7 +320,7 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
     summary = {
         "reports": [str(p) for p in report_paths],
         "percentiles": percentiles,
-        "atypical": [r.to_dict() for r in atypical_gates(records)],
+        "atypical": [record_to_dict(r) for r in atypical_gates(records)],
         "drop_plans": plans,
         "baseline_speedup_estimate": base.speedup_estimate,
     }

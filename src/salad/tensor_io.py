@@ -13,11 +13,13 @@ lambda override, flags, seed) terminated by a newline, followed by the
 raw float64 payload of every matrix in the header's declared order.
 
 Plan documents: a JSON file with one record per head; explicit masks are
-stored in SMSK sidecar files referenced by relative name.
+stored in SMSK sidecar files referenced by relative name. The same record
+rule covers ``mask.per_head`` config entries (see :func:`parse_plan_record`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -26,7 +28,7 @@ import numpy as np
 
 from .block import LoraUpdate, SaladParams
 from .errors import ConfigError
-from .masking import Explicit, HeadPlan, MaskPlan, TopK, Window
+from .masking import DEFAULT_TOPK, Explicit, HeadPlan, LatentGrid, MaskPlan, TopK, Window
 from .numerics import Array
 
 TENSOR_MAGIC = b"STNS"
@@ -41,6 +43,30 @@ def dumps_json(doc: dict) -> str:
     """Canonical JSON used for every text artifact: 2-space indent, stable
     key order (insertion), repr-exact floats."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def record_to_dict(record) -> dict:
+    """A record dataclass as a JSON object: its fields in declaration
+    order, tuples as lists, and optional fields left unset omitted."""
+    doc = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if value is None and f.default is None:
+            continue
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def record_from_dict(cls, doc: dict):
+    """Inverse of :func:`record_to_dict`. A missing required field raises
+    ``KeyError`` naming it; unknown keys are ignored."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = doc[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,64 +188,76 @@ def write_plan(plan: MaskPlan, path: str | Path) -> None:
     path.write_text(dumps_json({"format": PLAN_FORMAT, "version": 1, "heads": heads}))
 
 
+def parse_plan_record(rec, where: str, sidecar_dir: Path | None = None) -> HeadPlan:
+    """One per-head plan record, for plan files and ``mask.per_head`` alike.
+
+    ``{"kind": "window", "radius": int, "reordered": bool = false}`` or
+    ``{"kind": "topk", "block_size": int, "k": int = 4}``; with a
+    ``sidecar_dir`` also ``{"kind": "explicit", "sidecar": str}``. Other
+    keys (such as "head") are ignored. Integer fields must be JSON
+    integers. Any violation raises :class:`ConfigError` naming ``where``.
+    """
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{where} must be an object, got {rec!r}")
+
+    def typed(name: str, kind: type, default=None):
+        if name not in rec:
+            if default is None:
+                raise ConfigError(f"{where} is missing {name!r}")
+            return default
+        if type(rec[name]) is not kind:
+            raise ConfigError(f"{where}.{name} must be of JSON type {kind.__name__}, got {rec[name]!r}")
+        return rec[name]
+
+    kind = rec.get("kind")
+    if kind == "window":
+        return Window(radius=typed("radius", int), reordered=typed("reordered", bool, False))
+    if kind == "topk":
+        return TopK(block_size=typed("block_size", int), k=typed("k", int, DEFAULT_TOPK))
+    if kind == "explicit" and sidecar_dir is not None:
+        return Explicit(mask=read_mask(sidecar_dir / typed("sidecar", str)))
+    allowed = "window, topk or explicit" if sidecar_dir is not None else "window or topk"
+    raise ConfigError(f"{where}.kind must be {allowed}, got {kind!r}")
+
+
 def read_plan(path: str | Path) -> MaskPlan:
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if doc.get("format") != PLAN_FORMAT:
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"plan {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise ConfigError(f"{path} is not a plan document")
-    entries: list[HeadPlan] = []
-    for rec in doc["heads"]:
-        kind = rec.get("kind")
-        if kind == "window":
-            entries.append(Window(radius=rec["radius"], reordered=rec.get("reordered", False)))
-        elif kind == "topk":
-            entries.append(TopK(block_size=rec["block_size"], k=rec["k"]))
-        elif kind == "explicit":
-            entries.append(Explicit(mask=read_mask(path.with_name(rec["sidecar"]))))
-        else:
-            raise ConfigError(f"unknown plan entry kind {kind!r}")
-    return MaskPlan(entries)
+    if not isinstance(doc.get("heads"), list):
+        raise ConfigError(f"plan {path} has no list of head records")
+    return MaskPlan([parse_plan_record(rec, f"plan {path} heads[{i}]", path.parent)
+                     for i, rec in enumerate(doc["heads"])])
 
 
 # ---------------------------------------------------------------------------
 # Parameter bundles
 
-_BUNDLE_MATRIX_ORDER = ("w_q", "w_k", "w_v", "w_o", "proj", "gate_w", "gate_b")
+
+#: Scalar SaladParams fields the bundle header stores verbatim, in header order.
+_BUNDLE_FLAGS = ("variant", "gate_activation", "gate_constant", "lambda_override", "dropped",
+                 "gate_detached")
 
 
 def params_to_bytes(params: SaladParams, seed: int | None = None) -> bytes:
-    names = list(_BUNDLE_MATRIX_ORDER)
-    if params.variant == "non_shared":
-        names += ["w_q_lin", "w_k_lin", "w_v_lin"]
-    lora_meta = {}
-    for target in sorted(params.lora):
-        u = params.lora[target]
-        lora_meta[target] = {"rank": int(u.a.shape[0]), "scale": u.scale}
-        names += [f"lora_{target}.a", f"lora_{target}.b"]
-
-    def get(name: str) -> Array:
-        if name == "gate_b":
-            return np.array([params.gate_b], dtype=np.float64)
-        if name.startswith("lora_"):
-            target, fld = name[len("lora_"):].split(".")
-            return np.asarray(getattr(params.lora[target], fld), dtype=np.float64)
-        return np.asarray(getattr(params, name), dtype=np.float64)
+    names = params.param_names()
+    lora_meta = {target: {"rank": int(u.a.shape[0]), "scale": u.scale}
+                 for target, u in sorted(params.lora.items())}
 
     header = {
         "format": BUNDLE_FORMAT,
         "version": 1,
-        "variant": params.variant,
-        "gate_activation": params.gate_activation,
-        "gate_constant": params.gate_constant,
-        "lambda_override": params.lambda_override,
-        "dropped": params.dropped,
-        "gate_detached": params.gate_detached,
+        **{key: getattr(params, key) for key in _BUNDLE_FLAGS},
         "seed": seed,
         "lora": lora_meta,
         "matrices": names,
-        "shapes": {name: list(get(name).shape) for name in names},
+        "shapes": {name: list(params.param(name).shape) for name in names},
     }
-    payload = b"".join(np.ascontiguousarray(get(n), dtype="<f8").tobytes() for n in names)
+    payload = b"".join(np.ascontiguousarray(params.param(n), dtype="<f8").tobytes() for n in names)
     return json.dumps(header, allow_nan=False).encode("utf-8") + b"\n" + payload
 
 
@@ -261,12 +299,7 @@ def params_from_bytes(raw: bytes) -> SaladParams:
         gate_w=arrays["gate_w"],
         gate_b=float(arrays["gate_b"][0]),
         lora=lora,
-        gate_activation=header["gate_activation"],
-        gate_constant=header["gate_constant"],
-        lambda_override=header["lambda_override"],
-        dropped=header["dropped"],
-        gate_detached=header["gate_detached"],
-        variant=header["variant"],
+        **{key: header[key] for key in _BUNDLE_FLAGS},
         w_q_lin=arrays.get("w_q_lin"),
         w_k_lin=arrays.get("w_k_lin"),
         w_v_lin=arrays.get("w_v_lin"),
@@ -277,5 +310,11 @@ def write_params(params: SaladParams, path: str | Path, seed: int | None = None)
     Path(path).write_bytes(params_to_bytes(params, seed))
 
 
-def read_params(path: str | Path) -> SaladParams:
-    return params_from_bytes(Path(path).read_bytes())
+def read_params(path: str | Path, grid: LatentGrid) -> SaladParams:
+    """Read a parameter bundle and validate it against ``grid``."""
+    params = params_from_bytes(Path(path).read_bytes())
+    try:
+        params.validate(grid)
+    except ConfigError as exc:
+        raise ConfigError(f"params bundle {path}: {exc}") from None
+    return params

@@ -10,6 +10,7 @@ workload starts exactly on the sparse-only path.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,8 +117,6 @@ def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no workload manifest at {manifest_path}")
-    import json
-
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format") != "salad-workload":
         raise ConfigError(f"{manifest_path} is not a workload manifest")
@@ -126,14 +125,7 @@ def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     expect = (cfg.layers, cfg.timesteps, grid.seq_len, grid.channels)
     if inputs.shape != expect:
         raise ConfigError(f"workload inputs have shape {inputs.shape}, config wants {expect}")
-    params = []
-    for layer, name in enumerate(manifest["params"]):
-        p = read_params(root / name)
-        try:
-            p.validate(grid)
-        except ConfigError as exc:
-            raise ConfigError(f"params bundle {name}: {exc}") from None
-        params.append(p)
+    params = [read_params(root / name, grid) for name in manifest["params"]]
     if len(params) != cfg.layers:
         raise ConfigError(f"workload has {len(params)} parameter bundles for {cfg.layers} layers")
     return Workload(inputs=inputs, params=params)

@@ -24,6 +24,7 @@ from salad.errors import ConfigError, DataError
 from salad.linear_attention import linear_branch_flops
 from salad.masking import LatentGrid, MaskPlan, Window, window_attended_pairs
 from salad.numerics import Rng
+from salad.tensor_io import record_from_dict, record_to_dict
 
 
 def records_from(means, timesteps=4, jitter=0.0, seed=0):
@@ -116,7 +117,9 @@ class TestDropPlans:
 
     def test_round_trip(self):
         plan = plan_branch_drop(records_from([0.1, 0.9]), "interval", lo=0.8, hi=1.0)
-        assert DropPlan.from_dict(plan.to_dict()) == plan
+        doc = json.loads(json.dumps(record_to_dict(plan)))
+        assert doc["dropped_layers"] == [1]
+        assert record_from_dict(DropPlan, doc) == plan
 
     def test_layer_means(self):
         recs = [GateRecord(0, 0, 0.2), GateRecord(0, 1, 0.4), GateRecord(1, 0, 0.6)]
@@ -231,17 +234,17 @@ class TestRunReport:
             gradcheck={"run": False, "all_passed": None, "reports": []},
             oracle_checks=[{"name": "x", "passed": True, "max_err": 0.0, "detail": ""}],
         )
-        doc = json.loads(json.dumps(report.to_dict()))
-        again = RunReport.from_dict(doc)
-        assert again.to_dict() == report.to_dict()
-        assert "timestamp" not in report.to_dict()
+        doc = json.loads(json.dumps(record_to_dict(report)))
+        again = record_from_dict(RunReport, doc)
+        assert record_to_dict(again) == record_to_dict(report)
+        assert "timestamp" not in record_to_dict(report)
         assert [r.gate for r in again.gate_records()] == [0.25]
 
     def test_fixed_top_level_keys(self):
         report = RunReport(config={}, sparsity={}, flops={}, speedup_estimate=1.0,
                            gates={}, drop_plan=None, ranks=[], gradcheck={},
                            oracle_checks=[], timestamp="now")
-        assert list(report.to_dict()) == [
+        assert list(record_to_dict(report)) == [
             "config", "sparsity", "flops", "speedup_estimate", "gates",
             "drop_plan", "ranks", "gradcheck", "oracle_checks", "timestamp",
         ]

@@ -313,3 +313,63 @@ class TestExportMaps:
         maps = sorted(p.name for p in (tmp_path / "out" / "maps").iterdir())
         assert maps == ["l1_t0_linear_h1.csv", "l1_t0_linear_h1.pgm",
                         "l1_t0_sparse_h1.csv", "l1_t0_sparse_h1.pgm"]
+
+
+PLAN_HEADER = {"format": "salad-plan", "version": 1}
+WINDOW_TWO = {"head": 1, "kind": "window", "radius": 2}
+
+
+def plan_records(first: dict) -> list[dict]:
+    return [first, WINDOW_TWO]
+
+
+BAD_RECORDS = {
+    "missing_radius": {"head": 0, "kind": "window"},
+    "string_radius": {"head": 0, "kind": "window", "radius": "2"},
+    "float_radius": {"head": 0, "kind": "window", "radius": 2.7},
+}
+
+
+def exit_three_cases():
+    cases = {
+        "layers_abc": (["--set", "layers=abc"], None),
+        "heads_x": (["--set", "grid.heads=x"], None),
+        "seed_above_u64": (["--set", "seed=18446744073709551621"], None),
+        "sigma_overflow": (["--set", "sigma.values=[1e200,1,1,1,1]"], None),
+        "plan_without_heads": ([], PLAN_HEADER),
+        "plan_not_json": ([], "{not json"),
+    }
+    for name, rec in BAD_RECORDS.items():
+        per_head = json.dumps(plan_records(rec))
+        cases[f"per_head_{name}"] = (["--set", "mask.kind=per_head",
+                                      "--set", f"mask.per_head={per_head}"], None)
+        cases[f"plan_{name}"] = ([], {**PLAN_HEADER, "heads": plan_records(rec)})
+    return cases
+
+
+EXIT_THREE = exit_three_cases()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(EXIT_THREE))
+def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
+    args, plan = EXIT_THREE[case]
+    if plan is not None:
+        path = tmp_path / "plan.json"
+        path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+        args = [*args, "--set", "mask.kind=explicit", "--set", f'mask.plan_path="{path}"']
+    assert run_cli("run", *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_plan_file_and_per_head_share_one_record_rule(tmp_path):
+    records = [{"head": 0, "kind": "topk", "block_size": 2}, {"head": 1, "kind": "window", "radius": 1}]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({**PLAN_HEADER, "heads": records}))
+    from_file = load_config(None, ["mask.kind=explicit", f'mask.plan_path="{path}"'])
+    from_config = load_config(None, ["mask.kind=per_head", f"mask.per_head={json.dumps(records)}"])
+    from salad.masking import MaskPlan, TopK, Window
+
+    want = MaskPlan([TopK(block_size=2, k=4), Window(radius=1, reordered=False)])
+    assert from_file.static_plan() == from_config.static_plan() == want

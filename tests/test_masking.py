@@ -18,7 +18,6 @@ from salad.masking import (
     calibrate_window,
     head_sparsity_stats,
     invert_permutation,
-    masked_attention,
     plan_sparsity_stats,
     realize_head_mask,
     select_topk_blocks,
@@ -229,12 +228,17 @@ class TestCalibration:
         delta = 0.05
         res = calibrate_window(profiles, candidates, delta)
 
-        full = [masked_attention(q, k, v, np.ones((20, 20), dtype=bool)) for q, k, v in profiles]
+        def plain_attention(q, k, v, mask):
+            logits = np.where(mask, q @ k.T / math.sqrt(q.shape[1]), -np.inf)
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return (w / w.sum(axis=1, keepdims=True)) @ v
+
+        full = [plain_attention(q, k, v, np.ones((20, 20), dtype=bool)) for q, k, v in profiles]
         rses = []
         for r in candidates:
             num = den = 0.0
             for (q, k, v), f in zip(profiles, full):
-                s = masked_attention(q, k, v, build_window_mask(20, r))
+                s = plain_attention(q, k, v, build_window_mask(20, r))
                 num += float(np.sum((s - f) ** 2))
                 den += float(np.sum(f**2))
             rses.append(num / den)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from salad.errors import DegenerateRowError, DimensionError
 from salad.numerics import (
     Rng,
-    elementwise,
     jacobi_singular_values,
     matmul,
     numerical_rank,
@@ -111,7 +110,7 @@ class TestSoftmaxMasked:
 
 class TestElementwise:
     def test_relu(self):
-        assert elementwise("relu", np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
+        assert relu(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
 
     def test_sigmoid_symmetry_point(self):
         assert float(sigmoid(np.array(0.0))) == 0.5
@@ -122,12 +121,8 @@ class TestElementwise:
         assert out[1] == 1.0  # saturates, never overflows
 
     def test_tanh_saturates(self):
-        out = elementwise("tanh", np.array([50.0, -50.0]))
+        out = tanh(np.array([50.0, -50.0]))
         assert abs(out[0] - 1.0) < 1e-12 and abs(out[1] + 1.0) < 1e-12
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            elementwise("gelu", np.zeros(3))
 
     def test_relu_preserves_shape(self, rng):
         x = rng.normal((3, 4))
