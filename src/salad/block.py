@@ -30,7 +30,7 @@ from .linear_attention import (
     linear_attention_streaming,
     rope3d_apply,
 )
-from .masking import LatentGrid, MaskPlan, sparse_head_attention
+from .masking import HeadAttention, LatentGrid, MaskPlan, sparse_head_attention
 from .numerics import Array, matmul, relu, sigmoid, tanh
 
 _ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
@@ -268,10 +268,10 @@ class BlockTrace:
     value that actually scaled the linear branch (None when the branch is
     dropped). The remaining fields are filled only when the forward pass
     runs with ``keep_intermediates``: the projection stage, the branch
-    projection output, and per head the realized ``mask``, the
-    permutation ``perm`` and the attention weights ``attn`` (for reordered
-    heads in permuted order, where the band structure is visible). The
-    backward pass and map export read them.
+    projection output, and per head its :class:`HeadAttention` (banded
+    window heads keep only their band; for reordered heads the weights are
+    in permuted order, where the band structure is visible). The backward
+    pass and map export read them.
     """
 
     o_s: Array
@@ -282,7 +282,7 @@ class BlockTrace:
     final: Array
     attended_pairs: list[int]
     projection: Projection | None = None
-    heads: list[dict] | None = None
+    heads: list[HeadAttention] | None = None
     proj_out: Array | None = None
 
 
@@ -320,12 +320,12 @@ def salad_forward(
     o_s = np.zeros_like(pr.q)
     o_l = np.zeros_like(pr.q)
     attended: list[int] = []
-    heads: list[dict] = []
+    heads: list[HeadAttention] = []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
         o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
-        attended.append(int(info["mask"].sum()))
+        attended.append(info.pairs)
         if keep_intermediates:
             heads.append(info)
 
@@ -383,7 +383,7 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind, mat in (("sparse", trace.heads[head]["attn"]), ("linear", linear)):
+    for kind, mat in (("sparse", trace.heads[head].dense_weights()), ("linear", linear)):
         csv_path = prefix.with_name(f"{prefix.name}_{kind}_h{head}.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -158,8 +158,8 @@ def check_sparse_oracle() -> CheckResult:
     for entry in entries:
         q, k, v = (rng.normal((n, d)) for _ in range(3))
         out, info = sparse_head_attention(q, k, v, entry, grid)
-        mask = info["mask"]
-        if info["perm"] is not None:
+        mask = info.dense_mask()
+        if info.perm is not None:
             conj = np.zeros_like(mask)
             conj[np.ix_(perm, perm)] = mask  # same pairs, original order
             mask = conj
@@ -257,7 +257,7 @@ def check_permutation() -> CheckResult:
     out, info = sparse_head_attention(q, k, v, Window(radius=2, reordered=True), grid_c)
     g = st_reorder_permutation(grid_c)
     conj = np.zeros((n, n), dtype=bool)
-    conj[np.ix_(g, g)] = info["mask"]
+    conj[np.ix_(g, g)] = info.dense_mask()
     ref = dense_attention_ref(q, k, v, conj)
     err = float(np.max(np.abs(out - ref)))
     if err > 1e-12:

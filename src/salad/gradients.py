@@ -16,7 +16,17 @@ import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
 from .linear_attention import RopeConfig, rope3d_rotate, streaming_terms
-from .masking import LatentGrid, MaskPlan, invert_permutation
+from .masking import (
+    HeadAttention,
+    LatentGrid,
+    MaskPlan,
+    band_apply,
+    band_apply_transposed,
+    band_row_sum,
+    band_scores,
+    band_valid,
+    invert_permutation,
+)
 from .numerics import Array, matmul, relu, sigmoid, tanh
 
 FD_STEP = 1e-5
@@ -52,6 +62,30 @@ def softmax_masked_backward(y: Array, mask: Array, gy: Array) -> Array:
     """
     dot = np.sum(y * gy, axis=1, keepdims=True)
     return np.where(mask, y * (gy - dot), 0.0)
+
+
+def band_softmax_backward(y: Array, gy: Array, radius: int) -> Array:
+    """:func:`softmax_masked_backward` on a band: y * (g - sum(y * g)) on
+    in-range slots, with the row sum taken as over the dense row."""
+    dot = band_row_sum(y * gy, radius)[:, None]
+    return np.where(band_valid(y.shape[0], radius), y * (gy - dot), 0.0)
+
+
+def head_attention_backward(
+    q: Array, k: Array, v: Array, rec: HeadAttention, go: Array
+) -> tuple[Array, Array, Array]:
+    """Gradients of one head's attention output w.r.t. its Q, K and V, all
+    in the token order attention ran in. Banded heads stay on the band."""
+    inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
+    attn, r = rec.weights, rec.radius
+    if r is None:
+        dattn, dv = matmul_backward(attn, v, go)
+        dlogits = softmax_masked_backward(attn, rec.mask, dattn)
+        return matmul(dlogits, k) * inv_sqrt_d, matmul(dlogits.T, q) * inv_sqrt_d, dv
+    dlogits = band_softmax_backward(attn, band_scores(go, v, r), r)
+    dq = band_apply(dlogits, k, r) * inv_sqrt_d
+    dk = band_apply_transposed(dlogits, q, r) * inv_sqrt_d
+    return dq, dk, band_apply_transposed(attn, go, r)
 
 
 def elementwise_backward(op: str, x: Array, gy: Array) -> Array:
@@ -137,7 +171,6 @@ def salad_loss_grads(
     pr = rec.projection
     loss = float(np.sum(out * out))
     coords = grid.coords()
-    inv_sqrt_d = 1.0 / math.sqrt(grid.head_dim)
     shared = params.variant == "shared"
 
     dfinal = 2.0 * out
@@ -176,14 +209,11 @@ def salad_loss_grads(
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         info = rec.heads[head]
-        perm, attn = info["perm"], info["attn"]
+        perm = info.perm
         q2, k2, v2, do2 = pr.q[:, s], pr.k[:, s], pr.v[:, s], do_s[:, s]
         if perm is not None:
             q2, k2, v2, do2 = q2[perm], k2[perm], v2[perm], do2[perm]
-        dattn, dv2 = matmul_backward(attn, v2, do2)
-        dlogits = softmax_masked_backward(attn, info["mask"], dattn)
-        dq2 = matmul(dlogits, k2) * inv_sqrt_d
-        dk2 = matmul(dlogits.T, q2) * inv_sqrt_d
+        dq2, dk2, dv2 = head_attention_backward(q2, k2, v2, info, do2)
         for dst, src in ((dq_rot, dq2), (dk_rot, dk2), (dv, dv2)):
             dst[:, s] += src if perm is None else src[invert_permutation(perm)]
 

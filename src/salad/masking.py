@@ -1,11 +1,13 @@
-"""Sparse attention plans: construction, calibration, and accounting.
+"""Sparse attention plans: construction, attention kernels, calibration,
+and accounting.
 
 A :class:`MaskPlan` carries one entry per attention head. Window entries
 realize a symmetric band |i - j| <= r (optionally after the spatial-major
 token reorder); top-k entries select key blocks dynamically from the
 actual queries and keys; explicit entries carry a full boolean mask.
 Every realized mask keeps the diagonal true, so no query is ever left
-without a key.
+without a key. Windows narrower than the sequence run on a banded kernel
+that touches only the attended pairs; every other entry runs densely.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import Array, matmul, softmax_masked
+from .numerics import Array, ensure_finite, matmul, softmax_masked
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -285,13 +287,168 @@ def realize_head_mask(
 def attend(q: Array, k: Array, v: Array, mask: Array) -> tuple[Array, Array]:
     """Scaled dot-product attention restricted to ``mask``.
 
-    Returns the output and the attention weights. This is the package's
-    one masked-softmax attention kernel: plan execution and calibration
-    both run through it.
+    Returns the output and the attention weights. This is the dense
+    masked-softmax kernel: top-k, explicit and full-window heads and
+    calibration's full-attention reference run through it; narrower
+    windows run through :func:`band_attend`.
     """
     logits = matmul(q, k.T) * (1.0 / math.sqrt(q.shape[1]))
     attn = softmax_masked(logits, mask)
     return matmul(attn, v), attn
+
+
+# ---------------------------------------------------------------------------
+# Banded window kernel
+#
+# A window head of radius r is stored as an (N, 2r+1) band: slot m of row
+# i holds key i + m - r, so keys run i-r..i+r in ascending order, and slots
+# past either end of the sequence hold 0. Every product accumulates its
+# terms in the order matmul uses on the dense N x N matrices, and the
+# out-of-band terms it skips are exact zeros, so the band kernels are
+# bit-identical to the dense ones.
+
+#: Rows scattered into dense length-N rows at a time by :func:`band_row_sum`.
+BAND_CHUNK_ROWS = 128
+
+
+def uses_band(radius: int, n: int) -> bool:
+    """Whether a window of ``radius`` over ``n`` tokens runs banded: only
+    when its band is narrower than the sequence. Wider windows attend
+    every pair and run densely, so a full window equals full attention."""
+    return 2 * radius + 1 < n
+
+
+def _band_keys(n: int, radius: int, start: int = 0, stop: int | None = None) -> tuple[Array, Array]:
+    """Key index of each band slot in rows start..stop-1, and which of those
+    keys lie inside the sequence."""
+    stop = n if stop is None else stop
+    keys = np.arange(start, stop)[:, None] + np.arange(-radius, radius + 1)
+    return keys, (keys >= 0) & (keys < n)
+
+
+def band_valid(n: int, radius: int) -> Array:
+    """Boolean (N, 2r+1) band: true where the slot's key is in range."""
+    return _band_keys(n, radius)[1]
+
+
+def _band_span(n: int, radius: int, slot: int) -> tuple[int, int, int]:
+    """Rows i in lo..hi-1 whose ``slot`` holds an in-range key i + offset."""
+    offset = slot - radius
+    return max(0, -offset), min(n, n - offset), offset
+
+
+def band_scores(a: Array, b: Array, radius: int) -> Array:
+    """Band of a[i] . b[i + m - r], i.e. ``matmul(a, b.T)`` on the band.
+
+    Each entry accumulates over channels in ascending order from 0.0, as
+    :func:`matmul` does. Out-of-range slots hold 0.
+    """
+    n, d = a.shape
+    padded = np.zeros((n + 2 * radius, d))
+    padded[radius:radius + n] = b
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=0)  # (N, d, 2r+1)
+    out = np.zeros((n, 2 * radius + 1))
+    for c in range(d):
+        out += a[:, c:c + 1] * windows[:, c]
+    return ensure_finite(out, "band scores")
+
+
+def band_apply(band: Array, x: Array, radius: int) -> Array:
+    """``matmul(dense, x)`` for a band: row i sums band[i, j] x[j] over
+    keys j in ascending order."""
+    n = band.shape[0]
+    out = np.zeros((n, x.shape[1]))
+    for slot in range(band.shape[1]):
+        lo, hi, offset = _band_span(n, radius, slot)
+        out[lo:hi] += band[lo:hi, slot:slot + 1] * x[lo + offset:hi + offset]
+    return ensure_finite(out, "band product")
+
+
+def band_apply_transposed(band: Array, x: Array, radius: int) -> Array:
+    """``matmul(dense.T, x)`` for a band: row j sums band[i, j] x[i] over
+    queries i in ascending order, which for key j = i + offset means
+    offsets in descending order."""
+    n = band.shape[0]
+    out = np.zeros((n, x.shape[1]))
+    for slot in reversed(range(band.shape[1])):
+        lo, hi, offset = _band_span(n, radius, slot)
+        out[lo + offset:hi + offset] += band[lo:hi, slot:slot + 1] * x[lo:hi]
+    return ensure_finite(out, "band product")
+
+
+def _band_rows_dense(band: Array, radius: int, start: int, stop: int) -> Array:
+    """Rows start..stop-1 of the band scattered into zeroed length-N rows."""
+    n = band.shape[0]
+    keys, valid = _band_keys(n, radius, start, stop)
+    dense = np.zeros((stop - start, n))
+    dense[np.nonzero(valid)[0], keys[valid]] = band[start:stop][valid]
+    return dense
+
+
+def band_to_dense(band: Array, radius: int) -> Array:
+    """The (N, N) matrix a band stands for."""
+    return _band_rows_dense(band, radius, 0, band.shape[0])
+
+
+def band_row_sum(band: Array, radius: int) -> Array:
+    """Row sums of a band, bit-identical to ``band_to_dense(band).sum(axis=1)``.
+
+    numpy sums each row pairwise over its full length, an order no
+    accumulation over the band alone reproduces, so the rows are scattered
+    into zeroed length-N rows, ``BAND_CHUNK_ROWS`` at a time, and summed
+    there.
+    """
+    n = band.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, BAND_CHUNK_ROWS):
+        stop = min(start + BAND_CHUNK_ROWS, n)
+        out[start:stop] = _band_rows_dense(band, radius, start, stop).sum(axis=1)
+    return out
+
+
+def band_softmax(logits: Array, radius: int) -> Array:
+    """:func:`softmax_masked` on a band whose in-range slots form the mask."""
+    valid = band_valid(logits.shape[0], radius)
+    row_max = np.where(valid, logits, -np.inf).max(axis=1)
+    shifted = np.where(valid, logits - row_max[:, None], 0.0)
+    weights = np.exp(shifted) * valid
+    return weights / band_row_sum(weights, radius)[:, None]
+
+
+def band_attend(q: Array, k: Array, v: Array, radius: int) -> tuple[Array, Array]:
+    """:func:`attend` under the window |i - j| <= ``radius``, touching only
+    the band. Returns the output and the (N, 2r+1) band of weights."""
+    logits = band_scores(q, k, radius) * (1.0 / math.sqrt(q.shape[1]))
+    attn = band_softmax(logits, radius)
+    return band_apply(attn, v, radius), attn
+
+
+@dataclass(frozen=True)
+class HeadAttention:
+    """What :func:`sparse_head_attention` computed for one head, in the
+    token order attention ran in (spatial-major for reordered windows).
+
+    A dense head keeps the (N, N) ``weights`` and its realized ``mask``; a
+    banded head sets ``radius``, keeps the (N, 2r+1) band as ``weights``
+    and no mask. ``perm`` is the token permutation (or None) and
+    ``pairs`` the number of attended query-key pairs.
+    """
+
+    weights: Array
+    mask: Array | None
+    radius: int | None
+    perm: Array | None
+    pairs: int
+
+    def dense_weights(self) -> Array:
+        """The (N, N) attention weights."""
+        return self.weights if self.radius is None else band_to_dense(self.weights, self.radius)
+
+    def dense_mask(self) -> Array:
+        """The (N, N) boolean mask attention ran under."""
+        if self.radius is None:
+            return self.mask
+        return build_window_mask(self.weights.shape[0], self.radius)
 
 
 def sparse_head_attention(
@@ -300,23 +457,28 @@ def sparse_head_attention(
     v: Array,
     entry: HeadPlan,
     grid: LatentGrid,
-) -> tuple[Array, dict]:
+) -> tuple[Array, HeadAttention]:
     """One head of masked softmax attention under a plan entry.
 
-    Realizes the entry's mask (permuting the sequence first for reordered
-    window entries), runs :func:`attend`, and scatters the output back to
-    the original token order. The returned info dict carries the realized
-    ``mask``, the permutation ``perm`` (or None) and the attention weights
-    ``attn``, both in the order attention was computed in.
+    Window entries with ``2r+1 < N`` run :func:`band_attend`; every other
+    entry realizes its mask and runs :func:`attend`. Reordered windows
+    permute the sequence first, and the output is scattered back to the
+    original token order.
     """
-    mask, perm = realize_head_mask(entry, grid, q, k)
-    if perm is None:
-        out, attn = attend(q, k, v, mask)
+    n = grid.seq_len
+    banded = isinstance(entry, Window) and uses_band(entry.radius, n)
+    if banded:
+        mask, perm = None, (st_reorder_permutation(grid) if entry.reordered else None)
     else:
-        permuted, attn = attend(q[perm], k[perm], v[perm], mask)
-        out = np.empty_like(permuted)
+        mask, perm = realize_head_mask(entry, grid, q, k)
+    if perm is not None:
+        q, k, v = q[perm], k[perm], v[perm]
+    out, weights = band_attend(q, k, v, entry.radius) if banded else attend(q, k, v, mask)
+    if perm is not None:
+        permuted, out = out, np.empty_like(out)
         out[perm] = permuted
-    return out, {"mask": mask, "perm": perm, "attn": attn}
+    pairs = window_attended_pairs(n, entry.radius) if isinstance(entry, Window) else int(mask.sum())
+    return out, HeadAttention(weights, mask, entry.radius if banded else None, perm, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +527,11 @@ def calibrate_window(
         for q, k, v, full in prepared:
             # The RSE sums in calibration token order; summing the output
             # scattered back to default order would change its last bits.
-            sparse, _ = attend(q, k, v, build_window_mask(q.shape[0], radius))
+            n = q.shape[0]
+            if uses_band(radius, n):
+                sparse, _ = band_attend(q, k, v, radius)
+            else:
+                sparse, _ = attend(q, k, v, build_window_mask(n, radius))
             num += float(np.sum((sparse - full) ** 2))
             den += float(np.sum(full**2))
         last_rse = (0.0 if num == 0.0 else math.inf) if den == 0.0 else num / den

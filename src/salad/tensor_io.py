@@ -269,12 +269,22 @@ def params_from_bytes(raw: bytes) -> SaladParams:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"parameter bundle header is not valid JSON: {exc}") from None
-    if header.get("format") != BUNDLE_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != BUNDLE_FORMAT:
         raise ConfigError("not a parameter bundle")
+    missing = [key for key in ("matrices", "shapes", *_BUNDLE_FLAGS) if key not in header]
+    if missing:
+        raise ConfigError(f"parameter bundle header is missing {missing[0]!r}")
+    names, shapes = header["matrices"], header["shapes"]
+    if not isinstance(names, list) or not isinstance(shapes, dict):
+        raise ConfigError("parameter bundle header needs a \"matrices\" list and a \"shapes\" object")
     offset = nl + 1
     arrays: dict[str, Array] = {}
-    for name in header["matrices"]:
-        shape = tuple(header["shapes"][name])
+    for name in names:
+        extents = shapes.get(name)
+        if not isinstance(extents, list) or not all(type(e) is int and e >= 0 for e in extents):
+            raise ConfigError(f"parameter bundle shape of {name!r} must be a list of "
+                              f"non-negative integers, got {extents!r}")
+        shape = tuple(extents)
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(raw):

@@ -117,15 +117,23 @@ def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no workload manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "salad-workload":
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"workload manifest {manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "salad-workload":
         raise ConfigError(f"{manifest_path} is not a workload manifest")
-    inputs = read_tensor(root / manifest["inputs"])
+    inputs_name, param_names = manifest.get("inputs"), manifest.get("params")
+    if not isinstance(inputs_name, str) or not (
+            isinstance(param_names, list) and all(isinstance(p, str) for p in param_names)):
+        raise ConfigError(f"workload manifest {manifest_path} needs an \"inputs\" file name "
+                          f"and a \"params\" list of file names")
+    inputs = read_tensor(root / inputs_name)
     grid = cfg.to_grid()
     expect = (cfg.layers, cfg.timesteps, grid.seq_len, grid.channels)
     if inputs.shape != expect:
         raise ConfigError(f"workload inputs have shape {inputs.shape}, config wants {expect}")
-    params = [read_params(root / name, grid) for name in manifest["params"]]
+    params = [read_params(root / name, grid) for name in param_names]
     if len(params) != cfg.layers:
         raise ConfigError(f"workload has {len(params)} parameter bundles for {cfg.layers} layers")
     return Workload(inputs=inputs, params=params)

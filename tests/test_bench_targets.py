@@ -11,10 +11,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import salad.block
 import salad.checks  # noqa: F401  (the modules the traced CLI imports)
 import salad.cli  # noqa: F401
 import salad.runner  # noqa: F401
-import salad.workload  # noqa: F401
+import salad.workload
+from salad.config import load_config
+from salad.masking import MaskPlan, Window, window_attended_pairs
+from salad.numerics import Rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +38,33 @@ def test_every_tracer_target_resolves():
         assert tracer.spans == []  # installing records nothing by itself
     finally:
         tracer.uninstall()
+
+
+def test_traced_window_forward_records_sparse_spans_and_pairs():
+    """``block.sparse_ns_per_pair`` divides the time of the
+    ``block.sparse_head_attention`` spans under ``block.salad_forward`` by
+    the pairs the forward span counts from ``trace.attended_pairs``; it
+    reads 0 if either goes missing."""
+    cfg = load_config(None, ["grid.frames=2", "grid.height=4", "grid.width=4",
+                             "grid.heads=2", "grid.head_dim=4"])
+    grid = cfg.to_grid()
+    rng = Rng(3)
+    params = salad.workload.make_params(cfg, rng)
+    x = rng.normal((grid.seq_len, grid.channels))
+    plan = MaskPlan.uniform(Window(radius=2), grid.heads)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        _, trace = salad.block.salad_forward(x, params, plan, grid)
+    finally:
+        tracer.uninstall()
+    forward = [s for s in tracer.spans if s[1] == "block.salad_forward"]
+    sparse = [s for s in tracer.spans if s[1] == "block.sparse_head_attention"]
+    assert len(forward) == 1 and len(sparse) == grid.heads
+    assert all(s[4] == forward[0][0] for s in sparse)  # parent is the forward span
+    pairs = window_attended_pairs(grid.seq_len, 2)
+    assert trace.attended_pairs == [pairs] * grid.heads
+    assert forward[0][6][0] == pairs * grid.heads
 
 
 def salad_names_used(path: Path) -> list[tuple[str, str]]:

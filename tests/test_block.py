@@ -215,7 +215,7 @@ class TestForward:
         out, info = sparse_head_attention(q, k, v, Window(radius=2, reordered=True), grid)
         g = st_reorder_permutation(grid)
         conj = np.zeros((n, n), dtype=bool)
-        conj[np.ix_(g, g)] = info["mask"]
+        conj[np.ix_(g, g)] = info.dense_mask()
         ref, _ = sparse_head_attention(q, k, v, Explicit(conj), grid)
         assert np.max(np.abs(out - ref)) < 1e-12
 

@@ -330,20 +330,51 @@ BAD_RECORDS = {
 }
 
 
+def edited_bundle(edit) -> bytes:
+    """A parameter bundle for the ``small_args`` grid with its JSON header
+    passed through ``edit``."""
+    from salad.numerics import Rng
+    from salad.tensor_io import params_to_bytes
+    from salad.workload import make_params
+
+    cfg = load_config(None, ["grid.heads=2", "grid.head_dim=4"])
+    raw = params_to_bytes(make_params(cfg, Rng(0)))
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    return json.dumps(header).encode() + raw[nl:]
+
+
+PLAN_ARGS = ["--set", "mask.kind=explicit", "--set", 'mask.plan_path="{tmp}/plan.json"']
+WORKLOAD_ARGS = ["--set", 'workload_dir="{tmp}"']
+BUNDLE_ARGS = ["--set", 'block.params_bundle="{tmp}/bundle.sldp"']
+
+
 def exit_three_cases():
+    """Case name -> (extra ``run`` arguments, files to write first). File
+    names are relative to the test's temporary directory, which the
+    arguments spell "{tmp}"."""
     cases = {
-        "layers_abc": (["--set", "layers=abc"], None),
-        "heads_x": (["--set", "grid.heads=x"], None),
-        "seed_above_u64": (["--set", "seed=18446744073709551621"], None),
-        "sigma_overflow": (["--set", "sigma.values=[1e200,1,1,1,1]"], None),
-        "plan_without_heads": ([], PLAN_HEADER),
-        "plan_not_json": ([], "{not json"),
+        "layers_abc": (["--set", "layers=abc"], {}),
+        "heads_x": (["--set", "grid.heads=x"], {}),
+        "seed_above_u64": (["--set", "seed=18446744073709551621"], {}),
+        "sigma_overflow": (["--set", "sigma.values=[1e200,1,1,1,1]"], {}),
+        "plan_without_heads": (PLAN_ARGS, {"plan.json": json.dumps(PLAN_HEADER)}),
+        "plan_not_json": (PLAN_ARGS, {"plan.json": "{not json"}),
+        "manifest_not_json": (WORKLOAD_ARGS, {"manifest.json": "{not json"}),
+        "manifest_without_inputs": (WORKLOAD_ARGS, {"manifest.json": json.dumps(
+            {"format": "salad-workload", "params": ["params_l0.sldp"]})}),
+        "bundle_without_flag": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.pop("gate_constant"))}),
+        "bundle_negative_extent": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h["shapes"].update(w_q=[-8, -8]))}),
     }
     for name, rec in BAD_RECORDS.items():
         per_head = json.dumps(plan_records(rec))
         cases[f"per_head_{name}"] = (["--set", "mask.kind=per_head",
-                                      "--set", f"mask.per_head={per_head}"], None)
-        cases[f"plan_{name}"] = ([], {**PLAN_HEADER, "heads": plan_records(rec)})
+                                      "--set", f"mask.per_head={per_head}"], {})
+        cases[f"plan_{name}"] = (PLAN_ARGS, {"plan.json": json.dumps(
+            {**PLAN_HEADER, "heads": plan_records(rec)})})
     return cases
 
 
@@ -353,11 +384,13 @@ EXIT_THREE = exit_three_cases()
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(EXIT_THREE))
 def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
-    args, plan = EXIT_THREE[case]
-    if plan is not None:
-        path = tmp_path / "plan.json"
-        path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
-        args = [*args, "--set", "mask.kind=explicit", "--set", f'mask.plan_path="{path}"']
+    args, files = EXIT_THREE[case]
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     assert run_cli("run", *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

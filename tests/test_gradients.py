@@ -1,6 +1,8 @@
 import dataclasses
+import sys
 
 import numpy as np
+import pytest
 
 from salad.block import LoraUpdate, SaladParams, salad_forward
 from salad.gradients import (
@@ -18,14 +20,15 @@ from salad.gradients import (
     softmax_masked_backward,
 )
 from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_rotate
-from salad.masking import LatentGrid, MaskPlan, Window
+from salad import masking, numerics
+from salad.masking import Explicit, LatentGrid, MaskPlan, Window, build_window_mask
 from salad.numerics import Rng, matmul, softmax_masked
 from salad.tensor_io import record_from_dict, record_to_dict
 
 
-def small_setup(seed=21, heads=2, d=4, lora=False, **overrides):
+def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides):
     rng = Rng(seed)
-    grid = LatentGrid(frames=2, height=2, width=2, heads=heads, head_dim=d)
+    grid = LatentGrid(*shape, heads=heads, head_dim=d)
     h = grid.channels
     adapters = {}
     if lora:
@@ -232,3 +235,62 @@ class TestBlockGradients:
         doc = record_to_dict(rep)
         assert list(doc) == ["param", "analytic_norm", "max_rel_err", "passed", "step"]
         assert record_from_dict(GradCheckReport, doc) == rep
+
+
+# ---------------------------------------------------------------------------
+# Banded window kernel
+
+
+def forward_and_grads(x, params, plan, grid):
+    out, _ = salad_forward(x, params, plan, grid)
+    loss, grads = salad_loss_grads(x, params, plan, grid)
+    return out, loss, grads
+
+
+BAND_CASES = [  # (frames, height, width), radius, reordered
+    ((2, 3, 4), 0, False),
+    ((2, 3, 4), 0, True),
+    ((2, 3, 4), 11, False),  # 2r+1 = N-1: the widest band
+    ((2, 3, 4), 11, True),
+    ((3, 3, 3), 13, False),  # 2r+1 = N: dense fallback
+    ((3, 3, 3), 13, True),
+    ((3, 5, 10), 4, False),  # N = 150 is not a multiple of masking.BAND_CHUNK_ROWS
+    ((3, 5, 10), 4, True),
+]
+
+
+@pytest.mark.parametrize("shape,radius,reordered", BAND_CASES)
+def test_window_plan_is_bit_identical_to_dense_path(monkeypatch, shape, radius, reordered):
+    x, params, _, grid = small_setup(shape=shape)
+    n = grid.seq_len
+    window = MaskPlan.uniform(Window(radius=radius, reordered=reordered), grid.heads)
+    got = forward_and_grads(x, params, window, grid)
+    if reordered:
+        # An explicit mask runs in default token order, where the conjugated
+        # mask sums rows in another order; the reference is the same
+        # permuted window with the banded kernel switched off.
+        monkeypatch.setattr(masking, "uses_band", lambda radius, n: False)
+        want = forward_and_grads(x, params, window, grid)
+    else:
+        explicit = MaskPlan.uniform(Explicit(build_window_mask(n, radius)), grid.heads)
+        want = forward_and_grads(x, params, explicit, grid)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert sorted(got[2]) == sorted(want[2])
+    for name in want[2]:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+def test_window_path_never_builds_a_dense_mask(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window head took the dense path")
+
+    for original in (masking.build_window_mask, numerics.softmax_masked):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "salad" and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, refuse)
+    x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
+    assert grid.seq_len == 512
+    plan = MaskPlan.uniform(Window(radius=8), grid.heads)
+    out, _ = salad_forward(x, params, plan, grid)
+    _, grads = salad_loss_grads(x, params, plan, grid)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
