@@ -1,8 +1,8 @@
 """Golden digests: the bytes every artifact writer produces for fixed seeds.
 
 Each digest below is the sha256 of a file (or of the ``salad check``
-verdict lines with their trailing timings removed) for one small seeded
-configuration. Refactors must keep every one of them. The digests depend
+verdict lines with their trailing timings removed, or of one block's
+forward output, loss and gradients) for one small seeded configuration. Refactors must keep every one of them. The digests depend
 on numpy's elementwise kernels (exp, sin, cos), so they were recorded on
 one numpy version and the whole module skips on any other.
 """
@@ -124,3 +124,69 @@ def test_analyze_digests(tmp_path):
     summary.pop("reports")
     (tmp_path / "a" / "analysis.json").write_text(dumps_json(summary))
     assert dir_digests(tmp_path / "a") == ANALYZE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Block backward: forward output, loss and every gradient of one seeded block
+
+
+def grad_setup():
+    """A seeded N=24 block (2x3x4 grid, 2 heads of 4 channels) with a random
+    branch projection and LoRA adapters on every target, so every
+    parameter path carries a nonzero gradient."""
+    from salad.block import LoraUpdate, SaladParams
+    from salad.masking import LatentGrid
+    from salad.numerics import Rng
+
+    rng = Rng(41)
+    grid = LatentGrid(2, 3, 4, heads=2, head_dim=4)
+    h = grid.channels
+    weight = lambda: rng.normal((h, h)) * h**-0.5
+    params = SaladParams(
+        w_q=weight(), w_k=weight(), w_v=weight(), w_o=weight(), proj=weight(),
+        gate_w=rng.normal((h,)) * h**-0.5, gate_b=-0.4,
+        lora={t: LoraUpdate(a=rng.normal((2, h)), b=rng.normal((h, 2)), scale=0.5)
+              for t in ("q", "k", "v", "o")},
+    )
+    mask = rng.uniform((grid.seq_len, grid.seq_len)) < 0.3
+    np.fill_diagonal(mask, True)
+    return rng.normal((grid.seq_len, h)), params, grid, mask
+
+
+def grad_plans(mask):
+    from salad.masking import Explicit, TopK, Window
+
+    return {
+        "window_r0": Window(radius=0),
+        "window_n_minus_1": Window(radius=11),  # 2r+1 = N-1
+        "window_full": Window(radius=12),  # 2r+1 = N+1: every pair
+        "window_reordered": Window(radius=2, reordered=True),
+        "topk_ragged": TopK(block_size=5, k=2),  # blocks of 5, 5, 5, 5 and 4
+        "explicit_random": Explicit(mask),
+    }
+
+
+GRAD_DIGESTS = {
+    "window_r0": "807b1c2068be7fd90c854966ef8e9e55c2402c04eb045fc97b0ec0e42b5242e0",
+    "window_n_minus_1": "e66ed30a2ace977b87ed42db732b6baaf6ab634cdd7add7fc7a3f0f3edcb8976",
+    "window_full": "a8512879340ebd42f493ec8804b3a76877cf3d1e23d9481476ab0d0edd659acf",
+    "window_reordered": "34818e15e4605baa6a2672cf41fe7c8bbaadb70cb60deca9480d649fadbacc63",
+    "topk_ragged": "35eeb37f444b4c235d02d4fb4c57eebd784bc5279d1aacd06b109b533ee8c2ed",
+    "explicit_random": "d9b5efe4f9013cc97537911118115a52308fd528a86eff6875e0b0cb15e1d812",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_DIGESTS))
+def test_loss_grads_digest(name):
+    from salad.block import salad_forward
+    from salad.gradients import salad_loss_grads
+    from salad.masking import MaskPlan
+
+    x, params, grid, mask = grad_setup()
+    plan = MaskPlan.uniform(grad_plans(mask)[name], grid.heads)
+    out, _ = salad_forward(x, params, plan, grid)
+    loss, grads = salad_loss_grads(x, params, plan, grid)
+    blob = out.tobytes() + np.float64(loss).tobytes()
+    for key in sorted(grads):
+        blob += key.encode() + np.asarray(grads[key], dtype=np.float64).tobytes()
+    assert sha256(blob) == GRAD_DIGESTS[name]
