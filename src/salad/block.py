@@ -268,10 +268,10 @@ class BlockTrace:
     value that actually scaled the linear branch (None when the branch is
     dropped). The remaining fields are filled only when the forward pass
     runs with ``keep_intermediates``: the projection stage, the branch
-    projection output, and per head its :class:`HeadAttention` (banded
-    window heads keep only their band; for reordered heads the weights are
-    in permuted order, where the band structure is visible). The backward
-    pass and map export read them.
+    projection output, and per head its :class:`HeadAttention` (the
+    weights of the attended pairs only; for reordered heads in permuted
+    order, where the band structure is visible). The backward pass and map
+    export read them.
     """
 
     o_s: Array
@@ -325,7 +325,7 @@ def salad_forward(
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
         o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
-        attended.append(info.pairs)
+        attended.append(info.keys.pairs)
         if keep_intermediates:
             heads.append(info)
 

@@ -16,18 +16,8 @@ import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
 from .linear_attention import RopeConfig, rope3d_rotate, streaming_terms
-from .masking import (
-    HeadAttention,
-    LatentGrid,
-    MaskPlan,
-    band_apply,
-    band_apply_transposed,
-    band_row_sum,
-    band_scores,
-    band_valid,
-    invert_permutation,
-)
-from .numerics import Array, matmul, relu, sigmoid, tanh
+from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan, invert_permutation
+from .numerics import Array, matmul, sigmoid, tanh
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -53,39 +43,36 @@ def matmul_backward(a: Array, b: Array, g: Array) -> tuple[Array, Array]:
     return matmul(g, np.asarray(b).T), matmul(np.asarray(a).T, g)
 
 
-def softmax_masked_backward(y: Array, mask: Array, gy: Array) -> Array:
-    """Jacobian-vector product of the masked softmax.
+def softmax_backward(y: Array, gy: Array, keys: KeyList) -> Array:
+    """Jacobian-vector product of the key-list softmax (:meth:`KeyList.softmax`).
 
-    ``y`` is the forward output. Row rule on unmasked entries:
-    y * (g - sum(y * g)); masked logits receive exactly zero because the
-    exclusion is structural, not a large negative addend.
+    ``y`` is the forward output. Row rule on attended slots:
+    y * (g - sum(y * g)), with the row sum taken as over the dense row;
+    unattended slots receive exactly zero because the exclusion is
+    structural, not a large negative addend.
     """
-    dot = np.sum(y * gy, axis=1, keepdims=True)
-    return np.where(mask, y * (gy - dot), 0.0)
-
-
-def band_softmax_backward(y: Array, gy: Array, radius: int) -> Array:
-    """:func:`softmax_masked_backward` on a band: y * (g - sum(y * g)) on
-    in-range slots, with the row sum taken as over the dense row."""
-    dot = band_row_sum(y * gy, radius)[:, None]
-    return np.where(band_valid(y.shape[0], radius), y * (gy - dot), 0.0)
+    dot = keys.row_sum(y * gy)[:, None]
+    return np.where(keys.valid, y * (gy - dot), 0.0)
 
 
 def head_attention_backward(
     q: Array, k: Array, v: Array, rec: HeadAttention, go: Array
 ) -> tuple[Array, Array, Array]:
     """Gradients of one head's attention output w.r.t. its Q, K and V, all
-    in the token order attention ran in. Banded heads stay on the band."""
+    in the token order attention ran in.
+
+    The products over queries (dK and dV) run on the transposed key list,
+    which visits each key's queries in ascending order as ``matmul`` on
+    the dense transpose would.
+    """
     inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
-    attn, r = rec.weights, rec.radius
-    if r is None:
-        dattn, dv = matmul_backward(attn, v, go)
-        dlogits = softmax_masked_backward(attn, rec.mask, dattn)
-        return matmul(dlogits, k) * inv_sqrt_d, matmul(dlogits.T, q) * inv_sqrt_d, dv
-    dlogits = band_softmax_backward(attn, band_scores(go, v, r), r)
-    dq = band_apply(dlogits, k, r) * inv_sqrt_d
-    dk = band_apply_transposed(dlogits, q, r) * inv_sqrt_d
-    return dq, dk, band_apply_transposed(attn, go, r)
+    keys, attn = rec.keys, rec.weights
+    dlogits = softmax_backward(attn, keys.scores(go, v), keys)
+    back, src = keys.transposed()
+    flip = lambda w: np.append(w.ravel(), 0.0)[src]  # slot values in back's layout
+    dq = keys.apply(dlogits, k) * inv_sqrt_d
+    dk = back.apply(flip(dlogits), q) * inv_sqrt_d
+    return dq, dk, back.apply(flip(attn), go)
 
 
 def elementwise_backward(op: str, x: Array, gy: Array) -> Array:

@@ -1,13 +1,19 @@
-"""Sparse attention plans: construction, attention kernels, calibration,
-and accounting.
+"""Sparse attention plans: construction, the attention kernel,
+calibration, and accounting.
 
 A :class:`MaskPlan` carries one entry per attention head. Window entries
 realize a symmetric band |i - j| <= r (optionally after the spatial-major
 token reorder); top-k entries select key blocks dynamically from the
 actual queries and keys; explicit entries carry a full boolean mask.
 Every realized mask keeps the diagonal true, so no query is ever left
-without a key. Windows narrower than the sequence run on a banded kernel
-that touches only the attended pairs; every other entry runs densely.
+without a key.
+
+:func:`head_keys` turns any entry into a :class:`KeyList`, the keys each
+query attends in ascending order, and one kernel (:func:`attend_keys`,
+with the backward in ``gradients``) reads those keys for every head, so
+a head costs in proportion to the pairs it attends. Every product adds
+its terms in the dense ``matmul`` order and every term it skips is an
+exact zero, so the kernel gives the bits of dense masked attention.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import Array, ensure_finite, matmul, softmax_masked
+from .numerics import Array, ensure_finite, matmul
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -237,15 +243,7 @@ def select_topk_blocks(q: Array, k: Array, block_size: int, top_k: int) -> list[
 
 def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
     """Realize the top-k block selection as a boolean N x N mask."""
-    n = q.shape[0]
-    spans = _blocks(n, block_size)
-    selected = select_topk_blocks(q, k, block_size, top_k)
-    mask = np.zeros((n, n), dtype=bool)
-    for qb, (a, b) in enumerate(spans):
-        for kb in selected[qb]:
-            ka, kb_end = spans[kb]
-            mask[a:b, ka:kb_end] = True
-    return mask
+    return _topk_keys(q, k, block_size, top_k).mask()
 
 
 def realize_head_mask(
@@ -254,201 +252,219 @@ def realize_head_mask(
     q: Array | None = None,
     k: Array | None = None,
 ) -> tuple[Array, Array | None]:
-    """Boolean mask plus the token permutation it applies under (or None).
+    """Boolean N x N mask of :func:`head_keys`, plus the token permutation
+    it applies under (or None)."""
+    keys, perm = head_keys(entry, grid, q, k)
+    return keys.mask(), perm
+
+
+# ---------------------------------------------------------------------------
+# Key lists and the attention kernel
+#
+# Every head attends through a KeyList: row i lists the keys query i
+# attends, in ascending order, among slots marked invalid where the row
+# has fewer keys than the widest one. Every product adds
+# its terms in the order matmul uses on the dense N x N matrices, and the
+# unattended terms it skips are exact zeros, so the kernel gives the same
+# bits as dense masked attention.
+
+#: Rows scattered into zeroed length-N rows at a time by :meth:`KeyList.row_sum`.
+ROW_SUM_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class KeyList:
+    """The keys each of N queries attends, as two (N, W) arrays.
+
+    ``keys[i, m]`` is the m-th slot's key of query i and ``valid[i, m]``
+    whether query i attends it; the valid keys of a row ascend with m, and
+    invalid slots hold in-range keys that carry weight 0. A head that
+    attends every pair holds broadcast views of ``arange(N)``, so it builds
+    no N x N index array.
+    """
+
+    keys: Array
+    valid: Array
+
+    @staticmethod
+    def full(n: int) -> "KeyList":
+        """Every query attends every key."""
+        return KeyList(np.broadcast_to(np.arange(n), (n, n)), np.broadcast_to(True, (n, n)))
+
+    @staticmethod
+    def from_pairs(rows: Array, cols: Array, n: int) -> "KeyList":
+        """Pack (query, key) pairs grouped by ascending query, keeping their
+        order within each query, into slots from 0."""
+        counts = np.bincount(rows, minlength=n)
+        slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        keys = np.zeros((n, int(counts.max())), dtype=np.int64)
+        valid = np.zeros(keys.shape, dtype=bool)
+        keys[rows, slots] = cols
+        valid[rows, slots] = True
+        return KeyList(keys, valid)
+
+    @property
+    def pairs(self) -> int:
+        """Number of attended query-key pairs."""
+        return int(self.valid.sum())
+
+    @property
+    def _gather_index(self) -> Array:
+        """``keys``, or its first row when every query shares it (a
+        broadcast list), so gathers read each key once and broadcast."""
+        return self.keys[:1] if self.keys.strides[0] == 0 else self.keys
+
+    def scores(self, a: Array, b: Array) -> Array:
+        """``matmul(a, b.T)`` at the listed pairs: slot m of row i holds
+        a[i] . b[keys[i, m]], accumulated over channels in ascending order
+        from 0.0 as :func:`matmul` does."""
+        out = np.zeros(self.keys.shape)
+        bt, index = np.ascontiguousarray(b.T), self._gather_index
+        for c in range(a.shape[1]):
+            out += a[:, c:c + 1] * bt[c].take(index)
+        return ensure_finite(out, "attention scores")
+
+    def apply(self, w: Array, x: Array) -> Array:
+        """``matmul(dense, x)`` for slot weights ``w``: row i sums
+        w[i, m] x[keys[i, m]] over its keys in ascending order."""
+        out = np.zeros((self.keys.shape[0], x.shape[1]))
+        index = self._gather_index
+        for m in range(self.keys.shape[1]):
+            out += w[:, m:m + 1] * x.take(index[:, m], axis=0)
+        return ensure_finite(out, "attention product")
+
+    def to_dense(self, w: Array, start: int = 0, stop: int | None = None) -> Array:
+        """The (N, N) matrix the slot values ``w`` stand for, or its rows
+        start..stop-1."""
+        stop = self.keys.shape[0] if stop is None else stop
+        rows, slots = np.nonzero(self.valid[start:stop])
+        dense = np.zeros((stop - start, self.keys.shape[0]), dtype=w.dtype)
+        dense[rows, self.keys[start:stop][rows, slots]] = w[start:stop][rows, slots]
+        return dense
+
+    def mask(self) -> Array:
+        """The boolean (N, N) mask of attended pairs."""
+        return self.to_dense(self.valid)
+
+    def row_sum(self, w: Array) -> Array:
+        """Row sums of slot values, bit-identical to ``to_dense(w).sum(axis=1)``.
+
+        numpy sums each row pairwise over its full length, an order no
+        accumulation over the slots alone reproduces, so the rows are
+        scattered into zeroed length-N rows, ``ROW_SUM_CHUNK`` at a time,
+        and summed there.
+        """
+        n = self.keys.shape[0]
+        out = np.empty(n)
+        for start in range(0, n, ROW_SUM_CHUNK):
+            stop = min(start + ROW_SUM_CHUNK, n)
+            out[start:stop] = self.to_dense(w, start, stop).sum(axis=1)
+        return out
+
+    def softmax(self, logits: Array) -> Array:
+        """``numerics.softmax_masked`` on slot logits, with the valid slots
+        as the mask."""
+        row_max = np.where(self.valid, logits, -np.inf).max(axis=1)
+        shifted = np.where(self.valid, logits - row_max[:, None], 0.0)
+        weights = np.exp(shifted) * self.valid
+        return weights / self.row_sum(weights)[:, None]
+
+    def transposed(self) -> tuple["KeyList", Array]:
+        """For each key, the queries that attend it in ascending order, and
+        for each of those slots the flat index of the same pair in this
+        list (``keys.size`` on invalid slots)."""
+        n, width = self.keys.shape
+        rows, slots = np.nonzero(self.valid)
+        cols = self.keys[rows, slots]
+        order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
+        back = KeyList.from_pairs(cols[order], rows[order], n)
+        src = np.full(back.keys.shape, n * width)
+        src[back.valid] = (rows * width + slots)[order]
+        return back, src
+
+
+def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Array]:
+    """Scaled dot-product attention over ``keys``: the output and the
+    (N, W) slot weights."""
+    logits = keys.scores(q, k) * (1.0 / math.sqrt(q.shape[1]))
+    attn = keys.softmax(logits)
+    return keys.apply(attn, v), attn
+
+
+def window_keys(n: int, radius: int) -> KeyList:
+    """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
+    slots that start where the window does, shifted inside the sequence at
+    either end; slots outside the window are invalid."""
+    if radius >= n - 1:
+        return KeyList.full(n)
+    width = min(2 * radius + 1, n)
+    queries = np.arange(n)[:, None]
+    keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
+    return KeyList(keys, np.abs(keys - queries) <= radius)
+
+
+def _topk_keys(q: Array, k: Array, block_size: int, top_k: int) -> KeyList:
+    """Each query reads the spans of its block's selected key blocks."""
+    n = q.shape[0]
+    spans = _blocks(n, block_size)
+    rows, cols = [], []
+    for (a, b), selected in zip(spans, select_topk_blocks(q, k, block_size, top_k)):
+        block_keys = np.concatenate([np.arange(*spans[kb]) for kb in selected])
+        rows.append(np.repeat(np.arange(a, b), block_keys.size))
+        cols.append(np.tile(block_keys, b - a))
+    return KeyList.from_pairs(np.concatenate(rows), np.concatenate(cols), n)
+
+
+def head_keys(
+    entry: HeadPlan,
+    grid: LatentGrid,
+    q: Array | None = None,
+    k: Array | None = None,
+) -> tuple[KeyList, Array | None]:
+    """The keys a plan entry attends, plus the token permutation they apply
+    under (or None).
 
     Window entries with ``reordered`` return the spatial-major gather
     indices; attention is then computed on the permuted sequence and the
     output is scattered back. Top-k entries need the head's actual queries
-    and keys.
+    and keys. Every row keeps its own key, so no query is left without one.
     """
     n = grid.seq_len
     if isinstance(entry, Window):
-        mask = build_window_mask(n, entry.radius)
         perm = st_reorder_permutation(grid) if entry.reordered else None
-        return mask, perm
+        return window_keys(n, entry.radius), perm
     if isinstance(entry, TopK):
         if q is None or k is None:
             raise StateError("top-k plans need the head's queries and keys to realize a mask")
-        return topk_block_select(q, k, entry.block_size, entry.k), None
+        return _topk_keys(q, k, entry.block_size, entry.k), None
     if isinstance(entry, Explicit):
         if entry.mask.shape != (n, n):
             raise ConfigError(f"explicit mask shape {entry.mask.shape} does not match N={n}")
         if not entry.mask.diagonal().all():
             row = int(np.flatnonzero(~entry.mask.diagonal())[0])
             raise DegenerateRowError(f"explicit mask row {row} does not attend itself")
-        return entry.mask, None
+        return KeyList.from_pairs(*np.nonzero(entry.mask), n), None
     raise ConfigError(f"unknown plan entry {entry!r}")
-
-
-# ---------------------------------------------------------------------------
-# Attention kernel
-
-
-def attend(q: Array, k: Array, v: Array, mask: Array) -> tuple[Array, Array]:
-    """Scaled dot-product attention restricted to ``mask``.
-
-    Returns the output and the attention weights. This is the dense
-    masked-softmax kernel: top-k, explicit and full-window heads and
-    calibration's full-attention reference run through it; narrower
-    windows run through :func:`band_attend`.
-    """
-    logits = matmul(q, k.T) * (1.0 / math.sqrt(q.shape[1]))
-    attn = softmax_masked(logits, mask)
-    return matmul(attn, v), attn
-
-
-# ---------------------------------------------------------------------------
-# Banded window kernel
-#
-# A window head of radius r is stored as an (N, 2r+1) band: slot m of row
-# i holds key i + m - r, so keys run i-r..i+r in ascending order, and slots
-# past either end of the sequence hold 0. Every product accumulates its
-# terms in the order matmul uses on the dense N x N matrices, and the
-# out-of-band terms it skips are exact zeros, so the band kernels are
-# bit-identical to the dense ones.
-
-#: Rows scattered into dense length-N rows at a time by :func:`band_row_sum`.
-BAND_CHUNK_ROWS = 128
-
-
-def uses_band(radius: int, n: int) -> bool:
-    """Whether a window of ``radius`` over ``n`` tokens runs banded: only
-    when its band is narrower than the sequence. Wider windows attend
-    every pair and run densely, so a full window equals full attention."""
-    return 2 * radius + 1 < n
-
-
-def _band_keys(n: int, radius: int, start: int = 0, stop: int | None = None) -> tuple[Array, Array]:
-    """Key index of each band slot in rows start..stop-1, and which of those
-    keys lie inside the sequence."""
-    stop = n if stop is None else stop
-    keys = np.arange(start, stop)[:, None] + np.arange(-radius, radius + 1)
-    return keys, (keys >= 0) & (keys < n)
-
-
-def band_valid(n: int, radius: int) -> Array:
-    """Boolean (N, 2r+1) band: true where the slot's key is in range."""
-    return _band_keys(n, radius)[1]
-
-
-def _band_span(n: int, radius: int, slot: int) -> tuple[int, int, int]:
-    """Rows i in lo..hi-1 whose ``slot`` holds an in-range key i + offset."""
-    offset = slot - radius
-    return max(0, -offset), min(n, n - offset), offset
-
-
-def band_scores(a: Array, b: Array, radius: int) -> Array:
-    """Band of a[i] . b[i + m - r], i.e. ``matmul(a, b.T)`` on the band.
-
-    Each entry accumulates over channels in ascending order from 0.0, as
-    :func:`matmul` does. Out-of-range slots hold 0.
-    """
-    n, d = a.shape
-    padded = np.zeros((n + 2 * radius, d))
-    padded[radius:radius + n] = b
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=0)  # (N, d, 2r+1)
-    out = np.zeros((n, 2 * radius + 1))
-    for c in range(d):
-        out += a[:, c:c + 1] * windows[:, c]
-    return ensure_finite(out, "band scores")
-
-
-def band_apply(band: Array, x: Array, radius: int) -> Array:
-    """``matmul(dense, x)`` for a band: row i sums band[i, j] x[j] over
-    keys j in ascending order."""
-    n = band.shape[0]
-    out = np.zeros((n, x.shape[1]))
-    for slot in range(band.shape[1]):
-        lo, hi, offset = _band_span(n, radius, slot)
-        out[lo:hi] += band[lo:hi, slot:slot + 1] * x[lo + offset:hi + offset]
-    return ensure_finite(out, "band product")
-
-
-def band_apply_transposed(band: Array, x: Array, radius: int) -> Array:
-    """``matmul(dense.T, x)`` for a band: row j sums band[i, j] x[i] over
-    queries i in ascending order, which for key j = i + offset means
-    offsets in descending order."""
-    n = band.shape[0]
-    out = np.zeros((n, x.shape[1]))
-    for slot in reversed(range(band.shape[1])):
-        lo, hi, offset = _band_span(n, radius, slot)
-        out[lo + offset:hi + offset] += band[lo:hi, slot:slot + 1] * x[lo:hi]
-    return ensure_finite(out, "band product")
-
-
-def _band_rows_dense(band: Array, radius: int, start: int, stop: int) -> Array:
-    """Rows start..stop-1 of the band scattered into zeroed length-N rows."""
-    n = band.shape[0]
-    keys, valid = _band_keys(n, radius, start, stop)
-    dense = np.zeros((stop - start, n))
-    dense[np.nonzero(valid)[0], keys[valid]] = band[start:stop][valid]
-    return dense
-
-
-def band_to_dense(band: Array, radius: int) -> Array:
-    """The (N, N) matrix a band stands for."""
-    return _band_rows_dense(band, radius, 0, band.shape[0])
-
-
-def band_row_sum(band: Array, radius: int) -> Array:
-    """Row sums of a band, bit-identical to ``band_to_dense(band).sum(axis=1)``.
-
-    numpy sums each row pairwise over its full length, an order no
-    accumulation over the band alone reproduces, so the rows are scattered
-    into zeroed length-N rows, ``BAND_CHUNK_ROWS`` at a time, and summed
-    there.
-    """
-    n = band.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, BAND_CHUNK_ROWS):
-        stop = min(start + BAND_CHUNK_ROWS, n)
-        out[start:stop] = _band_rows_dense(band, radius, start, stop).sum(axis=1)
-    return out
-
-
-def band_softmax(logits: Array, radius: int) -> Array:
-    """:func:`softmax_masked` on a band whose in-range slots form the mask."""
-    valid = band_valid(logits.shape[0], radius)
-    row_max = np.where(valid, logits, -np.inf).max(axis=1)
-    shifted = np.where(valid, logits - row_max[:, None], 0.0)
-    weights = np.exp(shifted) * valid
-    return weights / band_row_sum(weights, radius)[:, None]
-
-
-def band_attend(q: Array, k: Array, v: Array, radius: int) -> tuple[Array, Array]:
-    """:func:`attend` under the window |i - j| <= ``radius``, touching only
-    the band. Returns the output and the (N, 2r+1) band of weights."""
-    logits = band_scores(q, k, radius) * (1.0 / math.sqrt(q.shape[1]))
-    attn = band_softmax(logits, radius)
-    return band_apply(attn, v, radius), attn
 
 
 @dataclass(frozen=True)
 class HeadAttention:
     """What :func:`sparse_head_attention` computed for one head, in the
-    token order attention ran in (spatial-major for reordered windows).
-
-    A dense head keeps the (N, N) ``weights`` and its realized ``mask``; a
-    banded head sets ``radius``, keeps the (N, 2r+1) band as ``weights``
-    and no mask. ``perm`` is the token permutation (or None) and
-    ``pairs`` the number of attended query-key pairs.
-    """
+    token order attention ran in (spatial-major for reordered windows):
+    the (N, W) slot ``weights`` over ``keys`` and the token permutation
+    ``perm`` (or None)."""
 
     weights: Array
-    mask: Array | None
-    radius: int | None
+    keys: KeyList
     perm: Array | None
-    pairs: int
 
     def dense_weights(self) -> Array:
         """The (N, N) attention weights."""
-        return self.weights if self.radius is None else band_to_dense(self.weights, self.radius)
+        return self.keys.to_dense(self.weights)
 
     def dense_mask(self) -> Array:
         """The (N, N) boolean mask attention ran under."""
-        if self.radius is None:
-            return self.mask
-        return build_window_mask(self.weights.shape[0], self.radius)
+        return self.keys.mask()
 
 
 def sparse_head_attention(
@@ -460,25 +476,17 @@ def sparse_head_attention(
 ) -> tuple[Array, HeadAttention]:
     """One head of masked softmax attention under a plan entry.
 
-    Window entries with ``2r+1 < N`` run :func:`band_attend`; every other
-    entry realizes its mask and runs :func:`attend`. Reordered windows
-    permute the sequence first, and the output is scattered back to the
-    original token order.
+    Reordered windows permute the sequence first, and the output is
+    scattered back to the original token order.
     """
-    n = grid.seq_len
-    banded = isinstance(entry, Window) and uses_band(entry.radius, n)
-    if banded:
-        mask, perm = None, (st_reorder_permutation(grid) if entry.reordered else None)
-    else:
-        mask, perm = realize_head_mask(entry, grid, q, k)
+    keys, perm = head_keys(entry, grid, q, k)
     if perm is not None:
         q, k, v = q[perm], k[perm], v[perm]
-    out, weights = band_attend(q, k, v, entry.radius) if banded else attend(q, k, v, mask)
+    out, weights = attend_keys(q, k, v, keys)
     if perm is not None:
         permuted, out = out, np.empty_like(out)
         out[perm] = permuted
-    pairs = window_attended_pairs(n, entry.radius) if isinstance(entry, Window) else int(mask.sum())
-    return out, HeadAttention(weights, mask, entry.radius if banded else None, perm, pairs)
+    return out, HeadAttention(weights, keys, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +524,7 @@ def calibrate_window(
     for q, k, v in profiles:
         if perm is not None:
             q, k, v = q[perm], k[perm], v[perm]
-        n = q.shape[0]
-        full, _ = attend(q, k, v, np.ones((n, n), dtype=bool))
+        full, _ = attend_keys(q, k, v, KeyList.full(q.shape[0]))
         prepared.append((q, k, v, full))
 
     last_rse = math.inf
@@ -527,11 +534,7 @@ def calibrate_window(
         for q, k, v, full in prepared:
             # The RSE sums in calibration token order; summing the output
             # scattered back to default order would change its last bits.
-            n = q.shape[0]
-            if uses_band(radius, n):
-                sparse, _ = band_attend(q, k, v, radius)
-            else:
-                sparse, _ = attend(q, k, v, build_window_mask(n, radius))
+            sparse, _ = attend_keys(q, k, v, window_keys(q.shape[0], radius))
             num += float(np.sum((sparse - full) ** 2))
             den += float(np.sum(full**2))
         last_rse = (0.0 if num == 0.0 else math.inf) if den == 0.0 else num / den
@@ -593,8 +596,8 @@ def head_sparsity_stats(
     """Pair counts for one head's realized mask.
 
     Window entries use the closed form (the ``window_counts`` check
-    verifies it exhaustively); top-k entries count the realized mask when
-    queries and keys are supplied and otherwise fall back to the static
+    verifies it exhaustively); top-k entries count their key list's pairs
+    when queries and keys are supplied and otherwise fall back to the static
     model of k full-size key blocks per query row.
     """
     n = grid.seq_len
@@ -604,8 +607,7 @@ def head_sparsity_stats(
     if isinstance(entry, TopK) and (q is None or k is None):
         per_row = min(entry.k * entry.block_size, n)
         return SparsityStats.from_pairs(n * per_row, n, d)
-    mask, _ = realize_head_mask(entry, grid, q, k)
-    return SparsityStats.from_pairs(int(mask.sum()), n, d)
+    return SparsityStats.from_pairs(head_keys(entry, grid, q, k)[0].pairs, n, d)
 
 
 def plan_sparsity_stats(

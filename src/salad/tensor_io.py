@@ -238,6 +238,9 @@ def read_plan(path: str | Path) -> MaskPlan:
 # Parameter bundles
 
 
+#: SaladParams weight fields every bundle carries.
+_BUNDLE_WEIGHTS = ("w_q", "w_k", "w_v", "w_o", "proj", "gate_w")
+
 #: Scalar SaladParams fields the bundle header stores verbatim, in header order.
 _BUNDLE_FLAGS = ("variant", "gate_activation", "gate_constant", "lambda_override", "dropped",
                  "gate_detached")
@@ -295,24 +298,27 @@ def params_from_bytes(raw: bytes) -> SaladParams:
     if offset != len(raw):
         raise ConfigError("parameter bundle has trailing bytes")
 
-    lora = {}
-    for target, meta in header.get("lora", {}).items():
-        lora[target] = LoraUpdate(
-            a=arrays[f"lora_{target}.a"], b=arrays[f"lora_{target}.b"], scale=meta["scale"]
-        )
+    lora_meta = header.get("lora", {})
+    if not isinstance(lora_meta, dict) or not all(
+            isinstance(meta, dict) and "scale" in meta for meta in lora_meta.values()):
+        raise ConfigError("parameter bundle \"lora\" must map targets to objects with a \"scale\"")
+    required = [*_BUNDLE_WEIGHTS, "gate_b",
+                *(f"lora_{target}.{factor}" for target in lora_meta for factor in "ab")]
+    absent = [name for name in required if name not in arrays]
+    if absent:
+        raise ConfigError(f"parameter bundle has no matrix {absent[0]!r}")
+    if arrays["gate_b"].shape != (1,):
+        raise ConfigError(f"parameter bundle shape of 'gate_b' must be [1], "
+                          f"got {list(arrays['gate_b'].shape)}")
+    lora = {target: LoraUpdate(a=arrays[f"lora_{target}.a"], b=arrays[f"lora_{target}.b"],
+                               scale=meta["scale"])
+            for target, meta in lora_meta.items()}
     return SaladParams(
-        w_q=arrays["w_q"],
-        w_k=arrays["w_k"],
-        w_v=arrays["w_v"],
-        w_o=arrays["w_o"],
-        proj=arrays["proj"],
-        gate_w=arrays["gate_w"],
+        **{name: arrays[name] for name in _BUNDLE_WEIGHTS},
         gate_b=float(arrays["gate_b"][0]),
         lora=lora,
         **{key: header[key] for key in _BUNDLE_FLAGS},
-        w_q_lin=arrays.get("w_q_lin"),
-        w_k_lin=arrays.get("w_k_lin"),
-        w_v_lin=arrays.get("w_v_lin"),
+        **{name: arrays.get(name) for name in ("w_q_lin", "w_k_lin", "w_v_lin")},
     )
 
 

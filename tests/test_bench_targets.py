@@ -17,7 +17,7 @@ import salad.cli  # noqa: F401
 import salad.runner  # noqa: F401
 import salad.workload
 from salad.config import load_config
-from salad.masking import MaskPlan, Window, window_attended_pairs
+from salad.masking import LatentGrid, MaskPlan, TopK, Window, realize_head_mask, window_attended_pairs
 from salad.numerics import Rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,31 +40,46 @@ def test_every_tracer_target_resolves():
         tracer.uninstall()
 
 
-def test_traced_window_forward_records_sparse_spans_and_pairs():
-    """``block.sparse_ns_per_pair`` divides the time of the
-    ``block.sparse_head_attention`` spans under ``block.salad_forward`` by
-    the pairs the forward span counts from ``trace.attended_pairs``; it
-    reads 0 if either goes missing."""
+def traced_forward(entry):
+    """One traced ``salad_forward`` of a seeded 2x4x4 block, every head on
+    ``entry``. Checks the spans ``block.sparse_ns_per_pair`` reads: it
+    divides the time of the ``block.sparse_head_attention`` spans under
+    ``block.salad_forward`` by the pairs the forward span counts from
+    ``trace.attended_pairs``, and reads 0 if either goes missing. Returns
+    the forward's projection stage and its per-head pair counts."""
     cfg = load_config(None, ["grid.frames=2", "grid.height=4", "grid.width=4",
                              "grid.heads=2", "grid.head_dim=4"])
     grid = cfg.to_grid()
     rng = Rng(3)
     params = salad.workload.make_params(cfg, rng)
     x = rng.normal((grid.seq_len, grid.channels))
-    plan = MaskPlan.uniform(Window(radius=2), grid.heads)
+    plan = MaskPlan.uniform(entry, grid.heads)
     tracer = load_tracer_module().Tracer()
     tracer.install()
     try:
-        _, trace = salad.block.salad_forward(x, params, plan, grid)
+        _, trace = salad.block.salad_forward(x, params, plan, grid, keep_intermediates=True)
     finally:
         tracer.uninstall()
     forward = [s for s in tracer.spans if s[1] == "block.salad_forward"]
     sparse = [s for s in tracer.spans if s[1] == "block.sparse_head_attention"]
     assert len(forward) == 1 and len(sparse) == grid.heads
     assert all(s[4] == forward[0][0] for s in sparse)  # parent is the forward span
-    pairs = window_attended_pairs(grid.seq_len, 2)
-    assert trace.attended_pairs == [pairs] * grid.heads
-    assert forward[0][6][0] == pairs * grid.heads
+    assert forward[0][6][0] == sum(trace.attended_pairs)
+    return trace.projection, trace.attended_pairs
+
+
+def test_traced_window_forward_records_sparse_spans_and_pairs():
+    _, pairs = traced_forward(Window(radius=2))
+    assert pairs == [window_attended_pairs(32, 2)] * 2
+
+
+def test_traced_topk_forward_records_sparse_spans_and_pairs():
+    entry = TopK(block_size=4, k=3)
+    pr, pairs = traced_forward(entry)
+    grid = LatentGrid(2, 4, 4, heads=2, head_dim=4)
+    want = [int(realize_head_mask(entry, grid, pr.q[:, s], pr.k[:, s])[0].sum())
+            for s in salad.block.head_slices(grid.channels, grid.heads)]
+    assert pairs == want and 0 < min(want) < grid.seq_len**2
 
 
 def salad_names_used(path: Path) -> list[tuple[str, str]]:

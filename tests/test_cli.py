@@ -332,17 +332,22 @@ BAD_RECORDS = {
 
 def edited_bundle(edit) -> bytes:
     """A parameter bundle for the ``small_args`` grid with its JSON header
-    passed through ``edit``."""
+    passed through ``edit``. The payload then holds, for each matrix the
+    header lists, as many of its leading values as its listed shape holds,
+    so only the header is at fault."""
     from salad.numerics import Rng
     from salad.tensor_io import params_to_bytes
     from salad.workload import make_params
 
     cfg = load_config(None, ["grid.heads=2", "grid.head_dim=4"])
-    raw = params_to_bytes(make_params(cfg, Rng(0)))
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl])
+    params = make_params(cfg, Rng(0))
+    raw = params_to_bytes(params)
+    header = json.loads(raw[:raw.index(b"\n")])
     edit(header)
-    return json.dumps(header).encode() + raw[nl:]
+    payload = b"".join(
+        params.param(name).ravel()[:max(int(np.prod(header["shapes"][name])), 0)].astype("<f8").tobytes()
+        for name in header["matrices"])
+    return json.dumps(header).encode() + b"\n" + payload
 
 
 PLAN_ARGS = ["--set", "mask.kind=explicit", "--set", 'mask.plan_path="{tmp}/plan.json"']
@@ -368,6 +373,14 @@ def exit_three_cases():
             lambda h: h.pop("gate_constant"))}),
         "bundle_negative_extent": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
             lambda h: h["shapes"].update(w_q=[-8, -8]))}),
+        "bundle_scalar_gate_b": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h["shapes"].update(gate_b=[]))}),
+        "bundle_empty_gate_b": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h["shapes"].update(gate_b=[0]))}),
+        "bundle_without_w_q": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h["matrices"].remove("w_q"))}),
+        "bundle_without_lora_factors": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(lora={"q": {"rank": 2, "scale": 0.5}}))}),
     }
     for name, rec in BAD_RECORDS.items():
         per_head = json.dumps(plan_records(rec))

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,21 @@ from salad.gradients import (
     relu_linear_attention_backward,
     rope3d_backward,
     salad_loss_grads,
-    softmax_masked_backward,
+    softmax_backward,
 )
 from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_rotate
-from salad import masking, numerics
-from salad.masking import Explicit, LatentGrid, MaskPlan, Window, build_window_mask
+from salad import block, gradients, masking, numerics
+from salad.masking import (
+    Explicit,
+    KeyList,
+    LatentGrid,
+    MaskPlan,
+    TopK,
+    Window,
+    build_window_mask,
+    select_topk_blocks,
+    st_reorder_permutation,
+)
 from salad.numerics import Rng, matmul, softmax_masked
 from salad.tensor_io import record_from_dict, record_to_dict
 
@@ -49,6 +60,15 @@ def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides)
     plan = MaskPlan([Window(radius=2), Window(radius=1, reordered=True)][:heads])
     x = rng.normal((grid.seq_len, h))
     return x, params, plan, grid
+
+
+def mask_keys(mask):
+    return KeyList.from_pairs(*np.nonzero(mask), mask.shape[0])
+
+
+def slot_values(keys, dense):
+    """The entries of a dense (N, N) matrix at each slot's key."""
+    return np.take_along_axis(dense, keys.keys, axis=1)
 
 
 def fd_scalar(fn, arr, step=1e-6):
@@ -83,20 +103,22 @@ class TestPrimitiveBackward:
         assert max_rel_err(fd_a, da) < 1e-7
         assert max_rel_err(fd_b, db) < 1e-7
 
-    def test_softmax_single_survivor_has_zero_gradient(self):
-        logits = np.array([[2.0, 1.0, 7.0]])
-        mask = np.array([[True, False, False]])
-        y = softmax_masked(logits, mask)
-        g = softmax_masked_backward(y, mask, np.array([[1.0, 0.0, 0.0]]))
-        assert np.array_equal(g, np.zeros((1, 3)))
+    def test_softmax_single_survivor_has_zero_gradient(self, rng):
+        mask = np.eye(3, dtype=bool)
+        keys = mask_keys(mask)
+        y = keys.softmax(slot_values(keys, rng.normal((3, 3))))
+        g = softmax_backward(y, slot_values(keys, rng.normal((3, 3))), keys)
+        assert np.array_equal(keys.to_dense(g), np.zeros((3, 3)))
 
     def test_softmax_fd(self, rng):
-        logits = rng.normal((4, 6))
-        mask = rng.uniform((4, 6)) < 0.6
-        mask[:, 0] = True
-        r = rng.normal((4, 6))
-        y = softmax_masked(logits, mask)
-        got = softmax_masked_backward(y, mask, r)
+        logits = rng.normal((6, 6))
+        mask = rng.uniform((6, 6)) < 0.6
+        np.fill_diagonal(mask, True)
+        r = rng.normal((6, 6))
+        keys = mask_keys(mask)
+        y = keys.softmax(slot_values(keys, logits))
+        assert np.array_equal(keys.to_dense(y), softmax_masked(logits, mask))
+        got = keys.to_dense(softmax_backward(y, slot_values(keys, r), keys))
         fd = fd_scalar(lambda: float(np.sum(softmax_masked(logits, mask) * r)), logits)
         assert max_rel_err(fd, got) < 1e-6
         assert np.all(got[~mask] == 0.0)
@@ -238,7 +260,7 @@ class TestBlockGradients:
 
 
 # ---------------------------------------------------------------------------
-# Banded window kernel
+# The key-list kernel against dense masked attention
 
 
 def forward_and_grads(x, params, plan, grid):
@@ -247,50 +269,115 @@ def forward_and_grads(x, params, plan, grid):
     return out, loss, grads
 
 
-BAND_CASES = [  # (frames, height, width), radius, reordered
-    ((2, 3, 4), 0, False),
-    ((2, 3, 4), 0, True),
-    ((2, 3, 4), 11, False),  # 2r+1 = N-1: the widest band
-    ((2, 3, 4), 11, True),
-    ((3, 3, 3), 13, False),  # 2r+1 = N: dense fallback
-    ((3, 3, 3), 13, True),
-    ((3, 5, 10), 4, False),  # N = 150 is not a multiple of masking.BAND_CHUNK_ROWS
-    ((3, 5, 10), 4, True),
+def dense_mask(entry, grid, q, k):
+    """The entry's (N, N) mask, built without key lists."""
+    n = grid.seq_len
+    if isinstance(entry, Window):
+        return build_window_mask(n, entry.radius)
+    if isinstance(entry, TopK):
+        spans = [(a, min(a + entry.block_size, n)) for a in range(0, n, entry.block_size)]
+        mask = np.zeros((n, n), dtype=bool)
+        for (a, b), selected in zip(spans, select_topk_blocks(q, k, entry.block_size, entry.k)):
+            for kb in selected:
+                mask[a:b, slice(*spans[kb])] = True
+        return mask
+    return entry.mask
+
+
+def dense_head_attention(q, k, v, entry, grid):
+    """Reference forward: matmul, softmax_masked, matmul on N x N arrays."""
+    mask = dense_mask(entry, grid, q, k)
+    perm = st_reorder_permutation(grid) if getattr(entry, "reordered", False) else None
+    if perm is not None:
+        q, k, v = q[perm], k[perm], v[perm]
+    attn = softmax_masked(matmul(q, k.T) * (1.0 / np.sqrt(q.shape[1])), mask)
+    out = matmul(attn, v)
+    if perm is not None:
+        permuted, out = out, np.empty_like(out)
+        out[perm] = permuted
+    pairs = SimpleNamespace(pairs=int(mask.sum()))
+    return out, SimpleNamespace(weights=attn, mask=mask, perm=perm, keys=pairs)
+
+
+def dense_head_attention_backward(q, k, v, rec, go):
+    """Reference backward with the dense softmax rule y * (g - sum(y * g))."""
+    inv_sqrt_d = 1.0 / np.sqrt(q.shape[1])
+    attn = rec.weights
+    dattn, dv = matmul_backward(attn, v, go)
+    dot = np.sum(attn * dattn, axis=1, keepdims=True)
+    dlogits = np.where(rec.mask, attn * (dattn - dot), 0.0)
+    return matmul(dlogits, k) * inv_sqrt_d, matmul(dlogits.T, q) * inv_sqrt_d, dv
+
+
+def window_case(index, shape, radius, reordered):
+    return pytest.param(shape, Window(radius, reordered), id=f"shape{index}-{radius}-{reordered}")
+
+
+def random_mask(n, seed):
+    mask = Rng(seed).uniform((n, n)) < 0.3
+    np.fill_diagonal(mask, True)
+    return mask
+
+
+KERNEL_CASES = [  # (frames, height, width), plan entry
+    window_case(0, (2, 3, 4), 0, False),
+    window_case(1, (2, 3, 4), 0, True),
+    window_case(2, (2, 3, 4), 11, False),  # 2r+1 = N-1: the widest partial window
+    window_case(3, (2, 3, 4), 11, True),
+    window_case(4, (3, 3, 3), 13, False),  # 2r+1 = N, still not every pair
+    window_case(5, (3, 3, 3), 13, True),
+    window_case(6, (3, 5, 10), 4, False),  # N = 150 is not a multiple of ROW_SUM_CHUNK
+    window_case(7, (3, 5, 10), 4, True),
+    pytest.param((2, 3, 4), Window(23), id="full-window"),
+    pytest.param((2, 3, 4), TopK(block_size=5, k=2), id="topk-ragged"),
+    pytest.param((3, 5, 10), TopK(block_size=8, k=3), id="topk-n150"),
+    pytest.param((2, 3, 4), TopK(block_size=4, k=6), id="topk-every-block"),
+    pytest.param((2, 3, 4), Explicit(random_mask(24, 5)), id="explicit-random"),
+    pytest.param((3, 5, 10), Explicit(random_mask(150, 6)), id="explicit-n150"),
 ]
 
 
-@pytest.mark.parametrize("shape,radius,reordered", BAND_CASES)
-def test_window_plan_is_bit_identical_to_dense_path(monkeypatch, shape, radius, reordered):
+@pytest.mark.parametrize("shape,entry", KERNEL_CASES)
+def test_window_plan_is_bit_identical_to_dense_path(monkeypatch, shape, entry):
     x, params, _, grid = small_setup(shape=shape)
-    n = grid.seq_len
-    window = MaskPlan.uniform(Window(radius=radius, reordered=reordered), grid.heads)
-    got = forward_and_grads(x, params, window, grid)
-    if reordered:
-        # An explicit mask runs in default token order, where the conjugated
-        # mask sums rows in another order; the reference is the same
-        # permuted window with the banded kernel switched off.
-        monkeypatch.setattr(masking, "uses_band", lambda radius, n: False)
-        want = forward_and_grads(x, params, window, grid)
-    else:
-        explicit = MaskPlan.uniform(Explicit(build_window_mask(n, radius)), grid.heads)
-        want = forward_and_grads(x, params, explicit, grid)
+    plan = MaskPlan.uniform(entry, grid.heads)
+    got = forward_and_grads(x, params, plan, grid)
+    monkeypatch.setattr(block, "sparse_head_attention", dense_head_attention)
+    monkeypatch.setattr(gradients, "head_attention_backward", dense_head_attention_backward)
+    want = forward_and_grads(x, params, plan, grid)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     assert sorted(got[2]) == sorted(want[2])
     for name in want[2]:
         assert np.array_equal(got[2][name], want[2][name]), name
 
 
-def test_window_path_never_builds_a_dense_mask(monkeypatch):
+def refuse_dense_path(monkeypatch, *originals):
+    """Make every salad binding of ``originals`` raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a window head took the dense path")
+        raise AssertionError("a head took the dense path")
 
-    for original in (masking.build_window_mask, numerics.softmax_masked):
+    for original in originals:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "salad" and getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, refuse)
+
+
+def test_window_path_never_builds_a_dense_mask(monkeypatch):
+    refuse_dense_path(monkeypatch, masking.build_window_mask, numerics.softmax_masked)
     x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
     assert grid.seq_len == 512
     plan = MaskPlan.uniform(Window(radius=8), grid.heads)
+    out, _ = salad_forward(x, params, plan, grid)
+    _, grads = salad_loss_grads(x, params, plan, grid)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
+
+
+def test_topk_path_never_builds_a_dense_mask(monkeypatch):
+    refuse_dense_path(monkeypatch, masking.topk_block_select, masking.realize_head_mask,
+                      masking.build_window_mask, numerics.softmax_masked)
+    x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
+    assert grid.seq_len == 512
+    plan = MaskPlan.uniform(TopK(block_size=8, k=4), grid.heads)
     out, _ = salad_forward(x, params, plan, grid)
     _, grads = salad_loss_grads(x, params, plan, grid)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
