@@ -68,11 +68,10 @@ def head_attention_backward(
     inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
     keys, attn = rec.keys, rec.weights
     dlogits = softmax_backward(attn, keys.scores(go, v), keys)
-    back, src = keys.transposed()
-    flip = lambda w: np.append(w.ravel(), 0.0)[src]  # slot values in back's layout
+    back, (dlogits_back, attn_back) = keys.transposed(dlogits, attn)
     dq = keys.apply(dlogits, k) * inv_sqrt_d
-    dk = back.apply(flip(dlogits), q) * inv_sqrt_d
-    return dq, dk, back.apply(flip(attn), go)
+    dk = back.apply(dlogits_back, q) * inv_sqrt_d
+    return dq, dk, back.apply(attn_back, go)
 
 
 def elementwise_backward(op: str, x: Array, gy: Array) -> Array:

@@ -259,14 +259,8 @@ def realize_head_mask(
 
 
 # ---------------------------------------------------------------------------
-# Key lists and the attention kernel
-#
-# Every head attends through a KeyList: row i lists the keys query i
-# attends, in ascending order, among slots marked invalid where the row
-# has fewer keys than the widest one. Every product adds
-# its terms in the order matmul uses on the dense N x N matrices, and the
-# unattended terms it skips are exact zeros, so the kernel gives the same
-# bits as dense masked attention.
+# Key lists and the attention kernel (see the module docstring for why it
+# gives the bits of dense masked attention)
 
 #: Rows scattered into zeroed length-N rows at a time by :meth:`KeyList.row_sum`.
 ROW_SUM_CHUNK = 128
@@ -369,18 +363,17 @@ class KeyList:
         weights = np.exp(shifted) * self.valid
         return weights / self.row_sum(weights)[:, None]
 
-    def transposed(self) -> tuple["KeyList", Array]:
+    def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
-        for each of those slots the flat index of the same pair in this
-        list (``keys.size`` on invalid slots)."""
-        n, width = self.keys.shape
+        each of the slot values ``weights`` moved into that layout."""
         rows, slots = np.nonzero(self.valid)
         cols = self.keys[rows, slots]
         order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
-        back = KeyList.from_pairs(cols[order], rows[order], n)
-        src = np.full(back.keys.shape, n * width)
-        src[back.valid] = (rows * width + slots)[order]
-        return back, src
+        back = KeyList.from_pairs(cols[order], rows[order], self.keys.shape[0])
+        moved = [np.zeros(back.keys.shape) for _ in weights]
+        for out, w in zip(moved, weights):
+            out[back.valid] = w[rows, slots][order]
+        return back, moved
 
 
 def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Array]:

@@ -381,6 +381,8 @@ def exit_three_cases():
             lambda h: h["matrices"].remove("w_q"))}),
         "bundle_without_lora_factors": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
             lambda h: h.update(lora={"q": {"rank": 2, "scale": 0.5}}))}),
+        "bundle_lora_not_object": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(lora=["q"]))}),
     }
     for name, rec in BAD_RECORDS.items():
         per_head = json.dumps(plan_records(rec))
