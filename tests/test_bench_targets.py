@@ -17,7 +17,7 @@ import salad.cli  # noqa: F401
 import salad.runner  # noqa: F401
 import salad.workload
 from salad.config import load_config
-from salad.masking import LatentGrid, MaskPlan, TopK, Window, realize_head_mask, window_attended_pairs
+from salad.masking import MaskPlan, TopK, Window, realize_head_mask, window_attended_pairs
 from salad.numerics import Rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,7 +46,7 @@ def traced_forward(entry):
     divides the time of the ``block.sparse_head_attention`` spans under
     ``block.salad_forward`` by the pairs the forward span counts from
     ``trace.attended_pairs``, and reads 0 if either goes missing. Returns
-    the forward's projection stage and its per-head pair counts."""
+    the forward's record and the grid."""
     cfg = load_config(None, ["grid.frames=2", "grid.height=4", "grid.width=4",
                              "grid.heads=2", "grid.head_dim=4"])
     grid = cfg.to_grid()
@@ -65,21 +65,21 @@ def traced_forward(entry):
     assert len(forward) == 1 and len(sparse) == grid.heads
     assert all(s[4] == forward[0][0] for s in sparse)  # parent is the forward span
     assert forward[0][6][0] == sum(trace.attended_pairs)
-    return trace.projection, trace.attended_pairs
+    return trace, grid
 
 
 def test_traced_window_forward_records_sparse_spans_and_pairs():
-    _, pairs = traced_forward(Window(radius=2))
-    assert pairs == [window_attended_pairs(32, 2)] * 2
+    trace, grid = traced_forward(Window(radius=2))
+    assert trace.attended_pairs == [window_attended_pairs(grid.seq_len, 2)] * grid.heads
 
 
 def test_traced_topk_forward_records_sparse_spans_and_pairs():
     entry = TopK(block_size=4, k=3)
-    pr, pairs = traced_forward(entry)
-    grid = LatentGrid(2, 4, 4, heads=2, head_dim=4)
+    trace, grid = traced_forward(entry)
+    pr = trace.projection
     want = [int(realize_head_mask(entry, grid, pr.q[:, s], pr.k[:, s])[0].sum())
             for s in salad.block.head_slices(grid.channels, grid.heads)]
-    assert pairs == want and 0 < min(want) < grid.seq_len**2
+    assert trace.attended_pairs == want and 0 < min(want) < grid.seq_len**2
 
 
 def salad_names_used(path: Path) -> list[tuple[str, str]]:
