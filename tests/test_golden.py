@@ -40,6 +40,11 @@ CONFIGS = {
     "non_shared_lora_drop": ["--set", "block.variant=non_shared", "--set", "block.lora_rank=2",
                              "--set", "block.random_proj=true",
                              "--set", "drop.strategy=interval"],
+    "explicit_drop": ["--set", "drop.strategy=explicit", "--set", "drop.layers=[1]"],
+    "explicit_drop_topk": ["--set", "mask.kind=topk", "--set", "mask.block_size=4",
+                           "--set", "mask.k=3", "--set", "drop.strategy=explicit",
+                           "--set", "drop.layers=[1]"],
+    "block_dropped": ["--set", "block.dropped=true"],
 }
 
 REPORT_DIGESTS = {
@@ -47,6 +52,9 @@ REPORT_DIGESTS = {
     "topk": "503070c9e9d451e86b5902660415421b03b175feec6a6ce420d7758ddf7e5015",
     "calibrate": "e3412167a2f08638ea6869e6b805ae50dd0ebbc0198413d794ade276623045f5",
     "non_shared_lora_drop": "839f2484af2c97f59d1bd6b3f94ffd31bf7e7dd1a8e4763a28fb5aed6dea2507",
+    "explicit_drop": "e28190df957a649968cd0a25141109386241d5286b4a3e1c4c5105e846ced34f",
+    "explicit_drop_topk": "d7a0eacc055e35ae479ac3b71df13677c6d645d846494ce74f3e8eafca44ee09",
+    "block_dropped": "a46c71abd9437fb2ef073bf474d20f735b2b5494739fc8d3445cc0c02213a7e7",
 }
 
 GEN_DIGESTS = {
@@ -124,6 +132,47 @@ def test_analyze_digests(tmp_path):
     summary.pop("reports")
     (tmp_path / "a" / "analysis.json").write_text(dumps_json(summary))
     assert dir_digests(tmp_path / "a") == ANALYZE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Static speedup model: exact reprs of estimate_speedup
+
+
+def speedup_cases():
+    from salad.masking import LatentGrid, MaskPlan, TopK, Window
+
+    small = LatentGrid(2, 4, 4, heads=2, head_dim=8)
+    large = LatentGrid(frames=21, height=60, width=60, heads=12, head_dim=128)
+    window = MaskPlan.uniform(Window(radius=5), small.heads)
+    return {
+        "window": (window, small, {"total_layers": 3}),
+        "topk_static": (MaskPlan.uniform(TopK(block_size=4, k=3), small.heads), small,
+                        {"total_layers": 3}),
+        "window_no_linear": (window, small, {"include_linear": False, "total_layers": 3}),
+        "window_dropped": (window, small, {"dropped_layers": (0, 2), "total_layers": 4}),
+        "mixed_plan": (MaskPlan([Window(radius=2, reordered=True), TopK(block_size=5, k=2)]),
+                       small, {"total_layers": 2}),
+        "production_window_dropped": (MaskPlan.uniform(Window(radius=3780), large.heads), large,
+                                      {"total_layers": 30, "dropped_layers": range(0, 30, 5)}),
+    }
+
+
+SPEEDUP_REPRS = {
+    "window": "1.1824480369515011",
+    "topk_static": "1.103448275862069",
+    "window_no_linear": "3.1801242236024843",
+    "window_dropped": "1.7239057239057238",
+    "mixed_plan": "1.3111395646606914",
+    "production_window_dropped": "9.345390040237096",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEEDUP_REPRS))
+def test_estimate_speedup_repr(name):
+    from salad.analysis import estimate_speedup
+
+    plan, grid, kwargs = speedup_cases()[name]
+    assert repr(estimate_speedup(plan, grid, **kwargs)) == SPEEDUP_REPRS[name]
 
 
 # ---------------------------------------------------------------------------
