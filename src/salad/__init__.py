@@ -1,7 +1,14 @@
 """Hybrid sparse + gated linear attention: a desk-scale float64 reference
 implementation with calibration, gradient checking, and cost accounting."""
 
-from .analysis import GateRecord, RunReport, estimate_speedup, gate_percentiles, plan_branch_drop
+from .analysis import (
+    GateRecord,
+    RunReport,
+    SparsityStats,
+    estimate_speedup,
+    gate_percentiles,
+    plan_branch_drop,
+)
 from .block import (
     BlockTrace,
     SaladParams,
@@ -21,7 +28,6 @@ from .masking import (
     Explicit,
     LatentGrid,
     MaskPlan,
-    SparsityStats,
     TopK,
     Window,
     build_window_mask,

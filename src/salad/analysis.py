@@ -1,26 +1,26 @@
-"""Gate statistics, branch-drop planning, rank comparison, and the
-attention-FLOP speedup model.
+"""Gate statistics, branch-drop planning, rank comparison, and the cost
+ledger: sparsity accounting and the attention-FLOP speedup model.
 
 The speedup estimate is an attention-only cost model (documented in each
 report), not a wall-clock prediction: it compares full-attention FLOPs
 against the masked pairs plus, for layers that keep the branch, the
-linear branch, its projection, and the gate.
+linear branch, its projection, and the gate. Every run, static plan and
+drop plan is priced by :func:`price_run` and :func:`price_drop`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .block import BlockTrace, head_slices
 from .errors import ConfigError, DataError
-from .linear_attention import linear_branch_flops
-from .masking import LatentGrid, MaskPlan, head_sparsity_stats
+from .masking import HeadPlan, LatentGrid, MaskPlan, TopK, Window, head_keys, window_attended_pairs
 from .numerics import Array, Rng, numerical_rank
-from .tensor_io import record_from_dict
+from .tensor_io import record_from_dict, record_to_dict
 
 DEFAULT_PERCENTILES = (0.2, 0.4, 0.6, 0.8)
 
@@ -200,66 +200,117 @@ def branch_rank_analysis(
 
 
 # ---------------------------------------------------------------------------
-# FLOP model
+# Cost ledger: sparsity accounting and the FLOP model
 
 
-def layer_method_flops(
-    per_head_attended: Sequence[int],
-    grid: LatentGrid,
-    include_linear: bool,
-    dropped: bool,
-) -> dict:
-    """FLOP breakdown of one layer under the convention above."""
+@dataclass(frozen=True)
+class SparsityStats:
+    """Pair counts and attention FLOPs for one head. ``attended_pairs`` is
+    kept as given: one mask's count, or a run's mean over layers and timesteps."""
+
+    attended_pairs: int | float
+    total_pairs: int
+    sparsity: float
+    attn_flops_sparse: int | float
+    attn_flops_full: int
+
+    @staticmethod
+    def from_pairs(attended: int | float, n: int, head_dim: int) -> "SparsityStats":
+        total = n * n
+        return SparsityStats(attended, total, 1.0 - attended / total, 4 * attended * head_dim,
+                             4 * total * head_dim)
+
+
+def head_sparsity_stats(entry: HeadPlan, grid: LatentGrid, q: Array | None = None,
+                        k: Array | None = None) -> SparsityStats:
+    """Pair counts for one head's realized mask.
+
+    Window entries use the closed form (the ``window_counts`` check
+    verifies it exhaustively); top-k entries count their key list's pairs
+    when queries and keys are supplied and otherwise fall back to the static
+    model of k full-size key blocks per query row.
+    """
     n, d = grid.seq_len, grid.head_dim
-    h = grid.channels
-    d_model = h  # blocks are built with matching model width
+    if isinstance(entry, Window):
+        return SparsityStats.from_pairs(window_attended_pairs(n, entry.radius), n, d)
+    if isinstance(entry, TopK) and (q is None or k is None):
+        per_row = min(entry.k * entry.block_size, n)
+        return SparsityStats.from_pairs(n * per_row, n, d)
+    return SparsityStats.from_pairs(head_keys(entry, grid, q, k)[0].pairs, n, d)
+
+
+def plan_sparsity_stats(plan: MaskPlan, grid: LatentGrid) -> tuple[list[SparsityStats], float]:
+    """Static per-head stats plus the aggregate sparsity (mean over heads)."""
+    if len(plan) != grid.heads:
+        raise ConfigError(f"plan has {len(plan)} entries for {grid.heads} heads")
+    stats = [head_sparsity_stats(entry, grid) for entry in plan.entries]
+    return stats, float(np.mean([s.sparsity for s in stats]))
+
+
+def linear_branch_flops(n: int, d: int) -> int:
+    """FLOPs of one head's linear branch: 4*N*d^2 builds H and the per-query
+    products against it; 2*N*d builds Z and the per-query normalizers."""
+    return 4 * n * d * d + 2 * n * d
+
+
+def layer_method_flops(per_head_attended: Sequence[int | float], grid: LatentGrid,
+                       dropped: bool) -> dict:
+    """FLOP breakdown of one layer: its attended pairs plus, unless the
+    layer's branch is dropped, the linear branch, its projection and the
+    gate."""
+    n, d = grid.seq_len, grid.head_dim
+    h = d_model = grid.channels  # blocks are built with matching model width
     sparse = sum(4 * a * d for a in per_head_attended)
-    branch_on = include_linear and not dropped
-    linear = grid.heads * linear_branch_flops(n, d) if branch_on else 0
-    proj = 2 * n * h * h if branch_on else 0
-    gate = 2 * n * d_model if branch_on else 0
+    linear = 0 if dropped else grid.heads * linear_branch_flops(n, d)
+    proj = 0 if dropped else 2 * n * h * h
+    gate = 0 if dropped else 2 * n * d_model
     return {"sparse": sparse, "linear": linear, "proj": proj, "gate": gate,
             "total": sparse + linear + proj + gate, "dropped": dropped}
 
 
-def flops_after_drop(layer_rows: Sequence[dict], dropped_layers: set[int], grid: LatentGrid) -> float:
-    """Method FLOPs of a run's per-layer rows once the linear branch of
-    every layer in ``dropped_layers`` is removed.
+def price_run(attended: Array, grid: LatentGrid,
+              dropped: Collection[int] = ()) -> tuple[dict, dict, float]:
+    """Price a run's (layers, timesteps, heads) table of attended pairs.
 
-    Each row keeps its sparse FLOPs; surviving layers add one branch,
-    priced by :func:`layer_method_flops` with no attended pairs.
-    """
-    branch = layer_method_flops((), grid, include_linear=True, dropped=False)["total"]
-    return sum(row["sparse"] + (0 if row["layer"] in dropped_layers else branch)
-               for row in layer_rows)
-
-
-def estimate_speedup(
-    plan: MaskPlan,
-    grid: LatentGrid,
-    include_linear: bool = True,
-    dropped_layers: Sequence[int] = (),
-    total_layers: int = 1,
-    per_layer_attended: Sequence[Sequence[int]] | None = None,
-) -> float:
-    """Full-attention FLOPs divided by the hybrid method's FLOPs.
-
-    ``per_layer_attended`` supplies measured pair counts per layer and
-    head; without it every layer uses the plan's static counts. Increasing
-    sparsity or dropping more branches never lowers the estimate.
-    """
+    Returns the report's sparsity section (per-head records of the pairs
+    averaged over layers and timesteps, and their mean sparsity), its flops
+    section (one row per layer on its pairs averaged over timesteps, with
+    the branch of every layer in ``dropped`` removed, plus the full and
+    method totals), and the speedup estimate, full over method FLOPs."""
+    attended = np.asarray(attended, dtype=np.float64)
     n, d = grid.seq_len, grid.head_dim
-    full = total_layers * grid.heads * 4 * n * n * d
-    if per_layer_attended is None:
-        static = [head_sparsity_stats(e, grid).attended_pairs for e in plan.entries]
-        per_layer_attended = [static] * total_layers
-    dropped = set(dropped_layers)
-    method = 0
-    for layer in range(total_layers):
-        method += layer_method_flops(
-            per_layer_attended[layer], grid, include_linear, layer in dropped
-        )["total"]
-    return full / method
+    per_head = [{"head": h, **record_to_dict(SparsityStats.from_pairs(float(mean), n, d))}
+                for h, mean in enumerate(attended.mean(axis=(0, 1)))]
+    aggregate = float(np.mean([rec["sparsity"] for rec in per_head]))
+    rows = [{"layer": layer, **layer_method_flops(mean.tolist(), grid, layer in dropped)}
+            for layer, mean in enumerate(attended.mean(axis=1))]
+    full_total = attended.shape[0] * grid.heads * 4 * n * n * d
+    method_total = sum(row["total"] for row in rows)
+    flops = {"full_total": full_total, "method_total": method_total, "per_layer": rows,
+             "convention": FLOP_CONVENTION}
+    return {"per_head": per_head, "aggregate": aggregate}, flops, full_total / method_total
+
+
+def price_drop(plan: DropPlan, flops: dict, grid: LatentGrid,
+               dropped: Collection[int] = ()) -> dict:
+    """A drop plan's record plus its speedup estimate over a run's flops
+    section: every row keeps its sparse FLOPs, and every layer outside the
+    plan's dropped layers and ``dropped`` adds one linear branch."""
+    off = set(plan.dropped_layers) | set(dropped)
+    branch = layer_method_flops((), grid, dropped=False)["total"]
+    method = sum(row["sparse"] + (0 if row["layer"] in off else branch)
+                 for row in flops["per_layer"])
+    return {**record_to_dict(plan), "speedup_estimate": flops["full_total"] / method}
+
+
+def estimate_speedup(plan: MaskPlan, grid: LatentGrid, include_linear: bool = True,
+                     dropped_layers: Sequence[int] = (), total_layers: int = 1) -> float:
+    """Full-attention FLOPs divided by the hybrid method's FLOPs, with
+    every layer priced on the plan's static pair counts. Increasing
+    sparsity or dropping more branches never lowers the estimate."""
+    static = [head_sparsity_stats(e, grid).attended_pairs for e in plan.entries]
+    dropped = set(dropped_layers) if include_linear else set(range(total_layers))
+    return price_run(np.tile(static, (total_layers, 1, 1)), grid, dropped)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,11 @@ from .masking import (
     build_window_mask,
     calibrate_window,
     invert_permutation,
-    plan_sparsity_stats,
     select_topk_blocks,
     st_reorder_permutation,
     window_attended_pairs,
 )
-from .analysis import GateRecord, estimate_speedup, layer_method_flops
+from .analysis import GateRecord, estimate_speedup, layer_method_flops, plan_sparsity_stats
 from .numerics import Array, Rng, matmul
 from .runner import run_pipeline
 from .tensor_io import dumps_json, record_to_dict
@@ -563,8 +562,8 @@ def check_drop_pipeline() -> CheckResult:
                              total_layers=layers)
     # Summation oracle: removing a branch deletes exactly its linear+proj+gate FLOPs.
     attended = [window_attended_pairs(grid.seq_len, 8)] * grid.heads
-    on = layer_method_flops(attended, grid, include_linear=True, dropped=False)["total"]
-    off = layer_method_flops(attended, grid, include_linear=True, dropped=True)["total"]
+    on = layer_method_flops(attended, grid, dropped=False)["total"]
+    off = layer_method_flops(attended, grid, dropped=True)["total"]
     full = layers * grid.heads * 4 * grid.seq_len**2 * grid.head_dim
     want_base = full / (layers * on)
     want_after = full / ((layers - 2) * on + 2 * off)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -62,6 +63,9 @@ class SigmaCfg:
                     f"sigma.values has {len(self.values)} entries for {timesteps} timesteps"
                 )
             return [float(v) for v in self.values]
+        if not (0.0 < self.max < math.inf and 0.0 < self.min < math.inf):
+            raise ConfigError(f"sigma.max and sigma.min must be positive and finite, "
+                              f"got {self.max} and {self.min}")
         if timesteps == 1:
             return [self.max]
         ratio = (self.min / self.max) ** (1.0 / (timesteps - 1))
@@ -175,6 +179,10 @@ class RunConfig:
             raise ConfigError(f"unknown gate activation {self.block.gate_activation!r}")
         if self.block.lora_rank < 0:
             raise ConfigError("block.lora_rank must be >= 0")
+        if any(r < 0 for r in self.mask.candidates):
+            raise ConfigError(f"mask.candidates must be radii >= 0, got {self.mask.candidates}")
+        if not 0.0 < self.analysis.rank_rel_tol < 1.0:
+            raise ConfigError(f"analysis.rank_rel_tol must be in (0, 1), got {self.analysis.rank_rel_tol}")
         self.rope.to_rope(self.grid.head_dim)  # raises on a bad split
         self.sigma.schedule(self.timesteps)
         if self.maps.export:
@@ -184,10 +192,11 @@ class RunConfig:
                 raise ConfigError(f"maps.timestep {self.maps.timestep} out of range")
             if not 0 <= self.maps.head < self.grid.heads:
                 raise ConfigError(f"maps.head {self.maps.head} out of range for {self.grid.heads} heads")
-        if self.analysis.rank_layers is not None:
-            bad = [l for l in self.analysis.rank_layers if not 0 <= l < self.layers]
+        for key, listed in (("analysis.rank_layers", self.analysis.rank_layers),
+                            ("drop.layers", self.drop.layers)):
+            bad = [l for l in listed or [] if not 0 <= l < self.layers]
             if bad:
-                raise ConfigError(f"analysis.rank_layers entry {bad[0]} out of range for {self.layers} layers")
+                raise ConfigError(f"{key} entry {bad[0]} out of range for {self.layers} layers")
         if not 0 <= self.analysis.rank_timestep < self.timesteps:
             raise ConfigError(f"analysis.rank_timestep {self.analysis.rank_timestep} out of range")
         return self

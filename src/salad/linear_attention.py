@@ -152,15 +152,6 @@ def streaming_terms(q: Array, k: Array, v: Array) -> tuple[Array, ...]:
     return fq, fk, h, z, matmul(fq, h), matmul(fq, z[:, None])[:, 0] + EPSILON
 
 
-def linear_branch_flops(n: int, d: int) -> int:
-    """FLOPs of one streaming evaluation under the 2-FLOPs-per-MAC convention.
-
-    4*N*d^2 covers building H and the per-query products against it;
-    2*N*d covers Z and the per-query normalizers.
-    """
-    return 4 * n * d * d + 2 * n * d
-
-
 def _check_qkv(q: Array, k: Array, v: Array) -> None:
     if q.ndim != 2 or q.shape != k.shape or v.shape[0] != q.shape[0] or v.ndim != 2:
         raise DimensionError(f"inconsistent attention shapes q={q.shape} k={k.shape} v={v.shape}")

@@ -1,5 +1,5 @@
 """Sparse attention plans: construction, the attention kernel,
-calibration, and accounting.
+calibration, and pair counting (pricing lives in ``analysis``).
 
 A :class:`MaskPlan` carries one entry per attention head. Window entries
 realize a symmetric band |i - j| <= r (optionally after the spatial-major
@@ -135,32 +135,6 @@ class MaskPlan:
     @staticmethod
     def uniform(entry: HeadPlan, heads: int) -> "MaskPlan":
         return MaskPlan([entry] * heads)
-
-
-@dataclass(frozen=True)
-class SparsityStats:
-    """Pair counts and attention FLOPs for one realized head mask.
-
-    FLOP convention: one multiply-add is 2 FLOPs; scores plus the weighted
-    sum cost 4 * pairs * head_dim.
-    """
-
-    attended_pairs: int
-    total_pairs: int
-    sparsity: float
-    attn_flops_sparse: int
-    attn_flops_full: int
-
-    @staticmethod
-    def from_pairs(attended: int, n: int, head_dim: int) -> "SparsityStats":
-        total = n * n
-        return SparsityStats(
-            attended_pairs=int(attended),
-            total_pairs=total,
-            sparsity=1.0 - attended / total,
-            attn_flops_sparse=4 * int(attended) * head_dim,
-            attn_flops_full=4 * total * head_dim,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -574,48 +548,3 @@ def calibrate_plan(
     ]
     plan = MaskPlan([Window(radius=r.radius, reordered=r.reordered) for r in results])
     return plan, results
-
-
-# ---------------------------------------------------------------------------
-# Sparsity accounting
-
-
-def head_sparsity_stats(
-    entry: HeadPlan,
-    grid: LatentGrid,
-    q: Array | None = None,
-    k: Array | None = None,
-) -> SparsityStats:
-    """Pair counts for one head's realized mask.
-
-    Window entries use the closed form (the ``window_counts`` check
-    verifies it exhaustively); top-k entries count their key list's pairs
-    when queries and keys are supplied and otherwise fall back to the static
-    model of k full-size key blocks per query row.
-    """
-    n = grid.seq_len
-    d = grid.head_dim
-    if isinstance(entry, Window):
-        return SparsityStats.from_pairs(window_attended_pairs(n, entry.radius), n, d)
-    if isinstance(entry, TopK) and (q is None or k is None):
-        per_row = min(entry.k * entry.block_size, n)
-        return SparsityStats.from_pairs(n * per_row, n, d)
-    return SparsityStats.from_pairs(head_keys(entry, grid, q, k)[0].pairs, n, d)
-
-
-def plan_sparsity_stats(
-    plan: MaskPlan,
-    grid: LatentGrid,
-    qk_per_head: Sequence[tuple[Array, Array]] | None = None,
-) -> tuple[list[SparsityStats], float]:
-    """Per-head stats plus the aggregate sparsity (mean over heads)."""
-    if len(plan) != grid.heads:
-        raise ConfigError(f"plan has {len(plan)} entries for {grid.heads} heads")
-    stats = []
-    for head, entry in enumerate(plan.entries):
-        q = k = None
-        if qk_per_head is not None:
-            q, k = qk_per_head[head]
-        stats.append(head_sparsity_stats(entry, grid, q, k))
-    aggregate = float(np.mean([s.sparsity for s in stats]))
-    return stats, aggregate

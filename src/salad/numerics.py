@@ -27,15 +27,6 @@ _JACOBI_SWEEP_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
 
-def tensor(data, shape=None) -> Array:
-    """Coerce ``data`` to a C-contiguous float64 array, rejecting non-finite values."""
-    out = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        out = out.reshape(shape)
-    ensure_finite(out, "tensor")
-    return out
-
-
 def ensure_finite(x: Array, label: str = "array") -> Array:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"{label} contains non-finite values")

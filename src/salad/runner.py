@@ -11,24 +11,25 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    FLOP_CONVENTION,
+    DropPlan,
     GateRecord,
     RunReport,
     atypical_gates,
     branch_rank_analysis,
-    flops_after_drop,
     gate_percentiles,
-    layer_method_flops,
     plan_branch_drop,
+    price_drop,
+    price_run,
 )
 from .block import export_attention_maps, head_slices, project, salad_forward, sparse_only_params
-from .config import RunConfig
+from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
 from .gradients import gradcheck_salad
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
@@ -98,37 +99,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         results = [one(*lt) for lt in tasks]
     traces = {lt: trace for lt, (_, trace) in zip(tasks, results)}
 
-    # Gate records and per-head attended-pair accounting.
+    # Gate records and the cost ledger over the layers as actually run.
     records = [GateRecord(layer, t, traces[(layer, t)].gate) for layer, t in tasks]
-    n, d = grid.seq_len, grid.head_dim
-    attended = np.array([[traces[(layer, t)].attended_pairs for t in range(cfg.timesteps)]
-                         for layer in range(cfg.layers)], dtype=np.float64)
-    per_head_mean = attended.mean(axis=(0, 1))  # (heads,)
-    per_head = [
-        {
-            "head": h,
-            "attended_pairs": float(per_head_mean[h]),
-            "total_pairs": n * n,
-            "sparsity": 1.0 - float(per_head_mean[h]) / (n * n),
-            "attn_flops_sparse": 4.0 * float(per_head_mean[h]) * d,
-            "attn_flops_full": 4 * n * n * d,
-        }
-        for h in range(grid.heads)
-    ]
-    aggregate = float(np.mean([rec["sparsity"] for rec in per_head]))
-
-    # FLOP model over the layers as actually run.
-    per_layer_attended = attended.mean(axis=1)  # (layers, heads)
-    full_total = cfg.layers * grid.heads * 4 * n * n * d
-    layer_rows = []
-    method_total = 0.0
-    for layer in range(cfg.layers):
-        row = layer_method_flops(per_layer_attended[layer].tolist(), grid,
-                                 include_linear=True, dropped=layer in explicit_dropped)
-        row = {"layer": layer, **row}
-        layer_rows.append(row)
-        method_total += row["total"]
-    speedup = full_total / method_total
+    attended = [[traces[(layer, t)].attended_pairs for t in range(cfg.timesteps)]
+                for layer in range(cfg.layers)]
+    sparsity, flops, speedup = price_run(attended, grid, explicit_dropped)
 
     # Post-hoc branch-drop plan from this run's gates.
     drop_section = None
@@ -138,19 +113,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             fraction=cfg.drop.fraction, tau=cfg.drop.tau,
             seed=cfg.drop.seed if cfg.drop.seed is not None else cfg.seed,
         )
-        method_after = flops_after_drop(layer_rows, set(plan_drop.dropped_layers) | explicit_dropped,
-                                        grid)
-        drop_section = record_to_dict(plan_drop)
-        drop_section["speedup_estimate"] = full_total / method_after
+        drop_section = price_drop(plan_drop, flops, grid, explicit_dropped)
     elif explicit_dropped:
-        drop_section = {
-            "strategy": "explicit",
-            "params": {"layers": sorted(explicit_dropped)},
-            "dropped_layers": sorted(explicit_dropped),
-            "preferred": False,
-            "note": "layers dropped by explicit config",
-            "speedup_estimate": speedup,
-        }
+        layers = sorted(explicit_dropped)
+        explicit = DropPlan("explicit", {"layers": layers}, layers, preferred=False,
+                            note="layers dropped by explicit config")
+        drop_section = {**record_to_dict(explicit), "speedup_estimate": speedup}
 
     # Branch output ranks on the sampled layers.
     rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
@@ -164,9 +132,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
 
     gradcheck_section: dict = {"run": False, "all_passed": None, "reports": []}
     if cfg.checks.gradcheck_in_run:
+        n, d = grid.seq_len, grid.head_dim
         if n > 64 or d > 16:
-            gradcheck_section = {"run": False, "all_passed": None, "reports": [],
-                                 "note": f"skipped: N={n}, head_dim={d} exceeds the N<=64, d<=16 budget"}
+            gradcheck_section["note"] = f"skipped: N={n}, head_dim={d} exceeds the N<=64, d<=16 budget"
         else:
             x0 = workload.inputs[0, 0] * sigmas[0]
             reports = gradcheck_salad(x0, workload.params[0], plan, grid, rope_cfg)
@@ -184,10 +152,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
 
     report = RunReport(
         config=cfg.semantic_dict(),
-        sparsity={"per_head": per_head, "aggregate": aggregate,
-                  "calibration": calibration},
-        flops={"full_total": full_total, "method_total": method_total,
-               "per_layer": layer_rows, "convention": FLOP_CONVENTION},
+        sparsity={**sparsity, "calibration": calibration},
+        flops=flops,
         speedup_estimate=speedup,
         gates=gates_section,
         drop_plan=drop_section,
@@ -248,11 +214,43 @@ def _inline_checks(cfg, workload, plan, grid, rope_cfg, sigmas, traces) -> list[
 # Gate analysis over saved reports
 
 
+#: The report fields ``analyze`` reads: key -> type, nested object schema,
+#: or a one-element list holding the schema of every list item. A float
+#: field takes any JSON number a float can hold.
+ANALYZED_FIELDS = {
+    "speedup_estimate": float,
+    "flops": {"full_total": float, "per_layer": [{"layer": int, "sparse": float}]},
+    "gates": {"records": [{"layer": int, "timestep": int, "gate": float}]},
+}
+
+
+def _check_fields(doc, schema: dict, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    for key, kind in schema.items():
+        value = doc.get(key)
+        if isinstance(kind, dict):
+            _check_fields(value, kind, f"{where}.{key}")
+        elif isinstance(kind, list) and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_fields(item, kind[0], f"{where}.{key}[{i}]")
+        elif not (type(value) in (int, float) and abs(value) <= sys.float_info.max
+                  if kind is float else type(value) is kind):
+            raise ConfigError(f"{where}.{key} must be a {getattr(kind, '__name__', 'list')}, "
+                              f"got {value!r}")
+
+
 def load_report(path: str | Path) -> RunReport:
+    """A saved run report, with every field ``analyze`` reads checked."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path} is not valid JSON: {exc}") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"report {path} is not valid UTF-8 JSON: {exc}") from None
+    _check_fields(doc, ANALYZED_FIELDS, f"report {path}")
+    rows = doc["flops"]["per_layer"]
+    if not rows or min(row["sparse"] for row in rows) <= 0:
+        raise ConfigError(f"report {path} needs a per-layer row with positive sparse FLOPs "
+                          "for every layer")
     try:
         return record_from_dict(RunReport, doc)
     except KeyError as exc:
@@ -273,20 +271,12 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
     if not report_paths:
         raise DataError("analyze needs at least one report with gate records")
     reports = [load_report(p) for p in report_paths]
-    records: list[GateRecord] = []
-    for rep in reports:
-        records.extend(rep.gate_records())
+    records = [r for rep in reports for r in rep.gate_records()]
     if not records:
         raise DataError("loaded reports carry no gate records")
 
     base = reports[0]
-    from .config import config_from_dict
-
-    base_cfg = config_from_dict(base.config)
-    grid = base_cfg.to_grid()
-    full_total = base.flops["full_total"]
-    layer_rows = base.flops["per_layer"]
-
+    grid = config_from_dict(base.config).to_grid()
     strategies = cfg.analysis.strategies if cfg.analysis.strategies is not None \
         else [dict(s) for s in DEFAULT_STRATEGIES]
     plans = []
@@ -295,10 +285,7 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
         if spec_["strategy"] == "random" and "seed" not in kwargs:
             kwargs["seed"] = cfg.seed
         plan = plan_branch_drop(records, spec_["strategy"], **kwargs)
-        doc = record_to_dict(plan)
-        doc["speedup_estimate"] = full_total / flops_after_drop(layer_rows, set(plan.dropped_layers),
-                                                                grid)
-        plans.append(doc)
+        plans.append(price_drop(plan, base.flops, grid))
 
     percentiles = gate_percentiles(records)
     out = Path(out_dir)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -87,12 +88,13 @@ def tensor_from_bytes(raw: bytes) -> Array:
     if version != TENSOR_VERSION:
         raise ConfigError(f"unsupported tensor payload version {version}")
     offset = 16 + 8 * rank
+    if len(raw) < offset:
+        raise ConfigError(f"tensor payload of {len(raw)} bytes cannot hold {rank} extents")
     shape = struct.unpack(f"<{rank}Q", raw[16:offset])
-    count = int(np.prod(shape)) if rank else 1
-    expected = offset + 8 * count
+    expected = offset + 8 * math.prod(shape)
     if len(raw) != expected:
         raise ConfigError(f"tensor payload length {len(raw)} != expected {expected}")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    data = np.frombuffer(raw, dtype="<f8", offset=offset)
     return data.astype(np.float64).reshape(shape)
 
 
@@ -288,7 +290,7 @@ def params_from_bytes(raw: bytes) -> SaladParams:
             raise ConfigError(f"parameter bundle shape of {name!r} must be a list of "
                               f"non-negative integers, got {extents!r}")
         shape = tuple(extents)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         end = offset + 8 * count
         if end > len(raw):
             raise ConfigError(f"parameter bundle truncated in matrix {name!r}")

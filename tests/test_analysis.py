@@ -16,12 +16,14 @@ from salad.analysis import (
     gate_percentiles,
     layer_mean_gates,
     layer_method_flops,
+    linear_branch_flops,
     percentile,
     plan_branch_drop,
+    price_drop,
+    price_run,
 )
 from salad.block import SaladParams, salad_forward
 from salad.errors import ConfigError, DataError
-from salad.linear_attention import linear_branch_flops
 from salad.masking import LatentGrid, MaskPlan, Window, window_attended_pairs
 from salad.numerics import Rng
 from salad.tensor_io import record_from_dict, record_to_dict
@@ -170,12 +172,12 @@ class TestFlopModel:
         grid = LatentGrid(2, 4, 4, heads=2, head_dim=8)
         n, d, h = grid.seq_len, grid.head_dim, grid.channels
         attended = [100, 200]
-        row = layer_method_flops(attended, grid, include_linear=True, dropped=False)
+        row = layer_method_flops(attended, grid, dropped=False)
         assert row["sparse"] == 4 * 300 * d
         assert row["linear"] == 2 * linear_branch_flops(n, d) == 2 * (4 * n * d * d + 2 * n * d)
         assert row["proj"] == 2 * n * h * h
         assert row["gate"] == 2 * n * h
-        off = layer_method_flops(attended, grid, include_linear=True, dropped=True)
+        off = layer_method_flops(attended, grid, dropped=True)
         assert off["linear"] == off["proj"] == off["gate"] == 0
         assert off["sparse"] == row["sparse"]
 
@@ -194,10 +196,45 @@ class TestFlopModel:
         n, d = grid.seq_len, grid.head_dim
         attended = [window_attended_pairs(n, 4)] * grid.heads
         full = layers * grid.heads * 4 * n * n * d
-        on = layer_method_flops(attended, grid, True, False)["total"]
-        off = layer_method_flops(attended, grid, True, True)["total"]
+        on = layer_method_flops(attended, grid, False)["total"]
+        off = layer_method_flops(attended, grid, True)["total"]
         got = estimate_speedup(plan, grid, dropped_layers=(1, 3), total_layers=layers)
         assert got == full / (3 * on + 2 * off)
+
+    def test_ledger_prices_each_layer_on_its_own_pairs(self):
+        grid = LatentGrid(2, 2, 2, heads=2, head_dim=4)
+        n, d = grid.seq_len, grid.head_dim
+        attended = np.array([[[10, 20], [11, 21]], [[30, 40], [33, 44]]])  # (layers, t, heads)
+        sparsity, flops, speedup = price_run(attended, grid, dropped={1})
+        assert [rec["attended_pairs"] for rec in sparsity["per_head"]] == [21.0, 31.25]
+        assert sparsity["per_head"][1] == {
+            "head": 1, "attended_pairs": 31.25, "total_pairs": n * n,
+            "sparsity": 1.0 - 31.25 / (n * n), "attn_flops_sparse": 4 * 31.25 * d,
+            "attn_flops_full": 4 * n * n * d,
+        }
+        assert sparsity["aggregate"] == np.mean([1 - 21 / 64, 1 - 31.25 / 64])
+        rows = flops["per_layer"]
+        assert [row["layer"] for row in rows] == [0, 1]
+        assert rows[0] == {"layer": 0, **layer_method_flops([10.5, 20.5], grid, dropped=False)}
+        assert rows[1] == {"layer": 1, **layer_method_flops([31.5, 42.0], grid, dropped=True)}
+        assert flops["full_total"] == 2 * grid.heads * 4 * n * n * d
+        assert flops["method_total"] == rows[0]["total"] + rows[1]["total"]
+        assert speedup == flops["full_total"] / flops["method_total"]
+
+    def test_drop_pricing_restores_or_removes_whole_branches(self):
+        grid = LatentGrid(2, 2, 2, heads=2, head_dim=4)
+        attended = np.full((3, 2, grid.heads), 12)
+        _, flops, speedup = price_run(attended, grid)
+        branch = layer_method_flops((), grid, dropped=False)["total"]
+        plan = DropPlan("interval", {"lo": 0.8, "hi": 1.0}, (2,), True, "note")
+        doc = price_drop(plan, flops, grid, dropped={0})
+        assert doc == {**record_to_dict(plan), "speedup_estimate": doc["speedup_estimate"]}
+        sparse = 4 * 12 * grid.head_dim * grid.heads
+        assert doc["speedup_estimate"] == flops["full_total"] / (3 * sparse + branch)
+        _, _, same = price_run(attended, grid, dropped={0, 2})
+        assert doc["speedup_estimate"] == same
+        nothing = DropPlan("threshold", {"tau": 0.0}, (), False, "note")
+        assert price_drop(nothing, flops, grid)["speedup_estimate"] == speedup
 
     def test_convention_documented(self):
         assert "multiply-add" in FLOP_CONVENTION and "4*pairs*head_dim" in FLOP_CONVENTION
@@ -211,13 +248,11 @@ class TestFlopModel:
         grid = LatentGrid(frames=21, height=60, width=60, heads=12, head_dim=128)
         n = grid.seq_len
         assert n == 75_600
-        attended = [n * n // 10] * grid.heads
-        plan = MaskPlan.uniform(Window(radius=1), grid.heads)  # shape only
-        speedup = estimate_speedup(plan, grid, include_linear=True, total_layers=30,
-                                   per_layer_attended=[attended] * 30)
+        attended = np.full((30, 1, grid.heads), n * n // 10)  # (layers, timesteps, heads)
+        sparsity, _, speedup = price_run(attended, grid)
+        assert abs(sparsity["aggregate"] - 0.9) < 1e-9
         assert 1.72 <= speedup <= 10.0
-        no_branch = estimate_speedup(plan, grid, include_linear=False, total_layers=30,
-                                     per_layer_attended=[attended] * 30)
+        _, _, no_branch = price_run(attended, grid, dropped=range(30))
         assert abs(no_branch - 10.0) < 1e-9  # exact sparse-only ceiling
 
 

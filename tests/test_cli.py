@@ -305,6 +305,56 @@ class TestAnalyze:
         assert len(set(row)) == 1  # one gate record: every percentile equals it
 
 
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def drop_path(doc, path):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+#: Case name -> edit of a valid report document (a function), or the raw
+#: bytes to write instead of it.
+BAD_REPORTS = {
+    "flops_empty": lambda doc: set_path(doc, ["flops"], {}),
+    "full_total_string": lambda doc: set_path(doc, ["flops", "full_total"], "512"),
+    "per_layer_empty": lambda doc: set_path(doc, ["flops", "per_layer"], []),
+    "per_layer_row_without_sparse": lambda doc: drop_path(doc, ["flops", "per_layer", 0, "sparse"]),
+    "per_layer_row_zero_sparse": lambda doc: set_path(doc, ["flops", "per_layer", 0, "sparse"], 0),
+    "gate_without_timestep": lambda doc: drop_path(doc, ["gates", "records", 0, "timestep"]),
+    "gates_list": lambda doc: set_path(doc, ["gates"], []),
+    "gate_string": lambda doc: set_path(doc, ["gates", "records", 0, "gate"], "0.5"),
+    "gate_bool_layer": lambda doc: set_path(doc, ["gates", "records", 0, "layer"], True),
+    "speedup_nan": lambda doc: set_path(doc, ["speedup_estimate"], float("nan")),
+    "full_total_past_float": lambda doc: set_path(doc, ["flops", "full_total"], 10**400),
+    "not_an_object": lambda doc: [doc],
+    "non_utf8": b'{"config": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_bad_report_analyze_exits_3_without_traceback(tmp_path, capsys, case):
+    assert run_cli("run", *small_args(tmp_path, "r"), "--no-timestamp") == 0
+    path = tmp_path / "r" / "report.json"
+    edit = BAD_REPORTS[case]
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    else:
+        doc = json.loads(path.read_text())
+        doc = edit(doc) or doc
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("analyze", "--report", str(path), "--out", str(tmp_path / "a")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestExportMaps:
     def test_files_written(self, tmp_path):
         rc = run_cli("export-maps", *small_args(tmp_path),
@@ -364,6 +414,14 @@ def exit_three_cases():
         "heads_x": (["--set", "grid.heads=x"], {}),
         "seed_above_u64": (["--set", "seed=18446744073709551621"], {}),
         "sigma_overflow": (["--set", "sigma.values=[1e200,1,1,1,1]"], {}),
+        "sigma_max_zero": (["--set", "sigma.max=0"], {}),
+        "sigma_max_negative": (["--set", "sigma.max=-1"], {}),
+        "calibrate_negative_candidate": (["--set", "mask.kind=calibrate",
+                                          "--set", "mask.candidates=[-1]"], {}),
+        "rank_rel_tol_zero": (["--set", "analysis.rank_rel_tol=0"], {}),
+        "rank_rel_tol_two": (["--set", "analysis.rank_rel_tol=2"], {}),
+        "drop_layer_past_end": (["--set", "drop.strategy=explicit", "--set", "drop.layers=[99]"], {}),
+        "drop_layer_negative": (["--set", "drop.strategy=explicit", "--set", "drop.layers=[-1]"], {}),
         "plan_without_heads": (PLAN_ARGS, {"plan.json": json.dumps(PLAN_HEADER)}),
         "plan_not_json": (PLAN_ARGS, {"plan.json": "{not json"}),
         "manifest_not_json": (WORKLOAD_ARGS, {"manifest.json": "{not json"}),

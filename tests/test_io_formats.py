@@ -43,6 +43,16 @@ class TestTensorFormat:
         with pytest.raises(ConfigError):
             tensor_from_bytes(raw[:-8])
 
+    @pytest.mark.parametrize("shape", [(2, 2), (40, 40)])
+    def test_rank_field_overrunning_the_file(self, shape):
+        # Rank 200 needs 1600 bytes of extents: a 2x2 payload cannot hold
+        # them, and a 40x40 payload of negative floats reads as extents
+        # whose product overflows int64.
+        raw = bytearray(tensor_to_bytes(np.full(shape, -0.3)))
+        raw[8:12] = (200).to_bytes(4, "little")
+        with pytest.raises(ConfigError):
+            tensor_from_bytes(bytes(raw))
+
     def test_file_round_trip(self, rng, tmp_path):
         x = rng.normal((4, 4))
         write_tensor(x, tmp_path / "t.stns")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salad.analysis import linear_branch_flops
 from salad.errors import ConfigError, DimensionError
 from salad.linear_attention import (
     EPSILON,
@@ -10,7 +11,6 @@ from salad.linear_attention import (
     linear_attention_map,
     linear_attention_naive,
     linear_attention_streaming,
-    linear_branch_flops,
     rope3d_apply,
     rope3d_rotate,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salad.analysis import head_sparsity_stats, plan_sparsity_stats
 from salad.errors import BlockCountError, ConfigError, DegenerateRowError, StateError
 from salad.masking import (
     CalibrationResult,
@@ -16,9 +17,7 @@ from salad.masking import (
     build_window_mask,
     calibrate_head,
     calibrate_window,
-    head_sparsity_stats,
     invert_permutation,
-    plan_sparsity_stats,
     realize_head_mask,
     select_topk_blocks,
     st_reorder_permutation,

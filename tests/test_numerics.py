@@ -15,7 +15,6 @@ from salad.numerics import (
     sigmoid,
     softmax_masked,
     tanh,
-    tensor,
 )
 
 from conftest import elimination_rank, triple_loop_matmul
@@ -179,15 +178,6 @@ class TestNumericalRank:
             x = rng.normal((10, 6))
             y = rng.normal((6, 9))
             assert numerical_rank(matmul(x, y)) <= min(numerical_rank(x), numerical_rank(y))
-
-
-class TestTensor:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            tensor([1.0, np.nan])
-
-    def test_reshape(self):
-        assert tensor([1, 2, 3, 4], shape=(2, 2)).shape == (2, 2)
 
 
 class TestRng:
