@@ -239,3 +239,31 @@ def test_loss_grads_digest(name):
     for key in sorted(grads):
         blob += key.encode() + np.asarray(grads[key], dtype=np.float64).tobytes()
     assert sha256(blob) == GRAD_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Branch ranks of an N=512 calibrate run at three singular-value cutoffs
+
+#: The perfbench N=512 grid: 8x8x8 latents, 2 heads of 16 channels, 4 layers.
+RANK_GRID = ["--set", "grid.frames=8", "--set", "grid.height=8", "--set", "grid.width=8",
+             "--set", "grid.heads=2", "--set", "grid.head_dim=16",
+             "--set", "layers=4", "--set", "timesteps=5"]
+
+#: (rank_sparse, rank_linear) per (layer, head) in report order. The looser
+#: cutoffs land among the linear branch's singular values, so a solver whose
+#: values drift would move these ranks.
+RANK_PINS = {
+    1e-6: [(16, 16)] * 8,
+    1e-3: [(16, 16), (16, 16), (16, 15), (16, 16), (16, 16), (16, 15), (16, 16), (16, 16)],
+    1e-1: [(16, 8), (16, 9), (16, 10), (16, 9), (16, 9), (16, 9), (16, 8), (16, 11)],
+}
+
+
+@pytest.mark.parametrize("rel_tol", sorted(RANK_PINS))
+def test_branch_ranks_n512_calibrate(tmp_path, rel_tol):
+    args = ["run", "--seed", "7", "--no-timestamp", *RANK_GRID, "--set", "mask.kind=calibrate",
+            "--set", f"analysis.rank_rel_tol={rel_tol!r}", "--out", str(tmp_path)]
+    assert main(args) == 0
+    want = [{"layer": i // 2, "head": i % 2, "rank_sparse": s, "rank_linear": l, "head_dim": 16}
+            for i, (s, l) in enumerate(RANK_PINS[rel_tol])]
+    assert json.loads((tmp_path / "report.json").read_text())["ranks"] == want
