@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -33,6 +34,15 @@ from .tensor_io import parse_plan_record, read_plan
 
 MASK_KINDS = ("window", "topk", "calibrate", "explicit", "per_head")
 DROP_STRATEGIES = ("none", "interval", "random", "threshold", "explicit")
+
+#: The keys an ``analysis.strategies`` entry may set besides ``strategy``,
+#: with their types: the keyword arguments of ``analysis.plan_branch_drop``.
+#: Omitted keys take its defaults.
+STRATEGY_FIELDS = {
+    "interval": {"lo": float, "hi": float},
+    "random": {"fraction": float, "seed": int},
+    "threshold": {"tau": float},
+}
 
 
 @dataclass
@@ -199,6 +209,8 @@ class RunConfig:
                 raise ConfigError(f"{key} entry {bad[0]} out of range for {self.layers} layers")
         if not 0 <= self.analysis.rank_timestep < self.timesteps:
             raise ConfigError(f"analysis.rank_timestep {self.analysis.rank_timestep} out of range")
+        for i, entry in enumerate(self.analysis.strategies or []):
+            _check_strategy(entry, f"analysis.strategies[{i}]")
         return self
 
     def to_dict(self) -> dict:
@@ -275,6 +287,23 @@ def _matches(value: Any, hint: Any) -> bool:
     if hint is int:
         return type(value) is int
     return isinstance(value, hint)
+
+
+def _check_strategy(entry: dict, where: str) -> None:
+    """An ``analysis.strategies`` entry names a known strategy and sets only
+    that strategy's keys, each a finite number of its field's type."""
+    strategy = entry.get("strategy")
+    if not (isinstance(strategy, str) and strategy in STRATEGY_FIELDS):
+        raise ConfigError(f"{where}.strategy must be one of {tuple(STRATEGY_FIELDS)}, got {strategy!r}")
+    fields = STRATEGY_FIELDS[strategy]
+    for key, value in entry.items():
+        if key == "strategy":
+            continue
+        if key not in fields:
+            raise ConfigError(f"{where} sets {key!r}, which strategy {strategy!r} does not take "
+                              f"(allowed: {', '.join(fields)})")
+        if not (_matches(value, fields[key]) and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{where}.{key} must be a finite {fields[key].__name__}, got {value!r}")
 
 
 def _check_keys(cls, doc: dict, prefix: str) -> None:

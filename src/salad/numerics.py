@@ -98,45 +98,98 @@ def tanh(x: Array) -> Array:
     return np.tanh(np.asarray(x, dtype=np.float64))
 
 
-def jacobi_singular_values(x: Array) -> Array:
-    """Singular values via one-sided Jacobi rotations on the columns.
+def round_robin_rounds(n: int) -> list[tuple[Array, Array]]:
+    """Brent-Luk round-robin ordering of the column pairs of an n-column matrix.
 
-    Sweeps column pairs cyclically, rotating whenever the pair's implicit
+    Returns the rounds of one sweep as ``(p, q)`` index arrays with
+    ``p < q`` elementwise. The pairs of a round are disjoint, so their
+    rotations commute and can be applied at once, and every pair of
+    columns meets exactly once per sweep: n - 1 rounds when n is even, n
+    when it is odd (each column sits out one round).
+    """
+    m = n + n % 2  # an odd count gets a phantom column m - 1 that pairs with no one
+    ring = list(range(1, m))
+    rounds = []
+    for r in range(m - 1):
+        order = [0] + ring[r:] + ring[:r]
+        pairs = [sorted((order[i], order[-1 - i])) for i in range(m // 2)]
+        p, q = np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).reshape(-1, 2).T
+        rounds.append((p, q))
+    return rounds
+
+
+def householder_r(a: Array) -> Array:
+    """Upper-triangular factor R (n x n) of the QR factorization of a tall
+    m x n matrix (m >= n), by Householder reflections.
+
+    Each reflection updates the trailing columns with ``np.sum`` column
+    reductions, so the accumulation order is fixed and BLAS-free. A column
+    that is already zero on and below the diagonal is left as it is.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[1]
+    for k in range(n):
+        v = a[k:, k].copy()
+        norm = math.sqrt(float(np.sum(v * v)))
+        if norm == 0.0:
+            continue
+        diag = -math.copysign(norm, v[0])
+        v[0] -= diag
+        scale = 2.0 / float(np.sum(v * v))
+        a[k, k] = diag
+        a[k + 1 :, k] = 0.0
+        rest = a[k:, k + 1 :]
+        rest -= v[:, None] * (np.sum(v[:, None] * rest, axis=0) * scale)
+    return a[:n]
+
+
+def jacobi_singular_values(x: Array) -> Array:
+    """Singular values via QR-preconditioned one-sided Jacobi rotations.
+
+    The tall operand (``x``, or ``x.T`` when wide) is first reduced to its
+    square triangular factor R, which has the same singular values, so
+    each sweep touches n-long columns rather than N-long ones. The sweeps
+    then visit the column pairs of R in round-robin order, one vectorized
+    round of disjoint pairs at a time, rotating whenever a pair's implicit
     Gram off-diagonal exceeds ``_JACOBI_SWEEP_TOL`` relative to the column
     norms; at convergence the column 2-norms are the singular values.
     No LAPACK involvement, so the iteration is fully deterministic.
+
+    Raises :class:`NumericError` for non-finite input, an overflowing
+    factor, or sweeps that do not converge.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {x.shape}")
-    a = (x.T if x.shape[0] < x.shape[1] else x).copy()
-    n = a.shape[1]
+    ensure_finite(x, "singular-value input")
+    a = ensure_finite(householder_r(x.T if x.shape[0] < x.shape[1] else x), "triangular factor")
+    rounds = round_robin_rounds(a.shape[1])
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap = a[:, p]
-                aq = a[:, q]
-                alpha = float(np.sum(ap * ap))
-                beta = float(np.sum(aq * aq))
-                gamma = float(np.sum(ap * aq))
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= _JACOBI_SWEEP_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * ap - s * aq
-                new_q = s * ap + c * aq
-                a[:, p] = new_p
-                a[:, q] = new_q
+        for p, q in rounds:
+            ap = a[:, p]
+            aq = a[:, q]
+            alpha = np.sum(ap * ap, axis=0)
+            beta = np.sum(aq * aq, axis=0)
+            gamma = np.sum(ap * aq, axis=0)
+            live = (alpha != 0.0) & (beta != 0.0)
+            live &= np.abs(gamma) > _JACOBI_SWEEP_TOL * np.sqrt(alpha * beta)
+            if not live.any():
+                continue
+            rotated = True
+            if not live.all():
+                p, q, ap, aq = p[live], q[live], ap[:, live], aq[:, live]
+                alpha, beta, gamma = alpha[live], beta[live], gamma[live]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            a[:, p] = c * ap - s * aq
+            a[:, q] = s * ap + c * aq
         if not rotated:
             break
     else:
-        raise ArithmeticError("Jacobi sweep did not converge")
+        raise NumericError(f"Jacobi sweeps did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
     sv = np.sqrt(np.sum(a * a, axis=0))
     return np.sort(sv)[::-1]
 

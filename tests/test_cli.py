@@ -355,6 +355,29 @@ def test_bad_report_analyze_exits_3_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+#: Case name -> an ``analysis.strategies`` value that ``analyze`` must refuse.
+BAD_STRATEGIES = {
+    "entry_without_strategy": [{}],
+    "interval_unknown_key": [{"strategy": "interval", "x": 1}],
+    "interval_string_bound": [{"strategy": "interval", "lo": "a"}],
+    "threshold_key_of_random": [{"strategy": "threshold", "fraction": 0.5}],
+    "random_float_seed": [{"strategy": "random", "seed": 1.5}],
+    "random_bool_fraction": [{"strategy": "random", "fraction": True}],
+    "strategy_not_a_string": [{"strategy": ["interval"]}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STRATEGIES))
+def test_bad_strategies_analyze_exits_3_without_traceback(tmp_path, capsys, case):
+    assert run_cli("run", *small_args(tmp_path, "r"), "--no-timestamp") == 0
+    capsys.readouterr()
+    args = ["--report", str(tmp_path / "r" / "report.json"), "--out", str(tmp_path / "a"),
+            "--set", f"analysis.strategies={json.dumps(BAD_STRATEGIES[case])}"]
+    assert run_cli("analyze", *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestExportMaps:
     def test_files_written(self, tmp_path):
         rc = run_cli("export-maps", *small_args(tmp_path),

@@ -1,17 +1,21 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salad.errors import DegenerateRowError, DimensionError
+from salad import numerics
+from salad.errors import DegenerateRowError, DimensionError, NumericError
 from salad.numerics import (
     Rng,
+    householder_r,
     jacobi_singular_values,
     matmul,
     numerical_rank,
     relu,
+    round_robin_rounds,
     sigmoid,
     softmax_masked,
     tanh,
@@ -178,6 +182,84 @@ class TestNumericalRank:
             x = rng.normal((10, 6))
             y = rng.normal((6, 9))
             assert numerical_rank(matmul(x, y)) <= min(numerical_rank(x), numerical_rank(y))
+
+
+
+def planted(rng, m, values):
+    """An m x len(values) matrix whose singular values are ``values``."""
+    n = len(values)
+    u, _ = np.linalg.qr(rng.normal((m, n)))
+    v, _ = np.linalg.qr(rng.normal((n, n)))
+    return (u * np.asarray(values)) @ v.T
+
+
+class TestJacobiSingularValues:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-3, 1e-1])
+    def test_planted_values_either_side_of_cutoff(self, rng, rel_tol):
+        head = [2.0, 1.5, 1.0, 0.7]
+        above = planted(rng, 64, head + [1.01 * rel_tol * 2.0])
+        below = planted(rng, 64, head + [0.99 * rel_tol * 2.0])
+        assert numerical_rank(above, rel_tol) == 5
+        assert numerical_rank(below, rel_tol) == 4
+
+    def test_tall_matches_lapack(self, rng):
+        x = rng.normal((512, 16)) * np.logspace(0, -4, 16)
+        sv = jacobi_singular_values(x)
+        want = np.linalg.svd(x, compute_uv=False)
+        assert np.max(np.abs(sv - want)) < 1e-12 * want[0]
+
+    def test_rank_deficient_factor_has_zero_columns(self, rng):
+        x = rng.normal((512, 16))
+        zero = [3, 7, 8, 15]
+        x[:, zero] = 0.0
+        r = householder_r(x)
+        assert r.shape == (16, 16)
+        assert np.array_equal(r, np.triu(r))
+        assert not r[:, zero].any()
+        sv = jacobi_singular_values(x)
+        assert np.array_equal(sv[-len(zero):], np.zeros(len(zero)))
+        want = np.linalg.svd(x, compute_uv=False)
+        assert np.max(np.abs(sv - want)) < 1e-12 * want[0]
+        assert numerical_rank(x) == 16 - len(zero)
+
+    @pytest.mark.filterwarnings("error")
+    def test_column_whose_squares_underflow_is_skipped(self, rng):
+        # Its squared norm is 0 while its products with other columns are
+        # not, so only the zero-column rule keeps it from being rotated.
+        x = rng.normal((64, 4))
+        x[:, 2] *= 1e-170
+        sv = jacobi_singular_values(x)
+        assert sv[-1] == 0.0
+        want = np.linalg.svd(np.delete(x, 2, axis=1), compute_uv=False)
+        assert np.max(np.abs(sv[:3] - want)) < 1e-12 * want[0]
+
+    def test_wide_matches_its_transpose(self, rng):
+        x = rng.normal((16, 512))
+        assert np.array_equal(jacobi_singular_values(x), jacobi_singular_values(x.T))
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_round_robin_meets_every_pair_once_per_sweep(self, n):
+        rounds = round_robin_rounds(n)
+        assert len(rounds) == n - 1 + n % 2
+        met = Counter()
+        for p, q in rounds:
+            assert np.all(p < q)
+            cols = np.concatenate([p, q])
+            assert len(set(cols.tolist())) == cols.size  # disjoint pairs
+            met.update(zip(p.tolist(), q.tolist()))
+        assert met == Counter((p, q) for p in range(n) for q in range(p + 1, n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, rng, bad):
+        x = rng.normal((32, 4))
+        x[5, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            numerical_rank(x)
+
+    def test_unconverged_sweeps_raise(self, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericError, match="did not converge"):
+            jacobi_singular_values(rng.normal((32, 6)))
 
 
 class TestRng:
