@@ -184,7 +184,6 @@ class TestNumericalRank:
             assert numerical_rank(matmul(x, y)) <= min(numerical_rank(x), numerical_rank(y))
 
 
-
 def planted(rng, m, values):
     """An m x len(values) matrix whose singular values are ``values``."""
     n = len(values)
@@ -255,6 +254,11 @@ class TestJacobiSingularValues:
         x[5, 2] = bad
         with pytest.raises(NumericError, match="non-finite"):
             numerical_rank(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_factor_raises(self):
+        with pytest.raises(NumericError, match="triangular factor"):
+            numerical_rank(np.full((8, 3), 1e200))
 
     def test_unconverged_sweeps_raise(self, rng, monkeypatch):
         monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
