@@ -4,20 +4,15 @@ A config with nothing but a ``grid`` (or even an empty object) is
 runnable. Any key can be overridden on the command line with repeated
 ``--set dotted.path=value`` flags; values parse as JSON with a plain
 string fallback. Unknown keys are rejected so typos fail loudly, and every
-value must match its field's annotation.
+value must match its field's annotation (:func:`salad.tensor_io.check_json`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import sys
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from .block import GATE_ACTIVATIONS, VARIANTS
 from .errors import ConfigError
@@ -30,7 +25,7 @@ from .masking import (
     TopK,
     Window,
 )
-from .tensor_io import parse_plan_record, read_plan
+from .tensor_io import check_json, decode_json, load_json, parse_plan_record, read_plan, record_from_dict
 
 MASK_KINDS = ("window", "topk", "calibrate", "explicit", "per_head")
 DROP_STRATEGIES = ("none", "interval", "random", "threshold", "explicit")
@@ -259,93 +254,28 @@ class RunConfig:
         return None  # calibrate: needs profiling data
 
 
-_SECTION_TYPES = {
-    "grid": GridCfg,
-    "sigma": SigmaCfg,
-    "mask": MaskCfg,
-    "rope": RopeCfg,
-    "block": BlockCfg,
-    "drop": DropCfg,
-    "analysis": AnalysisCfg,
-    "maps": MapsCfg,
-    "checks": ChecksCfg,
-}
-
-
-def _matches(value: Any, hint: Any) -> bool:
-    """Whether a JSON value fits a field annotation. A bool is not an int;
-    an int is a valid float (JSON has one number type)."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_matches(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_matches(v, item) for v in value)
-    if hint is type(None):
-        return value is None
-    if hint is float:
-        return type(value) in (int, float)
-    if hint is int:
-        return type(value) is int
-    return isinstance(value, hint)
-
-
 def _check_strategy(entry: dict, where: str) -> None:
     """An ``analysis.strategies`` entry names a known strategy and sets only
-    that strategy's keys, each a finite number of its field's type."""
+    that strategy's keys, each of its field's type."""
     strategy = entry.get("strategy")
     if not (isinstance(strategy, str) and strategy in STRATEGY_FIELDS):
         raise ConfigError(f"{where}.strategy must be one of {tuple(STRATEGY_FIELDS)}, got {strategy!r}")
     fields = STRATEGY_FIELDS[strategy]
-    for key, value in entry.items():
-        if key == "strategy":
-            continue
+    for key in sorted(entry.keys() - {"strategy"}):
         if key not in fields:
             raise ConfigError(f"{where} sets {key!r}, which strategy {strategy!r} does not take "
                               f"(allowed: {', '.join(fields)})")
-        if not (_matches(value, fields[key]) and abs(value) <= sys.float_info.max):
-            raise ConfigError(f"{where}.{key} must be a finite {fields[key].__name__}, got {value!r}")
-
-
-def _check_keys(cls, doc: dict, prefix: str) -> None:
-    """Reject keys ``cls`` does not declare and values that do not match
-    their field's annotation; sections are checked by their own class."""
-    hints = typing.get_type_hints(cls)
-    declared = {f.name: f.type for f in dataclasses.fields(cls)}
-    for key in sorted(doc):
-        if key not in declared:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-        if key not in _SECTION_TYPES and not _matches(doc[key], hints[key]):
-            raise ConfigError(f"config key {prefix}{key} must be {declared[key]}, got {doc[key]!r}")
-
-
-def _build_section(cls, doc: Any, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config section {path!r} must be an object")
-    _check_keys(cls, doc, f"{path}.")
-    return cls(**doc)
+        check_json(entry[key], fields[key], f"{where}.{key}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(RunConfig, doc, "")
-    kwargs: dict[str, Any] = {}
-    for key, value in doc.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs).validate()
+    return record_from_dict(RunConfig, doc, strict=True).validate()
 
 
 def load_config(path: str | Path | None, overrides: list[str] | None = None) -> RunConfig:
     """Read a config file (or start from defaults) and apply overrides."""
-    doc: dict = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    doc = {} if path is None else load_json(path, f"config file {path}")
+    check_json(doc, dict, f"config file {path}")
     for item in overrides or []:
         apply_override(doc, item)
     return config_from_dict(doc)
@@ -360,8 +290,8 @@ def apply_override(doc: dict, item: str) -> None:
     if not all(parts):
         raise ConfigError(f"bad --set key {key!r}")
     try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
+        value = decode_json(raw)
+    except (ValueError, RecursionError):
         value = raw
     node = doc
     for part in parts[:-1]:

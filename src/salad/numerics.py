@@ -155,14 +155,22 @@ def jacobi_singular_values(x: Array) -> Array:
     norms; at convergence the column 2-norms are the singular values.
     No LAPACK involvement, so the iteration is fully deterministic.
 
-    Raises :class:`NumericError` for non-finite input, an overflowing
-    factor, or sweeps that do not converge.
+    The operand is first scaled by the power of two that brings its
+    largest entry into [0.5, 1), and the singular values are scaled back.
+    That is exact and every later step is scale-free, so ordinary operands
+    keep their bits, and entries near 1e200 or 1e-200 cannot overflow or
+    underflow when squared.
+
+    Raises :class:`NumericError` for non-finite input or sweeps that do
+    not converge.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {x.shape}")
     ensure_finite(x, "singular-value input")
-    a = ensure_finite(householder_r(x.T if x.shape[0] < x.shape[1] else x), "triangular factor")
+    _, exponent = math.frexp(float(np.max(np.abs(x), initial=0.0)))
+    x = np.ldexp(x, -exponent)
+    a = householder_r(x.T if x.shape[0] < x.shape[1] else x)
     rounds = round_robin_rounds(a.shape[1])
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
@@ -191,7 +199,7 @@ def jacobi_singular_values(x: Array) -> Array:
     else:
         raise NumericError(f"Jacobi sweeps did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
     sv = np.sqrt(np.sum(a * a, axis=0))
-    return np.sort(sv)[::-1]
+    return np.ldexp(np.sort(sv)[::-1], exponent)
 
 
 def numerical_rank(x: Array, rel_tol: float = DEFAULT_RANK_REL_TOL) -> int:

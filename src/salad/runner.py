@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
 from .gradients import gradcheck_salad
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
-from .tensor_io import dumps_json, record_from_dict, record_to_dict
+from .tensor_io import check_json, dumps_json, load_json, record_from_dict, record_to_dict
 from .workload import Workload, generate_workload, load_workload
 
 REPORT_NAME = "report.json"
@@ -214,9 +212,9 @@ def _inline_checks(cfg, workload, plan, grid, rope_cfg, sigmas, traces) -> list[
 # Gate analysis over saved reports
 
 
-#: The report fields ``analyze`` reads: key -> type, nested object schema,
-#: or a one-element list holding the schema of every list item. A float
-#: field takes any JSON number a float can hold.
+#: The report fields ``analyze`` reads, as a :func:`~salad.tensor_io.check_json`
+#: schema: key -> type, nested object schema, or a one-element list holding
+#: the schema of every list item.
 ANALYZED_FIELDS = {
     "speedup_estimate": float,
     "flops": {"full_total": float, "per_layer": [{"layer": int, "sparse": float}]},
@@ -224,37 +222,16 @@ ANALYZED_FIELDS = {
 }
 
 
-def _check_fields(doc, schema: dict, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} is not a JSON object")
-    for key, kind in schema.items():
-        value = doc.get(key)
-        if isinstance(kind, dict):
-            _check_fields(value, kind, f"{where}.{key}")
-        elif isinstance(kind, list) and isinstance(value, list):
-            for i, item in enumerate(value):
-                _check_fields(item, kind[0], f"{where}.{key}[{i}]")
-        elif not (type(value) in (int, float) and abs(value) <= sys.float_info.max
-                  if kind is float else type(value) is kind):
-            raise ConfigError(f"{where}.{key} must be a {getattr(kind, '__name__', 'list')}, "
-                              f"got {value!r}")
-
-
 def load_report(path: str | Path) -> RunReport:
     """A saved run report, with every field ``analyze`` reads checked."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"report {path} is not valid UTF-8 JSON: {exc}") from None
-    _check_fields(doc, ANALYZED_FIELDS, f"report {path}")
+    where = f"report {path}"
+    doc = load_json(path, where)
+    check_json(doc, ANALYZED_FIELDS, where)
     rows = doc["flops"]["per_layer"]
     if not rows or min(row["sparse"] for row in rows) <= 0:
         raise ConfigError(f"report {path} needs a per-layer row with positive sparse FLOPs "
                           "for every layer")
-    try:
-        return record_from_dict(RunReport, doc)
-    except KeyError as exc:
-        raise ConfigError(f"report {path} is missing key {exc}") from None
+    return record_from_dict(RunReport, doc, where)
 
 
 DEFAULT_STRATEGIES = (

@@ -1,4 +1,4 @@
-"""Byte-level file formats. All multibyte fields are little-endian.
+"""File formats. All multibyte fields are little-endian.
 
 Tensor payloads ("STNS"): a 16-byte header (magic "STNS", u32 version,
 u32 rank, u32 reserved zero), then rank u64 extents, then the row-major
@@ -7,6 +7,14 @@ float64 payload. Bit-exact across platforms.
 Mask sidecars ("SMSK"): magic "SMSK", u16 version, u32 N, then each row
 as alternating u32 run lengths starting with a false run (possibly 0),
 summing to N.
+
+JSON documents (config, plans, bundle headers, manifests, reports) are
+decoded by :func:`load_json` (UTF-8, finite numbers only) and typed by one
+rule that never coerces, :func:`check_json`: a bool is not an int, an int
+must be a JSON integer, and a float must be a finite number. Plans, bundle
+headers and manifests carry ``"format"`` and ``"version": 1``
+(:func:`check_header`). The config refuses unknown keys; the other
+documents ignore them.
 
 Parameter bundles: one JSON header line (shapes, variant, activation,
 lambda override, flags, seed) terminated by a newline, followed by the
@@ -19,17 +27,22 @@ rule covers ``mask.per_head`` config entries (see :func:`parse_plan_record`).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import struct
+import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .block import LoraUpdate, SaladParams
 from .errors import ConfigError
-from .masking import DEFAULT_TOPK, Explicit, HeadPlan, LatentGrid, MaskPlan, TopK, Window
+from .masking import Explicit, HeadPlan, LatentGrid, MaskPlan, TopK, Window
 from .numerics import Array
 
 TENSOR_MAGIC = b"STNS"
@@ -38,6 +51,8 @@ TENSOR_VERSION = 1
 MASK_VERSION = 1
 BUNDLE_FORMAT = "salad-params"
 PLAN_FORMAT = "salad-plan"
+#: The ``"version"`` every JSON document header carries.
+DOCUMENT_VERSION = 1
 
 
 def dumps_json(doc: dict) -> str:
@@ -58,16 +73,119 @@ def record_to_dict(record) -> dict:
     return doc
 
 
-def record_from_dict(cls, doc: dict):
-    """Inverse of :func:`record_to_dict`. A missing required field raises
-    ``KeyError`` naming it; unknown keys are ignored."""
+def load_json(source: str | Path | bytes, what: str):
+    """Decode one UTF-8 JSON document from a file path or raw bytes.
+
+    Bad UTF-8 or bad JSON raises :class:`ConfigError` naming ``what``; a
+    missing or unreadable file stays an ``OSError``.
+    """
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    try:
+        return decode_json(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ConfigError(f"{what} is not valid UTF-8 JSON: {exc}") from None
+
+
+def decode_json(text: str):
+    """Parse JSON text. The non-finite numbers Python's parser would accept
+    (``NaN``, ``Infinity``, ``1e999``) raise ``ValueError``, as JSON has none."""
+    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
+def check_json(value, schema, where: str) -> None:
+    """Check a decoded JSON value against ``schema``: the one type rule.
+
+    ``schema`` is a type (``int``, ``float``, ``bool``, ``str``, ``dict``,
+    ``list``), a union, a ``list[T]``, ``tuple[T, ...]`` or ``dict[str, T]``
+    generic with T any schema, a dict of key -> schema (an object whose
+    listed keys match, an absent key reading as null; other keys are
+    ignored), or a one-element list ``[T]``. A bool is not an int, an int
+    must be a JSON integer, and a float is any finite number. A mismatch
+    raises :class:`ConfigError` naming the dotted path.
+    """
+    origin = typing.get_origin(schema)
+    if origin is types.UnionType:
+        for option in typing.get_args(schema):
+            with contextlib.suppress(ConfigError):
+                return check_json(value, option, where)
+        fits = False
+    elif isinstance(schema, dict) or origin is dict:
+        fits = type(value) is dict
+        for key in (schema if isinstance(schema, dict) else value) if fits else ():
+            item = schema[key] if isinstance(schema, dict) else typing.get_args(schema)[1]
+            check_json(value.get(key), item, f"{where}.{key}")
+    elif isinstance(schema, list) or origin in (list, tuple):
+        fits = type(value) is list
+        item = schema[0] if isinstance(schema, list) else typing.get_args(schema)[0]
+        for i, v in enumerate(value if fits else ()):
+            check_json(v, item, f"{where}[{i}]")
+    elif schema is float:
+        fits = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        fits = type(value) is schema
+    if not fits:
+        raise ConfigError(f"{where} must be {_describe(schema)}, got {value!r}")
+
+
+def _describe(schema) -> str:
+    if isinstance(schema, (dict, list)):
+        return "an object" if isinstance(schema, dict) else "a list"
+    return "a finite number" if schema is float else \
+        schema.__name__ if isinstance(schema, type) else str(schema)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """A dataclass's resolved field annotations, looked up once per class."""
+    return typing.get_type_hints(cls)
+
+
+def record_from_dict(cls, doc, where: str = "", *, strict: bool = False):
+    """Inverse of :func:`record_to_dict`, checked by :func:`check_json`.
+
+    Every field present is checked against its annotation; a field whose
+    annotation is a dataclass is built by this rule in turn. A missing
+    field without a default raises :class:`ConfigError`. Unknown keys are
+    ignored, or refused with ``strict`` (the run config's policy). Error
+    messages name fields by their dotted path below ``where``.
+    """
+    if type(doc) is not dict:
+        raise ConfigError(f"{where or cls.__name__} must be a JSON object, got {doc!r}")
+    hints = _field_types(cls)
+    prefix = f"{where}." if where else ""
+    unknown = sorted(doc.keys() - hints.keys()) if strict else []
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name in doc:
-            kwargs[f.name] = doc[f.name]
-        elif f.default is dataclasses.MISSING:
-            raise KeyError(f.name)
+        if f.name not in doc:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{where or cls.__name__} is missing {f.name!r}")
+            continue
+        value, hint = doc[f.name], hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            value = record_from_dict(hint, value, prefix + f.name, strict=strict)
+        else:
+            check_json(value, hint, prefix + f.name)
+        kwargs[f.name] = value
     return cls(**kwargs)
+
+
+def check_header(doc, fmt: str, what: str) -> dict:
+    """A document that is an object with ``"format": fmt`` and
+    ``"version": 1``; otherwise :class:`ConfigError` naming ``what``."""
+    if type(doc) is not dict or doc.get("format") != fmt:
+        raise ConfigError(f"{what} is not a {fmt} document")
+    if type(doc.get("version")) is not int or doc["version"] != DOCUMENT_VERSION:
+        raise ConfigError(f"{what} has version {doc.get('version')!r}; only {DOCUMENT_VERSION} is supported")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -171,67 +289,50 @@ def read_mask(path: str | Path) -> Array:
 # Mask plans
 
 
+#: Plan entries stored as records of their own fields, by their "kind".
+_RECORD_KINDS = {Window: "window", TopK: "topk"}
+
+
 def write_plan(plan: MaskPlan, path: str | Path) -> None:
     path = Path(path)
     heads = []
     for i, entry in enumerate(plan.entries):
-        if isinstance(entry, Window):
-            heads.append({"head": i, "kind": "window", "radius": entry.radius,
-                          "reordered": entry.reordered})
-        elif isinstance(entry, TopK):
-            heads.append({"head": i, "kind": "topk", "block_size": entry.block_size,
-                          "k": entry.k})
-        elif isinstance(entry, Explicit):
+        if isinstance(entry, Explicit):
             sidecar = f"{path.stem}_h{i}.smsk"
             write_mask(entry.mask, path.with_name(sidecar))
             heads.append({"head": i, "kind": "explicit", "sidecar": sidecar})
+        elif type(entry) in _RECORD_KINDS:
+            heads.append({"head": i, "kind": _RECORD_KINDS[type(entry)], **record_to_dict(entry)})
         else:
             raise ConfigError(f"unknown plan entry {entry!r}")
-    path.write_text(dumps_json({"format": PLAN_FORMAT, "version": 1, "heads": heads}))
+    path.write_text(dumps_json({"format": PLAN_FORMAT, "version": DOCUMENT_VERSION, "heads": heads}))
 
 
 def parse_plan_record(rec, where: str, sidecar_dir: Path | None = None) -> HeadPlan:
     """One per-head plan record, for plan files and ``mask.per_head`` alike.
 
-    ``{"kind": "window", "radius": int, "reordered": bool = false}`` or
-    ``{"kind": "topk", "block_size": int, "k": int = 4}``; with a
-    ``sidecar_dir`` also ``{"kind": "explicit", "sidecar": str}``. Other
-    keys (such as "head") are ignored. Integer fields must be JSON
-    integers. Any violation raises :class:`ConfigError` naming ``where``.
+    ``{"kind": "window", ...}`` holds the fields of :class:`Window` and
+    ``{"kind": "topk", ...}`` those of :class:`TopK`, with their defaults;
+    with a ``sidecar_dir`` also ``{"kind": "explicit", "sidecar": str}``.
+    Other keys (such as "head") are ignored. Any violation raises
+    :class:`ConfigError` naming ``where``.
     """
-    if not isinstance(rec, dict):
-        raise ConfigError(f"{where} must be an object, got {rec!r}")
-
-    def typed(name: str, kind: type, default=None):
-        if name not in rec:
-            if default is None:
-                raise ConfigError(f"{where} is missing {name!r}")
-            return default
-        if type(rec[name]) is not kind:
-            raise ConfigError(f"{where}.{name} must be of JSON type {kind.__name__}, got {rec[name]!r}")
-        return rec[name]
-
+    check_json(rec, dict, where)
     kind = rec.get("kind")
-    if kind == "window":
-        return Window(radius=typed("radius", int), reordered=typed("reordered", bool, False))
-    if kind == "topk":
-        return TopK(block_size=typed("block_size", int), k=typed("k", int, DEFAULT_TOPK))
+    for cls, name in _RECORD_KINDS.items():
+        if kind == name:
+            return record_from_dict(cls, rec, where)
     if kind == "explicit" and sidecar_dir is not None:
-        return Explicit(mask=read_mask(sidecar_dir / typed("sidecar", str)))
+        check_json(rec.get("sidecar"), str, f"{where}.sidecar")
+        return Explicit(mask=read_mask(sidecar_dir / rec["sidecar"]))
     allowed = "window, topk or explicit" if sidecar_dir is not None else "window or topk"
     raise ConfigError(f"{where}.kind must be {allowed}, got {kind!r}")
 
 
 def read_plan(path: str | Path) -> MaskPlan:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"plan {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-        raise ConfigError(f"{path} is not a plan document")
-    if not isinstance(doc.get("heads"), list):
-        raise ConfigError(f"plan {path} has no list of head records")
+    doc = check_header(load_json(path, f"plan {path}"), PLAN_FORMAT, f"plan {path}")
+    check_json(doc.get("heads"), list, f"plan {path}.heads")
     return MaskPlan([parse_plan_record(rec, f"plan {path} heads[{i}]", path.parent)
                      for i, rec in enumerate(doc["heads"])])
 
@@ -255,7 +356,7 @@ def params_to_bytes(params: SaladParams, seed: int | None = None) -> bytes:
 
     header = {
         "format": BUNDLE_FORMAT,
-        "version": 1,
+        "version": DOCUMENT_VERSION,
         **{key: getattr(params, key) for key in _BUNDLE_FLAGS},
         "seed": seed,
         "lora": lora_meta,
@@ -270,25 +371,19 @@ def params_from_bytes(raw: bytes) -> SaladParams:
     nl = raw.find(b"\n")
     if nl < 0:
         raise ConfigError("parameter bundle has no header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"parameter bundle header is not valid JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != BUNDLE_FORMAT:
-        raise ConfigError("not a parameter bundle")
-    missing = [key for key in ("matrices", "shapes", *_BUNDLE_FLAGS) if key not in header]
-    if missing:
-        raise ConfigError(f"parameter bundle header is missing {missing[0]!r}")
-    names, shapes = header["matrices"], header["shapes"]
-    if not isinstance(names, list) or not isinstance(shapes, dict):
-        raise ConfigError("parameter bundle header needs a \"matrices\" list and a \"shapes\" object")
+    where = "parameter bundle header"
+    header = check_header(load_json(raw[:nl], where), BUNDLE_FORMAT, where)
+    check_json(header, {"matrices": list[str], "shapes": dict,
+                        **{key: _field_types(SaladParams)[key] for key in _BUNDLE_FLAGS}}, where)
+    lora_meta = header.get("lora", {})
+    check_json(lora_meta, dict[str, {"rank": int, "scale": float}], f"{where}.lora")
     offset = nl + 1
     arrays: dict[str, Array] = {}
-    for name in names:
-        extents = shapes.get(name)
-        if not isinstance(extents, list) or not all(type(e) is int and e >= 0 for e in extents):
-            raise ConfigError(f"parameter bundle shape of {name!r} must be a list of "
-                              f"non-negative integers, got {extents!r}")
+    for name in header["matrices"]:
+        extents = header["shapes"].get(name)
+        check_json(extents, list[int], f"{where}.shapes.{name}")
+        if any(e < 0 for e in extents):
+            raise ConfigError(f"{where}.shapes.{name} must hold non-negative extents, got {extents}")
         shape = tuple(extents)
         count = math.prod(shape)
         end = offset + 8 * count
@@ -300,10 +395,6 @@ def params_from_bytes(raw: bytes) -> SaladParams:
     if offset != len(raw):
         raise ConfigError("parameter bundle has trailing bytes")
 
-    lora_meta = header.get("lora", {})
-    if not isinstance(lora_meta, dict) or not all(
-            isinstance(meta, dict) and "scale" in meta for meta in lora_meta.values()):
-        raise ConfigError("parameter bundle \"lora\" must map targets to objects with a \"scale\"")
     required = [*_BUNDLE_WEIGHTS, "gate_b",
                 *(f"lora_{target}.{factor}" for target in lora_meta for factor in "ab")]
     absent = [name for name in required if name not in arrays]

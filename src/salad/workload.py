@@ -10,7 +10,6 @@ workload starts exactly on the sparse-only path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +19,14 @@ from .block import LoraUpdate, SaladParams
 from .config import RunConfig
 from .errors import ConfigError
 from .numerics import Array, Rng
-from .tensor_io import dumps_json, read_params, read_tensor, write_params, write_tensor
+from .tensor_io import (DOCUMENT_VERSION, check_header, check_json, dumps_json, load_json,
+                        read_params, read_tensor, write_params, write_tensor)
 
 _INPUT_STREAM = 1
 _PARAM_STREAM_BASE = 1000
 
 MANIFEST_NAME = "manifest.json"
+WORKLOAD_FORMAT = "salad-workload"
 INPUTS_NAME = "inputs.stns"
 
 
@@ -97,8 +98,8 @@ def write_workload(workload: Workload, cfg: RunConfig, out_dir: str | Path) -> l
         written.append(out / name)
         param_names.append(name)
     manifest = {
-        "format": "salad-workload",
-        "version": 1,
+        "format": WORKLOAD_FORMAT,
+        "version": DOCUMENT_VERSION,
         "seed": cfg.seed,
         "layers": cfg.layers,
         "timesteps": cfg.timesteps,
@@ -117,23 +118,15 @@ def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no workload manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"workload manifest {manifest_path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != "salad-workload":
-        raise ConfigError(f"{manifest_path} is not a workload manifest")
-    inputs_name, param_names = manifest.get("inputs"), manifest.get("params")
-    if not isinstance(inputs_name, str) or not (
-            isinstance(param_names, list) and all(isinstance(p, str) for p in param_names)):
-        raise ConfigError(f"workload manifest {manifest_path} needs an \"inputs\" file name "
-                          f"and a \"params\" list of file names")
-    inputs = read_tensor(root / inputs_name)
+    where = f"workload manifest {manifest_path}"
+    manifest = check_header(load_json(manifest_path, where), WORKLOAD_FORMAT, where)
+    check_json(manifest, {"inputs": str, "params": list[str]}, where)
+    inputs = read_tensor(root / manifest["inputs"])
     grid = cfg.to_grid()
     expect = (cfg.layers, cfg.timesteps, grid.seq_len, grid.channels)
     if inputs.shape != expect:
         raise ConfigError(f"workload inputs have shape {inputs.shape}, config wants {expect}")
-    params = [read_params(root / name, grid) for name in param_names]
+    params = [read_params(root / name, grid) for name in manifest["params"]]
     if len(params) != cfg.layers:
         raise ConfigError(f"workload has {len(params)} parameter bundles for {cfg.layers} layers")
     return Workload(inputs=inputs, params=params)

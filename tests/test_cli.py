@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from salad.cli import main
-from salad.config import apply_override, config_from_dict, load_config
+from salad.config import RunConfig, apply_override, config_from_dict, load_config
 from salad.errors import ConfigError
 from salad.tensor_io import read_tensor
 
@@ -403,16 +403,16 @@ BAD_RECORDS = {
 }
 
 
-def edited_bundle(edit) -> bytes:
-    """A parameter bundle for the ``small_args`` grid with its JSON header
-    passed through ``edit``. The payload then holds, for each matrix the
-    header lists, as many of its leading values as its listed shape holds,
-    so only the header is at fault."""
+def edited_bundle(edit, *overrides) -> bytes:
+    """A parameter bundle for the ``small_args`` grid and config
+    ``overrides`` with its JSON header passed through ``edit``. The payload
+    then holds, for each matrix the header lists, as many of its leading
+    values as its listed shape holds, so only the header is at fault."""
     from salad.numerics import Rng
     from salad.tensor_io import params_to_bytes
     from salad.workload import make_params
 
-    cfg = load_config(None, ["grid.heads=2", "grid.head_dim=4"])
+    cfg = load_config(None, ["grid.heads=2", "grid.head_dim=4", *overrides])
     params = make_params(cfg, Rng(0))
     raw = params_to_bytes(params)
     header = json.loads(raw[:raw.index(b"\n")])
@@ -421,6 +421,23 @@ def edited_bundle(edit) -> bytes:
         params.param(name).ravel()[:max(int(np.prod(header["shapes"][name])), 0)].astype("<f8").tobytes()
         for name in header["matrices"])
     return json.dumps(header).encode() + b"\n" + payload
+
+
+def edited_workload(edit, layers=2, timesteps=5) -> dict:
+    """The files of a generated workload for the ``small_args`` grid, with
+    its manifest passed through ``edit``."""
+    from salad.tensor_io import params_to_bytes, tensor_to_bytes
+    from salad.workload import generate_workload
+
+    cfg = load_config(None, ["grid.frames=2", "grid.height=2", "grid.width=2", "grid.heads=2",
+                             "grid.head_dim=4", f"layers={layers}", f"timesteps={timesteps}"])
+    work = generate_workload(cfg)
+    files = {"inputs.stns": tensor_to_bytes(work.inputs)}
+    files.update({f"params_l{i}.sldp": params_to_bytes(p) for i, p in enumerate(work.params)})
+    manifest = {"format": "salad-workload", "version": 1, "inputs": "inputs.stns",
+                "params": [f"params_l{i}.sldp" for i in range(layers)]}
+    edit(manifest)
+    return {**files, "manifest.json": json.dumps(manifest)}
 
 
 PLAN_ARGS = ["--set", "mask.kind=explicit", "--set", 'mask.plan_path="{tmp}/plan.json"']
@@ -464,6 +481,32 @@ def exit_three_cases():
             lambda h: h.update(lora={"q": {"rank": 2, "scale": 0.5}}))}),
         "bundle_lora_not_object": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
             lambda h: h.update(lora=["q"]))}),
+        "mask_delta_infinity": (["--set", "mask.delta=Infinity"], {}),
+        "rope_base_infinity": (["--set", "rope.base=Infinity"], {}),
+        "drop_tau_nan": (["--set", "drop.tau=NaN"], {}),
+        "config_not_utf8": (["--config", "{tmp}/config.json"], {"config.json": b'{"seed": "\xff"}'}),
+        "config_file_number_past_float": (["--config", "{tmp}/config.json"], {
+            "config.json": '{"mask": {"per_head": [{"kind": "window", "radius": 1e999}]}}'}),
+        "config_file_nested_too_deep": (["--config", "{tmp}/config.json"], {
+            "config.json": '{"mask": ' + "[" * 100_000 + "]" * 100_000 + "}"}),
+        "per_head_nested_too_deep": (["--set", "mask.per_head=" + "[" * 100_000 + "]" * 100_000], {}),
+        "per_head_nan_in_ignored_key": (["--set", 'mask.per_head=[{"kind": "window", "x": NaN}]'], {}),
+        "plan_not_utf8": (PLAN_ARGS, {"plan.json": b'{"format": "salad-plan\xff"}'}),
+        "bundle_lambda_string": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(lambda_override="x"))}),
+        "bundle_gate_constant_string": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(gate_activation="constant", gate_constant="abc"))}),
+        "bundle_lora_scale_string": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h["lora"]["q"].update(scale="x"), "block.lora_rank=2")}),
+        "bundle_dropped_string": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(dropped="no"))}),
+        "bundle_gate_detached_int": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(gate_detached=1))}),
+        "bundle_version_2": (BUNDLE_ARGS, {"bundle.sldp": edited_bundle(
+            lambda h: h.update(version=2))}),
+        "plan_version_2": (PLAN_ARGS, {"plan.json": json.dumps(
+            {**PLAN_HEADER, "version": 2, "heads": plan_records({**WINDOW_TWO, "head": 0})})}),
+        "manifest_version_2": (WORKLOAD_ARGS, edited_workload(lambda m: m.update(version=2))),
     }
     for name, rec in BAD_RECORDS.items():
         per_head = json.dumps(plan_records(rec))
@@ -502,3 +545,128 @@ def test_plan_file_and_per_head_share_one_record_rule(tmp_path):
 
     want = MaskPlan([TopK(block_size=2, k=4), Window(radius=1, reordered=False)])
     assert from_file.static_plan() == from_config.static_plan() == want
+
+
+#: The values a type-confusion probe puts in place of a declared field.
+PROBES = (None, True, 1, 1.5, "x", [], {})
+
+
+def config_leaves():
+    for key, value in RunConfig().to_dict().items():
+        if isinstance(value, dict):
+            yield from (f"{key}.{leaf}" for leaf in value)
+        else:
+            yield key
+
+
+@pytest.mark.parametrize("leaf", sorted(config_leaves()))
+def test_config_leaf_type_sweep(leaf):
+    refused = 0
+    for probe in PROBES:
+        try:
+            load_config(None, [f"{leaf}={json.dumps(probe)}"])
+        except ConfigError:
+            refused += 1
+    assert refused, f"{leaf} accepted every probe"
+
+
+#: Sweep document -> the valid document a probe is placed into. Plan
+#: documents hold the record under test as head 0.
+SWEEP_DOCS = {
+    "plan_window": {**PLAN_HEADER, "heads": [
+        {"head": 0, "kind": "window", "radius": 1, "reordered": False}, WINDOW_TWO]},
+    "plan_topk": {**PLAN_HEADER, "heads": [
+        {"head": 0, "kind": "topk", "block_size": 2, "k": 1}, WINDOW_TWO]},
+    "plan_explicit": {**PLAN_HEADER, "heads": [
+        {"head": 0, "kind": "explicit", "sidecar": "m.smsk"}, WINDOW_TWO]},
+    "strategy_interval": {"strategy": "interval", "lo": 0.8, "hi": 1.0},
+    "strategy_random": {"strategy": "random", "fraction": 0.2, "seed": 3},
+    "strategy_threshold": {"strategy": "threshold", "tau": 0.1},
+}
+
+BUNDLE_FLAGS = ["variant", "gate_activation", "gate_constant", "lambda_override", "dropped",
+                "gate_detached"]
+
+#: (document, path of the field within it) for every swept field.
+SWEPT_FIELDS = [
+    *[("plan_window", path) for path in (["format"], ["version"], ["heads"], ["heads", 0, "kind"],
+                                         ["heads", 0, "radius"], ["heads", 0, "reordered"])],
+    ("plan_topk", ["heads", 0, "block_size"]),
+    ("plan_topk", ["heads", 0, "k"]),
+    ("plan_explicit", ["heads", 0, "sidecar"]),
+    *[("bundle", [key]) for key in ["format", "version", *BUNDLE_FLAGS]],
+    ("bundle", ["lora", "q", "rank"]),
+    ("bundle", ["lora", "q", "scale"]),
+    *[("manifest", [key]) for key in ("format", "version", "inputs", "params")],
+    *[("report", path) for path in (
+        ["config"], ["speedup_estimate"], ["flops", "full_total"], ["flops", "per_layer", 0, "layer"],
+        ["flops", "per_layer", 0, "sparse"], ["gates", "records", 0, "layer"],
+        ["gates", "records", 0, "timestep"], ["gates", "records", 0, "gate"])],
+    ("strategy_interval", ["strategy"]),
+    ("strategy_interval", ["lo"]),
+    ("strategy_interval", ["hi"]),
+    ("strategy_random", ["fraction"]),
+    ("strategy_random", ["seed"]),
+    ("strategy_threshold", ["tau"]),
+]
+
+#: Fields naming a file beside the document: the probe "x" names a missing
+#: file, an I/O error (exit 2).
+FILE_NAME_FIELDS = {("plan_explicit", "heads.0.sidecar"), ("manifest", "inputs")}
+
+
+#: Stands for "no probe": the valid document as it is.
+UNPROBED = object()
+
+
+def probe_input(document, path, probe, report):
+    """The command, its extra arguments and the files to write for one probe."""
+    def place(doc):
+        if probe is not UNPROBED:
+            set_path(doc, path, probe)
+
+    if document == "bundle":
+        return "run", BUNDLE_ARGS, {"bundle.sldp": edited_bundle(place, "block.lora_rank=2")}
+    if document == "manifest":
+        return "run", WORKLOAD_ARGS, edited_workload(place, layers=1, timesteps=1)
+    doc = json.loads(json.dumps(SWEEP_DOCS.get(document, report)))
+    place(doc)
+    if document == "report":
+        return "analyze", ["--report", "{tmp}/report.json"], {"report.json": json.dumps(doc)}
+    if document.startswith("strategy"):
+        return "analyze", ["--report", "{tmp}/report.json", "--set",
+                           f"analysis.strategies={json.dumps([doc])}"], {}
+    from salad.tensor_io import mask_to_bytes
+
+    return "run", PLAN_ARGS, {"plan.json": json.dumps(doc),
+                              "m.smsk": mask_to_bytes(np.tril(np.ones((8, 8), dtype=bool)))}
+
+
+@pytest.fixture(scope="module")
+def sweep_report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    assert run_cli("run", *small_args(tmp, "r"), "--no-timestamp") == 0
+    return json.loads((tmp / "r" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("document,path", SWEPT_FIELDS,
+                         ids=[f"{d}:{'.'.join(map(str, p))}" for d, p in SWEPT_FIELDS])
+def test_document_field_type_sweep(tmp_path, capsys, sweep_report, document, path):
+    """The valid document exits 0; every probe in place of the field exits 0
+    or 3 without a traceback, and at least one of them exits 3."""
+    field = (document, ".".join(map(str, path)))
+    (tmp_path / "report.json").write_text(json.dumps(sweep_report))
+    codes = []
+    for probe in (UNPROBED, *PROBES):
+        command, args, files = probe_input(document, path, probe, sweep_report)
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+        code = run_cli(command, *small_args(tmp_path, "out", "--set", "layers=1",
+                                            "--set", "timesteps=1"), *args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        missing_file = code == 2 and probe == "x" and field in FILE_NAME_FIELDS
+        assert code in (0, 3) or missing_file, (probe, code, err)
+        codes.append(code)
+    assert codes[0] == 0 and 3 in codes[1:], (field, codes)

@@ -255,10 +255,15 @@ class TestJacobiSingularValues:
         with pytest.raises(NumericError, match="non-finite"):
             numerical_rank(x)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_overflowing_factor_raises(self):
-        with pytest.raises(NumericError, match="triangular factor"):
-            numerical_rank(np.full((8, 3), 1e200))
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_extreme_scales_match_lapack(self, rng, scale):
+        # Squared entries of these operands overflow or underflow unless the
+        # operand is rescaled first.
+        x = rng.normal((64, 8)) * scale
+        sv = jacobi_singular_values(x)
+        want = np.linalg.svd(x, compute_uv=False)
+        assert np.max(np.abs(sv - want)) < 1e-12 * want[0]
+        assert numerical_rank(x) == 8
 
     def test_unconverged_sweeps_raise(self, rng, monkeypatch):
         monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
