@@ -25,7 +25,7 @@ from .masking import (
     TopK,
     Window,
 )
-from .tensor_io import check_json, decode_json, load_json, parse_plan_record, read_plan, record_from_dict
+from .tensor_io import check_json, load_json, parse_plan_record, read_plan, record_from_dict, refuse_unknown_keys
 
 MASK_KINDS = ("window", "topk", "calibrate", "explicit", "per_head")
 DROP_STRATEGIES = ("none", "interval", "random", "threshold", "explicit")
@@ -261,11 +261,8 @@ def _check_strategy(entry: dict, where: str) -> None:
     if not (isinstance(strategy, str) and strategy in STRATEGY_FIELDS):
         raise ConfigError(f"{where}.strategy must be one of {tuple(STRATEGY_FIELDS)}, got {strategy!r}")
     fields = STRATEGY_FIELDS[strategy]
-    for key in sorted(entry.keys() - {"strategy"}):
-        if key not in fields:
-            raise ConfigError(f"{where} sets {key!r}, which strategy {strategy!r} does not take "
-                              f"(allowed: {', '.join(fields)})")
-        check_json(entry[key], fields[key], f"{where}.{key}")
+    refuse_unknown_keys(entry, {"strategy", *fields}, f"{where}.")
+    check_json(entry, {key: fields[key] for key in entry if key != "strategy"}, where)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -290,8 +287,8 @@ def apply_override(doc: dict, item: str) -> None:
     if not all(parts):
         raise ConfigError(f"bad --set key {key!r}")
     try:
-        value = decode_json(raw)
-    except (ValueError, RecursionError):
+        value = load_json(raw.encode("utf-8", "surrogateescape"), f"--set {key}")
+    except ConfigError:
         value = raw
     node = doc
     for part in parts[:-1]:

@@ -212,13 +212,11 @@ def _inline_checks(cfg, workload, plan, grid, rope_cfg, sigmas, traces) -> list[
 # Gate analysis over saved reports
 
 
-#: The report fields ``analyze`` reads, as a :func:`~salad.tensor_io.check_json`
-#: schema: key -> type, nested object schema, or a one-element list holding
-#: the schema of every list item.
+#: The report fields ``analyze`` reads, as a :func:`~salad.tensor_io.check_json` schema.
 ANALYZED_FIELDS = {
     "speedup_estimate": float,
-    "flops": {"full_total": float, "per_layer": [{"layer": int, "sparse": float}]},
-    "gates": {"records": [{"layer": int, "timestep": int, "gate": float}]},
+    "flops": {"full_total": float, "per_layer": list[{"layer": int, "sparse": float}]},
+    "gates": {"records": list[{"layer": int, "timestep": int, "gate": float}]},
 }
 
 
@@ -254,8 +252,7 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
 
     base = reports[0]
     grid = config_from_dict(base.config).to_grid()
-    strategies = cfg.analysis.strategies if cfg.analysis.strategies is not None \
-        else [dict(s) for s in DEFAULT_STRATEGIES]
+    strategies = DEFAULT_STRATEGIES if cfg.analysis.strategies is None else cfg.analysis.strategies
     plans = []
     for spec_ in strategies:
         kwargs = {k: v for k, v in spec_.items() if k != "strategy"}

@@ -76,20 +76,17 @@ def record_to_dict(record) -> dict:
 def load_json(source: str | Path | bytes, what: str):
     """Decode one UTF-8 JSON document from a file path or raw bytes.
 
-    Bad UTF-8 or bad JSON raises :class:`ConfigError` naming ``what``; a
-    missing or unreadable file stays an ``OSError``.
+    Bad UTF-8, bad JSON and the non-finite numbers Python's parser would
+    accept (``NaN``, ``Infinity``, ``1e999``; JSON has none) raise
+    :class:`ConfigError` naming ``what``; a missing or unreadable file
+    stays an ``OSError``.
     """
     raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        return decode_json(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_float=_finite_number,
+                          parse_constant=_finite_number)
     except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ConfigError(f"{what} is not valid UTF-8 JSON: {exc}") from None
-
-
-def decode_json(text: str):
-    """Parse JSON text. The non-finite numbers Python's parser would accept
-    (``NaN``, ``Infinity``, ``1e999``) raise ``ValueError``, as JSON has none."""
-    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
 
 
 def _finite_number(text: str) -> float:
@@ -104,41 +101,44 @@ def check_json(value, schema, where: str) -> None:
 
     ``schema`` is a type (``int``, ``float``, ``bool``, ``str``, ``dict``,
     ``list``), a union, a ``list[T]``, ``tuple[T, ...]`` or ``dict[str, T]``
-    generic with T any schema, a dict of key -> schema (an object whose
+    generic with T any schema, or a dict of key -> schema: an object whose
     listed keys match, an absent key reading as null; other keys are
-    ignored), or a one-element list ``[T]``. A bool is not an int, an int
-    must be a JSON integer, and a float is any finite number. A mismatch
-    raises :class:`ConfigError` naming the dotted path.
+    ignored. A bool is not an int, an int must be a JSON integer, and a
+    float is any finite number. A mismatch raises :class:`ConfigError`
+    naming the dotted path; for a union, the first option's mismatch.
     """
-    origin = typing.get_origin(schema)
+    origin, args = typing.get_origin(schema), typing.get_args(schema)
     if origin is types.UnionType:
-        for option in typing.get_args(schema):
+        for option in args[1:]:
             with contextlib.suppress(ConfigError):
                 return check_json(value, option, where)
-        fits = False
-    elif isinstance(schema, dict) or origin is dict:
-        fits = type(value) is dict
-        for key in (schema if isinstance(schema, dict) else value) if fits else ():
-            item = schema[key] if isinstance(schema, dict) else typing.get_args(schema)[1]
+        return check_json(value, args[0], where)  # T of T | None names the mismatch
+    if isinstance(schema, dict) and type(value) is dict:
+        for key, item in schema.items():
             check_json(value.get(key), item, f"{where}.{key}")
-    elif isinstance(schema, list) or origin in (list, tuple):
-        fits = type(value) is list
-        item = schema[0] if isinstance(schema, list) else typing.get_args(schema)[0]
-        for i, v in enumerate(value if fits else ()):
-            check_json(v, item, f"{where}[{i}]")
+        return
+    elif origin is dict and type(value) is dict:
+        for key, item in value.items():
+            check_json(item, args[1], f"{where}.{key}")
+        return
+    elif origin in (list, tuple) and type(value) is list:
+        for i, item in enumerate(value):
+            check_json(item, args[0], f"{where}[{i}]")
+        return
     elif schema is float:
-        fits = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:
-        fits = type(value) is schema
-    if not fits:
-        raise ConfigError(f"{where} must be {_describe(schema)}, got {value!r}")
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return
+    elif type(value) is schema:
+        return
+    raise ConfigError(f"{where} must be {_describe(schema)}, got {value!r}")
 
 
 def _describe(schema) -> str:
-    if isinstance(schema, (dict, list)):
-        return "an object" if isinstance(schema, dict) else "a list"
-    return "a finite number" if schema is float else \
-        schema.__name__ if isinstance(schema, type) else str(schema)
+    if schema is float:
+        return "a finite number"
+    if isinstance(schema, dict):
+        return "an object"
+    return (typing.get_origin(schema) or schema).__name__
 
 
 @functools.cache
@@ -156,13 +156,11 @@ def record_from_dict(cls, doc, where: str = "", *, strict: bool = False):
     ignored, or refused with ``strict`` (the run config's policy). Error
     messages name fields by their dotted path below ``where``.
     """
-    if type(doc) is not dict:
-        raise ConfigError(f"{where or cls.__name__} must be a JSON object, got {doc!r}")
+    check_json(doc, dict, where or cls.__name__)
     hints = _field_types(cls)
     prefix = f"{where}." if where else ""
-    unknown = sorted(doc.keys() - hints.keys()) if strict else []
-    if unknown:
-        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    if strict:
+        refuse_unknown_keys(doc, hints.keys(), prefix)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in doc:
@@ -176,6 +174,13 @@ def record_from_dict(cls, doc, where: str = "", *, strict: bool = False):
             check_json(value, hint, prefix + f.name)
         kwargs[f.name] = value
     return cls(**kwargs)
+
+
+def refuse_unknown_keys(doc: dict, known, prefix: str) -> None:
+    """The config's policy: a key not in ``known`` raises :class:`ConfigError`."""
+    unknown = sorted(doc.keys() - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
 
 
 def check_header(doc, fmt: str, what: str) -> dict:
@@ -374,9 +379,9 @@ def params_from_bytes(raw: bytes) -> SaladParams:
     where = "parameter bundle header"
     header = check_header(load_json(raw[:nl], where), BUNDLE_FORMAT, where)
     check_json(header, {"matrices": list[str], "shapes": dict,
+                        "lora": dict[str, {"rank": int, "scale": float}] | None,
                         **{key: _field_types(SaladParams)[key] for key in _BUNDLE_FLAGS}}, where)
-    lora_meta = header.get("lora", {})
-    check_json(lora_meta, dict[str, {"rank": int, "scale": float}], f"{where}.lora")
+    lora_meta = header.get("lora") or {}
     offset = nl + 1
     arrays: dict[str, Array] = {}
     for name in header["matrices"]:
@@ -384,13 +389,12 @@ def params_from_bytes(raw: bytes) -> SaladParams:
         check_json(extents, list[int], f"{where}.shapes.{name}")
         if any(e < 0 for e in extents):
             raise ConfigError(f"{where}.shapes.{name} must hold non-negative extents, got {extents}")
-        shape = tuple(extents)
-        count = math.prod(shape)
+        count = math.prod(extents)
         end = offset + 8 * count
         if end > len(raw):
             raise ConfigError(f"parameter bundle truncated in matrix {name!r}")
         arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset) \
-            .astype(np.float64).reshape(shape)
+            .astype(np.float64).reshape(extents)
         offset = end
     if offset != len(raw):
         raise ConfigError("parameter bundle has trailing bytes")
@@ -410,7 +414,7 @@ def params_from_bytes(raw: bytes) -> SaladParams:
         **{name: arrays[name] for name in _BUNDLE_WEIGHTS},
         gate_b=float(arrays["gate_b"][0]),
         lora=lora,
-        **{key: header[key] for key in _BUNDLE_FLAGS},
+        **{key: header.get(key) for key in _BUNDLE_FLAGS},
         **{name: arrays.get(name) for name in ("w_q_lin", "w_k_lin", "w_v_lin")},
     )
 

@@ -535,6 +535,17 @@ def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_bundle_without_lambda_override_loads_with_none(tmp_path):
+    """An absent header key reads as null, and ``lambda_override`` takes null."""
+    from salad.tensor_io import params_from_bytes
+
+    raw = edited_bundle(lambda h: h.pop("lambda_override"))
+    assert params_from_bytes(raw).lambda_override is None
+    (tmp_path / "bundle.sldp").write_bytes(raw)
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in BUNDLE_ARGS]
+    assert run_cli("run", *small_args(tmp_path), *args) == 0
+
+
 def test_plan_file_and_per_head_share_one_record_rule(tmp_path):
     records = [{"head": 0, "kind": "topk", "block_size": 2}, {"head": 1, "kind": "window", "radius": 1}]
     path = tmp_path / "plan.json"
@@ -617,12 +628,16 @@ FILE_NAME_FIELDS = {("plan_explicit", "heads.0.sidecar"), ("manifest", "inputs")
 
 #: Stands for "no probe": the valid document as it is.
 UNPROBED = object()
+#: Stands for the probe that deletes the field.
+ABSENT = object()
 
 
 def probe_input(document, path, probe, report):
     """The command, its extra arguments and the files to write for one probe."""
     def place(doc):
-        if probe is not UNPROBED:
+        if probe is ABSENT:
+            drop_path(doc, path)
+        elif probe is not UNPROBED:
             set_path(doc, path, probe)
 
     if document == "bundle":
@@ -652,12 +667,13 @@ def sweep_report(tmp_path_factory):
 @pytest.mark.parametrize("document,path", SWEPT_FIELDS,
                          ids=[f"{d}:{'.'.join(map(str, p))}" for d, p in SWEPT_FIELDS])
 def test_document_field_type_sweep(tmp_path, capsys, sweep_report, document, path):
-    """The valid document exits 0; every probe in place of the field exits 0
-    or 3 without a traceback, and at least one of them exits 3."""
+    """The valid document exits 0; every probe in place of the field, and
+    the field deleted, exits 0 or 3 without a traceback, and at least one
+    of them exits 3."""
     field = (document, ".".join(map(str, path)))
     (tmp_path / "report.json").write_text(json.dumps(sweep_report))
     codes = []
-    for probe in (UNPROBED, *PROBES):
+    for probe in (UNPROBED, *PROBES, ABSENT):
         command, args, files = probe_input(document, path, probe, sweep_report)
         for name, content in files.items():
             (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
