@@ -12,8 +12,11 @@ without a key.
 query attends in ascending order, and one kernel (:func:`attend_keys`,
 with the backward in ``gradients``) reads those keys for every head, so
 a head costs in proportion to the pairs it attends. Every product adds
-its terms in the dense ``matmul`` order and every term it skips is an
-exact zero, so the kernel gives the bits of dense masked attention.
+its terms in the dense ``matmul`` order, through the same
+``numerics.ordered_sum`` (a C-order stack of the terms, reduced over its
+leading axis: per channel for the scores, per slot for the weighted sum),
+and every term it skips is an exact zero, so the kernel gives the bits of
+dense masked attention.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import Array, ensure_finite, matmul
+from .numerics import Array, ensure_finite, matmul, ordered_sum
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -276,30 +279,40 @@ class KeyList:
         """Number of attended query-key pairs."""
         return int(self.valid.sum())
 
-    @property
-    def _gather_index(self) -> Array:
-        """``keys``, or its first row when every query shares it (a
-        broadcast list), so gathers read each key once and broadcast."""
-        return self.keys[:1] if self.keys.strides[0] == 0 else self.keys
+    def _terms(self, coef: Array, x: Array, axis: int):
+        """The ``terms`` callback of :func:`ordered_sum` for a product over
+        the keys: term k of row i and column j is ``coef[k, i]`` times x
+        gathered at row i's keys, which are rows of x (``axis=0``: k a slot,
+        j a channel) or its columns (``axis=1``: k a channel, j a slot).
+        A broadcast list (every query shares its keys) gathers its one
+        index row once."""
+        if self.keys.strides[0] == 0:
+            shared = x.take(self.keys[0], axis=axis)[:, None]
+            return lambda s, e, out: np.multiply(coef[:, s:e, None], shared, out=out)
+
+        def terms(s: int, e: int, out: Array) -> None:
+            index = self.keys[s:e].T if axis == 0 else self.keys[s:e]
+            # Keys are in range; "clip" only spares take the bounds check
+            # that would make it gather into a temporary and copy.
+            x.take(index, axis=axis, out=out, mode="clip")
+            np.multiply(out, coef[:, s:e, None], out=out)
+
+        return terms
 
     def scores(self, a: Array, b: Array) -> Array:
         """``matmul(a, b.T)`` at the listed pairs: slot m of row i holds
         a[i] . b[keys[i, m]], accumulated over channels in ascending order
-        from 0.0 as :func:`matmul` does."""
-        out = np.zeros(self.keys.shape)
-        bt, index = np.ascontiguousarray(b.T), self._gather_index
-        for c in range(a.shape[1]):
-            out += a[:, c:c + 1] * bt[c].take(index)
-        return ensure_finite(out, "attention scores")
+        from 0.0 as :func:`matmul` does (by :func:`ordered_sum`)."""
+        terms = self._terms(a.T, np.ascontiguousarray(b.T), axis=1)
+        return ensure_finite(ordered_sum(self.keys.shape, a.shape[1], terms), "attention scores")
 
     def apply(self, w: Array, x: Array) -> Array:
         """``matmul(dense, x)`` for slot weights ``w``: row i sums
-        w[i, m] x[keys[i, m]] over its keys in ascending order."""
-        out = np.zeros((self.keys.shape[0], x.shape[1]))
-        index = self._gather_index
-        for m in range(self.keys.shape[1]):
-            out += w[:, m:m + 1] * x.take(index[:, m], axis=0)
-        return ensure_finite(out, "attention product")
+        w[i, m] x[keys[i, m]] over its keys in ascending order (by
+        :func:`ordered_sum`)."""
+        n, width = self.keys.shape
+        terms = self._terms(w.T, x, axis=0)
+        return ensure_finite(ordered_sum((n, x.shape[1]), width, terms), "attention product")
 
     def to_dense(self, w: Array, start: int = 0, stop: int | None = None) -> Array:
         """The (N, N) matrix the slot values ``w`` stand for, or its rows

@@ -5,6 +5,16 @@ The routines here deliberately avoid BLAS-backed reductions whose
 accumulation order can vary: products accumulate along the inner axis in
 ascending index order, which makes every result bit-identical to a plain
 triple-loop evaluation and byte-reproducible from run to run.
+
+:func:`ordered_sum` is how such a sum runs without a Python loop over its
+terms. The terms of a block of result rows are laid out as a C-order
+(K, rows, cols) stack and reduced over the leading axis. numpy sums
+pairwise only along the axis that is fastest in memory; here that axis
+is ``cols``, so each output element is added up term by term in
+ascending k. The one exception is a block with a single output element:
+the summed axis is then the only one left and numpy would sum it
+pairwise, so that block goes through ``np.add.accumulate``, which is
+sequential by definition.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ DEFAULT_RANK_REL_TOL = 1e-6
 _JACOBI_SWEEP_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
+#: Most terms :func:`ordered_sum` stacks at once (512 KiB of float64).
+ORDERED_SUM_BLOCK = 1 << 16
+
 
 def ensure_finite(x: Array, label: str = "array") -> Array:
     if not np.all(np.isfinite(x)):
@@ -33,13 +46,46 @@ def ensure_finite(x: Array, label: str = "array") -> Array:
     return x
 
 
+def ordered_sum(shape: tuple[int, int], count: int, terms) -> Array:
+    """Sum ``count`` terms per element of a (rows, cols) result in
+    ascending order from 0.0, exactly as a loop ``out += term[k]`` would.
+
+    ``terms(start, stop, out)`` writes the terms of result rows
+    start..stop-1 into ``out``, a C-order (count, stop - start, cols)
+    stack. One buffer per call holds the stacks of successive row blocks,
+    each of at most ``ORDERED_SUM_BLOCK`` elements (or one row), and each
+    stack is reduced over its leading axis into the result (see the module
+    docstring for why that order is sequential). numpy may start a
+    reduction from its first term rather than from 0.0, and an accumulate
+    always does; that differs from the loop only where every term is -0.0,
+    and the final ``+= 0.0`` turns that -0.0 into the loop's +0.0 and
+    leaves every other value as it is.
+    """
+    rows, cols = shape
+    out = np.zeros(shape)
+    if count == 0 or out.size == 0:
+        return out
+    step = min(rows, max(1, ORDERED_SUM_BLOCK // (count * cols)))
+    buffer = np.empty(count * step * cols)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = buffer[: count * (stop - start) * cols].reshape(count, stop - start, cols)
+        terms(start, stop, block)
+        if block[0].size == 1:
+            out[start:stop] = np.add.accumulate(block, axis=0)[-1]
+        else:
+            np.add.reduce(block, axis=0, out=out[start:stop])
+    out += 0.0
+    return out
+
+
 def matmul(a: Array, b: Array) -> Array:
     """Matrix product accumulated sequentially over the inner axis.
 
     For each output element the partial products a[i, k] * b[k, j] are added
     in ascending k starting from 0.0, exactly as a row-major triple loop
-    would, so the result carries no dependence on BLAS kernel or thread
-    count.
+    would (by :func:`ordered_sum`), so the result carries no dependence on
+    BLAS kernel or thread count.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -47,9 +93,9 @@ def matmul(a: Array, b: Array) -> Array:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    at = a.T
+    out = ordered_sum((a.shape[0], b.shape[1]), a.shape[1],
+                      lambda s, e, stack: np.multiply(at[:, s:e, None], b[:, None, :], out=stack))
     return ensure_finite(out, "matmul result")
 
 

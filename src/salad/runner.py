@@ -225,11 +225,18 @@ def load_report(path: str | Path) -> RunReport:
     where = f"report {path}"
     doc = load_json(path, where)
     check_json(doc, ANALYZED_FIELDS, where)
-    rows = doc["flops"]["per_layer"]
-    if not rows or min(row["sparse"] for row in rows) <= 0:
-        raise ConfigError(f"report {path} needs a per-layer row with positive sparse FLOPs "
-                          "for every layer")
-    return record_from_dict(RunReport, doc, where)
+    report = record_from_dict(RunReport, doc, where)
+    layers = config_from_dict(report.config).layers
+    rows = report.flops["per_layer"]
+    if (sorted(row["layer"] for row in rows) != list(range(layers))
+            or min(row["sparse"] for row in rows) <= 0):
+        raise ConfigError(f"report {path} needs one per-layer row with positive sparse FLOPs "
+                          f"for each of its {layers} layers")
+    bad = [r["layer"] for r in report.gates["records"] if not 0 <= r["layer"] < layers]
+    if bad:
+        raise ConfigError(f"report {path} has a gate record for layer {bad[0]}, "
+                          f"outside its {layers} layers")
+    return report
 
 
 DEFAULT_STRATEGIES = (

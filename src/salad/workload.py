@@ -116,8 +116,6 @@ def write_workload(workload: Workload, cfg: RunConfig, out_dir: str | Path) -> l
 def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     root = Path(dir_path)
     manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ConfigError(f"no workload manifest at {manifest_path}")
     where = f"workload manifest {manifest_path}"
     manifest = check_header(load_json(manifest_path, where), WORKLOAD_FORMAT, where)
     check_json(manifest, {"inputs": str, "params": list[str]}, where)

@@ -334,6 +334,10 @@ BAD_REPORTS = {
     "speedup_nan": lambda doc: set_path(doc, ["speedup_estimate"], float("nan")),
     "full_total_past_float": lambda doc: set_path(doc, ["flops", "full_total"], 10**400),
     "not_an_object": lambda doc: [doc],
+    "config_empty": lambda doc: set_path(doc, ["config"], {}),
+    "per_layer_repeated_layer": lambda doc: set_path(doc, ["flops", "per_layer", 1, "layer"], 0),
+    "per_layer_missing_layer": lambda doc: doc["flops"]["per_layer"].pop(),
+    "gate_layer_past_end": lambda doc: set_path(doc, ["gates", "records", 0, "layer"], 2),
     "non_utf8": b'{"config": "\xff"}',
 }
 
@@ -533,6 +537,16 @@ def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
     assert run_cli("run", *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_workload_manifest_exits_2_without_traceback(tmp_path, capsys):
+    """A workload directory without its manifest is a missing input file,
+    an I/O error like every other (exit 2)."""
+    (tmp_path / "w").mkdir()
+    args = small_args(tmp_path, "r", "--set", f'workload_dir="{tmp_path / "w"}"')
+    assert run_cli("run", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "manifest.json" in err and "Traceback" not in err
 
 
 def test_bundle_without_lambda_override_loads_with_none(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from salad.analysis import head_sparsity_stats, plan_sparsity_stats
 from salad.errors import BlockCountError, ConfigError, DegenerateRowError, StateError
+from salad import numerics
 from salad.masking import (
     CalibrationResult,
     Explicit,
+    KeyList,
     LatentGrid,
     MaskPlan,
     TopK,
@@ -17,12 +20,14 @@ from salad.masking import (
     build_window_mask,
     calibrate_head,
     calibrate_window,
+    head_keys,
     invert_permutation,
     realize_head_mask,
     select_topk_blocks,
     st_reorder_permutation,
     topk_block_select,
     window_attended_pairs,
+    window_keys,
 )
 from salad.numerics import Rng
 
@@ -320,3 +325,85 @@ class TestGrid:
         want = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
                 (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
         assert [tuple(c) for c in g.coords()] == want
+
+
+# ---------------------------------------------------------------------------
+# The key-list kernel against its per-channel and per-slot loops
+
+
+def loop_scores(keys, a, b):
+    """One update per channel, ascending from 0.0: the dense matmul order."""
+    out = np.zeros(keys.keys.shape)
+    bt = np.ascontiguousarray(b.T)
+    for c in range(a.shape[1]):
+        out += a[:, c:c + 1] * bt[c].take(keys.keys)
+    return out
+
+
+def loop_apply(keys, w, x):
+    """One update per slot, ascending from 0.0."""
+    out = np.zeros((keys.keys.shape[0], x.shape[1]))
+    for m in range(keys.keys.shape[1]):
+        out += w[:, m:m + 1] * x.take(keys.keys[:, m], axis=0)
+    return out
+
+
+def signed_values(r, shape):
+    """Normal entries with about 10% of them -0.0."""
+    return np.where(r.uniform(shape) < 0.1, -0.0, r.normal(shape))
+
+
+def key_list_cases():
+    """Case name -> (key list, channels)."""
+    r = Rng(11)
+    q, k = r.normal((512, 16)), r.normal((512, 16))
+    mask = r.uniform((600, 600)) < 0.05
+    np.fill_diagonal(mask, True)
+    return {
+        "window_r8": (window_keys(1024, 8), 16),
+        "window_r4": (window_keys(1024, 4), 32),
+        "full": (KeyList.full(300), 16),
+        "topk": (head_keys(TopK(block_size=8, k=4), grid_of(8, 8, 8), q, k)[0], 16),
+        "explicit": (head_keys(Explicit(mask), grid_of(6, 10, 10))[0], 16),
+    }
+
+
+KEY_LISTS = key_list_cases()
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
+@pytest.mark.parametrize("case", sorted(KEY_LISTS))
+def test_key_list_kernel_bits_match_loops(case, transposed):
+    keys, channels = KEY_LISTS[case]
+    r = Rng(len(case))
+    if transposed:
+        keys, _ = keys.transposed()
+    n, width = keys.keys.shape
+    a, b, x = (signed_values(r, (n, channels)) for _ in range(3))
+    w = signed_values(r, (n, width))
+    got_scores, got_apply = keys.scores(a, b), keys.apply(w, x)
+    assert np.array_equal(got_scores.view(np.uint64), loop_scores(keys, a, b).view(np.uint64))
+    assert np.array_equal(got_apply.view(np.uint64), loop_apply(keys, w, x).view(np.uint64))
+    neg = np.full((n, channels), -0.0)  # every term +-0.0; the loops give +0.0 where all are -0.0
+    assert np.array_equal(keys.scores(neg, b).view(np.uint64), loop_scores(keys, neg, b).view(np.uint64))
+    assert np.array_equal(keys.apply(w, neg).view(np.uint64), loop_apply(keys, w, neg).view(np.uint64))
+
+
+def test_key_list_cases_span_several_row_blocks():
+    """Each case's stacks exceed one block, so the kernel sums row blocks."""
+    for keys, channels in KEY_LISTS.values():
+        n, width = keys.keys.shape
+        assert n * width * channels > 2 * numerics.ORDERED_SUM_BLOCK
+
+
+def test_full_key_list_apply_memory_stays_within_a_row_block():
+    """A full 512-key list would stack 512 x 512 x 16 terms (32 MiB) at once."""
+    r = Rng(3)
+    keys, w, x = KeyList.full(512), r.normal((512, 512)), r.normal((512, 16))
+    tracemalloc.start()
+    try:
+        keys.apply(w, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * x.nbytes

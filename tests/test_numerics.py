@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -53,6 +54,84 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             rel = np.linalg.norm(left - right) / np.linalg.norm(left)
             assert rel < 1e-9
+
+
+#: matmul sweep: every output shape from 1 x 1 up, and inner extents on
+#: either side of numpy's pairwise-sum sizes (8 lanes, 128-element leaves)
+#: and of a row block.
+SWEEP_ROWS = (1, 2, 3, 5, 8, 16, 33)
+SWEEP_COLS = (1, 2, 3, 7, 16, 32)
+SWEEP_INNER = (0, 1, 2, 7, 8, 9, 16, 127, 128, 129, 257, 1024)
+
+
+def loop_matmul(a, b):
+    """The row-major triple loop with its i and j loops vectorized: one
+    ``out += a[:, k] b[k, :]`` update per inner index, ascending from 0.0."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k:k + 1] * b[k:k + 1, :]
+    return out
+
+
+def spread(r, shape):
+    """Entries of either sign with magnitudes over e^-30..e^30, about 10%
+    of them -0.0."""
+    x = np.exp(60.0 * r.uniform(shape) - 30.0)
+    x = np.where(r.uniform(shape) < 0.5, -x, x)
+    return np.where(r.uniform(shape) < 0.1, -0.0, x)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_loop_matmul_is_the_triple_loop(rng):
+    a, b = spread(rng, (5, 129)), spread(rng, (129, 3))
+    assert same_bits(loop_matmul(a, b), triple_loop_matmul(a, b))
+
+
+@pytest.mark.parametrize("inner", SWEEP_INNER)
+def test_matmul_bits_match_loop_sweep(inner):
+    r = Rng(inner)
+    for m in SWEEP_ROWS:
+        for n in SWEEP_COLS:
+            a, b = spread(r, (m, inner)), spread(r, (inner, n))
+            # Terms of one scale round differently in any other order; the
+            # spread ones are mostly dominated by their largest term.
+            an, bn = r.normal((m, inner)), r.normal((inner, n))
+            neg_a, neg_b = np.full((m, inner), -0.0), np.full((inner, n), -0.0)
+            for x, y in ((a, b), (an, bn), (neg_a, b), (a, neg_b), (neg_a, bn)):
+                assert same_bits(matmul(x, y), loop_matmul(x, y)), (m, n, inner)
+
+
+def test_matmul_bits_hold_with_one_row_per_block(monkeypatch):
+    """A budget below one row makes every row its own block, so an (m, K) x
+    (K, 1) product sums a single output element per block."""
+    monkeypatch.setattr(numerics, "ORDERED_SUM_BLOCK", 1)
+    r = Rng(7)
+    for m, k, n in ((5, 129, 1), (3, 257, 2), (1, 1024, 1), (4, 16, 1)):
+        a, b = r.normal((m, k)), r.normal((k, n))
+        assert same_bits(matmul(a, b), loop_matmul(a, b)), (m, k, n)
+        neg = np.full((m, k), -0.0)
+        assert same_bits(matmul(neg, b), loop_matmul(neg, b)), (m, k, n)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((512, 512), (512, 16)), ((512, 16), (16, 512))])
+def test_matmul_memory_stays_within_a_row_block(rng, shape_a, shape_b):
+    """Both products would stack 512 x 512 x 16 terms (32 MiB) at once."""
+    a, b = rng.normal(shape_a), rng.normal(shape_b)
+    out_bytes = shape_a[0] * shape_b[1] * 8
+    assert traced_peak(matmul, a, b) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * out_bytes
 
 
 class TestSoftmaxMasked:
