@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,21 @@ def triple_loop_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bits, so -0.0 and +0.0 differ."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def elimination_rank(a, rel_tol=1e-6):

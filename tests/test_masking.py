@@ -1,14 +1,13 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salad import numerics
 from salad.analysis import head_sparsity_stats, plan_sparsity_stats
 from salad.errors import BlockCountError, ConfigError, DegenerateRowError, StateError
-from salad import numerics
 from salad.masking import (
     CalibrationResult,
     Explicit,
@@ -30,6 +29,8 @@ from salad.masking import (
     window_keys,
 )
 from salad.numerics import Rng
+
+from conftest import same_bits, traced_peak
 
 
 def grid_of(f, h, w, heads=1, d=4):
@@ -381,12 +382,11 @@ def test_key_list_kernel_bits_match_loops(case, transposed):
     n, width = keys.keys.shape
     a, b, x = (signed_values(r, (n, channels)) for _ in range(3))
     w = signed_values(r, (n, width))
-    got_scores, got_apply = keys.scores(a, b), keys.apply(w, x)
-    assert np.array_equal(got_scores.view(np.uint64), loop_scores(keys, a, b).view(np.uint64))
-    assert np.array_equal(got_apply.view(np.uint64), loop_apply(keys, w, x).view(np.uint64))
+    assert same_bits(keys.scores(a, b), loop_scores(keys, a, b))
+    assert same_bits(keys.apply(w, x), loop_apply(keys, w, x))
     neg = np.full((n, channels), -0.0)  # every term +-0.0; the loops give +0.0 where all are -0.0
-    assert np.array_equal(keys.scores(neg, b).view(np.uint64), loop_scores(keys, neg, b).view(np.uint64))
-    assert np.array_equal(keys.apply(w, neg).view(np.uint64), loop_apply(keys, w, neg).view(np.uint64))
+    assert same_bits(keys.scores(neg, b), loop_scores(keys, neg, b))
+    assert same_bits(keys.apply(w, neg), loop_apply(keys, w, neg))
 
 
 def test_key_list_cases_span_several_row_blocks():
@@ -400,10 +400,4 @@ def test_full_key_list_apply_memory_stays_within_a_row_block():
     """A full 512-key list would stack 512 x 512 x 16 terms (32 MiB) at once."""
     r = Rng(3)
     keys, w, x = KeyList.full(512), r.normal((512, 512)), r.normal((512, 16))
-    tracemalloc.start()
-    try:
-        keys.apply(w, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * x.nbytes
+    assert traced_peak(keys.apply, w, x) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * x.nbytes

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +21,7 @@ from salad.numerics import (
     tanh,
 )
 
-from conftest import elimination_rank, triple_loop_matmul
+from conftest import elimination_rank, same_bits, traced_peak, triple_loop_matmul
 
 
 class TestMatmul:
@@ -81,10 +80,6 @@ def spread(r, shape):
     return np.where(r.uniform(shape) < 0.1, -0.0, x)
 
 
-def same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
 def test_loop_matmul_is_the_triple_loop(rng):
     a, b = spread(rng, (5, 129)), spread(rng, (129, 3))
     assert same_bits(loop_matmul(a, b), triple_loop_matmul(a, b))
@@ -114,16 +109,6 @@ def test_matmul_bits_hold_with_one_row_per_block(monkeypatch):
         assert same_bits(matmul(a, b), loop_matmul(a, b)), (m, k, n)
         neg = np.full((m, k), -0.0)
         assert same_bits(matmul(neg, b), loop_matmul(neg, b)), (m, k, n)
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes numpy and Python allocate while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((512, 512), (512, 16)), ((512, 16), (16, 512))])
