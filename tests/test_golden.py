@@ -113,6 +113,32 @@ def test_export_maps_digests(tmp_path):
     assert dir_digests(tmp_path / "maps") == MAPS_DIGESTS
 
 
+#: Rank layers out of order, a nonzero rank timestep with a cutoff at which
+#: ranks differ between timesteps, and a maps task that is no rank task: the
+#: run must keep exactly the records its report and maps read.
+RETAINED_TASKS = ["--set", "layers=3", "--set", "timesteps=4",
+                  "--set", "analysis.rank_layers=[2,0]", "--set", "analysis.rank_timestep=1",
+                  "--set", "analysis.rank_rel_tol=0.1", "--set", "maps.export=true",
+                  "--set", "maps.layer=1", "--set", "maps.timestep=3"]
+
+RETAINED_REPORT_DIGEST = "707f1b5dbecf89eda43b059950fea065437e59749817a728e6858a8f14dc535b"
+
+RETAINED_MAPS_DIGESTS = {
+    "l1_t3_linear_h0.csv": "6f3bb718cc70adb90891380df363819b1a4faffb3927615cbd2708b0765a3e00",
+    "l1_t3_linear_h0.pgm": "08e77153062c98a65d976bc02f48d15d385e46665e7a511d76df7933a34240dc",
+    "l1_t3_sparse_h0.csv": "a917e1e24f7a9f335e7e1484821fa3847e0adcfc97381c52f1dc717c9b80f5e1",
+    "l1_t3_sparse_h0.pgm": "aefecb05cb57d1f88c8291b92281e10e06fd3163dddf996f50c80a8dd7b11ea3",
+}
+
+
+def test_retained_tasks_digests(tmp_path):
+    args = ["run", *BASE, *CONFIGS["window_reordered"], *RETAINED_TASKS, "--threads", "2",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert sha256((tmp_path / "report.json").read_bytes()) == RETAINED_REPORT_DIGEST
+    assert dir_digests(tmp_path / "maps") == RETAINED_MAPS_DIGESTS
+
+
 def test_check_verdict_digest(capsys):
     assert main(["check"]) == 0
     verdicts = re.sub(r" \(\d+\.\d+s\)$", "", capsys.readouterr().out, flags=re.MULTILINE)
