@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError
 from .linear_attention import (
     RopeConfig,
     linear_attention_map,
@@ -262,16 +262,16 @@ def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfi
 
 @dataclass
 class BlockTrace:
-    """The record of one forward pass.
+    """The record of one forward pass: everything the hand-derived backward
+    pass, rank analysis and attention-map export read.
 
     ``gate`` is the scalar the gate path computed; ``gate_applied`` is the
-    value that actually scaled the linear branch (None when the branch is
-    dropped). The remaining fields are filled only when the forward pass
-    runs with ``keep_intermediates``: the projection stage, the branch
-    projection output, and per head its :class:`HeadAttention` (the
+    value that actually scaled the linear branch. ``o_l``,
+    ``gate_applied`` and the branch projection output ``proj_out`` are
+    None when the branch is dropped. ``projection`` is the projection
+    stage, and ``heads`` holds per head its :class:`HeadAttention` (the
     weights of the attended pairs only; for reordered heads in permuted
-    order, where the band structure is visible). The backward pass and map
-    export read them.
+    order, where the band structure is visible).
     """
 
     o_s: Array
@@ -279,11 +279,13 @@ class BlockTrace:
     gate: float
     gate_applied: float | None
     fused: Array
-    final: Array
-    attended_pairs: list[int]
-    projection: Projection | None = None
-    heads: list[HeadAttention] | None = None
-    proj_out: Array | None = None
+    proj_out: Array | None
+    projection: Projection
+    heads: list[HeadAttention]
+
+    @property
+    def attended_pairs(self) -> list[int]:
+        return [info.keys.pairs for info in self.heads]
 
 
 def head_slices(channels: int, heads: int) -> list[slice]:
@@ -297,13 +299,8 @@ def salad_forward(
     plan: MaskPlan,
     grid: LatentGrid,
     rope_cfg: RopeConfig | None = None,
-    keep_intermediates: bool = False,
 ) -> tuple[Array, BlockTrace]:
-    """Run the block on one sequence; returns (output, trace).
-
-    ``keep_intermediates`` records everything the hand-derived backward
-    pass and attention-map export need into the trace.
-    """
+    """Run the block on one sequence; returns (output, record)."""
     x = np.asarray(x, dtype=np.float64)
     params.validate(grid)
     n, d = grid.seq_len, grid.head_dim
@@ -319,41 +316,24 @@ def salad_forward(
     pr = project(x, params, grid, rope_cfg)
     o_s = np.zeros_like(pr.q)
     o_l = np.zeros_like(pr.q)
-    attended: list[int] = []
     heads: list[HeadAttention] = []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
         o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
-        attended.append(info.keys.pairs)
-        if keep_intermediates:
-            heads.append(info)
+        heads.append(info)
 
     gate = compute_gate(x, params.gate_w, params.gate_b,
                         params.gate_activation, params.gate_constant)
-    gate_applied: float | None
     if params.dropped:
-        gate_applied = None
+        o_l = gate_applied = proj_out = None
         fused = o_s
-        proj_out = None
     else:
         gate_applied = params.lambda_override if params.lambda_override is not None else gate
         proj_out = matmul(o_l, params.proj)
         fused = o_s + gate_applied * proj_out
-    final = matmul(fused, pr.wo)
-
-    trace = BlockTrace(
-        o_s=o_s,
-        o_l=None if params.dropped else o_l,
-        gate=gate,
-        gate_applied=gate_applied,
-        fused=fused,
-        final=final,
-        attended_pairs=attended,
-    )
-    if keep_intermediates:
-        trace.projection, trace.heads, trace.proj_out = pr, heads, proj_out
-    return final, trace
+    trace = BlockTrace(o_s, o_l, gate, gate_applied, fused, proj_out, pr, heads)
+    return matmul(fused, pr.wo), trace
 
 
 def write_pgm(mat: Array, path: Path) -> None:
@@ -371,11 +351,8 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
     """Write one head's sparse and linear maps as CSV plus 8-bit PGM.
 
     CSV keeps full precision; the PGM scales each row by its maximum.
-    Raises :class:`StateError` if the forward pass kept no intermediates.
     """
     pr = trace.projection
-    if pr is None or trace.heads is None:
-        raise StateError("attention maps need the forward pass run with keep_intermediates")
     if not 0 <= head < len(trace.heads):
         raise ConfigError(f"head {head} out of range for {len(trace.heads)} recorded heads")
     s = head_slices(pr.q.shape[1], len(trace.heads))[head]

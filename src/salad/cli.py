@@ -5,7 +5,8 @@ Subcommands: gen | run | check | analyze | export-maps. Shared flags:
 --threads N, --no-timestamp.
 
 Exit codes are a stable contract: 0 success, 2 I/O error, 3 config or
-validation error, 4 verification-check failure.
+validation error (a config too large for memory included), 4
+verification-check failure.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except SaladError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: the config needs more memory than this host has: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

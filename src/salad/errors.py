@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its stable exit codes: any :class:`SaladError`
-is a validation problem (exit 3), plain ``OSError`` is an I/O problem
-(exit 2), and failed verification checks exit 4 without raising.
+is a validation problem (exit 3), and so is a ``MemoryError`` (a config
+too large for the host); plain ``OSError`` is an I/O problem (exit 2),
+and failed verification checks exit 4 without raising.
 """
 
 
@@ -39,4 +40,4 @@ class DataError(SaladError, ValueError):
 
 
 class StateError(SaladError, RuntimeError):
-    """An operation needs state (such as forward intermediates) that was not recorded."""
+    """An operation needs state (such as a top-k head's queries and keys) it was not given."""

@@ -1,10 +1,10 @@
 """Hand-derived reverse-mode gradients for the block, checked against
 central finite differences.
 
-There is no autodiff engine here: the forward pass keeps its
-intermediates in its trace and ``salad_loss_grads`` walks the chain
-backwards with explicit formulas. The loss is the sum of squares of the
-block output, which is enough to exercise every parameter path.
+There is no autodiff engine here: the forward pass records its
+intermediates and ``salad_loss_grads`` walks the chain backwards with
+explicit formulas. The loss is the sum of squares of the block output,
+which is enough to exercise every parameter path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
 from .linear_attention import RopeConfig, rope3d_rotate, streaming_terms
-from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan, invert_permutation
+from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan
 from .numerics import Array, matmul, sigmoid, tanh
 
 FD_STEP = 1e-5
@@ -153,7 +153,7 @@ def salad_loss_grads(
     own gradient under the key "lambda"; a detached gate keeps its
     parameter gradients but sends nothing back into X.
     """
-    out, rec = salad_forward(x, params, plan, grid, rope_cfg, keep_intermediates=True)
+    out, rec = salad_forward(x, params, plan, grid, rope_cfg)
     pr = rec.projection
     loss = float(np.sum(out * out))
     coords = grid.coords()
@@ -194,14 +194,13 @@ def salad_loss_grads(
         dql_rot, dkl_rot, dvl = (np.zeros_like(a) for a in (pr.q_lin, pr.k_lin, pr.v_lin))
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
+        # A reordered head ran on rows ``perm`` and scatters its gradients back there.
         info = rec.heads[head]
-        perm = info.perm
-        q2, k2, v2, do2 = pr.q[:, s], pr.k[:, s], pr.v[:, s], do_s[:, s]
-        if perm is not None:
-            q2, k2, v2, do2 = q2[perm], k2[perm], v2[perm], do2[perm]
+        rows = slice(None) if info.perm is None else info.perm
+        q2, k2, v2, do2 = (a[rows, s] for a in (pr.q, pr.k, pr.v, do_s))
         dq2, dk2, dv2 = head_attention_backward(q2, k2, v2, info, do2)
         for dst, src in ((dq_rot, dq2), (dk_rot, dk2), (dv, dv2)):
-            dst[:, s] += src if perm is None else src[invert_permutation(perm)]
+            dst[rows, s] += src
 
         if do_l is not None:
             dql_h, dkl_h, dvl_h = relu_linear_attention_backward(

@@ -151,14 +151,7 @@ def st_reorder_permutation(grid: LatentGrid) -> Array:
     frames of one spatial site become consecutive. The return value ``g``
     satisfies ``reordered = x[g]``; a single frame yields the identity.
     """
-    f, hh, ww = grid.frames, grid.height, grid.width
-    new_pos = np.empty(grid.seq_len, dtype=np.int64)
-    coords = grid.coords()
-    default_idx = coords[:, 0] * (hh * ww) + coords[:, 1] * ww + coords[:, 2]
-    new_pos[default_idx] = (coords[:, 1] * ww + coords[:, 2]) * f + coords[:, 0]
-    gather = np.empty_like(new_pos)
-    gather[new_pos] = np.arange(grid.seq_len, dtype=np.int64)
-    return gather
+    return np.arange(grid.seq_len, dtype=np.int64).reshape(grid.frames, -1).T.ravel()
 
 
 def invert_permutation(perm: Array) -> Array:

@@ -1,9 +1,11 @@
 """Run orchestration: forwards across layers and timesteps, inline
 oracle checks, report assembly, and gate analysis over saved reports.
 
-Everything is a pure function of (config, seed). With ``threads > 1``
-the per-(layer, timestep) forwards run on a thread pool but land in
-index order, so the report bytes match sequential execution exactly.
+Everything is a pure function of (config, seed). The per-(layer,
+timestep) forwards run on a pool of ``threads`` workers (one worker runs
+them in order) and land in index order, so the report bytes do not
+depend on the thread count. A forward's record outlives its task only
+when the report reads it.
 """
 
 from __future__ import annotations
@@ -81,25 +83,31 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     # Bundles may arrive with the branch already removed.
     explicit_dropped |= {i for i, p in enumerate(workload.params) if p.dropped}
 
+    # Only the records the report reads outlive their task: each rank
+    # layer at the rank timestep, and the maps task.
+    rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
+        else list(range(cfg.layers))
+    rt = cfg.analysis.rank_timestep
+    kept = {(layer, rt) for layer in rank_layers}
+    if cfg.maps.export:
+        kept.add((cfg.maps.layer, cfg.maps.timestep))
+
     def one(layer: int, t: int):
         params = workload.params[layer]
         if layer in explicit_dropped and not params.dropped:
             params = sparse_only_params(params)
         x = workload.inputs[layer, t] * sigmas[t]
-        keep = cfg.maps.export and layer == cfg.maps.layer and t == cfg.maps.timestep
-        return salad_forward(x, params, plan, grid, rope_cfg, keep_intermediates=keep)
+        _, trace = salad_forward(x, params, plan, grid, rope_cfg)
+        return trace.gate, trace.attended_pairs, trace if (layer, t) in kept else None
 
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda lt: one(*lt), tasks))
-    else:
-        results = [one(*lt) for lt in tasks]
-    traces = {lt: trace for lt, (_, trace) in zip(tasks, results)}
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = dict(zip(tasks, pool.map(lambda lt: one(*lt), tasks)))
+    traces = {lt: trace for lt, (_, _, trace) in results.items() if trace is not None}
 
     # Gate records and the cost ledger over the layers as actually run.
-    records = [GateRecord(layer, t, traces[(layer, t)].gate) for layer, t in tasks]
-    attended = [[traces[(layer, t)].attended_pairs for t in range(cfg.timesteps)]
+    records = [GateRecord(layer, t, results[(layer, t)][0]) for layer, t in tasks]
+    attended = [[results[(layer, t)][1] for t in range(cfg.timesteps)]
                 for layer in range(cfg.layers)]
     sparsity, flops, speedup = price_run(attended, grid, explicit_dropped)
 
@@ -119,14 +127,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         drop_section = {**record_to_dict(explicit), "speedup_estimate": speedup}
 
     # Branch output ranks on the sampled layers.
-    rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
-        else list(range(cfg.layers))
-    rt = cfg.analysis.rank_timestep
     ranks = branch_rank_analysis(
         [(layer, traces[(layer, rt)]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
     )
 
-    oracle_checks = _inline_checks(cfg, workload, plan, grid, rope_cfg, sigmas, traces)
+    oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas)
 
     gradcheck_section: dict = {"run": False, "all_passed": None, "reports": []}
     if cfg.checks.gradcheck_in_run:
@@ -172,7 +177,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     return report
 
 
-def _inline_checks(cfg, workload, plan, grid, rope_cfg, sigmas, traces) -> list[dict]:
+def _inline_checks(workload, plan, grid, rope_cfg, sigmas) -> list[dict]:
     """Cheap oracle checks recorded into every run report."""
     checks = []
 

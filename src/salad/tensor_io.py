@@ -261,6 +261,8 @@ def mask_from_bytes(raw: bytes) -> Array:
     version, n = struct.unpack("<HI", raw[4:10])
     if version != MASK_VERSION:
         raise ConfigError(f"unsupported mask sidecar version {version}")
+    if len(raw) < 10 + 4 * n:  # every row holds at least one run
+        raise ConfigError(f"mask sidecar of {len(raw)} bytes cannot hold {n} rows")
     mask = np.zeros((n, n), dtype=bool)
     offset = 10
     for i in range(n):

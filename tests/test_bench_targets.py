@@ -57,7 +57,7 @@ def traced_forward(entry):
     tracer = load_tracer_module().Tracer()
     tracer.install()
     try:
-        _, trace = salad.block.salad_forward(x, params, plan, grid, keep_intermediates=True)
+        _, trace = salad.block.salad_forward(x, params, plan, grid)
     finally:
         tracer.uninstall()
     forward = [s for s in tracer.spans if s[1] == "block.salad_forward"]

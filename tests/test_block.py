@@ -16,10 +16,10 @@ from salad.block import (
     sparse_head_attention,
     sparse_only_params,
 )
-from salad.errors import ConfigError, DimensionError, StateError
+from salad.errors import ConfigError, DimensionError
 from salad.linear_attention import RopeConfig
 from salad.masking import Explicit, LatentGrid, MaskPlan, TopK, Window, window_attended_pairs
-from salad.numerics import numerical_rank
+from salad.numerics import matmul, numerical_rank
 
 
 def small_grid(heads=2, d=4):
@@ -174,15 +174,16 @@ class TestForward:
         assert 0.0 < trace.gate < 1.0
         assert trace.gate_applied == trace.gate
         assert trace.o_s.shape == trace.o_l.shape == (n, grid.channels)
-        assert np.array_equal(trace.final, out)
-        assert trace.projection is None and trace.heads is None
+        assert len(trace.heads) == grid.heads
+        assert np.array_equal(trace.proj_out, matmul(trace.o_l, p.proj))
+        assert np.array_equal(matmul(trace.fused, trace.projection.wo), out)
 
     def test_dropped_trace_has_no_linear_output(self, rng):
         grid = small_grid()
         p = random_params(rng, grid, dropped=True)
         plan = MaskPlan.uniform(Window(radius=1), grid.heads)
         out, trace = salad_forward(x := rng.normal((grid.seq_len, grid.channels)), p, plan, grid)
-        assert trace.o_l is None and trace.gate_applied is None
+        assert trace.o_l is None and trace.gate_applied is None and trace.proj_out is None
         assert 0.0 < trace.gate < 1.0  # gate still measured for analysis
 
     def test_shape_and_plan_validation(self, rng):
@@ -230,14 +231,6 @@ class TestForward:
 
 
 class TestAttentionMaps:
-    def test_requires_capture(self, rng):
-        grid = small_grid()
-        p = random_params(rng, grid)
-        plan = MaskPlan.uniform(Window(radius=1), grid.heads)
-        _, trace = salad_forward(rng.normal((grid.seq_len, grid.channels)), p, plan, grid)
-        with pytest.raises(StateError):
-            export_attention_maps(trace, 0, "anywhere")
-
     def test_written_files_and_band_structure(self, rng, tmp_path):
         grid = small_grid(heads=1, d=4)
         n = grid.seq_len
@@ -245,7 +238,7 @@ class TestAttentionMaps:
         plan = MaskPlan([Window(radius=1)])
         # Shift the input positive so no linear-branch query row dies.
         x = np.abs(rng.normal((n, grid.channels))) + 0.2
-        _, trace = salad_forward(x, p, plan, grid, keep_intermediates=True)
+        _, trace = salad_forward(x, p, plan, grid)
         written = export_attention_maps(trace, 0, tmp_path / "map")
         names = sorted(path.name for path in written)
         assert names == ["map_linear_h0.csv", "map_linear_h0.pgm",
@@ -267,8 +260,7 @@ class TestAttentionMaps:
         grid = small_grid()
         p = random_params(rng, grid)
         plan = MaskPlan.uniform(Window(radius=1), grid.heads)
-        _, trace = salad_forward(rng.normal((grid.seq_len, grid.channels)), p, plan, grid,
-                                 keep_intermediates=True)
+        _, trace = salad_forward(rng.normal((grid.seq_len, grid.channels)), p, plan, grid)
         with pytest.raises(ConfigError):
             export_attention_maps(trace, 5, tmp_path / "map")
 
@@ -278,7 +270,7 @@ class TestAttentionMaps:
         p = random_params(rng, grid, w_q=np.zeros((grid.channels,) * 2))  # logits all zero
         plan = MaskPlan([Window(radius=n)])
         x = rng.normal((n, grid.channels))
-        _, trace = salad_forward(x, p, plan, grid, keep_intermediates=True)
+        _, trace = salad_forward(x, p, plan, grid)
         export_attention_maps(trace, 0, tmp_path / "m")
         raw = (tmp_path / "m_sparse_h0.pgm").read_bytes().split(b"255\n", 1)[1]
         img = np.frombuffer(raw, dtype=np.uint8)

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
+import tempfile
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from salad.cli import main
 from salad.config import RunConfig, apply_override, config_from_dict, load_config
@@ -511,6 +519,10 @@ def exit_three_cases():
         "plan_version_2": (PLAN_ARGS, {"plan.json": json.dumps(
             {**PLAN_HEADER, "version": 2, "heads": plan_records({**WINDOW_TWO, "head": 0})})}),
         "manifest_version_2": (WORKLOAD_ARGS, edited_workload(lambda m: m.update(version=2))),
+        "sidecar_rows_past_payload": (PLAN_ARGS, {
+            "plan.json": json.dumps({**PLAN_HEADER, "heads": plan_records(
+                {"head": 0, "kind": "explicit", "sidecar": "m.smsk"})}),
+            "m.smsk": b"SMSK\x01\x00" + (1 << 31).to_bytes(4, "little") + bytes(8)}),
     }
     for name, rec in BAD_RECORDS.items():
         per_head = json.dumps(plan_records(rec))
@@ -522,9 +534,12 @@ def exit_three_cases():
 
 
 EXIT_THREE = exit_three_cases()
+#: Inputs that overflow end in a NumericError (exit 3); numpy warns first.
+QUIET_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                            "ignore:invalid:RuntimeWarning")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@QUIET_OVERFLOW
 @pytest.mark.parametrize("case", sorted(EXIT_THREE))
 def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
     args, files = EXIT_THREE[case]
@@ -547,6 +562,57 @@ def test_missing_workload_manifest_exits_2_without_traceback(tmp_path, capsys):
     assert run_cli("run", *args) == 2
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "manifest.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["salad.workload", "salad.runner"])
+def test_config_too_large_for_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch,
+                                                                module):
+    """A workload too large to allocate is a config error. The allocation
+    is simulated: a real one could succeed on a host that overcommits and
+    then exhaust its memory."""
+    import importlib
+
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+    monkeypatch.setattr(importlib.import_module(module), "generate_workload", out_of_memory)
+    command = "gen" if module == "salad.workload" else "run"
+    assert run_cli(command, *small_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "23.8 GiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("maps", [False, True])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, threads, maps):
+    """On the default 4x5 run, the forward records alive when rank analysis
+    starts are the rank layer's at the rank timestep and the maps task's,
+    not one per (layer, timestep)."""
+    from salad import runner
+
+    live, ran, lock = set(), [], threading.Lock()
+    seen = []
+    forward, rank_analysis = runner.salad_forward, runner.branch_rank_analysis
+
+    def watched_forward(*args, **kwargs):
+        out, trace = forward(*args, **kwargs)
+        with lock:
+            key = len(ran)
+            ran.append(key)
+            live.add(key)
+        weakref.finalize(trace, live.discard, key)
+        return out, trace
+
+    def counting_rank_analysis(*args, **kwargs):
+        seen.append((len(ran), len(live)))
+        return rank_analysis(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "salad_forward", watched_forward)
+    monkeypatch.setattr(runner, "branch_rank_analysis", counting_rank_analysis)
+    args = ["--out", str(tmp_path), "--threads", str(threads), "--set", "analysis.rank_layers=[1]",
+            "--set", f"maps.export={json.dumps(maps)}"]
+    assert run_cli("run", *args) == 0
+    assert seen == [(4 * 5, 1 + maps)]
 
 
 def test_bundle_without_lambda_override_loads_with_none(tmp_path):
@@ -700,3 +766,123 @@ def test_document_field_type_sweep(tmp_path, capsys, sweep_report, document, pat
         assert code in (0, 3) or missing_file, (probe, code, err)
         codes.append(code)
     assert codes[0] == 0 and 3 in codes[1:], (field, codes)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzz: corrupted input files and bounded config overrides
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def probe_exit(command: str, tmp: str, *args: str) -> int:
+    """Exit code of one in-process CLI call writing under ``tmp``, with its
+    output discarded. An exception escaping ``main`` (a traceback) fails the
+    calling test."""
+    args = [arg.replace("{tmp}", tmp) for arg in args]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(command, *small_args(Path(tmp)), *args)
+
+
+ONE_BY_ONE = ["--set", "layers=1", "--set", "timesteps=1"]
+
+#: File name -> the command and arguments that read it.
+CORRUPTIBLE = {
+    "manifest.json": ("run", [*ONE_BY_ONE, *WORKLOAD_ARGS]),
+    "inputs.stns": ("run", [*ONE_BY_ONE, *WORKLOAD_ARGS]),
+    "params_l0.sldp": ("run", [*ONE_BY_ONE, *WORKLOAD_ARGS]),
+    "plan.json": ("run", PLAN_ARGS),
+    "plan_h0.smsk": ("run", PLAN_ARGS),
+    "report.json": ("analyze", ["--report", "{tmp}/report.json"]),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """File name -> the bytes of a valid file of that name, for the
+    ``small_args`` grid with one layer and one timestep."""
+    from salad.masking import Explicit, MaskPlan, Window
+    from salad.tensor_io import write_plan
+
+    tmp = tmp_path_factory.mktemp("valid")
+    assert run_cli("gen", *small_args(tmp, "."), *ONE_BY_ONE) == 0
+    assert run_cli("run", *small_args(tmp, "r"), *ONE_BY_ONE, "--no-timestamp") == 0
+    (tmp / "r" / "report.json").rename(tmp / "report.json")
+    write_plan(MaskPlan([Explicit(np.tril(np.ones((8, 8), dtype=bool))), Window(radius=1)]),
+               tmp / "plan.json")
+    return {name: (tmp / name).read_bytes() for name in CORRUPTIBLE}
+
+
+@QUIET_OVERFLOW
+@FUZZ
+@given(name=st.sampled_from(sorted(CORRUPTIBLE)),
+       flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 1 << 16))
+def test_corrupt_file_exits_cleanly(valid_files, name, flips, cut):
+    """XOR up to three bytes of one input file and maybe truncate it: the
+    command reading it exits 0, 2, 3 or 4, never with a traceback."""
+    raw = bytearray(valid_files[name])
+    for pos, bits in flips:
+        raw[pos % len(raw)] ^= bits
+    if cut is not None:
+        del raw[cut % len(raw):]
+    command, args = CORRUPTIBLE[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, content in valid_files.items():
+            Path(tmp, other).write_bytes(bytes(raw) if other == name else content)
+        assert probe_exit(command, tmp, *args) in (0, 2, 3, 4)
+
+
+#: Config leaves the override fuzz leaves alone: file paths (covered by the
+#: corrupt-file fuzz) and the in-run gradcheck, whose finite differences
+#: take seconds even on small grids.
+UNFUZZED = {"out", "workload_dir", "mask.plan_path", "block.params_bundle",
+            "checks.gradcheck_in_run"}
+#: Largest integer the fuzz sets per leaf; every other leaf, grid extents
+#: included, gets at most 8, so no draw allocates much or starts many threads.
+INT_CAPS = {"layers": 2, "timesteps": 2, "threads": 4}
+WORDS = ["x", "window", "topk", "calibrate", "explicit", "per_head", "interval", "random",
+         "threshold", "non_shared", "tanh", "relu", "constant"]
+
+SCALARS = st.integers(-1, 8) | st.floats() | st.booleans() | st.none() | st.sampled_from(WORDS)
+RECORDS = st.lists(st.dictionaries(
+    st.sampled_from(["head", "kind", "radius", "reordered", "block_size", "k", "strategy",
+                     "lo", "hi", "fraction", "seed", "tau"]), SCALARS, max_size=4), max_size=3)
+NON_INTEGERS = (st.floats() | st.booleans() | st.none() | st.sampled_from(WORDS)
+                | st.lists(st.integers(-1, 8), max_size=3) | RECORDS)
+
+
+def typed_values(leaf):
+    """Values of the type of ``leaf``'s default; lists for a null default."""
+    section, _, key = leaf.rpartition(".")
+    default = RunConfig().to_dict()[section][key] if section else getattr(RunConfig(), key)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-1, INT_CAPS.get(leaf, 8))
+    if isinstance(default, float):
+        return st.floats()
+    if isinstance(default, str):
+        return st.sampled_from(WORDS)
+    return st.lists(st.integers(-1, 8), max_size=3) | RECORDS
+
+
+@st.composite
+def override(draw):
+    """One ``--set`` pair: three times in four a value of the leaf's type,
+    else any value, integers capped as for the leaf's own type."""
+    leaf = draw(st.sampled_from(sorted(set(config_leaves()) - UNFUZZED)))
+    values = (typed_values(leaf) if draw(st.integers(0, 3))
+              else st.integers(-1, INT_CAPS.get(leaf, 8)) | NON_INTEGERS)
+    return ["--set", f"{leaf}={json.dumps(draw(values))}"]
+
+
+@QUIET_OVERFLOW
+@FUZZ
+@given(command=st.sampled_from(["run", "gen", "export-maps"]),
+       overrides=st.lists(override(), min_size=1, max_size=3))
+def test_bounded_overrides_exits_cleanly(command, overrides):
+    """Up to three config overrides drawn from bounded domains: the command
+    exits 0, 2, 3 or 4, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert probe_exit(command, tmp, *itertools.chain(*overrides)) in (0, 2, 3, 4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from salad.block import LoraUpdate, SaladParams
 from salad.errors import ConfigError
@@ -93,6 +94,18 @@ class TestMaskFormat:
     def test_non_square_rejected(self):
         with pytest.raises(ConfigError):
             mask_to_bytes(np.ones((2, 3), dtype=bool))
+
+    def test_row_count_past_payload_rejected_before_allocating(self):
+        """A header claiming 4,096 rows over a 2-row payload is refused
+        before the 16 MiB mask is allocated."""
+        good = mask_to_bytes(np.ones((2, 2), dtype=bool))
+        bad = good[:6] + (4096).to_bytes(4, "little") + good[10:]
+
+        def refused():
+            with pytest.raises(ConfigError, match="cannot hold 4096 rows"):
+                mask_from_bytes(bad)
+
+        assert traced_peak(refused) < 1 << 20
 
 
 class TestParamsBundle:
