@@ -315,18 +315,19 @@ def salad_forward(
 
     pr = project(x, params, grid, rope_cfg)
     o_s = np.zeros_like(pr.q)
-    o_l = np.zeros_like(pr.q)
+    o_l = None if params.dropped else np.zeros_like(pr.q)
     heads: list[HeadAttention] = []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
-        o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
+        if o_l is not None:
+            o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
         heads.append(info)
 
     gate = compute_gate(x, params.gate_w, params.gate_b,
                         params.gate_activation, params.gate_constant)
     if params.dropped:
-        o_l = gate_applied = proj_out = None
+        gate_applied = proj_out = None
         fused = o_s
     else:
         gate_applied = params.lambda_override if params.lambda_override is not None else gate

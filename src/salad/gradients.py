@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
-from .linear_attention import RopeConfig, rope3d_rotate, streaming_terms
+from .linear_attention import RopeConfig, grid_rope_tables, rotate_pairs, streaming_terms
 from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan
 from .numerics import Array, matmul, sigmoid, tanh
 
@@ -87,9 +87,10 @@ def elementwise_backward(op: str, x: Array, gy: Array) -> Array:
     raise ValueError(f"unknown elementwise op {op!r}")
 
 
-def rope3d_backward(gy: Array, coords: Array, cfg: RopeConfig) -> Array:
-    """Transpose of the rotary map: rotate the cotangent by negated angles."""
-    return rope3d_rotate(gy, -np.asarray(coords), cfg)
+def rope3d_backward(gy: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
+    """Transpose of :func:`rope3d_apply`: turn the cotangent by the negated angles."""
+    tables = grid_rope_tables(grid.frames, grid.height, grid.width, cfg, gy.shape[1] // cfg.head_dim, -1)
+    return rotate_pairs(gy, *tables)
 
 
 def relu_linear_attention_backward(
@@ -156,7 +157,6 @@ def salad_loss_grads(
     out, rec = salad_forward(x, params, plan, grid, rope_cfg)
     pr = rec.projection
     loss = float(np.sum(out * out))
-    coords = grid.coords()
     shared = params.variant == "shared"
 
     dfinal = 2.0 * out
@@ -218,7 +218,7 @@ def salad_loss_grads(
                    ("w_k_lin", dkl_rot, params.w_k_lin, True),
                    ("w_v_lin", dvl, params.w_v_lin, False)]
     for name, d_out, w, rotated in stages:
-        d_pre = rope3d_backward(d_out, coords, pr.rope_cfg) if rotated else d_out
+        d_pre = rope3d_backward(d_out, grid, pr.rope_cfg) if rotated else d_out
         grads[name] = matmul(x.T, d_pre)
         dx += matmul(d_pre, np.asarray(w).T)
     grads["w_o"] = dwo

@@ -9,11 +9,12 @@ ReLU features vanish yields a zero row instead of a division error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .masking import LatentGrid
+from .masking import LatentGrid, grid_coords
 from .numerics import Array, matmul, relu
 
 #: Denominator guard; a dead query row divides 0 by this and returns 0.
@@ -61,13 +62,6 @@ class RopeConfig:
         return RopeConfig(split=(2 * pt, 2 * ph, 2 * pw), base=base)
 
 
-def _pair_freqs(budget: int, base: float) -> Array:
-    if budget == 0:
-        return np.zeros(0)
-    i = np.arange(budget // 2, dtype=np.float64)
-    return base ** (-2.0 * i / budget)
-
-
 def rope3d_rotate(x: Array, coords: Array, cfg: RopeConfig) -> Array:
     """Rotate channel pairs of ``x`` by position-dependent angles.
 
@@ -78,31 +72,52 @@ def rope3d_rotate(x: Array, coords: Array, cfg: RopeConfig) -> Array:
     returned unchanged. ``x`` may hold several heads side by side (any
     multiple of the head dimension); every head turns by the same angles.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x, heads = _rope_input(x, cfg)
     coords = np.asarray(coords)
-    if x.ndim != 2 or not cfg.head_dim or x.shape[1] % cfg.head_dim:
-        raise ConfigError(f"input has {x.shape[1] if x.ndim == 2 else '?'} channels, rope split covers {cfg.head_dim}")
     if coords.shape != (x.shape[0], 3):
         raise DimensionError(f"coords shape {coords.shape} does not match {x.shape[0]} rows")
-    freqs = np.concatenate([_pair_freqs(b, cfg.base) for b in cfg.split])
-    axis_of_pair = np.concatenate([np.full(b // 2, a, dtype=np.int64) for a, b in enumerate(cfg.split)])
-    angles = coords[:, axis_of_pair].astype(np.float64) * freqs[None, :]
-    heads = x.shape[1] // cfg.head_dim
-    c = np.tile(np.cos(angles), heads)
-    s = np.tile(np.sin(angles), heads)
-    x0 = x[:, 0::2]
-    x1 = x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = x0 * c - x1 * s
-    out[:, 1::2] = x0 * s + x1 * c
-    return out
+    return rotate_pairs(x, *_rope_tables(coords, cfg, heads))
 
 
 def rope3d_apply(x: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
     """Apply the 3-axis rotation to a sequence in default (frame-major) order."""
     if x.shape[0] != grid.seq_len:
         raise DimensionError(f"sequence length {x.shape[0]} does not match grid N={grid.seq_len}")
-    return rope3d_rotate(x, grid.coords(), cfg)
+    x, heads = _rope_input(x, cfg)
+    return rotate_pairs(x, *grid_rope_tables(grid.frames, grid.height, grid.width, cfg, heads, 1))
+
+
+@lru_cache(maxsize=64)
+def grid_rope_tables(frames: int, height: int, width: int, cfg: RopeConfig, heads: int, sign: int) -> tuple[Array, Array]:
+    """Read-only cos/sin tables of ``sign`` times a grid's coordinates, for
+    ``heads`` heads side by side, built once per process for each key; sign
+    -1 turns by the negated angles, the transpose the backward applies."""
+    coords = grid_coords(frames, height, width)
+    cos, sin = _rope_tables(-coords if sign < 0 else coords, cfg, heads)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def _rope_input(x: Array, cfg: RopeConfig) -> tuple[Array, int]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or not cfg.head_dim or x.shape[1] % cfg.head_dim:
+        raise ConfigError(f"input has {x.shape[1] if x.ndim == 2 else '?'} channels, rope split covers {cfg.head_dim}")
+    return x, x.shape[1] // cfg.head_dim
+
+
+def _rope_tables(coords: Array, cfg: RopeConfig, heads: int) -> tuple[Array, Array]:
+    freqs = np.concatenate([cfg.base ** (-2.0 * np.arange(b // 2, dtype=np.float64) / b) for b in cfg.split])
+    axis_of_pair = np.concatenate([np.full(b // 2, a, dtype=np.int64) for a, b in enumerate(cfg.split)])
+    angles = coords[:, axis_of_pair].astype(np.float64) * freqs[None, :]
+    return np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads)
+
+
+def rotate_pairs(x: Array, c: Array, s: Array) -> Array:
+    """Turn channel pair i of ``x`` by the angle with cosine ``c[:, i]``, sine ``s[:, i]``."""
+    out = np.empty_like(x)
+    out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s
+    out[:, 1::2] = x[:, 0::2] * s + x[:, 1::2] * c
+    return out
 
 
 def linear_attention_naive(q: Array, k: Array, v: Array) -> Array:

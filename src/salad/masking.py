@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,14 +68,17 @@ class LatentGrid:
         return self.heads * self.head_dim
 
     def coords(self) -> Array:
-        """(N, 3) integer array of (t, h, w) per token in default order."""
-        t, h, w = np.meshgrid(
-            np.arange(self.frames),
-            np.arange(self.height),
-            np.arange(self.width),
-            indexing="ij",
-        )
-        return np.stack([t.ravel(), h.ravel(), w.ravel()], axis=1)
+        """Read-only (N, 3) integer (t, h, w) per token in default order."""
+        return grid_coords(self.frames, self.height, self.width)
+
+
+@lru_cache(maxsize=64)
+def grid_coords(frames: int, height: int, width: int) -> Array:
+    """:meth:`LatentGrid.coords`, built once per process for each extents."""
+    t, h, w = np.meshgrid(np.arange(frames), np.arange(height), np.arange(width), indexing="ij")
+    coords = np.stack([t.ravel(), h.ravel(), w.ravel()], axis=1)
+    coords.flags.writeable = False
+    return coords
 
 
 @dataclass(frozen=True)
@@ -216,14 +220,9 @@ def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
     return _topk_keys(q, k, block_size, top_k).mask()
 
 
-def realize_head_mask(
-    entry: HeadPlan,
-    grid: LatentGrid,
-    q: Array | None = None,
-    k: Array | None = None,
-) -> tuple[Array, Array | None]:
-    """Boolean N x N mask of :func:`head_keys`, plus the token permutation
-    it applies under (or None)."""
+def realize_head_mask(entry: HeadPlan, grid: LatentGrid, q: Array | None = None,
+                      k: Array | None = None) -> tuple[Array, Array | None]:
+    """Boolean N x N mask and token permutation of :func:`head_keys`; unused in the package."""
     keys, perm = head_keys(entry, grid, q, k)
     return keys.mask(), perm
 
@@ -364,16 +363,19 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Arr
     return keys.apply(attn, v), attn
 
 
+@lru_cache(maxsize=64)
 def window_keys(n: int, radius: int) -> KeyList:
     """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
     slots that start where the window does, shifted inside the sequence at
-    either end; slots outside the window are invalid."""
+    either end; slots outside the window are invalid. Cached; read-only."""
     if radius >= n - 1:
         return KeyList.full(n)
     width = min(2 * radius + 1, n)
     queries = np.arange(n)[:, None]
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
-    return KeyList(keys, np.abs(keys - queries) <= radius)
+    valid = np.abs(keys - queries) <= radius
+    keys.flags.writeable = valid.flags.writeable = False
+    return KeyList(keys, valid)
 
 
 def _topk_keys(q: Array, k: Array, block_size: int, top_k: int) -> KeyList:

@@ -41,7 +41,7 @@ ORDERED_SUM_BLOCK = 1 << 16
 
 
 def ensure_finite(x: Array, label: str = "array") -> Array:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{label} contains non-finite values")
     return x
 

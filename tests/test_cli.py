@@ -615,6 +615,29 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
     assert seen == [(4 * 5, 1 + maps)]
 
 
+@pytest.mark.parametrize("overrides,forwards", [
+    ([], 4 * 5 + 1),
+    (["drop.strategy=explicit", "drop.layers=[0]"], 4 * 5 + 2),
+    (["block.dropped=true"], 4 * 5),
+], ids=["default", "layer0_dropped", "block_dropped"])
+def test_zero_init_check_reuses_the_pooled_forward(tmp_path, monkeypatch, overrides, forwards):
+    """The inline zero-init check compares the full block with its
+    sparse-only twin on task (layer 0, timestep 0). It reuses the pool's
+    output when that task ran undropped, reruns it when the run dropped
+    layer 0, and is not applicable when the bundle itself is dropped."""
+    from salad import runner
+
+    calls = []
+    forward = runner.salad_forward
+    monkeypatch.setattr(runner, "salad_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    args = ["--out", str(tmp_path)] + [arg for o in overrides for arg in ("--set", o)]
+    assert run_cli("run", *args) == 0
+    assert len(calls) == forwards
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = next(c for c in report["oracle_checks"] if c["name"] == "zero_init_equivalence")
+    assert check["passed"] is (None if overrides == ["block.dropped=true"] else True)
+
+
 def test_bundle_without_lambda_override_loads_with_none(tmp_path):
     """An absent header key reads as null, and ``lambda_override`` takes null."""
     from salad.tensor_io import params_from_bytes

@@ -94,6 +94,19 @@ def test_report_digest(tmp_path, name):
     assert sha256((tmp_path / "report.json").read_bytes()) == REPORT_DIGESTS[name]
 
 
+def test_dropped_block_never_runs_its_linear_branch(tmp_path, monkeypatch):
+    """A dropped block's report bytes come without one linear-branch call."""
+    from salad import block
+
+    calls = []
+    streaming = block.linear_attention_streaming
+    monkeypatch.setattr(block, "linear_attention_streaming",
+                        lambda *a: calls.append(1) or streaming(*a))
+    assert main(["run", *BASE, *CONFIGS["block_dropped"], "--out", str(tmp_path)]) == 0
+    assert calls == []
+    assert sha256((tmp_path / "report.json").read_bytes()) == REPORT_DIGESTS["block_dropped"]
+
+
 def test_report_digest_two_threads(tmp_path):
     args = ["run", *BASE, *CONFIGS["window_reordered"], "--threads", "2", "--out", str(tmp_path)]
     assert main(args) == 0

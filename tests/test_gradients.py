@@ -20,8 +20,8 @@ from salad.gradients import (
     salad_loss_grads,
     softmax_backward,
 )
-from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_rotate
-from salad import block, gradients, masking, numerics
+from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_apply
+from salad import block, gradients, linear_attention, masking, numerics
 from salad.masking import (
     Explicit,
     KeyList,
@@ -136,18 +136,18 @@ class TestPrimitiveBackward:
 
     def test_rope_backward_is_inverse_rotation(self, rng):
         cfg = RopeConfig.default(8)
-        coords = np.stack([rng.raw(6) % 4, rng.raw(6) % 3, rng.raw(6) % 3], axis=1).astype(np.int64)
-        x = rng.normal((6, 8))
-        y = rope3d_rotate(x, coords, cfg)
-        assert np.max(np.abs(rope3d_backward(y, coords, cfg) - x)) < 1e-12
+        grid = LatentGrid(4, 3, 3, heads=2, head_dim=8)
+        x = rng.normal((grid.seq_len, grid.channels))
+        y = rope3d_apply(x, grid, cfg)
+        assert np.max(np.abs(rope3d_backward(y, grid, cfg) - x)) < 1e-12
 
     def test_rope_fd(self, rng):
         cfg = RopeConfig.default(8)
-        coords = np.stack([rng.raw(6) % 4, rng.raw(6) % 3, rng.raw(6) % 3], axis=1).astype(np.int64)
+        grid = LatentGrid(3, 2, 1, heads=1, head_dim=8)
         x = rng.normal((6, 8))
         r = rng.normal((6, 8))
-        got = rope3d_backward(r, coords, cfg)
-        fd = fd_scalar(lambda: float(np.sum(rope3d_rotate(x, coords, cfg) * r)), x)
+        got = rope3d_backward(r, grid, cfg)
+        fd = fd_scalar(lambda: float(np.sum(rope3d_apply(x, grid, cfg) * r)), x)
         assert max_rel_err(fd, got) < 1e-6
 
     def test_linear_attention_fd(self, rng):
@@ -370,6 +370,26 @@ def test_window_path_never_builds_a_dense_mask(monkeypatch):
     out, _ = salad_forward(x, params, plan, grid)
     _, grads = salad_loss_grads(x, params, plan, grid)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
+
+
+def test_gradcheck_builds_grid_constants_once(monkeypatch):
+    """``check_gradients`` runs thousands of tiny forwards and backwards on
+    one 2x2x2 grid with one rope config and the windows r=2 and r=1. Its
+    coordinates, rope tables and window key lists must come from the
+    per-grid caches: one ``np.meshgrid`` per grid extent, one table pair per
+    angle sign and one key list per radius, not one of each per forward."""
+    from salad import checks
+
+    built, tables = [], []
+    meshgrid, rope_tables = np.meshgrid, linear_attention._rope_tables
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: built.append(tuple(map(len, a))) or meshgrid(*a, **k))
+    monkeypatch.setattr(linear_attention, "_rope_tables", lambda *a: tables.append(1) or rope_tables(*a))
+    for cache in (masking.grid_coords, linear_attention.grid_rope_tables, masking.window_keys):
+        cache.cache_clear()
+    assert checks.check_gradients().passed
+    assert built == [(2, 2, 2)]
+    assert len(tables) == 2
+    assert masking.window_keys.cache_info().misses == 2
 
 
 def test_topk_path_never_builds_a_dense_mask(monkeypatch):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from salad.analysis import linear_branch_flops
 from salad.errors import ConfigError, DimensionError
+from salad.gradients import rope3d_backward
 from salad.linear_attention import (
     EPSILON,
     RopeConfig,
+    grid_rope_tables,
     linear_attention_map,
     linear_attention_naive,
     linear_attention_streaming,
@@ -16,6 +18,8 @@ from salad.linear_attention import (
 )
 from salad.masking import LatentGrid
 from salad.numerics import Rng, numerical_rank
+
+from conftest import same_bits
 
 
 class TestRopeConfig:
@@ -84,6 +88,31 @@ class TestRope:
         assert np.array_equal(rope3d_apply(x, grid, cfg), rope3d_rotate(x, grid.coords(), cfg))
         with pytest.raises(DimensionError):
             rope3d_apply(rng.normal((7, 8)), grid, cfg)
+
+
+class TestGridRopeTables:
+    """``rope3d_apply`` and the block backward read cos/sin tables cached per
+    (grid extents, config, heads, sign); they must give the bits of the
+    uncached rotation by caller-given coordinates."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_cached_rotation_matches_caller_coords(self, rng, heads):
+        grid = LatentGrid(3, 2, 4, heads=heads, head_dim=12)
+        cfg = RopeConfig(split=(6, 4, 2), base=500.0)
+        x = rng.normal((grid.seq_len, grid.channels))
+        coords = grid.coords()
+        assert same_bits(rope3d_apply(x, grid, cfg), rope3d_rotate(x, coords, cfg))
+        assert same_bits(rope3d_backward(x, grid, cfg), rope3d_rotate(x, -coords, cfg))
+
+    def test_tables_are_shared_and_read_only(self):
+        cfg = RopeConfig.default(8)
+        tables = grid_rope_tables(2, 2, 2, cfg, 2, 1)
+        assert grid_rope_tables(2, 2, 2, cfg, 2, 1) is tables
+        assert grid_rope_tables(2, 2, 2, cfg, 2, -1) is not tables
+        for table in tables:
+            assert table.shape == (8, 8) and not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
 
 class TestLinearAttention:

@@ -328,6 +328,38 @@ class TestGrid:
         assert [tuple(c) for c in g.coords()] == want
 
 
+class TestPerGridCaches:
+    """Coordinates and window key lists are built once per key and shared,
+    so they are read-only: a caller writing into one would corrupt every
+    later user of the same entry."""
+
+    def test_coords_are_read_only(self):
+        coords = grid_of(2, 3, 4).coords()
+        assert not coords.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 7
+
+    def test_coords_keyed_on_extents_only(self):
+        a, b = grid_of(2, 3, 4, heads=1), grid_of(2, 3, 4, heads=3, d=6)
+        assert a.coords() is b.coords()
+        other = grid_of(3, 2, 4)
+        assert other.coords() is not a.coords()
+        assert other.coords().shape == a.coords().shape
+        assert not np.array_equal(other.coords(), a.coords())
+        t, h, w = np.meshgrid(np.arange(3), np.arange(2), np.arange(4), indexing="ij")
+        assert np.array_equal(other.coords(), np.stack([t.ravel(), h.ravel(), w.ravel()], axis=1))
+
+    @pytest.mark.parametrize("n,radius", [(20, 3), (20, 19), (5, 40)], ids=["band", "full", "wide"])
+    def test_window_keys_are_cached_and_read_only(self, n, radius):
+        keys = window_keys(n, radius)
+        assert window_keys(n, radius) is keys
+        for arr in (keys.keys, keys.valid):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = arr[0, 0]
+        assert np.array_equal(keys.mask(), build_window_mask(n, radius))
+
+
 # ---------------------------------------------------------------------------
 # The key-list kernel against its per-channel and per-slot loops
 
