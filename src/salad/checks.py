@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (GateRecord, estimate_speedup, gate_percentiles, layer_mean_gates, layer_method_flops,
-                       percentile, plan_branch_drop, plan_sparsity_stats)
+from .analysis import layer_mean_gates, percentile, plan_branch_drop
 from .block import (
-    LoraUpdate,
     SaladParams,
     added_param_count,
     compute_gate,
@@ -31,7 +29,7 @@ from .block import (
     sparse_only_params,
 )
 from .config import RunConfig, config_from_dict
-from .errors import BlockCountError, ConfigError
+from .errors import BlockCountError
 from .gradients import gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     EPSILON,
@@ -55,6 +53,7 @@ from .masking import (
     st_reorder_permutation,
     window_attended_pairs,
 )
+from .analysis import GateRecord, estimate_speedup, layer_method_flops, plan_sparsity_stats
 from .numerics import Array, Rng, matmul
 from .runner import run_pipeline
 from .tensor_io import dumps_json, record_to_dict
@@ -629,6 +628,8 @@ def check_percentiles() -> CheckResult:
             detail.append("percentile escaped the sample range")
             break
     const = [GateRecord(layer, 0, 0.37) for layer in range(6)]
+    from .analysis import gate_percentiles
+
     table = gate_percentiles(const)
     if any(abs(v - 0.37) > 1e-15 for v in table["per_timestep"][0]["values"]):
         ok = False
@@ -646,6 +647,8 @@ def check_gradients() -> CheckResult:
     n, h = grid.seq_len, grid.channels
     detail = []
     ok = True
+
+    from .block import LoraUpdate
 
     lora = {
         t: LoraUpdate(a=rng.normal((2, h)), b=rng.normal((h, 2)), scale=0.5)
@@ -767,5 +770,7 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     names = list(ALL_CHECKS) if not only else only
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
+        from .errors import ConfigError
+
         raise ConfigError(f"unknown check {unknown[0]!r}; expected one of {sorted(ALL_CHECKS)}")
     return [ALL_CHECKS[name]() for name in names]

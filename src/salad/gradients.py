@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward
-from .linear_attention import RopeConfig, grid_rope_tables, rotate_pairs, streaming_terms
+from .linear_attention import RopeConfig, _grid_rotate, streaming_terms
 from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan
 from .numerics import Array, matmul, sigmoid, tanh
 
@@ -89,8 +89,7 @@ def elementwise_backward(op: str, x: Array, gy: Array) -> Array:
 
 def rope3d_backward(gy: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
     """Transpose of :func:`rope3d_apply`: turn the cotangent by the negated angles."""
-    tables = grid_rope_tables(grid.frames, grid.height, grid.width, cfg, gy.shape[1] // cfg.head_dim, -1)
-    return rotate_pairs(gy, *tables)
+    return _grid_rotate(gy, grid, cfg, -1)
 
 
 def relu_linear_attention_backward(

@@ -76,15 +76,20 @@ def rope3d_rotate(x: Array, coords: Array, cfg: RopeConfig) -> Array:
     coords = np.asarray(coords)
     if coords.shape != (x.shape[0], 3):
         raise DimensionError(f"coords shape {coords.shape} does not match {x.shape[0]} rows")
-    return rotate_pairs(x, *_rope_tables(coords, cfg, heads))
+    return _rotate_pairs(x, *_rope_tables(coords, cfg, heads))
 
 
 def rope3d_apply(x: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
     """Apply the 3-axis rotation to a sequence in default (frame-major) order."""
+    return _grid_rotate(x, grid, cfg, 1)
+
+
+def _grid_rotate(x: Array, grid: LatentGrid, cfg: RopeConfig, sign: int) -> Array:
+    """Turn ``x`` by ``sign`` times the grid's angles, from the cached tables."""
     if x.shape[0] != grid.seq_len:
         raise DimensionError(f"sequence length {x.shape[0]} does not match grid N={grid.seq_len}")
     x, heads = _rope_input(x, cfg)
-    return rotate_pairs(x, *grid_rope_tables(grid.frames, grid.height, grid.width, cfg, heads, 1))
+    return _rotate_pairs(x, *grid_rope_tables(grid.frames, grid.height, grid.width, cfg, heads, sign))
 
 
 @lru_cache(maxsize=64)
@@ -112,7 +117,7 @@ def _rope_tables(coords: Array, cfg: RopeConfig, heads: int) -> tuple[Array, Arr
     return np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads)
 
 
-def rotate_pairs(x: Array, c: Array, s: Array) -> Array:
+def _rotate_pairs(x: Array, c: Array, s: Array) -> Array:
     """Turn channel pair i of ``x`` by the angle with cosine ``c[:, i]``, sine ``s[:, i]``."""
     out = np.empty_like(x)
     out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s

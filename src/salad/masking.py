@@ -220,9 +220,14 @@ def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
     return _topk_keys(q, k, block_size, top_k).mask()
 
 
-def realize_head_mask(entry: HeadPlan, grid: LatentGrid, q: Array | None = None,
-                      k: Array | None = None) -> tuple[Array, Array | None]:
-    """Boolean N x N mask and token permutation of :func:`head_keys`; unused in the package."""
+def realize_head_mask(
+    entry: HeadPlan,
+    grid: LatentGrid,
+    q: Array | None = None,
+    k: Array | None = None,
+) -> tuple[Array, Array | None]:
+    """Boolean N x N mask of :func:`head_keys`, plus the token permutation
+    it applies under (or None)."""
     keys, perm = head_keys(entry, grid, q, k)
     return keys.mask(), perm
 

@@ -33,7 +33,7 @@ from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
 from .gradients import gradcheck_salad
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
-from .tensor_io import check_json, dumps_json, load_json, read_params, record_from_dict, record_to_dict
+from .tensor_io import check_json, dumps_json, load_json, record_from_dict, record_to_dict
 from .workload import Workload, generate_workload, load_workload
 
 REPORT_NAME = "report.json"
@@ -71,6 +71,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     else:
         workload = generate_workload(cfg)
     if cfg.block.params_bundle is not None:
+        from .tensor_io import read_params
+
         # One block everywhere.
         workload.params = [read_params(cfg.block.params_bundle, grid)] * cfg.layers
     plan, calibration = resolve_plan(cfg, workload)
@@ -96,13 +98,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             params = sparse_only_params(params)
         x = workload.inputs[layer, t] * sigmas[t]
         out, trace = salad_forward(x, params, plan, grid, rope_cfg)
-        first = out if (layer, t) == (0, 0) and layer not in explicit_dropped else None
+        first = out if (layer, t) == (0, 0) else None
         return trace.gate, trace.attended_pairs, trace if (layer, t) in kept else None, first
 
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = dict(zip(tasks, pool.map(lambda lt: one(*lt), tasks)))
-    traces = {lt: r[2] for lt, r in results.items() if r[2] is not None}
+    traces = {lt: trace for lt, (_, _, trace, _) in results.items() if trace is not None}
 
     # Gate records and the cost ledger over the layers as actually run.
     records = [GateRecord(layer, t, results[(layer, t)][0]) for layer, t in tasks]
@@ -130,7 +132,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         [(layer, traces[(layer, rt)]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
     )
 
-    oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas, results[(0, 0)][3])
+    oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas,
+                                   results[(0, 0)][3], 0 in explicit_dropped)
 
     gradcheck_section: dict = {"run": False, "all_passed": None, "reports": []}
     if cfg.checks.gradcheck_in_run:
@@ -176,9 +179,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     return report
 
 
-def _inline_checks(workload, plan, grid, rope_cfg, sigmas, full) -> list[dict]:
-    """Cheap oracle checks recorded into every run report. ``full`` is the
-    pool's output of task (0, 0), or None when that task ran dropped."""
+def _inline_checks(workload, plan, grid, rope_cfg, sigmas, pooled, dropped0) -> list[dict]:
+    """Cheap oracle checks recorded into every run report. ``pooled`` is the
+    pool's output of task (0, 0), which ran sparse-only if ``dropped0``."""
     checks = []
 
     perm = st_reorder_permutation(grid)
@@ -194,9 +197,8 @@ def _inline_checks(workload, plan, grid, rope_cfg, sigmas, full) -> list[dict]:
     zero_proj = not params0.dropped and not np.any(params0.proj)
     if zero_proj:
         x = workload.inputs[0, 0] * sigmas[0]
-        if full is None:
-            full, _ = salad_forward(x, params0, plan, grid, rope_cfg)
-        sparse_only, _ = salad_forward(x, sparse_only_params(params0), plan, grid, rope_cfg)
+        other, _ = salad_forward(x, params0 if dropped0 else sparse_only_params(params0), plan, grid, rope_cfg)
+        full, sparse_only = (other, pooled) if dropped0 else (pooled, other)
         err = float(np.max(np.abs(full - sparse_only)))
         checks.append({
             "name": "zero_init_equivalence",

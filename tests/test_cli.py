@@ -617,14 +617,15 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
 
 @pytest.mark.parametrize("overrides,forwards", [
     ([], 4 * 5 + 1),
-    (["drop.strategy=explicit", "drop.layers=[0]"], 4 * 5 + 2),
+    (["drop.strategy=explicit", "drop.layers=[0]"], 4 * 5 + 1),
     (["block.dropped=true"], 4 * 5),
 ], ids=["default", "layer0_dropped", "block_dropped"])
 def test_zero_init_check_reuses_the_pooled_forward(tmp_path, monkeypatch, overrides, forwards):
     """The inline zero-init check compares the full block with its
     sparse-only twin on task (layer 0, timestep 0). It reuses the pool's
-    output when that task ran undropped, reruns it when the run dropped
-    layer 0, and is not applicable when the bundle itself is dropped."""
+    output of that task, as the full block or, when the run dropped layer 0,
+    as the sparse-only twin, and is not applicable when the bundle itself is
+    dropped."""
     from salad import runner
 
     calls = []

@@ -104,6 +104,15 @@ class TestGridRopeTables:
         assert same_bits(rope3d_apply(x, grid, cfg), rope3d_rotate(x, coords, cfg))
         assert same_bits(rope3d_backward(x, grid, cfg), rope3d_rotate(x, -coords, cfg))
 
+    @pytest.mark.parametrize("rotate", [rope3d_apply, rope3d_backward])
+    def test_cached_rotation_checks_its_input(self, rng, rotate):
+        grid = LatentGrid(2, 2, 2, heads=1, head_dim=8)
+        cfg = RopeConfig.default(8)
+        with pytest.raises(ConfigError):
+            rotate(rng.normal((8, 6)), grid, cfg)
+        with pytest.raises(DimensionError):
+            rotate(rng.normal((7, 8)), grid, cfg)
+
     def test_tables_are_shared_and_read_only(self):
         cfg = RopeConfig.default(8)
         tables = grid_rope_tables(2, 2, 2, cfg, 2, 1)
