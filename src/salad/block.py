@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, StateError
 from .linear_attention import (
     RopeConfig,
     linear_attention_map,
@@ -228,8 +228,10 @@ class Projection:
     rotated queries and keys and the values, all heads side by side.
 
     ``q_lin``/``k_lin``/``v_lin`` feed the linear branch; in the shared
-    variant they are the same arrays as ``q``/``k``/``v``. ``rope_cfg`` is
-    the rotation that was applied, kept so the backward pass can undo it.
+    variant they are the same arrays as ``q``/``k``/``v``, and a dropped
+    non-shared branch leaves them None (see :func:`linear_projection`).
+    ``rope_cfg`` is the rotation that was applied, kept so the backward
+    pass can undo it.
     """
 
     wq: Array
@@ -239,25 +241,35 @@ class Projection:
     q: Array
     k: Array
     v: Array
-    q_lin: Array
-    k_lin: Array
-    v_lin: Array
+    q_lin: Array | None
+    k_lin: Array | None
+    v_lin: Array | None
     rope_cfg: RopeConfig
 
 
+def linear_projection(x: Array, params: SaladParams, grid: LatentGrid,
+                      rope_cfg: RopeConfig) -> tuple[Array, Array, Array]:
+    """The non-shared linear branch's own rotated queries and keys and its
+    values."""
+    q_lin = rope3d_apply(matmul(x, params.w_q_lin), grid, rope_cfg)
+    k_lin = rope3d_apply(matmul(x, params.w_k_lin), grid, rope_cfg)
+    return q_lin, k_lin, matmul(x, params.w_v_lin)
+
+
 def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfig) -> Projection:
-    """Merge adapters, project X to Q/K/V, and rotate every head of Q and K."""
+    """Merge adapters, project X to Q/K/V, and rotate every head of Q and K.
+    A dropped non-shared branch is never read, so it is not projected."""
     wq, wk, wv, wo = (merged_weight(params, m) for m in ("q", "k", "v", "o"))
     q = rope3d_apply(matmul(x, wq), grid, rope_cfg)
     k = rope3d_apply(matmul(x, wk), grid, rope_cfg)
     v = matmul(x, wv)
-    if params.variant == "non_shared":
-        q_lin = rope3d_apply(matmul(x, params.w_q_lin), grid, rope_cfg)
-        k_lin = rope3d_apply(matmul(x, params.w_k_lin), grid, rope_cfg)
-        v_lin = matmul(x, params.w_v_lin)
+    if params.variant == "shared":
+        linear = (q, k, v)
+    elif params.dropped:
+        linear = (None, None, None)
     else:
-        q_lin, k_lin, v_lin = q, k, v
-    return Projection(wq, wk, wv, wo, q, k, v, q_lin, k_lin, v_lin, rope_cfg)
+        linear = linear_projection(x, params, grid, rope_cfg)
+    return Projection(wq, wk, wv, wo, q, k, v, *linear, rope_cfg)
 
 
 @dataclass
@@ -351,11 +363,15 @@ def write_pgm(mat: Array, path: Path) -> None:
 def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) -> list[Path]:
     """Write one head's sparse and linear maps as CSV plus 8-bit PGM.
 
-    CSV keeps full precision; the PGM scales each row by its maximum.
+    CSV keeps full precision; the PGM scales each row by its maximum. The
+    record of a dropped non-shared branch must first get its linear-branch
+    inputs from :func:`linear_projection`.
     """
     pr = trace.projection
     if not 0 <= head < len(trace.heads):
         raise ConfigError(f"head {head} out of range for {len(trace.heads)} recorded heads")
+    if pr.q_lin is None:
+        raise StateError("the record's dropped linear branch was never projected")
     s = head_slices(pr.q.shape[1], len(trace.heads))[head]
     linear = linear_attention_map(pr.q_lin[:, s], pr.k_lin[:, s])
     prefix = Path(out_prefix)

@@ -80,6 +80,18 @@ def _load_bundle_if_configured(cfg: RunConfig) -> None:
         read_params(cfg.block.params_bundle, cfg.to_grid())
 
 
+def _note_block_kernel() -> None:
+    # One stderr line, once the work is done, when products ran on the
+    # slower stack kernel; the bits, stdout and the report are the same.
+    import numpy as np
+
+    from . import numerics
+
+    if numerics.BLOCK_KERNEL is numerics.stacked_block:
+        print(f"note: numpy {np.__version__} einsum failed the bit probe; "
+              "products use the slower stack kernel", file=sys.stderr)
+
+
 def cmd_gen(cfg: RunConfig) -> int:
     from .workload import generate_workload, write_workload
 
@@ -93,6 +105,7 @@ def cmd_run(cfg: RunConfig) -> int:
     from .runner import REPORT_NAME, run_pipeline
 
     report = run_pipeline(cfg, out_dir=cfg.out)
+    _note_block_kernel()
     print(Path(cfg.out) / REPORT_NAME)
     print(f"aggregate sparsity {report.sparsity['aggregate']:.4f}, "
           f"estimated speedup {report.speedup_estimate:.3f}x")
@@ -111,6 +124,7 @@ def cmd_check(cfg: RunConfig, only: str | None, list_only: bool) -> int:
     results = run_checks(names)
     for res in results:
         print(res.line())
+    _note_block_kernel()
     failed = [res for res in results if not res.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)

@@ -190,7 +190,7 @@ def salad_loss_grads(
     if shared:  # both branches read the same Q/K/V, so their gradients add up in place
         dql_rot, dkl_rot, dvl = dq_rot, dk_rot, dv
     else:
-        dql_rot, dkl_rot, dvl = (np.zeros_like(a) for a in (pr.q_lin, pr.k_lin, pr.v_lin))
+        dql_rot, dkl_rot, dvl = (np.zeros_like(a) for a in (pr.q, pr.k, pr.v))
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         # A reordered head ran on rows ``perm`` and scatters its gradients back there.

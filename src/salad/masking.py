@@ -13,10 +13,10 @@ query attends in ascending order, and one kernel (:func:`attend_keys`,
 with the backward in ``gradients``) reads those keys for every head, so
 a head costs in proportion to the pairs it attends. Every product adds
 its terms in the dense ``matmul`` order, through the same
-``numerics.ordered_sum`` (a C-order stack of the terms, reduced over its
-leading axis: per channel for the scores, per slot for the weighted sum),
-and every term it skips is an exact zero, so the kernel gives the bits of
-dense masked attention.
+``numerics.ordered_sum`` (the operand gathered at each row's keys, one
+term per channel for the scores and per slot for the weighted sum, each
+element's terms added in ascending order), and every term it skips is an
+exact zero, so the kernel gives the bits of dense masked attention.
 """
 
 from __future__ import annotations
@@ -169,11 +169,12 @@ def invert_permutation(perm: Array) -> Array:
 
 
 def build_window_mask(n: int, radius: int) -> Array:
-    """Boolean band mask: true where |i - j| <= radius."""
+    """Boolean band mask: true where |i - j| <= radius, built from boolean
+    (N, N) arrays only."""
     if radius < 0:
         raise ConfigError("window radius must be >= 0")
     idx = np.arange(n)
-    return np.abs(idx[:, None] - idx[None, :]) <= radius
+    return (idx[None, :] >= idx[:, None] - radius) & (idx[None, :] <= idx[:, None] + radius)
 
 
 def window_attended_pairs(n: int, radius: int) -> int:
@@ -276,40 +277,36 @@ class KeyList:
         """Number of attended query-key pairs."""
         return int(self.valid.sum())
 
-    def _terms(self, coef: Array, x: Array, axis: int):
-        """The ``terms`` callback of :func:`ordered_sum` for a product over
-        the keys: term k of row i and column j is ``coef[k, i]`` times x
-        gathered at row i's keys, which are rows of x (``axis=0``: k a slot,
-        j a channel) or its columns (``axis=1``: k a channel, j a slot).
-        A broadcast list (every query shares its keys) gathers its one
-        index row once."""
+    def _values(self, x: Array, axis: int):
+        """The ``values`` of :func:`ordered_sum` for a product over the
+        keys: x gathered at row i's keys, which are rows of x (``axis=0``:
+        k a slot, j a channel) or its columns (``axis=1``: k a channel, j
+        a slot). A broadcast list (every query shares its keys) gathers
+        its one index row once, into values every row shares."""
         if self.keys.strides[0] == 0:
-            shared = x.take(self.keys[0], axis=axis)[:, None]
-            return lambda s, e, out: np.multiply(coef[:, s:e, None], shared, out=out)
+            return x.take(self.keys[0], axis=axis)
 
-        def terms(s: int, e: int, out: Array) -> None:
+        def gather(s: int, e: int, out: Array) -> None:
             index = self.keys[s:e].T if axis == 0 else self.keys[s:e]
             # Keys are in range; "clip" only spares take the bounds check
             # that would make it gather into a temporary and copy.
             x.take(index, axis=axis, out=out, mode="clip")
-            np.multiply(out, coef[:, s:e, None], out=out)
 
-        return terms
+        return gather
 
     def scores(self, a: Array, b: Array) -> Array:
         """``matmul(a, b.T)`` at the listed pairs: slot m of row i holds
         a[i] . b[keys[i, m]], accumulated over channels in ascending order
         from 0.0 as :func:`matmul` does (by :func:`ordered_sum`)."""
-        terms = self._terms(a.T, np.ascontiguousarray(b.T), axis=1)
-        return ensure_finite(ordered_sum(self.keys.shape, a.shape[1], terms), "attention scores")
+        values = self._values(np.ascontiguousarray(b.T), axis=1)
+        return ensure_finite(ordered_sum(a.T, values, self.keys.shape[1]), "attention scores")
 
     def apply(self, w: Array, x: Array) -> Array:
         """``matmul(dense, x)`` for slot weights ``w``: row i sums
         w[i, m] x[keys[i, m]] over its keys in ascending order (by
         :func:`ordered_sum`)."""
-        n, width = self.keys.shape
-        terms = self._terms(w.T, x, axis=0)
-        return ensure_finite(ordered_sum((n, x.shape[1]), width, terms), "attention product")
+        values = self._values(x, axis=0)
+        return ensure_finite(ordered_sum(w.T, values, x.shape[1]), "attention product")
 
     def to_dense(self, w: Array, start: int = 0, stop: int | None = None) -> Array:
         """The (N, N) matrix the slot values ``w`` stand for, or its rows
@@ -330,8 +327,11 @@ class KeyList:
         numpy sums each row pairwise over its full length, an order no
         accumulation over the slots alone reproduces, so the rows are
         scattered into zeroed length-N rows, ``ROW_SUM_CHUNK`` at a time,
-        and summed there.
+        and summed there. A broadcast list's slots already are the dense
+        row, so its rows are summed in place.
         """
+        if self.keys.strides[0] == 0:
+            return np.ascontiguousarray(w).sum(axis=1)
         n = self.keys.shape[0]
         out = np.empty(n)
         for start in range(0, n, ROW_SUM_CHUNK):

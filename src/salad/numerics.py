@@ -7,19 +7,33 @@ ascending index order, which makes every result bit-identical to a plain
 triple-loop evaluation and byte-reproducible from run to run.
 
 :func:`ordered_sum` is how such a sum runs without a Python loop over its
-terms. The terms of a block of result rows are laid out as a C-order
-(K, rows, cols) stack and reduced over the leading axis. numpy sums
-pairwise only along the axis that is fastest in memory; here that axis
-is ``cols``, so each output element is added up term by term in
-ascending k. The one exception is a block with a single output element:
-the summed axis is then the only one left and numpy would sum it
-pairwise, so that block goes through ``np.add.accumulate``, which is
-sequential by definition.
+terms. It hands one block of result rows at a time to a block kernel, as
+a k-major C-contiguous (K, rows) copy of the coefficients and a k-major
+(K, rows, cols) operand of values, and the kernel writes the block's
+sums. The fused kernel (:func:`fused_block`) is one
+``einsum("ki,kij->ij")``: k has the largest stride in every operand, so
+numpy's iterator puts it outermost and adds each output element's
+products one at a time in ascending k, from 0.0, with a multiply and a
+separate add. The stack kernel (:func:`stacked_block`) writes the
+products as a C-order (K, rows, cols) stack and reduces its leading axis;
+numpy sums pairwise only along the axis that is fastest in memory, here
+``cols``, so that order is sequential too, at the cost of writing every
+product to memory. A block with a single output element always takes the
+stack kernel through ``np.add.accumulate``, which is sequential by
+definition: einsum would reduce its only axis in a SIMD inner loop, and
+``np.add.reduce`` pairwise.
+
+An einsum that fuses multiply-add (numpy built for an FMA baseline) or
+iterates in another order would change bits, so at import
+:func:`choose_block_kernel` runs the fused kernel on a small fixed probe
+and keeps it only if it gives the stack kernel's bits on every case;
+otherwise ``BLOCK_KERNEL`` is the stack kernel.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +50,7 @@ DEFAULT_RANK_REL_TOL = 1e-6
 _JACOBI_SWEEP_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
-#: Most terms :func:`ordered_sum` stacks at once (512 KiB of float64).
+#: Most terms :func:`ordered_sum` handles per row block (512 KiB of float64).
 ORDERED_SUM_BLOCK = 1 << 16
 
 
@@ -46,37 +60,110 @@ def ensure_finite(x: Array, label: str = "array") -> Array:
     return x
 
 
-def ordered_sum(shape: tuple[int, int], count: int, terms) -> Array:
-    """Sum ``count`` terms per element of a (rows, cols) result in
-    ascending order from 0.0, exactly as a loop ``out += term[k]`` would.
+def fused_block(coef: Array, values: Array, out: Array) -> None:
+    """Write ``out[i, j] = sum_k coef[k, i] * values[k, i, j]``, adding the
+    products in ascending k from 0.0, by one einsum (see the module
+    docstring). ``coef`` and ``values`` must be k-major and C-contiguous
+    (``values`` may broadcast over i)."""
+    np.einsum("ki,kij->ij", coef, values, out=out, optimize=False)
 
-    ``terms(start, stop, out)`` writes the terms of result rows
-    start..stop-1 into ``out``, a C-order (count, stop - start, cols)
-    stack. One buffer per call holds the stacks of successive row blocks,
-    each of at most ``ORDERED_SUM_BLOCK`` elements (or one row), and each
-    stack is reduced over its leading axis into the result (see the module
-    docstring for why that order is sequential). numpy may start a
-    reduction from its first term rather than from 0.0, and an accumulate
-    always does; that differs from the loop only where every term is -0.0,
-    and the final ``+= 0.0`` turns that -0.0 into the loop's +0.0 and
-    leaves every other value as it is.
+
+def stacked_block(coef: Array, values: Array, out: Array) -> None:
+    """:func:`fused_block` by a product stack reduced over its leading
+    axis, or accumulated when ``out`` has one element. A writable
+    ``values`` is scratch and holds the stack afterwards; a read-only one
+    (a broadcast) is left as it is."""
+    stack = np.multiply(values, coef[:, :, None], out=values if values.flags.writeable else None)
+    if out.size == 1:
+        out[...] = np.add.accumulate(stack, axis=0)[-1]
+    else:
+        np.add.reduce(stack, axis=0, out=out)
+
+
+def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], cols: int) -> Array:
+    """The (rows, cols) sums ``sum_k coef[k, i] * values[k, i, j]``, each
+    added in ascending k from 0.0, exactly as a loop ``out += term[k]``
+    would.
+
+    ``coef`` is (K, rows) in any layout. ``values`` is either a (K, cols)
+    array that every result row shares, or a callable ``gather(start,
+    stop, out)`` that writes the values of result rows start..stop-1 into
+    ``out``, a C-order (K, stop - start, cols) scratch array. Rows go to
+    ``BLOCK_KERNEL`` in blocks of at most ``ORDERED_SUM_BLOCK`` terms (or
+    one row), each with a k-major copy of its coefficients; one buffer per
+    call holds the gathered values. The stack kernel may start a reduction
+    from its first term rather than from 0.0, and an accumulate always
+    does; that differs from the loop only where every term is -0.0, and
+    the final ``+= 0.0`` turns that -0.0 into the loop's +0.0 and leaves
+    every other value as it is.
     """
-    rows, cols = shape
-    out = np.zeros(shape)
+    count, rows = coef.shape
+    out = np.zeros((rows, cols))
     if count == 0 or out.size == 0:
         return out
     step = min(rows, max(1, ORDERED_SUM_BLOCK // (count * cols)))
-    buffer = np.empty(count * step * cols)
+    if callable(values):
+        buffer = np.empty(count * step * cols)
+    else:
+        shared = np.ascontiguousarray(values)[:, None, :]
+        shared.flags.writeable = False
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block = buffer[: count * (stop - start) * cols].reshape(count, stop - start, cols)
-        terms(start, stop, block)
-        if block[0].size == 1:
-            out[start:stop] = np.add.accumulate(block, axis=0)[-1]
+        block = out[start:stop]
+        if callable(values):
+            operand = buffer[: count * (stop - start) * cols].reshape(count, stop - start, cols)
+            values(start, stop, operand)
         else:
-            np.add.reduce(block, axis=0, out=out[start:stop])
+            operand = shared
+        kernel = stacked_block if block.size == 1 else BLOCK_KERNEL
+        kernel(np.ascontiguousarray(coef[:, start:stop]), operand, block)
     out += 0.0
     return out
+
+
+def _probe_cases() -> list[tuple[Array, Array]]:
+    """(coef, values) blocks on which a kernel must give the stack kernel's
+    bits: one row, one column and several of each, with values shared by
+    the rows (read-only, as ``ordered_sum`` passes them) and gathered.
+    Each output element adds, in order, 1*(-1) and (1+2^-30)^2 (exact
+    only under a fused multiply-add), or 1 and then 2^-53 eighteen times
+    (1 only in ascending order), or only -0.0 terms. Row i scales its
+    coefficients by 2^i, which keeps every case exact."""
+    count = 20
+    tiny = 2.0**-53
+    near = 1.0 + 2.0**-30
+    columns = np.zeros((count, 3))
+    columns[:2, 0] = (-1.0, near)
+    columns[0, 1], columns[2:, 1] = 1.0, tiny
+    columns[:, 2] = -0.0
+    coef = np.ones((count, 3)) * 2.0 ** np.arange(3)
+    coef[1] *= near
+    cases = []
+    for rows, cols in [(1, slice(None)), (3, slice(None)), (3, [0]), (3, [1]), (3, [2])]:
+        c = np.ascontiguousarray(coef[:, :rows])
+        v = np.ascontiguousarray(columns[:, cols])
+        shared = v[:, None, :]
+        shared.flags.writeable = False
+        cases.append((c, shared))
+        cases.append((c, np.ascontiguousarray(np.broadcast_to(shared, (count, rows, v.shape[1])))))
+    return cases
+
+
+def choose_block_kernel(candidate: Callable[[Array, Array, Array], None] = fused_block):
+    """``candidate`` if it gives :func:`stacked_block`'s bits on every
+    probe case, else :func:`stacked_block`."""
+    for coef, values in _probe_cases():
+        want = np.empty((coef.shape[1], values.shape[2]))
+        got = np.empty_like(want)
+        candidate(coef, values.copy() if values.flags.writeable else values, got)
+        stacked_block(coef, values, want)
+        if not np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)):
+            return stacked_block
+    return candidate
+
+
+#: The kernel :func:`ordered_sum` runs row blocks through.
+BLOCK_KERNEL = choose_block_kernel()
 
 
 def matmul(a: Array, b: Array) -> Array:
@@ -93,10 +180,7 @@ def matmul(a: Array, b: Array) -> Array:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    at = a.T
-    out = ordered_sum((a.shape[0], b.shape[1]), a.shape[1],
-                      lambda s, e, stack: np.multiply(at[:, s:e, None], b[:, None, :], out=stack))
-    return ensure_finite(out, "matmul result")
+    return ensure_finite(ordered_sum(a.T, b, b.shape[1]), "matmul result")
 
 
 def softmax_masked(logits: Array, mask: Array) -> Array:

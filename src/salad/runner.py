@@ -28,7 +28,14 @@ from .analysis import (
     price_drop,
     price_run,
 )
-from .block import export_attention_maps, head_slices, project, salad_forward, sparse_only_params
+from .block import (
+    export_attention_maps,
+    head_slices,
+    linear_projection,
+    project,
+    salad_forward,
+    sparse_only_params,
+)
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
 from .gradients import gradcheck_salad
@@ -173,9 +180,14 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         out.mkdir(parents=True, exist_ok=True)
         (out / REPORT_NAME).write_text(dumps_json(record_to_dict(report)))
         if cfg.maps.export:
-            trace = traces[(cfg.maps.layer, cfg.maps.timestep)]
-            export_attention_maps(trace, cfg.maps.head,
-                                  out / "maps" / f"l{cfg.maps.layer}_t{cfg.maps.timestep}")
+            layer, t = cfg.maps.layer, cfg.maps.timestep
+            trace = traces[(layer, t)]
+            pr = trace.projection
+            if pr.q_lin is None:  # a dropped non-shared branch skipped its projections
+                x = workload.inputs[layer, t] * sigmas[t]
+                pr.q_lin, pr.k_lin, pr.v_lin = linear_projection(x, workload.params[layer],
+                                                                 grid, rope_cfg)
+            export_attention_maps(trace, cfg.maps.head, out / "maps" / f"l{layer}_t{t}")
     return report
 
 

@@ -10,13 +10,14 @@ from salad.block import (
     compute_gate,
     export_attention_maps,
     head_slices,
+    linear_projection,
     lora_apply,
     merged_weight,
     salad_forward,
     sparse_head_attention,
     sparse_only_params,
 )
-from salad.errors import ConfigError, DimensionError
+from salad.errors import ConfigError, DimensionError, StateError
 from salad.linear_attention import RopeConfig
 from salad.masking import Explicit, LatentGrid, MaskPlan, TopK, Window, window_attended_pairs
 from salad.numerics import matmul, numerical_rank
@@ -186,6 +187,23 @@ class TestForward:
         assert trace.o_l is None and trace.gate_applied is None and trace.proj_out is None
         assert 0.0 < trace.gate < 1.0  # gate still measured for analysis
 
+    def test_dropped_non_shared_branch_is_not_projected(self, rng, monkeypatch):
+        from salad import block
+
+        grid = small_grid()
+        h = grid.channels
+        p = random_params(rng, grid, variant="non_shared", dropped=True,
+                          w_q_lin=rng.normal((h, h)), w_k_lin=rng.normal((h, h)),
+                          w_v_lin=rng.normal((h, h)))
+        plan = MaskPlan.uniform(Window(radius=1), grid.heads)
+        calls = []
+        rotate = block.rope3d_apply
+        monkeypatch.setattr(block, "rope3d_apply", lambda *a: calls.append(1) or rotate(*a))
+        _, trace = salad_forward(rng.normal((grid.seq_len, h)), p, plan, grid)
+        pr = trace.projection
+        assert len(calls) == 2  # Q and K of the sparse branch only
+        assert pr.q_lin is None and pr.k_lin is None and pr.v_lin is None
+
     def test_shape_and_plan_validation(self, rng):
         grid = small_grid()
         p = random_params(rng, grid)
@@ -255,6 +273,26 @@ class TestAttentionMaps:
         rows = (tmp_path / "map_linear_h0.csv").read_text().strip().splitlines()
         sums = [sum(float(cell) for cell in line.split(",")) for line in rows]
         assert max(abs(s - 1.0) for s in sums) < 1e-9
+
+    def test_unprojected_dropped_branch_needs_its_projection(self, rng, tmp_path):
+        grid = small_grid(heads=1, d=4)
+        h = grid.channels
+        p = random_params(rng, grid, variant="non_shared", dropped=True,
+                          w_q_lin=rng.normal((h, h)), w_k_lin=rng.normal((h, h)),
+                          w_v_lin=rng.normal((h, h)))
+        x = np.abs(rng.normal((grid.seq_len, h))) + 0.2
+        _, trace = salad_forward(x, p, MaskPlan([Window(radius=1)]), grid)
+        with pytest.raises(StateError):
+            export_attention_maps(trace, 0, tmp_path / "map")
+        pr = trace.projection
+        pr.q_lin, pr.k_lin, pr.v_lin = linear_projection(x, p, grid, RopeConfig.default(4))
+        undropped = dataclasses.replace(p, dropped=False)
+        _, full = salad_forward(x, undropped, MaskPlan([Window(radius=1)]), grid)
+        export_attention_maps(trace, 0, tmp_path / "lazy")
+        export_attention_maps(full, 0, tmp_path / "full")
+        for kind in ("sparse", "linear"):
+            assert ((tmp_path / f"lazy_{kind}_h0.csv").read_bytes()
+                    == (tmp_path / f"full_{kind}_h0.csv").read_bytes())
 
     def test_head_out_of_range(self, rng, tmp_path):
         grid = small_grid()

@@ -287,6 +287,27 @@ class TestCheckCommand:
         assert "1 of 2 checks failed" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeypatch, command):
+    from salad import numerics
+
+    args = (["check", "--only", "param_count,percentiles"] if command == "check"
+            else ["run", *small_args(tmp_path), "--no-timestamp"])
+    assert run_cli(*args) == 0
+    fused = capsys.readouterr()
+    report = (tmp_path / "out" / "report.json").read_bytes() if command == "run" else None
+    assert "stack kernel" not in fused.err
+
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    assert run_cli(*args) == 0
+    stacked = capsys.readouterr()
+    assert stacked.out == fused.out
+    notes = [line for line in stacked.err.splitlines() if "stack kernel" in line]
+    assert len(notes) == 1 and np.__version__ in notes[0]
+    if command == "run":
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
+
+
 class TestAnalyze:
     def test_outputs(self, tmp_path, capsys):
         run_cli("run", *small_args(tmp_path, "r"), "--no-timestamp")

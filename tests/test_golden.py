@@ -126,6 +126,27 @@ def test_export_maps_digests(tmp_path):
     assert dir_digests(tmp_path / "maps") == MAPS_DIGESTS
 
 
+#: Maps of a dropped non-shared layer, whose forward skips the linear
+#: branch's projections: map export builds them, with the same bits.
+DROPPED_MAPS_DIGESTS = {
+    "l1_t2_linear_h1.csv": "4f7998ce053f9c6f817e90c8a2465c5f2cf6fc75b92a828092cda2e7340eda9b",
+    "l1_t2_linear_h1.pgm": "4653c01d900e9caacabe80e64e1d7c86e38fe3cd63879ce9d7f623e534fbee14",
+    "l1_t2_sparse_h1.csv": "74e249303a870e7b31459e6eeda7fe79db82ed3c5f2bd3d609e063d8645ec814",
+    "l1_t2_sparse_h1.pgm": "c5dfb7abd8f39f937894ac0de0d17c0683921e9c5f304bf6a1da6c5bdabf81b0",
+}
+
+
+@pytest.mark.parametrize("drop", [["drop.strategy=explicit", "drop.layers=[1]"], ["block.dropped=true"]],
+                         ids=["explicit_layer", "block"])
+def test_dropped_non_shared_maps_digests(tmp_path, drop):
+    args = ["export-maps", *BASE, "--set", "block.variant=non_shared",
+            "--set", "block.random_proj=true", *(a for item in drop for a in ("--set", item)),
+            "--set", "maps.layer=1", "--set", "maps.timestep=2", "--set", "maps.head=1",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert dir_digests(tmp_path / "maps") == DROPPED_MAPS_DIGESTS
+
+
 #: Rank layers out of order, a nonzero rank timestep with a cutoff at which
 #: ranks differ between timesteps, and a maps task that is no rank task: the
 #: run must keep exactly the records its report and maps read.

@@ -421,6 +421,30 @@ def test_key_list_kernel_bits_match_loops(case, transposed):
     assert same_bits(keys.apply(w, neg), loop_apply(keys, w, neg))
 
 
+@pytest.mark.parametrize("case", sorted(KEY_LISTS))
+def test_key_list_kernel_stack_fallback_gives_the_fused_bits(case, monkeypatch):
+    keys, channels = KEY_LISTS[case]
+    r = Rng(len(case) + 50)
+    n, width = keys.keys.shape
+    a, b, x = (signed_values(r, (n, channels)) for _ in range(3))
+    w = signed_values(r, (n, width))
+    fused = keys.scores(a, b), keys.apply(w, x)
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    assert same_bits(keys.scores(a, b), fused[0])
+    assert same_bits(keys.apply(w, x), fused[1])
+
+
+@pytest.mark.parametrize("n", [7, 128, 129, 2048])
+def test_full_key_list_row_sum_matches_the_scatter(n):
+    r = Rng(n)
+    keys = KeyList.full(n)
+    w = signed_values(r, (n, n))
+    want = np.concatenate([keys.to_dense(w, s, min(s + 128, n)).sum(axis=1)
+                           for s in range(0, n, 128)])
+    assert same_bits(keys.row_sum(w), want)
+    assert same_bits(keys.row_sum(np.asfortranarray(w)), want)
+
+
 def test_key_list_cases_span_several_row_blocks():
     """Each case's stacks exceed one block, so the kernel sums row blocks."""
     for keys, channels in KEY_LISTS.values():

@@ -1,5 +1,7 @@
 import math
+import platform
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +111,81 @@ def test_matmul_bits_hold_with_one_row_per_block(monkeypatch):
         assert same_bits(matmul(a, b), loop_matmul(a, b)), (m, k, n)
         neg = np.full((m, k), -0.0)
         assert same_bits(matmul(neg, b), loop_matmul(neg, b)), (m, k, n)
+
+
+def layouts(r, m, inner, n):
+    """(a, b) operand pairs of one product in the layouts callers pass:
+    C order, transposed views, F order and column slices."""
+    a, b = spread(r, (m, inner)), spread(r, (inner, n))
+    wide_a = spread(r, (m, 2 * inner + 1))
+    return {
+        "c_order": (a, b),
+        "b_transposed": (a, np.ascontiguousarray(b.T).T),
+        "a_transposed": (np.ascontiguousarray(a.T).T, b),
+        "f_order": (np.asfortranarray(a), np.asfortranarray(b)),
+        "column_slice": (wide_a[:, 1::2], b),
+    }
+
+
+@pytest.mark.parametrize("inner", (1, 7, 9, 129))
+def test_matmul_bits_match_loop_in_every_layout(inner):
+    r = Rng(100 + inner)
+    for m in SWEEP_ROWS:
+        for n in SWEEP_COLS:
+            for name, (a, b) in layouts(r, m, inner, n).items():
+                assert same_bits(matmul(a, b), loop_matmul(a, b)), (name, m, n, inner)
+
+
+#: Products 1 * (-1) and then (1 + 2^-30)^2: rounded after the multiply
+#: they sum to 2^-29; a fused multiply-add keeps the 2^-60 term too.
+FMA_A = np.array([[1.0, 1.0 + 2.0**-30]])
+FMA_B = np.array([[-1.0], [1.0 + 2.0**-30]])
+
+
+def test_matmul_rounds_each_product_before_adding():
+    assert matmul(FMA_A, FMA_B)[0, 0] == 2.0**-29
+    wide = matmul(np.repeat(FMA_A, 3, axis=0), np.repeat(FMA_B, 4, axis=1))
+    assert np.all(wide == 2.0**-29)
+
+
+def fma_kernel(coef, values, out):
+    """A block kernel that adds each product unrounded, as a fused
+    multiply-add would (exact rationals, rounded once per step)."""
+    values = np.broadcast_to(values, (coef.shape[0], *out.shape))
+    for i, j in np.ndindex(out.shape):
+        acc = Fraction(0)
+        for k in range(coef.shape[0]):
+            acc = Fraction(float(acc + Fraction(coef[k, i]) * Fraction(values[k, i, j])))
+        out[i, j] = float(acc)
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6" or platform.machine() != "x86_64",
+                    reason="the fused kernel was verified on numpy 2.4.6 for x86-64")
+def test_probe_keeps_the_fused_kernel():
+    assert numerics.choose_block_kernel() is numerics.fused_block
+    assert numerics.BLOCK_KERNEL is numerics.fused_block
+
+
+def test_probe_rejects_a_fused_multiply_add_kernel():
+    assert numerics.choose_block_kernel(fma_kernel) is numerics.stacked_block
+
+
+def test_probe_rejects_a_reordering_kernel():
+    def reversed_kernel(coef, values, out):
+        numerics.fused_block(coef[::-1].copy(), np.ascontiguousarray(values[::-1]), out)
+
+    assert numerics.choose_block_kernel(reversed_kernel) is numerics.stacked_block
+
+
+def test_stack_kernel_gives_the_fused_bits(monkeypatch):
+    r = Rng(5)
+    cases = [layouts(r, m, inner, n)["c_order"] for m in SWEEP_ROWS for n in SWEEP_COLS
+             for inner in SWEEP_INNER]
+    cases += [(FMA_A, FMA_B)]
+    fused = [matmul(a, b) for a, b in cases]
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    for (a, b), want in zip(cases, fused):
+        assert same_bits(matmul(a, b), want), (a.shape, b.shape)
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((512, 512), (512, 16)), ((512, 16), (16, 512))])
