@@ -183,37 +183,38 @@ def window_attended_pairs(n: int, radius: int) -> int:
     return (2 * r + 1) * n - r * (r + 1)
 
 
-def _blocks(n: int, block_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
+def _block_means(x: Array, block_size: int) -> Array:
+    """Mean vector of each run of ``block_size`` rows; the last may be short."""
+    full = x.shape[0] - x.shape[0] % block_size
+    means = x[:full].reshape(-1, block_size, x.shape[1]).mean(axis=1)
+    return np.concatenate([means, x[full:].mean(axis=0)[None]]) if x.shape[0] > full else means
+
+
+def _topk_keep(q: Array, k: Array, block_size: int, top_k: int) -> Array:
+    """:func:`select_topk_blocks` as an (nb, nb) boolean matrix, all blocks at once."""
+    q, k = np.asarray(q, dtype=np.float64), np.asarray(k, dtype=np.float64)
+    if q.ndim != 2 or q.shape != k.shape:
+        raise DimensionError(f"queries {q.shape} and keys {k.shape} must be equal 2-D shapes")
+    n, nb = q.shape[0], -(-q.shape[0] // block_size)
+    if top_k > nb:
+        raise BlockCountError(f"k={top_k} exceeds the {nb} key blocks of a length-{n} sequence")
+    # A stable argsort's first top_k: all above the top_k-th best, then ties, lowest index first.
+    scores = matmul(_block_means(q, block_size), _block_means(k, block_size).T)
+    kth = np.partition(scores, nb - top_k, axis=1)[:, [nb - top_k]]  # top_k-th best, a copy
+    keep, ties = scores > kth, scores == kth
+    keep |= ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= top_k - keep.sum(1, keepdims=True))
+    keep[np.diag_indices(nb)] = True  # own block is always attended
+    return keep
 
 
 def select_topk_blocks(q: Array, k: Array, block_size: int, top_k: int) -> list[list[int]]:
     """Key-block indices each query block attends, diagonal block included.
 
-    Scoring: partition queries and keys into blocks, take each block's mean
-    vector, rank key blocks per query block by the dot product of the two
-    means, and keep the ``top_k`` best (ties go to the lower block index).
-    The query block's own index is appended when the ranking missed it.
+    Scoring: partition queries and keys into blocks, score every (query block, key block)
+    pair by the dot product of the two blocks' mean vectors in one (nb, nb) matrix, and keep
+    each row's ``top_k`` best (ties go to the lower block index) plus the query block itself.
     """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or q.shape != k.shape:
-        raise DimensionError(f"queries {q.shape} and keys {k.shape} must be equal 2-D shapes")
-    n = q.shape[0]
-    spans = _blocks(n, block_size)
-    nb = len(spans)
-    if top_k > nb:
-        raise BlockCountError(f"k={top_k} exceeds the {nb} key blocks of a length-{n} sequence")
-    q_means = np.stack([q[a:b].mean(axis=0) for a, b in spans])
-    k_means = np.stack([k[a:b].mean(axis=0) for a, b in spans])
-    scores = matmul(q_means, k_means.T)
-    selected = []
-    for qb in range(nb):
-        order = np.argsort(-scores[qb], kind="stable")  # stable: ties keep lower index
-        keep = set(order[:top_k].tolist())
-        keep.add(qb)  # own block is always attended
-        selected.append(sorted(keep))
-    return selected
+    return [np.flatnonzero(row).tolist() for row in _topk_keep(q, k, block_size, top_k)]
 
 
 def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
@@ -267,10 +268,8 @@ class KeyList:
         counts = np.bincount(rows, minlength=n)
         slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         keys = np.zeros((n, int(counts.max())), dtype=np.int64)
-        valid = np.zeros(keys.shape, dtype=bool)
         keys[rows, slots] = cols
-        valid[rows, slots] = True
-        return KeyList(keys, valid)
+        return KeyList(keys, np.arange(keys.shape[1]) < counts[:, None])
 
     @property
     def pairs(self) -> int:
@@ -384,15 +383,16 @@ def window_keys(n: int, radius: int) -> KeyList:
 
 
 def _topk_keys(q: Array, k: Array, block_size: int, top_k: int) -> KeyList:
-    """Each query reads the spans of its block's selected key blocks."""
-    n = q.shape[0]
-    spans = _blocks(n, block_size)
-    rows, cols = [], []
-    for (a, b), selected in zip(spans, select_topk_blocks(q, k, block_size, top_k)):
-        block_keys = np.concatenate([np.arange(*spans[kb]) for kb in selected])
-        rows.append(np.repeat(np.arange(a, b), block_keys.size))
-        cols.append(np.tile(block_keys, b - a))
-    return KeyList.from_pairs(np.concatenate(rows), np.concatenate(cols), n)
+    """Each query reads its block's selected key blocks in ascending order from slot 0, laid
+    out once per query block; a short last block, last in any row, has its missing keys cut."""
+    keep = _topk_keep(q, k, block_size, top_k)
+    tokens = keep.sum(axis=1) * block_size - keep[:, -1] * (len(keep) * block_size - len(q))
+    slot = np.arange(tokens.max())
+    valid = slot < tokens[:, None]
+    blocks = np.argsort(~keep, axis=1, kind="stable")  # selected blocks first, ascending
+    keys = np.where(valid, blocks[:, slot // block_size] * block_size + slot % block_size, 0)
+    row_block = np.arange(len(q)) // block_size
+    return KeyList(keys[row_block], valid[row_block])
 
 
 def head_keys(

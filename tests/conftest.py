@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from salad.numerics import Rng
+from salad.masking import KeyList
+from salad.numerics import Rng, matmul
 
 
 @pytest.fixture
@@ -38,6 +39,35 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def loop_topk_blocks(q, k, block_size, top_k):
+    """Top-k block selection one query block at a time: each block's mean
+    on its own, one stable argsort per query block; the reference for
+    ``masking.select_topk_blocks``."""
+    n = q.shape[0]
+    spans = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
+    q_means = np.stack([q[a:b].mean(axis=0) for a, b in spans])
+    k_means = np.stack([k[a:b].mean(axis=0) for a, b in spans])
+    scores = matmul(q_means, k_means.T)
+    selected = []
+    for qb in range(len(spans)):
+        order = np.argsort(-scores[qb], kind="stable")
+        selected.append(sorted(set(order[:top_k].tolist()) | {qb}))
+    return selected
+
+
+def loop_topk_keys(q, k, block_size, top_k):
+    """The top-k ``KeyList`` from (query, key) pairs listed one query block
+    at a time; the reference for ``masking._topk_keys``."""
+    n = q.shape[0]
+    spans = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
+    rows, cols = [], []
+    for (a, b), selected in zip(spans, loop_topk_blocks(q, k, block_size, top_k)):
+        block_keys = np.concatenate([np.arange(*spans[kb]) for kb in selected])
+        rows.append(np.repeat(np.arange(a, b), block_keys.size))
+        cols.append(np.tile(block_keys, b - a))
+    return KeyList.from_pairs(np.concatenate(rows), np.concatenate(cols), n)
 
 
 def elimination_rank(a, rel_tol=1e-6):

@@ -107,10 +107,11 @@ def test_dropped_block_never_runs_its_linear_branch(tmp_path, monkeypatch):
     assert sha256((tmp_path / "report.json").read_bytes()) == REPORT_DIGESTS["block_dropped"]
 
 
-def test_report_digest_two_threads(tmp_path):
-    args = ["run", *BASE, *CONFIGS["window_reordered"], "--threads", "2", "--out", str(tmp_path)]
+@pytest.mark.parametrize("name", ["window_reordered", "topk"])
+def test_report_digest_two_threads(tmp_path, name):
+    args = ["run", *BASE, *CONFIGS[name], "--threads", "2", "--out", str(tmp_path)]
     assert main(args) == 0
-    assert sha256((tmp_path / "report.json").read_bytes()) == REPORT_DIGESTS["window_reordered"]
+    assert sha256((tmp_path / "report.json").read_bytes()) == REPORT_DIGESTS[name]
 
 
 def test_gen_digests(tmp_path):

@@ -30,7 +30,7 @@ from salad.masking import (
 )
 from salad.numerics import Rng
 
-from conftest import same_bits, traced_peak
+from conftest import loop_topk_blocks, loop_topk_keys, same_bits, traced_peak
 
 
 def grid_of(f, h, w, heads=1, d=4):
@@ -151,6 +151,50 @@ class TestTopK:
 
     def test_defaults(self):
         assert TopK(block_size=8).k == 4
+
+    @staticmethod
+    def sweep():
+        """Seeded (q, k, block_size, top_k) cases: every other one has
+        integer-valued q and k in -2..2, so block scores tie often; block
+        sizes run from 1 past N, many leaving a short last block; top_k
+        runs from 1 to the block count."""
+        r = Rng(61)
+        for i in range(252):
+            n, d, pick = (1 + int(x) for x in r.raw(3) % np.array([96, 9, 96]))
+            block_size = (1, 2, 3, 8, n, n + 5, 1 + pick % n)[i % 7]
+            nb = -(-n // block_size)
+            top_k = (1, nb, 1 + pick % nb)[i % 3]
+            q, k = r.normal((n, d)), r.normal((n, d))
+            if i % 2:
+                q, k = np.clip(np.round(q), -2, 2), np.clip(np.round(k), -2, 2)
+            yield q, k, block_size, top_k
+
+    def test_selection_matches_loop_reference(self):
+        for q, k, block_size, top_k in self.sweep():
+            got = select_topk_blocks(q, k, block_size, top_k)
+            assert got == loop_topk_blocks(q, k, block_size, top_k)
+            assert all(type(b) is int for blocks in got for b in blocks)
+
+    def test_key_list_matches_loop_reference(self):
+        for q, k, block_size, top_k in self.sweep():
+            got, _ = head_keys(TopK(block_size, top_k), grid_of(1, 1, len(q)), q, k)
+            want = loop_topk_keys(q, k, block_size, top_k)
+            assert got.keys.dtype == want.keys.dtype == np.int64
+            assert got.valid.dtype == want.valid.dtype == bool
+            assert got.keys.shape == want.keys.shape == got.valid.shape
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(got.valid, want.valid)
+
+    def test_key_build_memory_is_bounded_by_the_block_scores(self):
+        """N = 8192: the (1024, 1024) block scores take 8 MiB and the key
+        list 2.8 MiB; an (nb, nb, block_size) int64 intermediate would take
+        64 MiB."""
+        r = Rng(17)
+        grid = LatentGrid(frames=8, height=32, width=32, heads=1, head_dim=32)
+        q, k = r.normal((8192, 32)), r.normal((8192, 32))
+        keys, _ = head_keys(TopK(8, 4), grid, q, k)
+        budget = 1024 * 1024 * 8 + keys.keys.nbytes + keys.valid.nbytes
+        assert traced_peak(head_keys, TopK(8, 4), grid, q, k) < 2 * budget
 
 
 class TestRealize:
