@@ -12,14 +12,17 @@ checks at their stated tolerances.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from time import monotonic
 
 import numpy as np
 
-from .analysis import layer_mean_gates, percentile, plan_branch_drop
+from .analysis import (GateRecord, estimate_speedup, gate_percentiles, layer_mean_gates,
+                       layer_method_flops, percentile, plan_branch_drop, plan_sparsity_stats)
 from .block import (
+    LoraUpdate,
     SaladParams,
     added_param_count,
     compute_gate,
@@ -29,7 +32,7 @@ from .block import (
     sparse_only_params,
 )
 from .config import RunConfig, config_from_dict
-from .errors import BlockCountError
+from .errors import BlockCountError, ConfigError
 from .gradients import gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     EPSILON,
@@ -53,13 +56,12 @@ from .masking import (
     st_reorder_permutation,
     window_attended_pairs,
 )
-from .analysis import GateRecord, estimate_speedup, layer_method_flops, plan_sparsity_stats
 from .numerics import Array, Rng, matmul
 from .runner import run_pipeline
 from .tensor_io import dumps_json, record_to_dict
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -71,6 +73,38 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         err = "" if self.max_err is None else f" max_err={self.max_err:.3e}"
         return f"[{status}] {self.name}:{err} {self.detail} ({self.elapsed_s:.2f}s)"
+
+
+#: An oracle's failure messages and the worst error it measured.
+Outcome = tuple[list[str], float | None]
+
+#: ``salad check`` name -> registered check, in definition order.
+ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(list_name: str, summary: str):
+    """Register an oracle in ``ALL_CHECKS`` under ``list_name``, timed. Its
+    result is named after the function less ``check_``, passes when the
+    oracle returns no failure, and details the failures joined by "; ",
+    or ``summary`` when they carry no text."""
+    def register(oracle: Callable[[], Outcome]) -> Callable[[], CheckResult]:
+        @functools.wraps(oracle)
+        def check() -> CheckResult:
+            t0 = monotonic()
+            failures, max_err = oracle()
+            return CheckResult(oracle.__name__.removeprefix("check_"), not failures, max_err,
+                               "; ".join(failures) or summary, monotonic() - t0)
+
+        ALL_CHECKS[list_name] = check
+        return check
+
+    return register
+
+
+def _fail_unless(held: bool) -> list[str]:
+    """The failures of an oracle that compares one tolerance: one without
+    text when it missed, so its FAIL line carries the summary too."""
+    return [] if held else [""]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +159,9 @@ def _random_grid_params(rng: Rng, grid: LatentGrid, **overrides) -> SaladParams:
 # Individual checks (numbers match the acceptance criteria)
 
 
-def check_linear_oracle() -> CheckResult:
+@_check("linear_oracle", "streaming vs quadratic form on 100 instances, N<=256 d<=32")
+def check_linear_oracle() -> Outcome:
     """Streaming linear attention equals the quadratic form, 100 instances."""
-    t0 = time.monotonic()
     rng = Rng(101)
     combos = [(n, d) for n in (16, 64, 256) for d in (8, 16, 32)]
     worst = 0.0
@@ -138,14 +172,12 @@ def check_linear_oracle() -> CheckResult:
         stream = linear_attention_streaming(q, k, v)
         scale = 1.0 + float(np.max(np.abs(naive)))
         worst = max(worst, float(np.max(np.abs(stream - naive))) / scale)
-    return CheckResult("linear_oracle", worst < 1e-10, worst,
-                       "streaming vs quadratic form on 100 instances, N<=256 d<=32",
-                       time.monotonic() - t0)
+    return _fail_unless(worst < 1e-10), worst
 
 
-def check_sparse_oracle() -> CheckResult:
+@_check("sparse_oracle", "window/reordered/topk/explicit vs dense reference; full window == full attention exactly")
+def check_sparse_oracle() -> Outcome:
     """Masked sparse path equals dense attention under the realized mask."""
-    t0 = time.monotonic()
     rng = Rng(202)
     grid = LatentGrid(frames=3, height=3, width=3, heads=4, head_dim=8)
     n, d = grid.seq_len, grid.head_dim
@@ -169,15 +201,12 @@ def check_sparse_oracle() -> CheckResult:
     q, k, v = (rng.normal((n, d)) for _ in range(3))
     out, _ = sparse_head_attention(q, k, v, Window(radius=n), grid)
     full_err = float(np.max(np.abs(out - full_attention_ref(q, k, v))))
-    passed = worst <= 1e-12 and full_err == 0.0
-    return CheckResult("sparse_oracle", passed, max(worst, full_err),
-                       "window/reordered/topk/explicit vs dense reference; full window == full attention exactly",
-                       time.monotonic() - t0)
+    return _fail_unless(worst <= 1e-12 and full_err == 0.0), max(worst, full_err)
 
 
-def check_composition() -> CheckResult:
+@_check("composition", "block output vs independent full-attention + quadratic-branch + gate composition")
+def check_composition() -> Outcome:
     """Whole block equals a from-scratch composition of its pieces."""
-    t0 = time.monotonic()
     rng = Rng(303)
     grid = LatentGrid(frames=2, height=2, width=2, heads=2, head_dim=6)
     n, d, h = grid.seq_len, grid.head_dim, grid.channels
@@ -205,36 +234,29 @@ def check_composition() -> CheckResult:
         gate = float(np.mean(1.0 / (1.0 + np.exp(-(x @ params.gate_w + params.gate_b)))))
         ref = (o_s + gate * (o_l @ params.proj)) @ params.w_o
         worst = max(worst, float(np.max(np.abs(out - ref))))
-    return CheckResult("composition", worst <= 1e-10, worst,
-                       "block output vs independent full-attention + quadratic-branch + gate composition",
-                       time.monotonic() - t0)
+    return _fail_unless(worst <= 1e-10), worst
 
 
-def check_permutation() -> CheckResult:
+@_check("permutation", "round trip, enumerated order, adjacency, conjugation")
+def check_permutation() -> Outcome:
     """Round-trip identity, the enumerated 2x2x2 order, neighbor adjacency,
     and mask-conjugation equivalence of reordered attention."""
-    t0 = time.monotonic()
-    ok = True
-    detail = []
+    failures = []
     for f in range(1, 9):
         for hh in range(1, 9):
             for ww in range(1, 9):
                 g = LatentGrid(f, hh, ww, heads=1, head_dim=2)
                 perm = st_reorder_permutation(g)
                 if not np.array_equal(np.sort(perm), np.arange(g.seq_len)):
-                    ok = False
-                    detail.append(f"not a bijection at {f}x{hh}x{ww}")
+                    failures.append(f"not a bijection at {f}x{hh}x{ww}")
                 if not np.array_equal(perm[invert_permutation(perm)], np.arange(g.seq_len)):
-                    ok = False
-                    detail.append(f"round trip failed at {f}x{hh}x{ww}")
+                    failures.append(f"round trip failed at {f}x{hh}x{ww}")
                 if f == 1 and not np.array_equal(perm, np.arange(g.seq_len)):
-                    ok = False
-                    detail.append(f"single frame not identity at {f}x{hh}x{ww}")
+                    failures.append(f"single frame not identity at {f}x{hh}x{ww}")
 
     g222 = LatentGrid(2, 2, 2, heads=1, head_dim=2)
     if st_reorder_permutation(g222).tolist() != [0, 4, 1, 5, 2, 6, 3, 7]:
-        ok = False
-        detail.append("2x2x2 permutation mismatch")
+        failures.append("2x2x2 permutation mismatch")
 
     grid = LatentGrid(4, 3, 3, heads=1, head_dim=2)
     perm = st_reorder_permutation(grid)
@@ -245,8 +267,7 @@ def check_permutation() -> CheckResult:
         if t + 1 < grid.frames:
             j = (t + 1) * grid.height * grid.width + h * grid.width + w
             if abs(int(new_pos[i]) - int(new_pos[j])) != 1:
-                ok = False
-                detail.append("temporal neighbors not adjacent")
+                failures.append("temporal neighbors not adjacent")
 
     # Reordered attention == original-order attention under the conjugated mask.
     rng = Rng(404)
@@ -260,16 +281,13 @@ def check_permutation() -> CheckResult:
     ref = dense_attention_ref(q, k, v, conj)
     err = float(np.max(np.abs(out - ref)))
     if err > 1e-12:
-        ok = False
-        detail.append(f"conjugation mismatch {err:.2e}")
-    return CheckResult("permutation", ok, err,
-                       "; ".join(detail) or "round trip, enumerated order, adjacency, conjugation",
-                       time.monotonic() - t0)
+        failures.append(f"conjugation mismatch {err:.2e}")
+    return failures, err
 
 
-def check_zero_init() -> CheckResult:
+@_check("zero_init", "zero branch projection equals the sparse-only block on 20 random configs")
+def check_zero_init() -> Outcome:
     """proj = 0 collapses the block onto the sparse-only path, 20 configs."""
-    t0 = time.monotonic()
     rng = Rng(505)
     worst = 0.0
     for i in range(20):
@@ -284,19 +302,16 @@ def check_zero_init() -> CheckResult:
         out, _ = salad_forward(x, params, plan, grid)
         ref, _ = salad_forward(x, sparse_only_params(params), plan, grid)
         worst = max(worst, float(np.max(np.abs(out - ref))))
-    return CheckResult("zero_init", worst <= 1e-12, worst,
-                       "zero branch projection equals the sparse-only block on 20 random configs",
-                       time.monotonic() - t0)
+    return _fail_unless(worst <= 1e-12), worst
 
 
-def check_gate() -> CheckResult:
+@_check("gate", "range on 10^4 inputs, exact 0.5 point, affine in the constant gate")
+def check_gate() -> Outcome:
     """Gate range, the exact sigmoid(0) = 0.5 point, and affinity in the
     constant-gate scalar."""
-    t0 = time.monotonic()
     rng = Rng(606)
     d = 12
-    ok = True
-    detail = []
+    failures = []
     # 10^4 single-token inputs plus multi-token batches: the sigmoid gate
     # scalar stays strictly inside (0, 1).
     tokens = rng.normal((10_000, d)) * (1.0 + 2.0 * rng.uniform((10_000, 1)))
@@ -305,17 +320,14 @@ def check_gate() -> CheckResult:
     singles = 1.0 / (1.0 + np.exp(-(tokens @ w + b)))
     sample = [compute_gate(tokens[i : i + 1], w, b, "sigmoid") for i in range(0, 10_000, 500)]
     if not (np.all(singles > 0.0) and np.all(singles < 1.0) and all(0.0 < g < 1.0 for g in sample)):
-        ok = False
-        detail.append("a sigmoid gate escaped (0, 1)")
+        failures.append("a sigmoid gate escaped (0, 1)")
     for _ in range(100):
         g = compute_gate(rng.normal((50, d)), rng.normal((d,)) * d**-0.5,
                          float(rng.normal(1)[0]), "sigmoid")
         if not 0.0 < g < 1.0:
-            ok = False
-            detail.append(f"batch gate {g} escaped (0, 1)")
+            failures.append(f"batch gate {g} escaped (0, 1)")
     if compute_gate(rng.normal((64, d)), np.zeros(d), 0.0, "sigmoid") != 0.5:
-        ok = False
-        detail.append("zero gate weights did not give exactly 0.5")
+        failures.append("zero gate weights did not give exactly 0.5")
 
     # Output affine in the constant gate: three-point colinearity.
     grid = LatentGrid(2, 2, 2, heads=2, head_dim=6)
@@ -336,22 +348,18 @@ def check_gate() -> CheckResult:
         err = float(np.max(np.abs((outs[0] + outs[1]) / 2.0 - outs[2])))
         worst = max(worst, err)
     if worst > 1e-10:
-        ok = False
-        detail.append(f"three-point colinearity error {worst:.2e}")
-    return CheckResult("gate", ok, worst,
-                       "; ".join(detail) or "range on 10^4 inputs, exact 0.5 point, affine in the constant gate",
-                       time.monotonic() - t0)
+        failures.append(f"three-point colinearity error {worst:.2e}")
+    return failures, worst
 
 
-def check_rope() -> CheckResult:
+@_check("rope", "isometry, origin identity, shift-invariant inner products")
+def check_rope() -> Outcome:
     """Isometry, exact identity at the origin, and shift invariance of
     rotated inner products."""
-    t0 = time.monotonic()
     rng = Rng(707)
     cfg = RopeConfig.default(16)
-    ok = True
     worst = 0.0
-    detail = []
+    failures = []
 
     x = rng.normal((40, 16))
     coords = np.stack([rng.raw(40) % 5, rng.raw(40) % 4, rng.raw(40) % 4], axis=1).astype(np.int64)
@@ -361,13 +369,11 @@ def check_rope() -> CheckResult:
     iso_err = float(np.max(np.abs(pair_norms_in - pair_norms_out)))
     worst = max(worst, iso_err)
     if iso_err > 1e-12:
-        ok = False
-        detail.append(f"pair-norm isometry error {iso_err:.2e}")
+        failures.append(f"pair-norm isometry error {iso_err:.2e}")
 
     origin = rope3d_rotate(x, np.zeros((40, 3), dtype=np.int64), cfg)
     if not np.array_equal(origin, x):
-        ok = False
-        detail.append("origin rotation is not the exact identity")
+        failures.append("origin rotation is not the exact identity")
 
     rel_err = 0.0
     for _ in range(50):
@@ -383,20 +389,16 @@ def check_rope() -> CheckResult:
         rel_err = max(rel_err, abs(base - moved))
     worst = max(worst, rel_err)
     if rel_err > 1e-9:
-        ok = False
-        detail.append(f"relative-position invariance error {rel_err:.2e}")
-    return CheckResult("rope", ok, worst,
-                       "; ".join(detail) or "isometry, origin identity, shift-invariant inner products",
-                       time.monotonic() - t0)
+        failures.append(f"relative-position invariance error {rel_err:.2e}")
+    return failures, worst
 
 
-def check_topk() -> CheckResult:
+@_check("topk", "brute-force ranking on 100 instances; k=all is full attention; default k=4")
+def check_topk() -> Outcome:
     """Selected blocks equal a brute-force ranking; k = block count is
     full attention; the default k is 4."""
-    t0 = time.monotonic()
     rng = Rng(808)
-    ok = True
-    detail = []
+    failures = []
     for i in range(100):
         b = (2, 4, 8)[i % 3]
         n = int(8 + (rng.raw(1)[0] % 121))  # 8..128
@@ -413,8 +415,7 @@ def check_topk() -> CheckResult:
             scored = sorted(range(len(spans)), key=lambda j: (-float(q_means[qb] @ k_means[j]), j))
             want.append(sorted(set(scored[:top_k]) | {qb}))
         if got != want:
-            ok = False
-            detail.append(f"selection mismatch at instance {i}")
+            failures.append(f"selection mismatch at instance {i}")
             break
 
     grid = LatentGrid(2, 2, 4, heads=1, head_dim=8)
@@ -424,28 +425,22 @@ def check_topk() -> CheckResult:
     out, _ = sparse_head_attention(q, k, v, TopK(block_size=4, k=nb), grid)
     err = float(np.max(np.abs(out - full_attention_ref(q, k, v))))
     if err > 1e-12:
-        ok = False
-        detail.append(f"k = block count differs from full attention by {err:.2e}")
+        failures.append(f"k = block count differs from full attention by {err:.2e}")
     try:
         select_topk_blocks(q, k, 4, nb + 1)
-        ok = False
-        detail.append("oversized k did not raise")
+        failures.append("oversized k did not raise")
     except BlockCountError:
         pass
     if TopK(block_size=4).k != DEFAULT_TOPK or DEFAULT_TOPK != 4 or RunConfig().mask.k != 4:
-        ok = False
-        detail.append("default k is not 4")
-    return CheckResult("topk", ok, err,
-                       "; ".join(detail) or "brute-force ranking on 100 instances; k=all is full attention; default k=4",
-                       time.monotonic() - t0)
+        failures.append("default k is not 4")
+    return failures, err
 
 
-def check_calibration() -> CheckResult:
+@_check("calibration", "greedy equals exhaustive scan; degenerate and vacuous cases; default delta 2.0")
+def check_calibration() -> Outcome:
     """Greedy window pick equals an exhaustive first-qualifying scan."""
-    t0 = time.monotonic()
     rng = Rng(909)
-    ok = True
-    detail = []
+    failures = []
     candidates = [1, 2, 4, 8, 16]
     for i in range(10):
         n, d = 24, 8
@@ -467,8 +462,7 @@ def check_calibration() -> CheckResult:
                 expected_radius, expected_qualified = r, True
                 break
         if (got.radius, got.qualified) != (expected_radius, expected_qualified):
-            ok = False
-            detail.append(f"instance {i}: got r={got.radius} want r={expected_radius}")
+            failures.append(f"instance {i}: got r={got.radius} want r={expected_radius}")
 
     # Identical key/value rows: outputs are mask-independent, RSE = 0.
     n = 16
@@ -477,18 +471,13 @@ def check_calibration() -> CheckResult:
     v = np.tile(rng.normal((1, 4)), (n, 1))
     degen = calibrate_window([(q, k, v)], candidates, delta=0.5)
     if degen.radius != candidates[0] or degen.rse > 1e-20:
-        ok = False
-        detail.append("degenerate profile did not select the smallest radius at ~zero RSE")
+        failures.append("degenerate profile did not select the smallest radius at ~zero RSE")
     vac = calibrate_window([(rng.normal((n, 4)),) * 3], candidates, delta=math.inf)
     if vac.radius != candidates[0]:
-        ok = False
-        detail.append("infinite threshold did not select the smallest radius")
+        failures.append("infinite threshold did not select the smallest radius")
     if DEFAULT_CALIBRATION_DELTA != 2.0 or RunConfig().mask.delta != 2.0:
-        ok = False
-        detail.append("default calibration threshold is not 2.0")
-    return CheckResult("calibration", ok, None,
-                       "; ".join(detail) or "greedy equals exhaustive scan; degenerate and vacuous cases; default delta 2.0",
-                       time.monotonic() - t0)
+        failures.append("default calibration threshold is not 2.0")
+    return failures, None
 
 
 def _window_counts_match(n: int, r: Array) -> bool:
@@ -502,53 +491,44 @@ def _window_counts_match(n: int, r: Array) -> bool:
     return np.array_equal(counts, closed)
 
 
-def check_window_counts() -> CheckResult:
+@_check("window_counts", "closed form == exhaustive for N<=512; 10% density reports sparsity 0.90")
+def check_window_counts() -> Outcome:
     """Closed-form band pair counts vs exhaustive counting, and the
     aggregate-sparsity value at the ~10% density operating point."""
-    t0 = time.monotonic()
-    ok = True
-    detail = []
+    failures = []
     # Arithmetic per-row count for every N <= 512 and every radius, up to
     # 64 radii at a time so no (N, N) array is built.
     for n in range(1, 513):
         if not all(_window_counts_match(n, np.arange(r0, min(r0 + 64, n)))
                    for r0 in range(0, n, 64)):
-            ok = False
-            detail.append(f"closed form mismatch at N={n}")
+            failures.append(f"closed form mismatch at N={n}")
             break
     # Boolean-mask counting for every radius up to N = 64.
     for n in range(1, 65):
         for r in range(n):
             if int(build_window_mask(n, r).sum()) != window_attended_pairs(n, r):
-                ok = False
-                detail.append(f"mask count mismatch at N={n}, r={r}")
+                failures.append(f"mask count mismatch at N={n}, r={r}")
     if int(build_window_mask(512, 63).sum()) != window_attended_pairs(512, 63):
-        ok = False
-        detail.append("mask count mismatch at N=512")
+        failures.append("mask count mismatch at N=512")
     if window_attended_pairs(8, 1) != 22 or window_attended_pairs(1000, 50) != 98450:
-        ok = False
-        detail.append("frozen pair-count examples failed")
+        failures.append("frozen pair-count examples failed")
 
     grid = LatentGrid(frames=10, height=10, width=10, heads=2, head_dim=8)
     plan = MaskPlan.uniform(Window(radius=51), grid.heads)  # ~10% density at N=1000
     stats, aggregate = plan_sparsity_stats(plan, grid)
     counted = int(build_window_mask(1000, 51).sum())
     if counted != stats[0].attended_pairs:
-        ok = False
-        detail.append("N=1000 closed form disagrees with exhaustive count")
+        failures.append("N=1000 closed form disagrees with exhaustive count")
     err = abs(aggregate - 0.90)
     if err > 0.001:
-        ok = False
-        detail.append(f"aggregate sparsity {aggregate} not within 0.90 +/- 0.001")
-    return CheckResult("window_counts", ok, err,
-                       "; ".join(detail) or "closed form == exhaustive for N<=512; 10% density reports sparsity 0.90",
-                       time.monotonic() - t0)
+        failures.append(f"aggregate sparsity {aggregate} not within 0.90 +/- 0.001")
+    return failures, err
 
 
-def check_drop_pipeline() -> CheckResult:
+@_check("drop_pipeline", "sort-oracle match, exact branch-FLOP reduction, preferred label")
+def check_drop_pipeline() -> Outcome:
     """Interval dropping matches a sort oracle and the FLOP model shrinks
     by exactly the dropped branches."""
-    t0 = time.monotonic()
     rng = Rng(111)
     layers, timesteps = 10, 6
     records = [
@@ -559,8 +539,9 @@ def check_drop_pipeline() -> CheckResult:
     plan = plan_branch_drop(records, "interval", lo=0.8, hi=1.0)
     means = layer_mean_gates(records)
     oracle = sorted(sorted(means, key=lambda l: means[l])[-2:])
-    ok = list(plan.dropped_layers) == oracle and plan.preferred
-    detail = [] if ok else ["interval(0.8, 1.0) disagrees with the sort oracle or lost its label"]
+    failures = []
+    if list(plan.dropped_layers) != oracle or not plan.preferred:
+        failures.append("interval(0.8, 1.0) disagrees with the sort oracle or lost its label")
 
     grid = LatentGrid(5, 4, 4, heads=2, head_dim=8)
     mask_plan = MaskPlan.uniform(Window(radius=8), grid.heads)
@@ -576,48 +557,38 @@ def check_drop_pipeline() -> CheckResult:
     want_after = full / ((layers - 2) * on + 2 * off)
     flop_err = max(abs(base - want_base), abs(after - want_after))
     if flop_err > 1e-12 or not after > base:
-        ok = False
-        detail.append(f"FLOP accounting mismatch ({flop_err:.2e})")
+        failures.append(f"FLOP accounting mismatch ({flop_err:.2e})")
 
     disjoint = plan_branch_drop(records, "interval", lo=0.0, hi=0.8)
     if set(disjoint.dropped_layers) & set(plan.dropped_layers):
-        ok = False
-        detail.append("adjacent intervals overlap")
+        failures.append("adjacent intervals overlap")
     everything = plan_branch_drop(records, "interval", lo=0.0, hi=1.0)
     if list(everything.dropped_layers) != list(range(layers)):
-        ok = False
-        detail.append("interval(0, 1) did not drop every layer")
-    return CheckResult("drop_pipeline", ok, flop_err,
-                       "; ".join(detail) or "sort-oracle match, exact branch-FLOP reduction, preferred label",
-                       time.monotonic() - t0)
+        failures.append("interval(0, 1) did not drop every layer")
+    return failures, flop_err
 
 
-def check_param_count() -> CheckResult:
+@_check("param_count", "shared 0 / proj H*D / proj+gate H*D + D + 1 bias / non-shared 4*H*D")
+def check_param_count() -> Outcome:
     """Added-parameter accounting across the architecture variants."""
-    t0 = time.monotonic()
     dd, hh = 96, 96
-    ok = (
+    return _fail_unless(
         added_param_count("shared", dd, hh, with_proj=False, with_gate=False) == 0
         and added_param_count("shared", dd, hh, with_proj=True, with_gate=False) == hh * dd
         and added_param_count("shared", dd, hh, with_proj=True, with_gate=True) == hh * dd + dd + 1
         and added_param_count("non_shared", dd, hh, with_gate=False) == 4 * hh * dd
-    )
-    return CheckResult("param_count", ok, None,
-                       "shared 0 / proj H*D / proj+gate H*D + D + 1 bias / non-shared 4*H*D",
-                       time.monotonic() - t0)
+    ), None
 
 
-def check_percentiles() -> CheckResult:
+@_check("percentiles", "interpolation matches the sort oracle and stays bracketed")
+def check_percentiles() -> Outcome:
     """Percentile interpolation against a sort-based oracle."""
-    t0 = time.monotonic()
     rng = Rng(222)
-    ok = True
-    detail = []
+    failures = []
     vals = np.sort(np.array([0.1, 0.2, 0.3, 0.4]))
     got = percentile(vals, 0.2)
     if not math.isclose(got, 0.16, rel_tol=0, abs_tol=1e-15) or not 0.1 < got < 0.2:
-        ok = False
-        detail.append(f"4-sample 20th percentile {got} not between 0.1 and 0.2")
+        failures.append(f"4-sample 20th percentile {got} not between 0.1 and 0.2")
     for _ in range(50):
         n = 1 + int(rng.raw(1)[0] % 40)
         sample = np.sort(rng.uniform(n))
@@ -627,35 +598,25 @@ def check_percentiles() -> CheckResult:
         hi = min(lo + 1, n - 1)
         want = sample[lo] + (sample[hi] - sample[lo]) * (pos - lo)
         if abs(percentile(sample, q) - want) > 1e-15:
-            ok = False
-            detail.append("interpolated percentile mismatch")
+            failures.append("interpolated percentile mismatch")
             break
         if not sample[0] - 1e-15 <= percentile(sample, q) <= sample[-1] + 1e-15:
-            ok = False
-            detail.append("percentile escaped the sample range")
+            failures.append("percentile escaped the sample range")
             break
     const = [GateRecord(layer, 0, 0.37) for layer in range(6)]
-    from .analysis import gate_percentiles
-
     table = gate_percentiles(const)
     if any(abs(v - 0.37) > 1e-15 for v in table["per_timestep"][0]["values"]):
-        ok = False
-        detail.append("constant sample percentiles are not the constant")
-    return CheckResult("percentiles", ok, None,
-                       "; ".join(detail) or "interpolation matches the sort oracle and stays bracketed",
-                       time.monotonic() - t0)
+        failures.append("constant sample percentiles are not the constant")
+    return failures, None
 
 
-def check_gradients() -> CheckResult:
+@_check("gradcheck", "all parameters pass central differences; structural zeros hold")
+def check_gradients() -> Outcome:
     """Full finite-difference verification of the block gradients."""
-    t0 = time.monotonic()
     rng = Rng(333)
     grid = LatentGrid(frames=2, height=2, width=2, heads=2, head_dim=4)
     n, h = grid.seq_len, grid.channels
-    detail = []
-    ok = True
-
-    from .block import LoraUpdate
+    failures = []
 
     lora = {
         t: LoraUpdate(a=rng.normal((2, h)), b=rng.normal((h, 2)), scale=0.5)
@@ -667,9 +628,8 @@ def check_gradients() -> CheckResult:
     reports = gradcheck_salad(x, params, plan, grid)
     worst = max(r.max_rel_err for r in reports)
     if not all(r.passed for r in reports):
-        ok = False
         failed = [r.param for r in reports if not r.passed]
-        detail.append(f"finite differences rejected {failed}")
+        failures.append(f"finite differences rejected {failed}")
 
     non_shared = _random_grid_params(
         rng, grid,
@@ -681,27 +641,23 @@ def check_gradients() -> CheckResult:
     ns_reports = gradcheck_salad(x, non_shared, plan, grid)
     worst = max(worst, max(r.max_rel_err for r in ns_reports))
     if not all(r.passed for r in ns_reports):
-        ok = False
-        detail.append("non-shared variant failed finite differences")
+        failures.append("non-shared variant failed finite differences")
 
     # Zero-init projection still receives a training signal.
     zero = _random_grid_params(rng, grid, proj=np.zeros((h, h)))
     _, grads = salad_loss_grads(x, zero, plan, grid)
     if float(np.max(np.abs(grads["proj"]))) <= 1e-12:
-        ok = False
-        detail.append("projection gradient vanished at zero init")
+        failures.append("projection gradient vanished at zero init")
 
     dropped = dataclasses.replace(params, dropped=True)
     _, dgrads = salad_loss_grads(x, dropped, plan, grid)
     if np.any(dgrads["proj"]) or np.any(dgrads["gate_w"]) or dgrads["gate_b"] != 0.0:
-        ok = False
-        detail.append("dropped branch leaked gradients into proj or the gate")
+        failures.append("dropped branch leaked gradients into proj or the gate")
 
     const = dataclasses.replace(params, gate_activation="constant", gate_constant=0.4)
     _, cgrads = salad_loss_grads(x, const, plan, grid)
     if np.any(cgrads["gate_w"]) or cgrads["gate_b"] != 0.0:
-        ok = False
-        detail.append("constant gate leaked gradients into the gate weights")
+        failures.append("constant gate leaked gradients into the gate weights")
 
     # Detached gate: same forward value, X gradient equals the constant-gate one.
     detached = dataclasses.replace(params, gate_detached=True)
@@ -711,11 +667,9 @@ def check_gradients() -> CheckResult:
     _, const_grads = salad_loss_grads(x, same_scalar, plan, grid)
     det_err = float(np.max(np.abs(det_grads["x"] - const_grads["x"])))
     if det_err > 1e-12:
-        ok = False
-        detail.append(f"detached-gate X gradient differs from constant-gate by {det_err:.2e}")
+        failures.append(f"detached-gate X gradient differs from constant-gate by {det_err:.2e}")
     if not np.any(det_grads["gate_w"]):
-        ok = False
-        detail.append("detached gate lost its own parameter gradients")
+        failures.append("detached gate lost its own parameter gradients")
 
     # d(loss)/d(lambda) equals the directional derivative and central differences.
     lam = dataclasses.replace(params, lambda_override=0.6)
@@ -728,17 +682,14 @@ def check_gradients() -> CheckResult:
     fd_lambda = (float(np.sum(hi_out**2)) - float(np.sum(lo_out**2))) / (2 * step)
     lam_err = abs(fd_lambda - lgrads["lambda"]) / (abs(fd_lambda) + abs(lgrads["lambda"]) + 1e-12)
     if lam_err > 1e-8:
-        ok = False
-        detail.append(f"lambda gradient off by rel {lam_err:.2e}")
+        failures.append(f"lambda gradient off by rel {lam_err:.2e}")
 
-    return CheckResult("gradients", ok, worst,
-                       "; ".join(detail) or "all parameters pass central differences; structural zeros hold",
-                       time.monotonic() - t0)
+    return failures, worst
 
 
-def check_determinism() -> CheckResult:
+@_check("determinism", "two pipeline runs with one seed serialize identically")
+def check_determinism() -> Outcome:
     """Two identical runs serialize to identical bytes (timestamp off)."""
-    t0 = time.monotonic()
     cfg = config_from_dict({
         "seed": 7,
         "timestamp": False,
@@ -749,35 +700,14 @@ def check_determinism() -> CheckResult:
     })
     a = dumps_json(record_to_dict(run_pipeline(cfg)))
     b = dumps_json(record_to_dict(run_pipeline(cfg)))
-    return CheckResult("determinism", a == b, None,
-                       "two pipeline runs with one seed serialize identically",
-                       time.monotonic() - t0)
-
-
-ALL_CHECKS = {
-    "linear_oracle": check_linear_oracle,
-    "sparse_oracle": check_sparse_oracle,
-    "composition": check_composition,
-    "permutation": check_permutation,
-    "zero_init": check_zero_init,
-    "gate": check_gate,
-    "rope": check_rope,
-    "topk": check_topk,
-    "calibration": check_calibration,
-    "window_counts": check_window_counts,
-    "drop_pipeline": check_drop_pipeline,
-    "param_count": check_param_count,
-    "percentiles": check_percentiles,
-    "gradcheck": check_gradients,
-    "determinism": check_determinism,
-}
+    return _fail_unless(a == b), None
 
 
 def run_checks(only: list[str] | None = None) -> list[CheckResult]:
-    names = list(ALL_CHECKS) if not only else only
+    names = list(ALL_CHECKS) if only is None else only
+    if not names:
+        raise ConfigError(f"no check named; expected one or more of {sorted(ALL_CHECKS)}")
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown check {unknown[0]!r}; expected one of {sorted(ALL_CHECKS)}")
     return [ALL_CHECKS[name]() for name in names]

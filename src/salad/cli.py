@@ -120,7 +120,7 @@ def cmd_check(cfg: RunConfig, only: str | None, list_only: bool) -> int:
             print(name)
         return EXIT_OK
     _load_bundle_if_configured(cfg)
-    names = [n.strip() for n in only.split(",") if n.strip()] if only else None
+    names = None if only is None else [n.strip() for n in only.split(",") if n.strip()]
     results = run_checks(names)
     for res in results:
         print(res.line())

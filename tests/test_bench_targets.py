@@ -95,6 +95,16 @@ def salad_names_used(path: Path) -> list[tuple[str, str]]:
     return used
 
 
+def test_bench_smoke_checks_are_registered():
+    """``run.py --selftest`` runs ``salad check --only SMOKE_CHECKS``; a
+    check renamed in the registry would make it exit 3."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    smoke, = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "SMOKE_CHECKS" for t in node.targets)]
+    names = smoke.split(",")
+    assert names and set(names) <= set(salad.checks.ALL_CHECKS)
+
+
 def test_api_worker_salad_names_resolve():
     used = salad_names_used(PERFBENCH / "api_worker.py")
     assert ("salad.gradients", "salad_loss_grads") in used

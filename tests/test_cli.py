@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import tempfile
 import threading
 import weakref
@@ -256,6 +257,11 @@ class TestExitCodes:
     def test_unknown_check_is_3(self, tmp_path):
         assert run_cli("check", "--only", "bogus", "--out", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("only", [",", ""])
+    def test_only_naming_no_check_is_3(self, tmp_path, capsys, only):
+        assert run_cli("check", "--only", only, "--out", str(tmp_path)) == 3
+        assert "no check named" in capsys.readouterr().err
+
     def test_missing_reports_is_3(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path)) == 3
 
@@ -269,9 +275,37 @@ class TestCheckCommand:
         assert out.count("[PASS]") == 3 and "all 3 checks passed" in out
 
     def test_list_names(self, tmp_path, capsys):
+        """The registry's order and names; perfbench keys its per-check
+        metrics on them."""
         assert run_cli("check", "--list") == 0
-        names = capsys.readouterr().out.split()
-        assert "linear_oracle" in names and "gradcheck" in names
+        assert capsys.readouterr().out.split() == [
+            "linear_oracle", "sparse_oracle", "composition", "permutation", "zero_init",
+            "gate", "rope", "topk", "calibration", "window_counts", "drop_pipeline",
+            "param_count", "percentiles", "gradcheck", "determinism"]
+
+    def test_direct_call_reads_the_shared_clock(self, monkeypatch):
+        from salad import checks
+
+        ticks = itertools.count(0.0, 0.25)
+        monkeypatch.setattr(checks, "monotonic", lambda: next(ticks))
+        assert checks.check_param_count().elapsed_s == 0.25
+
+    @pytest.mark.parametrize("name, attr, fake, line", [
+        ("param_count", "added_param_count", lambda *a, **k: -1,
+         "[FAIL] param_count: shared 0 / proj H*D / proj+gate H*D + D + 1 bias / non-shared 4*H*D"),
+        ("percentiles", "percentile", lambda values, q: 0.5,
+         "[FAIL] percentiles: 4-sample 20th percentile 0.5 not between 0.1 and 0.2; "
+         "interpolated percentile mismatch"),
+    ])
+    def test_fail_line_details(self, monkeypatch, name, attr, fake, line):
+        """A tolerance check fails with its summary; any other check with
+        its failures joined by "; "."""
+        from salad import checks
+
+        monkeypatch.setattr(checks, attr, fake)
+        result, = checks.run_checks([name])
+        assert not result.passed
+        assert result.line().rsplit(" (", 1)[0] == line
 
     def test_failing_check_exits_4(self, tmp_path, capsys, monkeypatch):
         from salad import checks as checks_mod
@@ -301,7 +335,8 @@ def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeyp
     monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
     assert run_cli(*args) == 0
     stacked = capsys.readouterr()
-    assert stacked.out == fused.out
+    times = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)  # a pause changes a check's time
+    assert times.sub("", stacked.out) == times.sub("", fused.out)
     notes = [line for line in stacked.err.splitlines() if "stack kernel" in line]
     assert len(notes) == 1 and np.__version__ in notes[0]
     if command == "run":
