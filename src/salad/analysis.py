@@ -19,14 +19,23 @@ import numpy as np
 from .block import BlockTrace, head_slices
 from .errors import ConfigError, DataError
 from .masking import HeadPlan, LatentGrid, MaskPlan, TopK, Window, head_keys, window_attended_pairs
-from .numerics import Array, Rng, numerical_rank
-from .tensor_io import record_from_dict, record_to_dict
+from .numerics import DEFAULT_RANK_REL_TOL, Array, Rng, numerical_rank
+from .tensor_io import check_json, record_from_dict, record_to_dict, refuse_unknown_keys
 
 DEFAULT_PERCENTILES = (0.2, 0.4, 0.6, 0.8)
 
 #: Gate scalars outside this band are flagged as atypical (informational;
 #: deployed gates usually sit well inside it).
 GATE_TYPICAL_BAND = (0.05, 0.6)
+
+#: Each branch-drop strategy's parameters with their defaults, in record
+#: order. ``interval`` at its defaults, which drops the layers with the
+#: top 20% of mean gates, is the recommended operating point.
+DROP_STRATEGIES = {
+    "interval": {"lo": 0.8, "hi": 1.0},
+    "random": {"fraction": 0.2, "seed": 0},
+    "threshold": {"tau": 0.1},
+}
 
 FLOP_CONVENTION = (
     "1 multiply-add = 2 FLOPs; attention scores + weighted sum = 4*pairs*head_dim; "
@@ -61,12 +70,9 @@ def percentile(sorted_values: Array, q: float) -> float:
     return float(sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * frac)
 
 
-def gate_percentiles(
-    records: Sequence[GateRecord],
-    qs: Sequence[float] = DEFAULT_PERCENTILES,
-) -> dict:
-    """Per-timestep percentiles over the layer population, plus their
-    time averages.
+def gate_percentiles(records: Sequence[GateRecord]) -> dict:
+    """Per-timestep :data:`DEFAULT_PERCENTILES` over the layer population,
+    plus their time averages.
 
     Returns {"qs": [...], "per_timestep": [{"timestep": t, "values": [...]}, ...],
     "time_averaged": [...]}. Every referenced timestep must contribute at
@@ -74,6 +80,7 @@ def gate_percentiles(
     """
     if not records:
         raise DataError("no gate records")
+    qs = DEFAULT_PERCENTILES
     by_t: dict[int, list[float]] = {}
     for r in records:
         by_t.setdefault(r.timestep, []).append(r.gate)
@@ -85,11 +92,8 @@ def gate_percentiles(
     return {"qs": list(qs), "per_timestep": table, "time_averaged": averaged}
 
 
-def atypical_gates(
-    records: Sequence[GateRecord],
-    band: tuple[float, float] = GATE_TYPICAL_BAND,
-) -> list[GateRecord]:
-    lo, hi = band
+def atypical_gates(records: Sequence[GateRecord]) -> list[GateRecord]:
+    lo, hi = GATE_TYPICAL_BAND
     return [r for r in records if not lo <= r.gate <= hi]
 
 
@@ -112,58 +116,61 @@ class DropPlan:
         object.__setattr__(self, "dropped_layers", tuple(self.dropped_layers))
 
 
-def plan_branch_drop(
-    records: Sequence[GateRecord],
-    strategy: str,
-    lo: float = 0.8,
-    hi: float = 1.0,
-    fraction: float = 0.2,
-    tau: float = 0.1,
-    seed: int = 0,
-) -> DropPlan:
+def check_drop_params(strategy: str, params: dict, where: str = "drop") -> dict:
+    """``params`` over the :data:`DROP_STRATEGIES` defaults of ``strategy``.
+
+    An unknown strategy or key, a value not of its default's type, interval
+    bounds outside 0 <= lo <= hi <= 1 or a fraction outside [0, 1] raises
+    :class:`ConfigError` naming ``where``.
+    """
+    if strategy not in DROP_STRATEGIES:
+        raise ConfigError(f"{where}.strategy must be one of {tuple(DROP_STRATEGIES)}, got {strategy!r}")
+    defaults = DROP_STRATEGIES[strategy]
+    refuse_unknown_keys(params, defaults, f"{where}.")
+    check_json(params, {key: type(defaults[key]) for key in params}, where)
+    params = {**defaults, **params}
+    if strategy == "interval" and not 0.0 <= params["lo"] <= params["hi"] <= 1.0:
+        raise ConfigError(f"{where}.lo and {where}.hi must satisfy 0 <= lo <= hi <= 1, "
+                          f"got ({params['lo']}, {params['hi']})")
+    if strategy == "random" and not 0.0 <= params["fraction"] <= 1.0:
+        raise ConfigError(f"{where}.fraction must be in [0, 1], got {params['fraction']}")
+    return params
+
+
+def plan_branch_drop(records: Sequence[GateRecord], strategy: str, **params) -> DropPlan:
     """Choose the layers whose linear branch gets removed at inference.
 
-    Strategies work on the time-averaged gate per layer:
+    ``params`` override the strategy's :data:`DROP_STRATEGIES` defaults
+    (:func:`check_drop_params`). Strategies work on the time-averaged gate
+    per layer:
 
     - ``interval(lo, hi)``: rank layers by mean gate ascending (ties by
-      layer index) and drop ranks in [floor(lo*L), floor(hi*L)). The
-      (0.8, 1.0) interval - drop the top-20%-gate layers - is the
-      recommended operating point.
+      layer index) and drop ranks in [floor(lo*L), floor(hi*L)).
     - ``random(fraction, seed)``: seeded uniform choice without
       replacement of round(fraction * L) layers.
     - ``threshold(tau)``: drop layers with mean gate < tau.
     """
+    params = check_drop_params(strategy, params)
     means = layer_mean_gates(records)
     if not means:
         raise DataError("no gate records")
     layers = sorted(means)
     n = len(layers)
+    preferred = strategy == "interval" and params == DROP_STRATEGIES["interval"]
     if strategy == "interval":
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ConfigError(f"interval bounds must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
+        lo, hi = params["lo"], params["hi"]
         order = sorted(layers, key=lambda l: (means[l], l))
-        start, stop = int(math.floor(lo * n)), int(math.floor(hi * n))
-        dropped = tuple(sorted(order[start:stop]))
-        preferred = (lo, hi) == (0.8, 1.0)
+        dropped = tuple(sorted(order[int(math.floor(lo * n)):int(math.floor(hi * n))]))
         note = "drops the top-20%-mean-gate layers; recommended operating point" if preferred \
             else f"drops layers with mean-gate rank in [{lo:.0%}, {hi:.0%})"
     elif strategy == "random":
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
-        count = int(round(fraction * n))
-        perm = Rng(seed).permutation(n)
+        count = int(round(params["fraction"] * n))
+        perm = Rng(params["seed"]).permutation(n)
         dropped = tuple(sorted(layers[i] for i in perm[:count]))
-        preferred = False
         note = f"drops {count} of {n} layers chosen uniformly at random"
-    elif strategy == "threshold":
-        dropped = tuple(l for l in layers if means[l] < tau)
-        preferred = False
-        note = f"drops layers whose mean gate falls below {tau}"
     else:
-        raise ConfigError(f"unknown drop strategy {strategy!r}")
-    params: dict = {"interval": {"lo": lo, "hi": hi},
-                    "random": {"fraction": fraction, "seed": seed},
-                    "threshold": {"tau": tau}}[strategy]
+        dropped = tuple(l for l in layers if means[l] < params["tau"])
+        note = f"drops layers whose mean gate falls below {params['tau']}"
     return DropPlan(strategy=strategy, params=params, dropped_layers=dropped,
                     preferred=preferred, note=note)
 
@@ -175,7 +182,7 @@ def plan_branch_drop(
 def branch_rank_analysis(
     traces: Sequence[tuple[int, BlockTrace]],
     grid: LatentGrid,
-    rel_tol: float = 1e-6,
+    rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> list[dict]:
     """Numerical rank of each branch output, per head, per traced layer.
 

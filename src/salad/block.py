@@ -36,6 +36,10 @@ from .numerics import Array, matmul, relu, sigmoid, tanh
 _ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
 GATE_ACTIVATIONS = (*_ACTIVATIONS, "constant")
 VARIANTS = ("shared", "non_shared")
+#: The scalar :class:`SaladParams` fields a run config sets and a bundle
+#: header stores verbatim, in header order.
+BLOCK_FLAGS = ("variant", "gate_activation", "gate_constant", "lambda_override", "dropped",
+               "gate_detached")
 
 
 @dataclass(frozen=True)

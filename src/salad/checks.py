@@ -710,4 +710,7 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r}; expected one of {sorted(ALL_CHECKS)}")
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise ConfigError(f"check {repeated[0]!r} is named more than once")
     return [ALL_CHECKS[name]() for name in names]

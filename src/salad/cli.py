@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the block across layers and timesteps")
     p_check = sub.add_parser("check", help="run the oracle and gradient suite")
     p_check.add_argument("--only", metavar="NAMES",
-                         help="comma-separated subset of checks to run")
+                         help="comma-separated subset of checks to run, each named once")
     p_check.add_argument("--list", action="store_true", help="list check names and exit")
     p_analyze = sub.add_parser("analyze", help="gate percentiles and drop plans from reports")
     p_analyze.add_argument("--report", metavar="PATH", action="append", default=[],

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import DROP_STRATEGIES, check_drop_params
 from .block import GATE_ACTIVATIONS, VARIANTS
 from .errors import ConfigError
 from .linear_attention import DEFAULT_ROPE_BASE, RopeConfig
@@ -25,31 +26,11 @@ from .masking import (
     TopK,
     Window,
 )
-from .tensor_io import check_json, load_json, parse_plan_record, read_plan, record_from_dict, refuse_unknown_keys
+from .numerics import DEFAULT_RANK_REL_TOL
+from .tensor_io import check_json, load_json, parse_plan_record, read_plan, record_from_dict
 
 MASK_KINDS = ("window", "topk", "calibrate", "explicit", "per_head")
-DROP_STRATEGIES = ("none", "interval", "random", "threshold", "explicit")
-
-#: The keys an ``analysis.strategies`` entry may set besides ``strategy``,
-#: with their types: the keyword arguments of ``analysis.plan_branch_drop``.
-#: Omitted keys take its defaults.
-STRATEGY_FIELDS = {
-    "interval": {"lo": float, "hi": float},
-    "random": {"fraction": float, "seed": int},
-    "threshold": {"tau": float},
-}
-
-
-@dataclass
-class GridCfg:
-    frames: int = 4
-    height: int = 4
-    width: int = 4
-    heads: int = 2
-    head_dim: int = 8
-
-    def to_grid(self) -> LatentGrid:
-        return LatentGrid(self.frames, self.height, self.width, self.heads, self.head_dim)
+DROP_KINDS = ("none", *DROP_STRATEGIES, "explicit")
 
 
 @dataclass
@@ -119,11 +100,15 @@ class BlockCfg:
 
 @dataclass
 class DropCfg:
+    """The run's branch-drop plan: a strategy of ``DROP_KINDS``, and for one
+    of :data:`~salad.analysis.DROP_STRATEGIES` its keys (see
+    :meth:`RunConfig.drop_params`); ``layers`` serves ``explicit``."""
+
     strategy: str = "none"
-    lo: float = 0.8
-    hi: float = 1.0
-    fraction: float = 0.2
-    tau: float = 0.1
+    lo: float = DROP_STRATEGIES["interval"]["lo"]
+    hi: float = DROP_STRATEGIES["interval"]["hi"]
+    fraction: float = DROP_STRATEGIES["random"]["fraction"]
+    tau: float = DROP_STRATEGIES["threshold"]["tau"]
     seed: int | None = None
     layers: list[int] | None = None
 
@@ -132,7 +117,7 @@ class DropCfg:
 class AnalysisCfg:
     rank_layers: list[int] | None = None
     rank_timestep: int = 0
-    rank_rel_tol: float = 1e-6
+    rank_rel_tol: float = DEFAULT_RANK_REL_TOL
     strategies: list[dict] | None = None
 
 
@@ -158,7 +143,7 @@ class RunConfig:
     layers: int = 4
     timesteps: int = 5
     workload_dir: str | None = None
-    grid: GridCfg = field(default_factory=GridCfg)
+    grid: LatentGrid = field(default_factory=LatentGrid)
     sigma: SigmaCfg = field(default_factory=SigmaCfg)
     mask: MaskCfg = field(default_factory=MaskCfg)
     rope: RopeCfg = field(default_factory=RopeCfg)
@@ -173,11 +158,12 @@ class RunConfig:
             raise ConfigError("layers, timesteps, and threads must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        self.grid.to_grid()
         if self.mask.kind not in MASK_KINDS:
             raise ConfigError(f"mask.kind must be one of {MASK_KINDS}, got {self.mask.kind!r}")
-        if self.drop.strategy not in DROP_STRATEGIES:
-            raise ConfigError(f"drop.strategy must be one of {DROP_STRATEGIES}, got {self.drop.strategy!r}")
+        if self.drop.strategy not in DROP_KINDS:
+            raise ConfigError(f"drop.strategy must be one of {DROP_KINDS}, got {self.drop.strategy!r}")
+        if self.drop.strategy in DROP_STRATEGIES:
+            self.drop_params()
         if self.block.variant not in VARIANTS:
             raise ConfigError(f"block.variant must be one of {VARIANTS}, got {self.block.variant!r}")
         if self.block.gate_activation not in GATE_ACTIVATIONS:
@@ -205,7 +191,9 @@ class RunConfig:
         if not 0 <= self.analysis.rank_timestep < self.timesteps:
             raise ConfigError(f"analysis.rank_timestep {self.analysis.rank_timestep} out of range")
         for i, entry in enumerate(self.analysis.strategies or []):
-            _check_strategy(entry, f"analysis.strategies[{i}]")
+            where = f"analysis.strategies[{i}]"
+            check_json(entry.get("strategy"), str, f"{where}.strategy")
+            check_drop_params(entry["strategy"], {k: v for k, v in entry.items() if k != "strategy"}, where)
         return self
 
     def to_dict(self) -> dict:
@@ -224,7 +212,15 @@ class RunConfig:
         return doc
 
     def to_grid(self) -> LatentGrid:
-        return self.grid.to_grid()
+        return self.grid
+
+    def drop_params(self) -> dict:
+        """The ``drop`` keys of its strategy over their defaults, checked by
+        :func:`~salad.analysis.check_drop_params`; an unset seed is the run's."""
+        d = self.drop
+        seed = self.seed if d.seed is None else d.seed
+        return check_drop_params(d.strategy, {key: seed if key == "seed" else getattr(d, key)
+                                              for key in DROP_STRATEGIES[d.strategy]})
 
     def to_rope(self) -> RopeConfig:
         return self.rope.to_rope(self.grid.head_dim)
@@ -252,17 +248,6 @@ class RunConfig:
                 raise ConfigError(f"plan at {m.plan_path} has {len(plan)} heads, config wants {heads}")
             return plan
         return None  # calibrate: needs profiling data
-
-
-def _check_strategy(entry: dict, where: str) -> None:
-    """An ``analysis.strategies`` entry names a known strategy and sets only
-    that strategy's keys, each of its field's type."""
-    strategy = entry.get("strategy")
-    if not (isinstance(strategy, str) and strategy in STRATEGY_FIELDS):
-        raise ConfigError(f"{where}.strategy must be one of {tuple(STRATEGY_FIELDS)}, got {strategy!r}")
-    fields = STRATEGY_FIELDS[strategy]
-    refuse_unknown_keys(entry, {"strategy", *fields}, f"{where}.")
-    check_json(entry, {key: fields[key] for key in entry if key != "strategy"}, where)
 
 
 def config_from_dict(doc: dict) -> RunConfig:

@@ -43,14 +43,14 @@ class LatentGrid:
     """Geometry of a flattened video latent: frames x height x width tokens.
 
     The default token order is frame-major: token (t, h, w) sits at index
-    t * height * width + h * width + w.
+    t * height * width + h * width + w. The defaults are the run config's.
     """
 
-    frames: int
-    height: int
-    width: int
-    heads: int
-    head_dim: int
+    frames: int = 4
+    height: int = 4
+    width: int = 4
+    heads: int = 2
+    head_dim: int = 8
 
     def __post_init__(self):
         for name in ("frames", "height", "width", "heads", "head_dim"):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DROP_STRATEGIES,
     DropPlan,
     GateRecord,
     RunReport,
@@ -121,12 +122,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
 
     # Post-hoc branch-drop plan from this run's gates.
     drop_section = None
-    if cfg.drop.strategy in ("interval", "random", "threshold"):
-        plan_drop = plan_branch_drop(
-            records, cfg.drop.strategy, lo=cfg.drop.lo, hi=cfg.drop.hi,
-            fraction=cfg.drop.fraction, tau=cfg.drop.tau,
-            seed=cfg.drop.seed if cfg.drop.seed is not None else cfg.seed,
-        )
+    if cfg.drop.strategy in DROP_STRATEGIES:
+        plan_drop = plan_branch_drop(records, cfg.drop.strategy, **cfg.drop_params())
         drop_section = price_drop(plan_drop, flops, grid, explicit_dropped)
     elif explicit_dropped:
         layers = sorted(explicit_dropped)
@@ -259,13 +256,6 @@ def load_report(path: str | Path) -> RunReport:
     return report
 
 
-DEFAULT_STRATEGIES = (
-    {"strategy": "interval", "lo": 0.8, "hi": 1.0},
-    {"strategy": "random", "fraction": 0.2},
-    {"strategy": "threshold", "tau": 0.1},
-)
-
-
 def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
                     out_dir: str | Path) -> dict:
     """Percentile tables, drop plans per strategy, and re-estimated
@@ -279,14 +269,15 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
 
     base = reports[0]
     grid = config_from_dict(base.config).to_grid()
-    strategies = DEFAULT_STRATEGIES if cfg.analysis.strategies is None else cfg.analysis.strategies
+    strategies = cfg.analysis.strategies
+    if strategies is None:  # every strategy at its defaults
+        strategies = [{"strategy": name} for name in DROP_STRATEGIES]
     plans = []
-    for spec_ in strategies:
-        kwargs = {k: v for k, v in spec_.items() if k != "strategy"}
-        if spec_["strategy"] == "random" and "seed" not in kwargs:
-            kwargs["seed"] = cfg.seed
-        plan = plan_branch_drop(records, spec_["strategy"], **kwargs)
-        plans.append(price_drop(plan, base.flops, grid))
+    for entry in strategies:
+        params = {k: v for k, v in entry.items() if k != "strategy"}
+        if entry["strategy"] == "random":  # an unset seed is the analysis config's
+            params.setdefault("seed", cfg.seed)
+        plans.append(price_drop(plan_branch_drop(records, entry["strategy"], **params), base.flops, grid))
 
     percentiles = gate_percentiles(records)
     out = Path(out_dir)

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import LoraUpdate, SaladParams
+from .block import BLOCK_FLAGS, LoraUpdate, SaladParams
 from .errors import ConfigError
 from .masking import Explicit, HeadPlan, LatentGrid, MaskPlan, TopK, Window
 from .numerics import Array
@@ -351,10 +351,6 @@ def read_plan(path: str | Path) -> MaskPlan:
 #: SaladParams weight fields every bundle carries.
 _BUNDLE_WEIGHTS = ("w_q", "w_k", "w_v", "w_o", "proj", "gate_w")
 
-#: Scalar SaladParams fields the bundle header stores verbatim, in header order.
-_BUNDLE_FLAGS = ("variant", "gate_activation", "gate_constant", "lambda_override", "dropped",
-                 "gate_detached")
-
 
 def params_to_bytes(params: SaladParams, seed: int | None = None) -> bytes:
     names = params.param_names()
@@ -364,7 +360,7 @@ def params_to_bytes(params: SaladParams, seed: int | None = None) -> bytes:
     header = {
         "format": BUNDLE_FORMAT,
         "version": DOCUMENT_VERSION,
-        **{key: getattr(params, key) for key in _BUNDLE_FLAGS},
+        **{key: getattr(params, key) for key in BLOCK_FLAGS},
         "seed": seed,
         "lora": lora_meta,
         "matrices": names,
@@ -382,7 +378,7 @@ def params_from_bytes(raw: bytes) -> SaladParams:
     header = check_header(load_json(raw[:nl], where), BUNDLE_FORMAT, where)
     check_json(header, {"matrices": list[str], "shapes": dict,
                         "lora": dict[str, {"rank": int, "scale": float}] | None,
-                        **{key: _field_types(SaladParams)[key] for key in _BUNDLE_FLAGS}}, where)
+                        **{key: _field_types(SaladParams)[key] for key in BLOCK_FLAGS}}, where)
     lora_meta = header.get("lora") or {}
     offset = nl + 1
     arrays: dict[str, Array] = {}
@@ -416,7 +412,7 @@ def params_from_bytes(raw: bytes) -> SaladParams:
         **{name: arrays[name] for name in _BUNDLE_WEIGHTS},
         gate_b=float(arrays["gate_b"][0]),
         lora=lora,
-        **{key: header.get(key) for key in _BUNDLE_FLAGS},
+        **{key: header.get(key) for key in BLOCK_FLAGS},
         **{name: arrays.get(name) for name in ("w_q_lin", "w_k_lin", "w_v_lin")},
     )
 

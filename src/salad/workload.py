@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import LoraUpdate, SaladParams
+from .block import BLOCK_FLAGS, LoraUpdate, SaladParams
 from .config import RunConfig
 from .errors import ConfigError
 from .numerics import Array, Rng
@@ -38,38 +38,24 @@ class Workload:
 
 def make_params(cfg: RunConfig, rng: Rng) -> SaladParams:
     grid = cfg.to_grid()
-    d = grid.channels  # model width equals attention channels
-    h = grid.channels
-    scale_in = d**-0.5
+    d = grid.channels  # model width equals attention channels, so every weight is d x d
     b = cfg.block
-    lora = {}
-    if b.lora_rank > 0:
-        for target in ("q", "k", "v", "o"):
-            fan = d if target != "o" else h
-            a = rng.normal((b.lora_rank, d if target != "o" else h)) * fan**-0.5
-            lora[target] = LoraUpdate(
-                a=a,
-                b=np.zeros((h if target != "o" else d, b.lora_rank)),
-                scale=b.lora_scale / b.lora_rank,
-            )
+
+    def draw(*shape: int) -> Array:
+        return rng.normal(shape) * d**-0.5
+
+    lora = {target: LoraUpdate(a=draw(b.lora_rank, d), b=np.zeros((d, b.lora_rank)),
+                               scale=b.lora_scale / b.lora_rank)
+            for target in ("q", "k", "v", "o")} if b.lora_rank > 0 else {}
     params = SaladParams(
-        w_q=rng.normal((d, h)) * scale_in,
-        w_k=rng.normal((d, h)) * scale_in,
-        w_v=rng.normal((d, h)) * scale_in,
-        w_o=rng.normal((h, d)) * h**-0.5,
-        proj=rng.normal((h, h)) * h**-0.5 if b.random_proj else np.zeros((h, h)),
-        gate_w=rng.normal((d,)) * scale_in,
+        w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d),
+        proj=draw(d, d) if b.random_proj else np.zeros((d, d)),
+        gate_w=draw(d),
         gate_b=b.gate_bias,
         lora=lora,
-        gate_activation=b.gate_activation,
-        gate_constant=b.gate_constant,
-        lambda_override=b.lambda_override,
-        dropped=b.dropped,
-        gate_detached=b.gate_detached,
-        variant=b.variant,
-        w_q_lin=rng.normal((d, h)) * scale_in if b.variant == "non_shared" else None,
-        w_k_lin=rng.normal((d, h)) * scale_in if b.variant == "non_shared" else None,
-        w_v_lin=rng.normal((d, h)) * scale_in if b.variant == "non_shared" else None,
+        **{key: getattr(b, key) for key in BLOCK_FLAGS},
+        **{name: draw(d, d) if b.variant == "non_shared" else None
+           for name in ("w_q_lin", "w_k_lin", "w_v_lin")},
     )
     params.validate(grid)
     return params

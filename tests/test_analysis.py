@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salad.analysis import (
+    DROP_STRATEGIES,
     FLOP_CONVENTION,
     DropPlan,
     GateRecord,
@@ -114,8 +115,22 @@ class TestDropPlans:
             plan_branch_drop(recs, "interval", lo=0.9, hi=0.1)
         with pytest.raises(ConfigError):
             plan_branch_drop(recs, "banana")
+        with pytest.raises(ConfigError, match="unknown config key drop.fraction"):
+            plan_branch_drop(recs, "interval", fraction=0.5)
+        with pytest.raises(ConfigError, match="fraction must be in"):
+            plan_branch_drop(recs, "random", fraction=2)
+        with pytest.raises(ConfigError, match="drop.seed must be int"):
+            plan_branch_drop(recs, "random", seed=1.5)
         with pytest.raises(DataError):
             plan_branch_drop([], "threshold")
+
+    def test_unset_params_take_the_table_defaults(self):
+        recs = records_from([0.1 * (i + 1) for i in range(10)])
+        for strategy, defaults in DROP_STRATEGIES.items():
+            plan = plan_branch_drop(recs, strategy)
+            assert plan.params == defaults and plan.params is not defaults
+            assert plan.preferred is (strategy == "interval")
+        assert not plan_branch_drop(recs, "interval", hi=0.9).preferred
 
     def test_round_trip(self):
         plan = plan_branch_drop(records_from([0.1, 0.9]), "interval", lo=0.8, hi=1.0)

@@ -16,7 +16,7 @@ import salad.checks  # noqa: F401  (the modules the traced CLI imports)
 import salad.cli  # noqa: F401
 import salad.runner  # noqa: F401
 import salad.workload
-from salad.config import load_config
+from salad.config import RunConfig, load_config
 from salad.masking import MaskPlan, TopK, Window, realize_head_mask, window_attended_pairs
 from salad.numerics import Rng
 
@@ -110,4 +110,35 @@ def test_api_worker_salad_names_resolve():
     assert ("salad.gradients", "salad_loss_grads") in used
     missing = [f"{module}.{name}" for module, name in used
                if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def config_chains(path: Path) -> set[str]:
+    """Dotted attribute chains a script reads off its ``cfg`` variable,
+    each with its prefixes: ``cfg.sigma.schedule`` gives "sigma" and
+    "sigma.schedule"."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id == "cfg":
+            chains.add(".".join(attrs))
+    return chains
+
+
+def test_api_worker_config_chains_resolve():
+    """The worker drives salad through ``RunConfig`` methods; a config
+    reshaped without them would fail only inside the benchmark."""
+    chains = config_chains(PERFBENCH / "api_worker.py")
+    assert {"to_grid", "to_rope", "static_plan", "validate", "sigma.schedule"} <= chains
+    missing = []
+    for chain in sorted(chains):
+        obj = RunConfig()
+        for attr in chain.split("."):
+            if not hasattr(obj, attr):
+                missing.append(chain)
+                break
+            obj = getattr(obj, attr)
     assert missing == []

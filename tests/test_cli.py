@@ -39,12 +39,12 @@ class TestConfig:
         cfg = config_from_dict({})
         assert cfg.mask.k == 4 and cfg.mask.delta == 2.0
         assert cfg.block.gate_activation == "sigmoid"
-        assert cfg.grid.to_grid().seq_len == 64
+        assert cfg.grid.seq_len == 64
 
     def test_grid_only_document(self):
         cfg = config_from_dict({"grid": {"frames": 2, "height": 3, "width": 3,
                                          "heads": 1, "head_dim": 4}})
-        assert cfg.grid.to_grid().seq_len == 18
+        assert cfg.grid.seq_len == 18
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -261,6 +261,11 @@ class TestExitCodes:
     def test_only_naming_no_check_is_3(self, tmp_path, capsys, only):
         assert run_cli("check", "--only", only, "--out", str(tmp_path)) == 3
         assert "no check named" in capsys.readouterr().err
+
+    def test_repeated_only_name_is_3(self, tmp_path, capsys):
+        assert run_cli("check", "--only", "param_count,percentiles,param_count",
+                       "--out", str(tmp_path)) == 3
+        assert "'param_count' is named more than once" in capsys.readouterr().err
 
     def test_missing_reports_is_3(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path)) == 3
@@ -508,6 +513,12 @@ def edited_workload(edit, layers=2, timesteps=5) -> dict:
     return {**files, "manifest.json": json.dumps(manifest)}
 
 
+#: Case name -> ``run`` arguments whose drop section breaks its strategy's bounds.
+BAD_DROP_SECTIONS = {
+    "drop_interval_lo_above_hi": (["--set", "drop.strategy=interval", "--set", "drop.lo=0.9",
+                                   "--set", "drop.hi=0.1"], {}),
+    "drop_random_fraction_two": (["--set", "drop.strategy=random", "--set", "drop.fraction=2"], {}),
+}
 PLAN_ARGS = ["--set", "mask.kind=explicit", "--set", 'mask.plan_path="{tmp}/plan.json"']
 WORKLOAD_ARGS = ["--set", 'workload_dir="{tmp}"']
 BUNDLE_ARGS = ["--set", 'block.params_bundle="{tmp}/bundle.sldp"']
@@ -530,6 +541,7 @@ def exit_three_cases():
         "rank_rel_tol_two": (["--set", "analysis.rank_rel_tol=2"], {}),
         "drop_layer_past_end": (["--set", "drop.strategy=explicit", "--set", "drop.layers=[99]"], {}),
         "drop_layer_negative": (["--set", "drop.strategy=explicit", "--set", "drop.layers=[-1]"], {}),
+        **BAD_DROP_SECTIONS,
         "plan_without_heads": (PLAN_ARGS, {"plan.json": json.dumps(PLAN_HEADER)}),
         "plan_not_json": (PLAN_ARGS, {"plan.json": "{not json"}),
         "manifest_not_json": (WORKLOAD_ARGS, {"manifest.json": "{not json"}),
@@ -693,6 +705,20 @@ def test_zero_init_check_reuses_the_pooled_forward(tmp_path, monkeypatch, overri
     report = json.loads((tmp_path / "report.json").read_text())
     check = next(c for c in report["oracle_checks"] if c["name"] == "zero_init_equivalence")
     assert check["passed"] is (None if overrides == ["block.dropped=true"] else True)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DROP_SECTIONS))
+def test_bad_drop_section_exits_3_before_any_forward(tmp_path, capsys, monkeypatch, case):
+    """The drop section is checked with the config, not after the pool has
+    run every forward."""
+    from salad import runner
+
+    calls = []
+    forward = runner.salad_forward
+    monkeypatch.setattr(runner, "salad_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    assert run_cli("run", *small_args(tmp_path), *BAD_DROP_SECTIONS[case][0]) == 3
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: drop.")
 
 
 def test_bundle_without_lambda_override_loads_with_none(tmp_path):
