@@ -120,8 +120,8 @@ def check_drop_params(strategy: str, params: dict, where: str = "drop") -> dict:
     """``params`` over the :data:`DROP_STRATEGIES` defaults of ``strategy``.
 
     An unknown strategy or key, a value not of its default's type, interval
-    bounds outside 0 <= lo <= hi <= 1 or a fraction outside [0, 1] raises
-    :class:`ConfigError` naming ``where``.
+    bounds outside 0 <= lo <= hi <= 1, a fraction outside [0, 1] or a seed
+    outside [0, 2**64) raises :class:`ConfigError` naming ``where``.
     """
     if strategy not in DROP_STRATEGIES:
         raise ConfigError(f"{where}.strategy must be one of {tuple(DROP_STRATEGIES)}, got {strategy!r}")
@@ -134,6 +134,8 @@ def check_drop_params(strategy: str, params: dict, where: str = "drop") -> dict:
                           f"got ({params['lo']}, {params['hi']})")
     if strategy == "random" and not 0.0 <= params["fraction"] <= 1.0:
         raise ConfigError(f"{where}.fraction must be in [0, 1], got {params['fraction']}")
+    if strategy == "random" and not 0 <= params["seed"] < 2**64:
+        raise ConfigError(f"{where}.seed must be a 64-bit unsigned integer, got {params['seed']}")
     return params
 
 
@@ -188,19 +190,13 @@ def branch_rank_analysis(
 
     The linear branch factors through a d x d state, so its per-head rank
     is provably at most the head dimension; the sparse branch usually sits
-    much higher. Only the provable bound is asserted.
+    much higher.
     """
     out = []
     for layer, trace in traces:
         for head, s in enumerate(head_slices(grid.channels, grid.heads)):
             rank_s = numerical_rank(trace.o_s[:, s], rel_tol)
-            rank_l = None
-            if trace.o_l is not None:
-                rank_l = numerical_rank(trace.o_l[:, s], rel_tol)
-                if rank_l > grid.head_dim:
-                    raise AssertionError(
-                        f"linear branch rank {rank_l} exceeds head_dim {grid.head_dim}"
-                    )
+            rank_l = None if trace.o_l is None else numerical_rank(trace.o_l[:, s], rel_tol)
             out.append({"layer": layer, "head": head, "rank_sparse": rank_s,
                         "rank_linear": rank_l, "head_dim": grid.head_dim})
     return out
@@ -228,22 +224,20 @@ class SparsityStats:
                              4 * total * head_dim)
 
 
-def head_sparsity_stats(entry: HeadPlan, grid: LatentGrid, q: Array | None = None,
-                        k: Array | None = None) -> SparsityStats:
-    """Pair counts for one head's realized mask.
+def head_sparsity_stats(entry: HeadPlan, grid: LatentGrid) -> SparsityStats:
+    """Static pair counts for one head's plan entry.
 
     Window entries use the closed form (the ``window_counts`` check
-    verifies it exhaustively); top-k entries count their key list's pairs
-    when queries and keys are supplied and otherwise fall back to the static
-    model of k full-size key blocks per query row.
+    verifies it exhaustively); top-k entries use the static model of k
+    full-size key blocks per query row; explicit entries count their mask.
     """
     n, d = grid.seq_len, grid.head_dim
     if isinstance(entry, Window):
         return SparsityStats.from_pairs(window_attended_pairs(n, entry.radius), n, d)
-    if isinstance(entry, TopK) and (q is None or k is None):
+    if isinstance(entry, TopK):
         per_row = min(entry.k * entry.block_size, n)
         return SparsityStats.from_pairs(n * per_row, n, d)
-    return SparsityStats.from_pairs(head_keys(entry, grid, q, k)[0].pairs, n, d)
+    return SparsityStats.from_pairs(head_keys(entry, grid)[0].pairs, n, d)
 
 
 def plan_sparsity_stats(plan: MaskPlan, grid: LatentGrid) -> tuple[list[SparsityStats], float]:

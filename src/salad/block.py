@@ -380,8 +380,9 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
     linear = linear_attention_map(pr.q_lin[:, s], pr.k_lin[:, s])
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
+    info = trace.heads[head]
     written = []
-    for kind, mat in (("sparse", trace.heads[head].dense_weights()), ("linear", linear)):
+    for kind, mat in (("sparse", info.keys.to_dense(info.weights)), ("linear", linear)):
         csv_path = prefix.with_name(f"{prefix.name}_{kind}_h{head}.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -391,8 +392,3 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
         write_pgm(mat, pgm_path)
         written += [csv_path, pgm_path]
     return written
-
-
-def sparse_only_params(params: SaladParams) -> SaladParams:
-    """Copy of ``params`` with the linear branch removed."""
-    return replace(params, dropped=True)

@@ -29,7 +29,6 @@ from .block import (
     head_slices,
     salad_forward,
     sparse_head_attention,
-    sparse_only_params,
 )
 from .config import RunConfig, config_from_dict
 from .errors import BlockCountError, ConfigError
@@ -189,7 +188,7 @@ def check_sparse_oracle() -> Outcome:
     for entry in entries:
         q, k, v = (rng.normal((n, d)) for _ in range(3))
         out, info = sparse_head_attention(q, k, v, entry, grid)
-        mask = info.dense_mask()
+        mask = info.keys.mask()
         if info.perm is not None:
             conj = np.zeros_like(mask)
             conj[np.ix_(perm, perm)] = mask  # same pairs, original order
@@ -277,7 +276,7 @@ def check_permutation() -> Outcome:
     out, info = sparse_head_attention(q, k, v, Window(radius=2, reordered=True), grid_c)
     g = st_reorder_permutation(grid_c)
     conj = np.zeros((n, n), dtype=bool)
-    conj[np.ix_(g, g)] = info.dense_mask()
+    conj[np.ix_(g, g)] = info.keys.mask()
     ref = dense_attention_ref(q, k, v, conj)
     err = float(np.max(np.abs(out - ref)))
     if err > 1e-12:
@@ -300,7 +299,7 @@ def check_zero_init() -> Outcome:
         plan = MaskPlan.uniform(entry, grid.heads)
         x = rng.normal((n, h))
         out, _ = salad_forward(x, params, plan, grid)
-        ref, _ = salad_forward(x, sparse_only_params(params), plan, grid)
+        ref, _ = salad_forward(x, dataclasses.replace(params, dropped=True), plan, grid)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     return _fail_unless(worst <= 1e-12), worst
 

@@ -77,11 +77,6 @@ class RopeCfg:
     base: float = DEFAULT_ROPE_BASE
     split: list[int] | None = None
 
-    def to_rope(self, head_dim: int) -> RopeConfig:
-        if self.split is None:
-            return RopeConfig.default(head_dim, self.base)
-        return RopeConfig(split=tuple(self.split), base=self.base)
-
 
 @dataclass
 class BlockCfg:
@@ -100,9 +95,10 @@ class BlockCfg:
 
 @dataclass
 class DropCfg:
-    """The run's branch-drop plan: a strategy of ``DROP_KINDS``, and for one
-    of :data:`~salad.analysis.DROP_STRATEGIES` its keys (see
-    :meth:`RunConfig.drop_params`); ``layers`` serves ``explicit``."""
+    """The run's branch-drop plan: a strategy of ``DROP_KINDS``, the keys of
+    every :data:`~salad.analysis.DROP_STRATEGIES` entry, checked whichever
+    strategy runs (see :meth:`RunConfig.drop_params`), and ``layers`` for
+    ``explicit``."""
 
     strategy: str = "none"
     lo: float = DROP_STRATEGIES["interval"]["lo"]
@@ -162,8 +158,7 @@ class RunConfig:
             raise ConfigError(f"mask.kind must be one of {MASK_KINDS}, got {self.mask.kind!r}")
         if self.drop.strategy not in DROP_KINDS:
             raise ConfigError(f"drop.strategy must be one of {DROP_KINDS}, got {self.drop.strategy!r}")
-        if self.drop.strategy in DROP_STRATEGIES:
-            self.drop_params()
+        self.drop_params()
         if self.block.variant not in VARIANTS:
             raise ConfigError(f"block.variant must be one of {VARIANTS}, got {self.block.variant!r}")
         if self.block.gate_activation not in GATE_ACTIVATIONS:
@@ -174,7 +169,7 @@ class RunConfig:
             raise ConfigError(f"mask.candidates must be radii >= 0, got {self.mask.candidates}")
         if not 0.0 < self.analysis.rank_rel_tol < 1.0:
             raise ConfigError(f"analysis.rank_rel_tol must be in (0, 1), got {self.analysis.rank_rel_tol}")
-        self.rope.to_rope(self.grid.head_dim)  # raises on a bad split
+        self.to_rope()  # raises on a bad split
         self.sigma.schedule(self.timesteps)
         if self.maps.export:
             if not 0 <= self.maps.layer < self.layers:
@@ -214,16 +209,20 @@ class RunConfig:
     def to_grid(self) -> LatentGrid:
         return self.grid
 
-    def drop_params(self) -> dict:
-        """The ``drop`` keys of its strategy over their defaults, checked by
-        :func:`~salad.analysis.check_drop_params`; an unset seed is the run's."""
+    def drop_params(self) -> dict[str, dict]:
+        """Each strategy of :data:`~salad.analysis.DROP_STRATEGIES` -> its
+        ``drop`` keys, checked by :func:`~salad.analysis.check_drop_params`
+        whichever strategy the run uses; an unset seed is the run's."""
         d = self.drop
         seed = self.seed if d.seed is None else d.seed
-        return check_drop_params(d.strategy, {key: seed if key == "seed" else getattr(d, key)
-                                              for key in DROP_STRATEGIES[d.strategy]})
+        return {strategy: check_drop_params(strategy, {key: seed if key == "seed" else getattr(d, key)
+                                                       for key in keys})
+                for strategy, keys in DROP_STRATEGIES.items()}
 
     def to_rope(self) -> RopeConfig:
-        return self.rope.to_rope(self.grid.head_dim)
+        if self.rope.split is None:
+            return RopeConfig.default(self.grid.head_dim, self.rope.base)
+        return RopeConfig(split=tuple(self.rope.split), base=self.rope.base)
 
     def static_plan(self) -> MaskPlan | None:
         """Plan derivable without data; calibrate and topk-at-runtime

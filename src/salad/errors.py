@@ -22,8 +22,7 @@ class DegenerateRowError(SaladError, ValueError):
 class BlockCountError(SaladError, ValueError):
     """Top-k selection asked for more key blocks than exist.
 
-    Callers may catch this and clamp k to the block count (which makes
-    the mask all-true) or surface it as a configuration error.
+    No caller clamps k; like any :class:`SaladError` it exits 3.
     """
 
 

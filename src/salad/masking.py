@@ -438,14 +438,6 @@ class HeadAttention:
     keys: KeyList
     perm: Array | None
 
-    def dense_weights(self) -> Array:
-        """The (N, N) attention weights."""
-        return self.keys.to_dense(self.weights)
-
-    def dense_mask(self) -> Array:
-        """The (N, N) boolean mask attention ran under."""
-        return self.keys.mask()
-
 
 def sparse_head_attention(
     q: Array,
@@ -525,28 +517,6 @@ def calibrate_window(
                              reordered=perm is not None)
 
 
-def calibrate_head(
-    profiles: Sequence[tuple[Array, Array, Array]],
-    candidates: Sequence[int],
-    grid: LatentGrid,
-    delta: float = DEFAULT_CALIBRATION_DELTA,
-    choose_reorder: bool = True,
-) -> CalibrationResult:
-    """Calibrate one head, optionally picking the token order as well.
-
-    When ``choose_reorder`` is set both the default and the spatial-major
-    order are calibrated and the order with the lower achieved RSE wins
-    (ties keep the default order). Heads whose locality is temporal tend to
-    calibrate to a much smaller radius after the reorder.
-    """
-    plain = calibrate_window(profiles, candidates, delta, perm=None)
-    if not choose_reorder:
-        return plain
-    reordered = calibrate_window(profiles, candidates, delta,
-                                 perm=st_reorder_permutation(grid))
-    return reordered if reordered.rse < plain.rse else plain
-
-
 def calibrate_plan(
     per_head_profiles: Sequence[Sequence[tuple[Array, Array, Array]]],
     candidates: Sequence[int],
@@ -554,10 +524,19 @@ def calibrate_plan(
     delta: float = DEFAULT_CALIBRATION_DELTA,
     choose_reorder: bool = True,
 ) -> tuple[MaskPlan, list[CalibrationResult]]:
-    """Calibrated window plan for every head."""
-    results = [
-        calibrate_head(profiles, candidates, grid, delta, choose_reorder)
-        for profiles in per_head_profiles
-    ]
+    """Calibrated window plan for every head.
+
+    When ``choose_reorder`` is set both the default and the spatial-major
+    order are calibrated and the order with the lower achieved RSE wins
+    (ties keep the default order). Heads whose locality is temporal tend to
+    calibrate to a much smaller radius after the reorder.
+    """
+    results = []
+    for profiles in per_head_profiles:
+        result = calibrate_window(profiles, candidates, delta)
+        if choose_reorder:
+            reordered = calibrate_window(profiles, candidates, delta, st_reorder_permutation(grid))
+            result = reordered if reordered.rse < result.rse else result
+        results.append(result)
     plan = MaskPlan([Window(radius=r.radius, reordered=r.reordered) for r in results])
     return plan, results

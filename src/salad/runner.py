@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from .block import (
     linear_projection,
     project,
     salad_forward,
-    sparse_only_params,
 )
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
@@ -103,7 +103,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     def one(layer: int, t: int):
         params = workload.params[layer]
         if layer in explicit_dropped and not params.dropped:
-            params = sparse_only_params(params)
+            params = replace(params, dropped=True)
         x = workload.inputs[layer, t] * sigmas[t]
         out, trace = salad_forward(x, params, plan, grid, rope_cfg)
         first = out if (layer, t) == (0, 0) else None
@@ -123,7 +123,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     # Post-hoc branch-drop plan from this run's gates.
     drop_section = None
     if cfg.drop.strategy in DROP_STRATEGIES:
-        plan_drop = plan_branch_drop(records, cfg.drop.strategy, **cfg.drop_params())
+        plan_drop = plan_branch_drop(records, cfg.drop.strategy, **cfg.drop_params()[cfg.drop.strategy])
         drop_section = price_drop(plan_drop, flops, grid, explicit_dropped)
     elif explicit_dropped:
         layers = sorted(explicit_dropped)
@@ -206,7 +206,7 @@ def _inline_checks(workload, plan, grid, rope_cfg, sigmas, pooled, dropped0) -> 
     zero_proj = not params0.dropped and not np.any(params0.proj)
     if zero_proj:
         x = workload.inputs[0, 0] * sigmas[0]
-        other, _ = salad_forward(x, params0 if dropped0 else sparse_only_params(params0), plan, grid, rope_cfg)
+        other, _ = salad_forward(x, params0 if dropped0 else replace(params0, dropped=True), plan, grid, rope_cfg)
         full, sparse_only = (other, pooled) if dropped0 else (pooled, other)
         err = float(np.max(np.abs(full - sparse_only)))
         checks.append({

@@ -238,21 +238,12 @@ def mask_to_bytes(mask: Array) -> bytes:
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ConfigError(f"mask must be square, got {mask.shape}")
     n = mask.shape[0]
-    chunks = [MASK_MAGIC, struct.pack("<HI", MASK_VERSION, n)]
-    for row in mask:
-        runs = []
-        current = False  # rows start with a false run, length 0 if row[0] is true
-        length = 0
-        for val in row:
-            if bool(val) == current:
-                length += 1
-            else:
-                runs.append(length)
-                current = not current
-                length = 1
-        runs.append(length)
-        chunks.append(struct.pack(f"<{len(runs)}I", *runs))
-    return b"".join(chunks)
+    # Runs end at every flat offset where a row changes value (rows start
+    # false, so a row that starts true opens with a 0 run) and at every row end.
+    changes = np.flatnonzero(np.diff(mask, axis=1, prepend=np.zeros((n, 1), dtype=bool)))
+    ends = np.sort(np.concatenate([changes, n * np.arange(1, n + 1)]))
+    runs = np.diff(ends, prepend=0).astype("<u4")
+    return MASK_MAGIC + struct.pack("<HI", MASK_VERSION, n) + runs.tobytes()
 
 
 def mask_from_bytes(raw: bytes) -> Array:
@@ -263,33 +254,24 @@ def mask_from_bytes(raw: bytes) -> Array:
         raise ConfigError(f"unsupported mask sidecar version {version}")
     if len(raw) < 10 + 4 * n:  # every row holds at least one run
         raise ConfigError(f"mask sidecar of {len(raw)} bytes cannot hold {n} rows")
-    mask = np.zeros((n, n), dtype=bool)
-    offset = 10
-    for i in range(n):
-        filled = 0
-        value = False
-        while filled < n:
-            if offset + 4 > len(raw):
-                raise ConfigError(f"mask sidecar truncated in row {i}")
-            (run,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            if filled + run > n:
-                raise ConfigError(f"mask sidecar row {i} overruns N={n}")
-            if value:
-                mask[i, filled : filled + run] = True
-            filled += run
-            value = not value
-    if offset != len(raw):
+    runs = np.frombuffer(raw, dtype="<u4", count=(len(raw) - 10) // 4, offset=10).astype(np.int64)
+    filled, row_ends = np.cumsum(runs), n * np.arange(1, n + 1)
+    # Row i's last run is the first whose cumulative sum reaches (i+1)N; a
+    # row with no such run is truncated, one that passes (i+1)N overruns.
+    last = np.searchsorted(filled, row_ends)
+    bad = np.flatnonzero(filled[np.minimum(last, runs.size - 1)] != row_ends)
+    if bad.size:
+        i = int(bad[0])
+        if last[i] == runs.size:
+            raise ConfigError(f"mask sidecar truncated in row {i}")
+        raise ConfigError(f"mask sidecar row {i} overruns N={n}")
+    used = int(last[-1]) + 1 if n else 0
+    if 10 + 4 * used != len(raw):
         raise ConfigError("mask sidecar has trailing bytes")
-    return mask
-
-
-def write_mask(mask: Array, path: str | Path) -> None:
-    Path(path).write_bytes(mask_to_bytes(mask))
-
-
-def read_mask(path: str | Path) -> Array:
-    return mask_from_bytes(Path(path).read_bytes())
+    # Runs alternate false, true, ... from each row's first run.
+    first = np.concatenate([[0], last + 1])[:n]
+    parity = (np.arange(used) - np.repeat(first, last - first + 1)) % 2 == 1
+    return np.repeat(parity, runs[:used]).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +288,7 @@ def write_plan(plan: MaskPlan, path: str | Path) -> None:
     for i, entry in enumerate(plan.entries):
         if isinstance(entry, Explicit):
             sidecar = f"{path.stem}_h{i}.smsk"
-            write_mask(entry.mask, path.with_name(sidecar))
+            path.with_name(sidecar).write_bytes(mask_to_bytes(entry.mask))
             heads.append({"head": i, "kind": "explicit", "sidecar": sidecar})
         elif type(entry) in _RECORD_KINDS:
             heads.append({"head": i, "kind": _RECORD_KINDS[type(entry)], **record_to_dict(entry)})
@@ -331,7 +313,7 @@ def parse_plan_record(rec, where: str, sidecar_dir: Path | None = None) -> HeadP
             return record_from_dict(cls, rec, where)
     if kind == "explicit" and sidecar_dir is not None:
         check_json(rec.get("sidecar"), str, f"{where}.sidecar")
-        return Explicit(mask=read_mask(sidecar_dir / rec["sidecar"]))
+        return Explicit(mask=mask_from_bytes((sidecar_dir / rec["sidecar"]).read_bytes()))
     allowed = "window, topk or explicit" if sidecar_dir is not None else "window or topk"
     raise ConfigError(f"{where}.kind must be {allowed}, got {kind!r}")
 

@@ -1,8 +1,10 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from salad.errors import ConfigError
 from salad.masking import KeyList
 from salad.numerics import Rng, matmul
 
@@ -68,6 +70,61 @@ def loop_topk_keys(q, k, block_size, top_k):
         rows.append(np.repeat(np.arange(a, b), block_keys.size))
         cols.append(np.tile(block_keys, b - a))
     return KeyList.from_pairs(np.concatenate(rows), np.concatenate(cols), n)
+
+
+def loop_mask_to_bytes(mask):
+    """SMSK bytes of a square boolean mask, one element at a time; the
+    reference for ``tensor_io.mask_to_bytes``."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ConfigError(f"mask must be square, got {mask.shape}")
+    n = mask.shape[0]
+    chunks = [b"SMSK", struct.pack("<HI", 1, n)]
+    for row in mask:
+        runs = []
+        current = False  # rows start with a false run, length 0 if row[0] is true
+        length = 0
+        for val in row:
+            if bool(val) == current:
+                length += 1
+            else:
+                runs.append(length)
+                current = not current
+                length = 1
+        runs.append(length)
+        chunks.append(struct.pack(f"<{len(runs)}I", *runs))
+    return b"".join(chunks)
+
+
+def loop_mask_from_bytes(raw):
+    """The mask of SMSK bytes, one run at a time; the reference for
+    ``tensor_io.mask_from_bytes``, raising the same ``ConfigError`` messages."""
+    if len(raw) < 10 or raw[:4] != b"SMSK":
+        raise ConfigError("not a mask sidecar (bad magic)")
+    version, n = struct.unpack("<HI", raw[4:10])
+    if version != 1:
+        raise ConfigError(f"unsupported mask sidecar version {version}")
+    if len(raw) < 10 + 4 * n:  # every row holds at least one run
+        raise ConfigError(f"mask sidecar of {len(raw)} bytes cannot hold {n} rows")
+    mask = np.zeros((n, n), dtype=bool)
+    offset = 10
+    for i in range(n):
+        filled = 0
+        value = False
+        while filled < n:
+            if offset + 4 > len(raw):
+                raise ConfigError(f"mask sidecar truncated in row {i}")
+            (run,) = struct.unpack_from("<I", raw, offset)
+            offset += 4
+            if filled + run > n:
+                raise ConfigError(f"mask sidecar row {i} overruns N={n}")
+            if value:
+                mask[i, filled : filled + run] = True
+            filled += run
+            value = not value
+    if offset != len(raw):
+        raise ConfigError("mask sidecar has trailing bytes")
+    return mask
 
 
 def elimination_rank(a, rel_tol=1e-6):

@@ -15,7 +15,6 @@ from salad.block import (
     merged_weight,
     salad_forward,
     sparse_head_attention,
-    sparse_only_params,
 )
 from salad.errors import ConfigError, DimensionError, StateError
 from salad.linear_attention import RopeConfig
@@ -139,7 +138,7 @@ class TestForward:
         plan = MaskPlan([Window(radius=2), Window(radius=1, reordered=True)])
         x = rng.normal((grid.seq_len, grid.channels))
         out, _ = salad_forward(x, p, plan, grid)
-        ref, _ = salad_forward(x, sparse_only_params(p), plan, grid)
+        ref, _ = salad_forward(x, dataclasses.replace(p, dropped=True), plan, grid)
         assert np.array_equal(out, ref)
 
     def test_lambda_zero_equals_dropped(self, rng):
@@ -234,7 +233,7 @@ class TestForward:
         out, info = sparse_head_attention(q, k, v, Window(radius=2, reordered=True), grid)
         g = st_reorder_permutation(grid)
         conj = np.zeros((n, n), dtype=bool)
-        conj[np.ix_(g, g)] = info.dense_mask()
+        conj[np.ix_(g, g)] = info.keys.mask()
         ref, _ = sparse_head_attention(q, k, v, Explicit(conj), grid)
         assert np.max(np.abs(out - ref)) < 1e-12
 

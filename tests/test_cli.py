@@ -435,6 +435,7 @@ BAD_STRATEGIES = {
     "interval_string_bound": [{"strategy": "interval", "lo": "a"}],
     "threshold_key_of_random": [{"strategy": "threshold", "fraction": 0.5}],
     "random_float_seed": [{"strategy": "random", "seed": 1.5}],
+    "random_negative_seed": [{"strategy": "random", "seed": -1}],
     "random_bool_fraction": [{"strategy": "random", "fraction": True}],
     "strategy_not_a_string": [{"strategy": ["interval"]}],
 }
@@ -518,6 +519,12 @@ BAD_DROP_SECTIONS = {
     "drop_interval_lo_above_hi": (["--set", "drop.strategy=interval", "--set", "drop.lo=0.9",
                                    "--set", "drop.hi=0.1"], {}),
     "drop_random_fraction_two": (["--set", "drop.strategy=random", "--set", "drop.fraction=2"], {}),
+    "drop_random_seed_negative": (["--set", "drop.strategy=random", "--set", "drop.seed=-1"], {}),
+    "drop_random_seed_past_u64": (["--set", "drop.strategy=random",
+                                   "--set", "drop.seed=18446744073709551616"], {}),
+    "drop_interval_bad_keys_of_other_strategies": (["--set", "drop.strategy=interval", "--set",
+                                                    "drop.fraction=5", "--set", "drop.tau=-3"], {}),
+    "drop_none_lo_two": (["--set", "drop.strategy=none", "--set", "drop.lo=2"], {}),
 }
 PLAN_ARGS = ["--set", "mask.kind=explicit", "--set", 'mask.plan_path="{tmp}/plan.json"']
 WORKLOAD_ARGS = ["--set", 'workload_dir="{tmp}"']

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import loop_mask_from_bytes, loop_mask_to_bytes, traced_peak
 
 from salad.block import LoraUpdate, SaladParams
 from salad.errors import ConfigError
@@ -106,6 +106,49 @@ class TestMaskFormat:
                 mask_from_bytes(bad)
 
         assert traced_peak(refused) < 1 << 20
+
+
+def damaged_sidecars(raw, rng):
+    """``raw`` and copies of it truncated, extended, with flipped bytes, with
+    rewritten run lengths and with a rewritten N."""
+    n = int.from_bytes(raw[6:10], "little")
+    runs = (len(raw) - 10) // 4
+    yield raw
+    for cut in {0, 4, 9, 10, len(raw) - 4, len(raw) - 1, int(rng.integers(len(raw)))}:
+        yield raw[:max(cut, 0)]
+    yield from (raw + tail for tail in (b"\x00", bytes(4), (1).to_bytes(4, "little")))
+    for pos in rng.integers(len(raw), size=4):
+        yield raw[:pos] + bytes([raw[pos] ^ (1 << int(rng.integers(8)))]) + raw[pos + 1:]
+    for value in (0, 1, n, n + 1, 2**32 - 1):
+        for _ in range(2 if runs else 0):
+            at = 10 + 4 * int(rng.integers(runs))
+            yield raw[:at] + value.to_bytes(4, "little") + raw[at + 4:]
+    for new_n in {0, 1, max(n - 1, 0), n + 1, 2 * n, runs, runs + 1}:
+        yield raw[:6] + new_n.to_bytes(4, "little") + raw[10:]
+
+
+def decoded(decode, raw):
+    try:
+        return decode(raw)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.15, 0.5, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
+def test_mask_codec_matches_loop_reference(n, density):
+    """The numpy SMSK codec writes the loop reference's bytes, and on every
+    damaged sidecar returns its mask or raises its exact message."""
+    rng = np.random.default_rng([n, int(100 * density)])
+    mask = rng.random((n, n)) < density
+    raw = loop_mask_to_bytes(mask)
+    assert mask_to_bytes(mask) == raw
+    for bad in damaged_sidecars(raw, rng):
+        want, got = decoded(loop_mask_from_bytes, bad), decoded(mask_from_bytes, bad)
+        if isinstance(want, str):
+            assert got == want, bad
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == bool and np.array_equal(got, want), bad
 
 
 class TestParamsBundle:
