@@ -20,7 +20,6 @@ from .block import (
 from .gradients import GradCheckReport, gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     RopeConfig,
-    linear_attention_naive,
     linear_attention_streaming,
     rope3d_apply,
 )
@@ -30,7 +29,6 @@ from .masking import (
     MaskPlan,
     TopK,
     Window,
-    build_window_mask,
     calibrate_window,
     st_reorder_permutation,
     topk_block_select,
@@ -54,13 +52,11 @@ __all__ = [
     "TopK",
     "Window",
     "added_param_count",
-    "build_window_mask",
     "calibrate_window",
     "compute_gate",
     "estimate_speedup",
     "gate_percentiles",
     "gradcheck_salad",
-    "linear_attention_naive",
     "linear_attention_streaming",
     "lora_apply",
     "matmul",

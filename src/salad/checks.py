@@ -36,7 +36,7 @@ from .gradients import gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     EPSILON,
     RopeConfig,
-    linear_attention_naive,
+    _check_qkv,
     linear_attention_streaming,
     rope3d_rotate,
 )
@@ -48,14 +48,13 @@ from .masking import (
     MaskPlan,
     TopK,
     Window,
-    build_window_mask,
     calibrate_window,
     invert_permutation,
     select_topk_blocks,
     st_reorder_permutation,
     window_attended_pairs,
 )
-from .numerics import Array, Rng, matmul
+from .numerics import Array, Rng, matmul, relu
 from .runner import run_pipeline
 from .tensor_io import dumps_json, record_to_dict
 
@@ -136,6 +135,30 @@ def naive_linear_ref(q: Array, k: Array, v: Array) -> Array:
         w = fk @ fq[i]
         out[i] = (w @ v) / (w.sum() + EPSILON)
     return out
+
+
+def build_window_mask(n: int, radius: int) -> Array:
+    """Boolean band mask: true where |i - j| <= radius, built from boolean
+    (N, N) arrays only."""
+    if radius < 0:
+        raise ConfigError("window radius must be >= 0")
+    idx = np.arange(n)
+    return (idx[None, :] >= idx[:, None] - radius) & (idx[None, :] <= idx[:, None] + radius)
+
+
+def linear_attention_naive(q: Array, k: Array, v: Array) -> Array:
+    """Quadratic-form ReLU linear attention.
+
+    Materializes the full pair-weight matrix relu(Q) relu(K)^T, normalizes
+    each row by its sum plus EPSILON, and averages the values. Kept as the
+    reference the streaming form is checked against.
+    """
+    _check_qkv(q, k, v)
+    fq = relu(q)
+    fk = relu(k)
+    weights = matmul(fq, fk.T)
+    denom = weights.sum(axis=1) + EPSILON
+    return matmul(weights, v) / denom[:, None]
 
 
 def _random_grid_params(rng: Rng, grid: LatentGrid, **overrides) -> SaladParams:

@@ -169,7 +169,9 @@ class RunConfig:
             raise ConfigError(f"mask.candidates must be radii >= 0, got {self.mask.candidates}")
         if not 0.0 < self.analysis.rank_rel_tol < 1.0:
             raise ConfigError(f"analysis.rank_rel_tol must be in (0, 1), got {self.analysis.rank_rel_tol}")
-        self.to_rope()  # raises on a bad split
+        rope = self.to_rope()  # raises on a bad split
+        if rope.head_dim != self.grid.head_dim:
+            raise ConfigError(f"rope split covers {rope.head_dim} channels, head_dim is {self.grid.head_dim}")
         self.sigma.schedule(self.timesteps)
         if self.maps.export:
             if not 0 <= self.maps.layer < self.layers:

@@ -1,9 +1,12 @@
-"""ReLU linear attention and 3-axis rotary position embeddings.
+"""3-axis rotary position embeddings and streaming ReLU linear attention.
 
-The quadratic ("naive") form materializes every query-key weight; the
-streaming form folds the keys into a d x d state first and is the one the
-block uses. Both divide by an epsilon-guarded normalizer so a query whose
-ReLU features vanish yields a zero row instead of a division error.
+The streaming form folds the keys into a d x d state first, so the branch
+costs Theta(N d^2). It divides by an epsilon-guarded normalizer so a query
+whose ReLU features vanish yields a zero row instead of a division error.
+:func:`linear_attention_map` builds the row-normalized N x N weights of the
+same form for map export only. The quadratic form the streaming one is
+checked against is ``checks.linear_attention_naive``, with the other
+references.
 """
 
 from __future__ import annotations
@@ -123,22 +126,6 @@ def _rotate_pairs(x: Array, c: Array, s: Array) -> Array:
     out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s
     out[:, 1::2] = x[:, 0::2] * s + x[:, 1::2] * c
     return out
-
-
-def linear_attention_naive(q: Array, k: Array, v: Array) -> Array:
-    """Quadratic-form ReLU linear attention.
-
-    Materializes the full pair-weight matrix relu(Q) relu(K)^T, normalizes
-    each row by its sum plus EPSILON, and averages the values. Kept as the
-    reference the streaming form is checked against, and as the source of
-    row-normalized maps for visualization.
-    """
-    _check_qkv(q, k, v)
-    fq = relu(q)
-    fk = relu(k)
-    weights = matmul(fq, fk.T)
-    denom = weights.sum(axis=1) + EPSILON
-    return matmul(weights, v) / denom[:, None]
 
 
 def linear_attention_map(q: Array, k: Array) -> Array:

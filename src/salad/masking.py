@@ -1,4 +1,4 @@
-"""Sparse attention plans: construction, the attention kernel,
+"""Sparse attention plans, the key-list attention kernel, window
 calibration, and pair counting (pricing lives in ``analysis``).
 
 A :class:`MaskPlan` carries one entry per attention head. Window entries
@@ -17,6 +17,8 @@ its terms in the dense ``matmul`` order, through the same
 term per channel for the scores and per slot for the weighted sum, each
 element's terms added in ascending order), and every term it skips is an
 exact zero, so the kernel gives the bits of dense masked attention.
+The dense band mask the oracles compare it against is
+``checks.build_window_mask``.
 """
 
 from __future__ import annotations
@@ -166,15 +168,6 @@ def invert_permutation(perm: Array) -> Array:
 
 # ---------------------------------------------------------------------------
 # Mask construction
-
-
-def build_window_mask(n: int, radius: int) -> Array:
-    """Boolean band mask: true where |i - j| <= radius, built from boolean
-    (N, N) arrays only."""
-    if radius < 0:
-        raise ConfigError("window radius must be >= 0")
-    idx = np.arange(n)
-    return (idx[None, :] >= idx[:, None] - radius) & (idx[None, :] <= idx[:, None] + radius)
 
 
 def window_attended_pairs(n: int, radius: int) -> int:

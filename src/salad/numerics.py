@@ -91,17 +91,19 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
     ``out``, a C-order (K, stop - start, cols) scratch array. Rows go to
     ``BLOCK_KERNEL`` in blocks of at most ``ORDERED_SUM_BLOCK`` terms (or
     one row), each with a k-major copy of its coefficients; one buffer per
-    call holds the gathered values. The stack kernel may start a reduction
-    from its first term rather than from 0.0, and an accumulate always
-    does; that differs from the loop only where every term is -0.0, and
-    the final ``+= 0.0`` turns that -0.0 into the loop's +0.0 and leaves
-    every other value as it is.
+    call holds the gathered values. The fused kernel reads shared values
+    in place, so their blocks count only the K x rows coefficient copy.
+    The stack kernel may start a reduction from its first term rather than
+    from 0.0, and an accumulate always does; that differs from the loop
+    only where every term is -0.0, and the final ``+= 0.0`` turns that
+    -0.0 into the loop's +0.0 and leaves every other value as it is.
     """
     count, rows = coef.shape
     out = np.zeros((rows, cols))
     if count == 0 or out.size == 0:
         return out
-    step = min(rows, max(1, ORDERED_SUM_BLOCK // (count * cols)))
+    per_row = count * cols if callable(values) or BLOCK_KERNEL is stacked_block else count
+    step = min(rows, max(1, ORDERED_SUM_BLOCK // per_row))
     if callable(values):
         buffer = np.empty(count * step * cols)
     else:

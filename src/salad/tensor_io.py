@@ -23,6 +23,8 @@ raw float64 payload of every matrix in the header's declared order.
 Plan documents: a JSON file with one record per head; explicit masks are
 stored in SMSK sidecar files referenced by relative name. The same record
 rule covers ``mask.per_head`` config entries (see :func:`parse_plan_record`).
+The package only reads plans; the tests write them with ``write_plan`` in
+``tests/conftest.py``, through :func:`mask_to_bytes`.
 """
 
 from __future__ import annotations
@@ -280,21 +282,6 @@ def mask_from_bytes(raw: bytes) -> Array:
 
 #: Plan entries stored as records of their own fields, by their "kind".
 _RECORD_KINDS = {Window: "window", TopK: "topk"}
-
-
-def write_plan(plan: MaskPlan, path: str | Path) -> None:
-    path = Path(path)
-    heads = []
-    for i, entry in enumerate(plan.entries):
-        if isinstance(entry, Explicit):
-            sidecar = f"{path.stem}_h{i}.smsk"
-            path.with_name(sidecar).write_bytes(mask_to_bytes(entry.mask))
-            heads.append({"head": i, "kind": "explicit", "sidecar": sidecar})
-        elif type(entry) in _RECORD_KINDS:
-            heads.append({"head": i, "kind": _RECORD_KINDS[type(entry)], **record_to_dict(entry)})
-        else:
-            raise ConfigError(f"unknown plan entry {entry!r}")
-    path.write_text(dumps_json({"format": PLAN_FORMAT, "version": DOCUMENT_VERSION, "heads": heads}))
 
 
 def parse_plan_record(rec, where: str, sidecar_dir: Path | None = None) -> HeadPlan:

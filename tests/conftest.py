@@ -1,12 +1,15 @@
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from salad.errors import ConfigError
-from salad.masking import KeyList
+from salad.masking import Explicit, KeyList
 from salad.numerics import Rng, matmul
+from salad.tensor_io import (DOCUMENT_VERSION, PLAN_FORMAT, _RECORD_KINDS, dumps_json, mask_to_bytes,
+                             record_to_dict)
 
 
 @pytest.fixture
@@ -125,6 +128,23 @@ def loop_mask_from_bytes(raw):
     if offset != len(raw):
         raise ConfigError("mask sidecar has trailing bytes")
     return mask
+
+
+def write_plan(plan, path):
+    """Write ``plan`` as a plan document at ``path``, each explicit mask in
+    an SMSK sidecar beside it; the inverse of ``tensor_io.read_plan``."""
+    path = Path(path)
+    heads = []
+    for i, entry in enumerate(plan.entries):
+        if isinstance(entry, Explicit):
+            sidecar = f"{path.stem}_h{i}.smsk"
+            path.with_name(sidecar).write_bytes(mask_to_bytes(entry.mask))
+            heads.append({"head": i, "kind": "explicit", "sidecar": sidecar})
+        elif type(entry) in _RECORD_KINDS:
+            heads.append({"head": i, "kind": _RECORD_KINDS[type(entry)], **record_to_dict(entry)})
+        else:
+            raise ConfigError(f"unknown plan entry {entry!r}")
+    path.write_text(dumps_json({"format": PLAN_FORMAT, "version": DOCUMENT_VERSION, "heads": heads}))
 
 
 def elimination_rank(a, rel_tol=1e-6):

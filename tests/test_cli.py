@@ -200,8 +200,9 @@ class TestRun:
         assert gates == {0.125}
 
     def test_explicit_plan_from_file(self, tmp_path):
-        from salad.masking import Explicit, MaskPlan, Window, build_window_mask
-        from salad.tensor_io import write_plan
+        from conftest import write_plan
+        from salad.checks import build_window_mask
+        from salad.masking import Explicit, MaskPlan, Window
 
         n = 8
         mask = build_window_mask(n, 2)
@@ -570,6 +571,7 @@ def exit_three_cases():
             lambda h: h.update(lora=["q"]))}),
         "mask_delta_infinity": (["--set", "mask.delta=Infinity"], {}),
         "rope_base_infinity": (["--set", "rope.base=Infinity"], {}),
+        "rope_split_short_of_head_dim": (["--set", "rope.split=[2,2,2]"], {}),
         "drop_tau_nan": (["--set", "drop.tau=NaN"], {}),
         "config_not_utf8": (["--config", "{tmp}/config.json"], {"config.json": b'{"seed": "\xff"}'}),
         "config_file_number_past_float": (["--config", "{tmp}/config.json"], {
@@ -726,6 +728,21 @@ def test_bad_drop_section_exits_3_before_any_forward(tmp_path, capsys, monkeypat
     assert run_cli("run", *small_args(tmp_path), *BAD_DROP_SECTIONS[case][0]) == 3
     assert calls == []
     assert capsys.readouterr().err.startswith("error: drop.")
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_rope_split_short_of_head_dim_exits_3_before_any_forward(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    """A rope split that does not cover head_dim is refused with the config,
+    not inside the first forward ``run`` makes after generating its workload."""
+    from salad import runner
+
+    calls = []
+    forward = runner.salad_forward
+    monkeypatch.setattr(runner, "salad_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    assert run_cli(command, *small_args(tmp_path), "--set", "rope.split=[2,2,2]") == 3
+    assert calls == []
+    assert capsys.readouterr().err == "error: rope split covers 6 channels, head_dim is 4\n"
 
 
 def test_bundle_without_lambda_override_loads_with_none(tmp_path):
@@ -914,8 +931,8 @@ CORRUPTIBLE = {
 def valid_files(tmp_path_factory):
     """File name -> the bytes of a valid file of that name, for the
     ``small_args`` grid with one layer and one timestep."""
+    from conftest import write_plan
     from salad.masking import Explicit, MaskPlan, Window
-    from salad.tensor_io import write_plan
 
     tmp = tmp_path_factory.mktemp("valid")
     assert run_cli("gen", *small_args(tmp, "."), *ONE_BY_ONE) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from salad.block import LoraUpdate, SaladParams, salad_forward
+from salad.checks import build_window_mask
 from salad.gradients import (
     GradCheckReport,
     checkable_params,
@@ -21,7 +22,7 @@ from salad.gradients import (
     softmax_backward,
 )
 from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_apply
-from salad import block, gradients, linear_attention, masking, numerics
+from salad import block, checks, gradients, linear_attention, masking, numerics
 from salad.masking import (
     Explicit,
     KeyList,
@@ -29,7 +30,6 @@ from salad.masking import (
     MaskPlan,
     TopK,
     Window,
-    build_window_mask,
     select_topk_blocks,
     st_reorder_permutation,
 )
@@ -363,7 +363,7 @@ def refuse_dense_path(monkeypatch, *originals):
 
 
 def test_window_path_never_builds_a_dense_mask(monkeypatch):
-    refuse_dense_path(monkeypatch, masking.build_window_mask, numerics.softmax_masked)
+    refuse_dense_path(monkeypatch, checks.build_window_mask, numerics.softmax_masked)
     x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
     assert grid.seq_len == 512
     plan = MaskPlan.uniform(Window(radius=8), grid.heads)
@@ -378,8 +378,6 @@ def test_gradcheck_builds_grid_constants_once(monkeypatch):
     coordinates, rope tables and window key lists must come from the
     per-grid caches: one ``np.meshgrid`` per grid extent, one table pair per
     angle sign and one key list per radius, not one of each per forward."""
-    from salad import checks
-
     built, tables = [], []
     meshgrid, rope_tables = np.meshgrid, linear_attention._rope_tables
     monkeypatch.setattr(np, "meshgrid", lambda *a, **k: built.append(tuple(map(len, a))) or meshgrid(*a, **k))
@@ -394,7 +392,7 @@ def test_gradcheck_builds_grid_constants_once(monkeypatch):
 
 def test_topk_path_never_builds_a_dense_mask(monkeypatch):
     refuse_dense_path(monkeypatch, masking.topk_block_select, masking.realize_head_mask,
-                      masking.build_window_mask, numerics.softmax_masked)
+                      checks.build_window_mask, numerics.softmax_masked)
     x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
     assert grid.seq_len == 512
     plan = MaskPlan.uniform(TopK(block_size=8, k=4), grid.heads)

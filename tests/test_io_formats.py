@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import loop_mask_from_bytes, loop_mask_to_bytes, traced_peak
+from conftest import loop_mask_from_bytes, loop_mask_to_bytes, traced_peak, write_plan
 
 from salad.block import LoraUpdate, SaladParams
 from salad.errors import ConfigError
-from salad.masking import Explicit, MaskPlan, TopK, Window, build_window_mask
+from salad.checks import build_window_mask
+from salad.masking import Explicit, MaskPlan, TopK, Window
 from salad.tensor_io import (
     mask_from_bytes,
     mask_to_bytes,
@@ -14,7 +15,6 @@ from salad.tensor_io import (
     read_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
-    write_plan,
     write_tensor,
 )
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salad.analysis import linear_branch_flops
+from salad.checks import linear_attention_naive
 from salad.errors import ConfigError, DimensionError
 from salad.gradients import rope3d_backward
 from salad.linear_attention import (
@@ -11,7 +12,6 @@ from salad.linear_attention import (
     RopeConfig,
     grid_rope_tables,
     linear_attention_map,
-    linear_attention_naive,
     linear_attention_streaming,
     rope3d_apply,
     rope3d_rotate,

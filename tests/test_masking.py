@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from salad import numerics
 from salad.analysis import head_sparsity_stats, plan_sparsity_stats
+from salad.checks import build_window_mask
 from salad.errors import BlockCountError, ConfigError, DegenerateRowError, StateError
 from salad.masking import (
     CalibrationResult,
@@ -16,7 +17,6 @@ from salad.masking import (
     MaskPlan,
     TopK,
     Window,
-    build_window_mask,
     calibrate_plan,
     calibrate_window,
     head_keys,

@@ -196,6 +196,28 @@ def test_matmul_memory_stays_within_a_row_block(rng, shape_a, shape_b):
     assert traced_peak(matmul, a, b) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * out_bytes
 
 
+def test_shared_operand_product_is_one_kernel_call(monkeypatch):
+    """``matmul(x.T, d_pre)`` at (32, 1024) x (1024, 32), the weight
+    gradient of an N=1024 block: the fused kernel reads the shared operand
+    in place and copies 1024 x 32 coefficients, within one row block."""
+    calls = []
+    kernel = numerics.BLOCK_KERNEL
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", lambda *args: calls.append(1) or kernel(*args))
+    r = Rng(11)
+    a, b = r.normal((32, 1024)), r.normal((1024, 32))
+    got = matmul(a, b)
+    assert len(calls) == 1
+    assert same_bits(got, loop_matmul(a, b))
+
+
+def test_stack_kernel_memory_stays_within_a_row_block(monkeypatch, rng):
+    """The stack kernel writes every product of a shared operand, so its
+    blocks stay sized by the terms: 512 x 512 x 16 would be 32 MiB."""
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    a, b = rng.normal((512, 512)), rng.normal((512, 16))
+    assert traced_peak(matmul, a, b) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * 512 * 16 * 8
+
+
 class TestSoftmaxMasked:
     def test_single_survivor(self):
         logits = np.array([[5.0, 100.0, -3.0]])
