@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 from collections.abc import Callable
 from time import monotonic
 
@@ -31,7 +32,7 @@ from .block import (
     sparse_head_attention,
 )
 from .config import RunConfig, config_from_dict
-from .errors import BlockCountError, ConfigError
+from .errors import BlockCountError, ConfigError, LostChecksError
 from .gradients import gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     EPSILON,
@@ -725,7 +726,30 @@ def check_determinism() -> Outcome:
     return _fail_unless(a == b), None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _run_check(name: str) -> CheckResult:
+    """Run one registered check by name; what a pool worker is sent."""
+    return ALL_CHECKS[name]()
+
+
 def run_checks(only: list[str] | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default) and return their results in
+    the named order.
+
+    The calling process runs ``gradcheck`` when it is named, else the first
+    named check. The others go, in registration order, to a forked process
+    pool of ``min(len(others), usable CPUs - 1)`` workers; with no worker
+    (one CPU, one check, no fork) the caller runs them all. A check that
+    raises raises here, the first in the named order winning; a worker that
+    dies raises :class:`LostChecksError` naming the checks it took along.
+    """
     names = list(ALL_CHECKS) if only is None else only
     if not names:
         raise ConfigError(f"no check named; expected one or more of {sorted(ALL_CHECKS)}")
@@ -735,4 +759,42 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise ConfigError(f"check {repeated[0]!r} is named more than once")
-    return [ALL_CHECKS[name]() for name in names]
+    mine = "gradcheck" if "gradcheck" in names else names[0]
+    rest = [n for n in ALL_CHECKS if n in names and n != mine]
+    workers = min(len(rest), _usable_cpus() - 1)
+    if workers > 0:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 0
+    if workers <= 0:
+        return [_run_check(name) for name in names]
+
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # Fork, not spawn: a worker starts without importing numpy again and
+    # sees the registry as the caller holds it. The pool forks every worker
+    # at the first submit, before it starts its own thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {name: pool.submit(_run_check, name) for name in rest}
+        try:
+            own = _run_check(mine)
+        except Exception as exc:  # re-raised in named order below
+            own = exc
+        results = []
+        for name in names:
+            if name == mine:
+                if isinstance(own, Exception):
+                    raise own
+                results.append(own)
+                continue
+            try:
+                results.append(futures[name].result())
+            except BrokenProcessPool:
+                lost = [n for n in rest if isinstance(futures[n].exception(), BrokenProcessPool)]
+                raise LostChecksError("a check worker process died; lost the results of "
+                                      + ", ".join(lost)) from None
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

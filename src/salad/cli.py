@@ -2,11 +2,14 @@
 
 Subcommands: gen | run | check | analyze | export-maps. Shared flags:
 --config PATH, --set K=V (repeatable), --seed U64, --out DIR,
---threads N, --no-timestamp.
+--threads N, --no-timestamp. --threads sets the forward threads of run
+and export-maps; check spreads its oracles over the usable CPUs, running
+gradcheck in this process and the rest on forked workers.
 
 Exit codes are a stable contract: 0 success, 2 I/O error, 3 config or
 validation error (a config too large for memory included), 4
-verification-check failure.
+verification-check failure (a failed oracle, or a check worker process
+that died).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .errors import SaladError
+from .errors import ConfigError, LostChecksError, SaladError
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -30,7 +33,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         dest="overrides", help="override a config key (dotted path)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
-    parser.add_argument("--threads", type=int, help="worker threads (1 = sequential)")
+    parser.add_argument("--threads", type=int,
+                        help="forward threads of run and export-maps (1 = sequential)")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field from reports")
 
@@ -116,12 +120,18 @@ def cmd_check(cfg: RunConfig, only: str | None, list_only: bool) -> int:
     from .checks import ALL_CHECKS, run_checks
 
     if list_only:
+        if only is not None:
+            raise ConfigError("--list lists every check; it takes no --only")
         for name in ALL_CHECKS:
             print(name)
         return EXIT_OK
     _load_bundle_if_configured(cfg)
     names = None if only is None else [n.strip() for n in only.split(",") if n.strip()]
-    results = run_checks(names)
+    try:
+        results = run_checks(names)
+    except LostChecksError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     for res in results:
         print(res.line())
     _note_block_kernel()

@@ -2,6 +2,8 @@ import contextlib
 import io
 import itertools
 import json
+import multiprocessing
+import os
 import re
 import tempfile
 import threading
@@ -258,6 +260,12 @@ class TestExitCodes:
     def test_unknown_check_is_3(self, tmp_path):
         assert run_cli("check", "--only", "bogus", "--out", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("only", ["bogus", "param_count"])
+    def test_list_with_only_is_3(self, capsys, only):
+        assert run_cli("check", "--list", "--only", only) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no --only" in captured.err
+
     @pytest.mark.parametrize("only", [",", ""])
     def test_only_naming_no_check_is_3(self, tmp_path, capsys, only):
         assert run_cli("check", "--only", only, "--out", str(tmp_path)) == 3
@@ -325,6 +333,89 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "[FAIL] always_red" in captured.out
         assert "1 of 2 checks failed" in captured.err
+
+
+def _raise_config_error():
+    raise ConfigError("synthetic check error")
+
+
+class TestCheckDispatch:
+    """``run_checks`` runs one check in the caller and the rest on a forked
+    pool sized by the usable CPUs; what ``salad check`` prints and exits
+    with does not depend on that count."""
+
+    #: Out of registration order, so the named order is what is printed.
+    NAMES = "percentiles,rope,param_count,zero_init,drop_pipeline"
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        """Patch in extra registry entries; forked workers inherit them."""
+        from salad import checks
+
+        def add(**entries):
+            monkeypatch.setattr(checks, "ALL_CHECKS", {**checks.ALL_CHECKS, **entries})
+        return add
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        from salad import checks
+
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: n)
+
+    def test_verdicts_do_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+        times = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)
+        printed = {}
+        for n in (1, 2, 4):
+            self.cpus(monkeypatch, n)
+            assert run_cli("check", "--only", self.NAMES, "--out", str(tmp_path)) == 0
+            printed[n] = times.sub("", capsys.readouterr().out)
+            assert multiprocessing.active_children() == []
+        assert printed[1] == printed[2] == printed[4]
+        assert [line.split(":")[0] for line in printed[1].splitlines()[:-1]] == [
+            f"[PASS] {name}" for name in self.NAMES.split(",")]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("only", ["raiser,param_count", "param_count,raiser"],
+                             ids=["caller", "worker"])
+    def test_check_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch, registry,
+                                                   n, only):
+        registry(raiser=_raise_config_error)
+        self.cpus(monkeypatch, n)
+        assert run_cli("check", "--only", only, "--out", str(tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: synthetic check error\n"
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_exits_4_naming_the_lost_checks(self, tmp_path, capsys, monkeypatch,
+                                                         registry):
+        registry(dies=lambda: os._exit(1))
+        self.cpus(monkeypatch, 2)
+        assert run_cli("check", "--only", "param_count,dies", "--out", str(tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: a check worker process died; lost the results of dies"]
+        assert "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []
+
+    def test_gradient_oracle_runs_in_the_calling_process(self, monkeypatch):
+        """Perfbench traces only the calling process, so its per-layer
+        gradient metrics for ``check_suite`` need ``gradcheck`` there."""
+        from salad import checks
+
+        pids = []
+        real = checks.gradcheck_salad
+
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "gradcheck_salad", recorded)
+        self.cpus(monkeypatch, 4)
+        results = checks.run_checks(["param_count", "gradcheck", "percentiles"])
+        assert [r.name for r in results] == ["param_count", "gradients", "percentiles"]
+        assert all(r.passed for r in results)
+        assert pids == [os.getpid()] * 2
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
