@@ -3,8 +3,9 @@
 Subcommands: gen | run | check | analyze | export-maps. Shared flags:
 --config PATH, --set K=V (repeatable), --seed U64, --out DIR,
 --threads N, --no-timestamp. --threads sets the forward threads of run
-and export-maps; check spreads its oracles over the usable CPUs, running
-gradcheck in this process and the rest on forked workers.
+and export-maps, and gen, check and analyze refuse it (exit 3); check
+spreads its oracles over the usable CPUs, running gradcheck in this
+process and the rest on forked workers.
 
 Exit codes are a stable contract: 0 success, 2 I/O error, 3 config or
 validation error (a config too large for memory included), 4
@@ -62,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    if args.threads is not None and args.command not in ("run", "export-maps"):
+        raise ConfigError("--threads applies to run and export-maps")
     cfg = load_config(args.config, args.overrides)
     if args.seed is not None:
         cfg.seed = args.seed

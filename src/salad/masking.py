@@ -17,6 +17,11 @@ its terms in the dense ``matmul`` order, through the same
 term per channel for the scores and per slot for the weighted sum, each
 element's terms added in ascending order), and every term it skips is an
 exact zero, so the kernel gives the bits of dense masked attention.
+Row sums (the softmax denominator and the backward's sum(y*g)) follow
+numpy's pairwise sum of the dense row; a window list sums only the
+pairwise leaves its keys touch (:class:`_RowSums`). The window lists that
+:func:`window_keys` caches build that row-sum plan and their transposed
+list on first use and keep both; lists built per forward keep nothing.
 The dense band mask the oracles compare it against is
 ``checks.build_window_mask``.
 """
@@ -24,14 +29,15 @@ The dense band mask the oracles compare it against is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import Array, ensure_finite, matmul, ordered_sum
+from .numerics import Array, Rng, ensure_finite, matmul, ordered_sum
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -231,8 +237,174 @@ def realize_head_mask(
 # Key lists and the attention kernel (see the module docstring for why it
 # gives the bits of dense masked attention)
 
-#: Rows scattered into zeroed length-N rows at a time by :meth:`KeyList.row_sum`.
+#: Rows scattered into zeroed length-N rows at a time by :meth:`KeyList.row_sum`
+#: on a list without a row-sum plan.
 ROW_SUM_CHUNK = 128
+
+#: Most elements numpy's pairwise sum adds in one leaf (its ``PW_BLOCKSIZE``).
+PAIRWISE_LEAF = 128
+
+#: Held while a window list builds a plan, so each plan is built once.
+_PLAN_LOCK = threading.Lock()
+
+
+def _pairwise_node(start: int, n: int, starts: list, joins: list) -> tuple[int, int]:
+    """Append numpy's pairwise-sum tree over elements start..start+n-1 to
+    ``starts`` (each leaf's first element) and ``joins`` ((height, left,
+    right) per inner node, children first), and return the subtree's root
+    as (node, height). Leaf i is node i; inner node j is node ~j."""
+    if n <= PAIRWISE_LEAF:
+        starts.append(start)
+        return len(starts) - 1, 0
+    half = n // 2
+    half -= half % 8
+    left, left_height = _pairwise_node(start, half, starts, joins)
+    right, right_height = _pairwise_node(start + half, n - half, starts, joins)
+    joins.append((max(left_height, right_height) + 1, left, right))
+    return ~(len(joins) - 1), joins[-1][0]
+
+
+def _pairwise_tree(n: int) -> tuple[Array, list[tuple[Array, Array, Array]]]:
+    """numpy's pairwise sum over a C-contiguous row of n floats, as a tree:
+    the first element of each leaf, in order, and the inner nodes grouped
+    by height, lowest first, as (node, left, right) id arrays. Leaves are
+    nodes 0..L-1, inner nodes follow, and the root is the last node.
+
+    A row of at most ``PAIRWISE_LEAF`` elements is one leaf; a longer one
+    splits at ``n2 = n // 2; n2 -= n2 % 8`` and sums each part the same
+    way."""
+    starts: list[int] = []
+    joins: list[tuple[int, int, int]] = []
+    _pairwise_node(0, n, starts, joins)
+    leaves = len(starts)
+    levels = []
+    for height in range(1, max((join[0] for join in joins), default=0) + 1):
+        level = [(leaves + j, *(leaves + ~c if c < 0 else c for c in children))
+                 for j, (h, *children) in enumerate(joins) if h == height]
+        levels.append(tuple(np.array(ids, dtype=np.intp) for ids in zip(*level)))
+    return np.array(starts, dtype=np.intp), levels
+
+
+class _RowSums:
+    """A key list's row-sum plan: ``to_dense(w).sum(axis=1)`` with work in
+    proportion to the pairs rather than N x N.
+
+    numpy sums a C row as 0.0 plus a fixed pairwise tree over leaves of at
+    most ``PAIRWISE_LEAF`` elements (:func:`_pairwise_tree`). A leaf that
+    holds no pair is all +0.0 and sums to +0.0, and adding +0.0 changes no
+    other value, so a row needs only the leaves its pairs touch. Each
+    touched leaf is summed by numpy on a zeroed buffer of exactly its
+    length, which is the dense leaf; the leaf sums of a row that touches
+    several are joined in the tree's order, and a row that touches one is
+    that leaf's sum. A numpy leaf sum starts from 0.0, which turns a -0.0
+    leaf into +0.0, but a zero addend changes no nonzero sum and the final
+    ``+ 0.0`` makes any zero sum +0.0 either way, so the bits are the
+    dense sum's. :func:`_row_sum_model_holds` checks that model once.
+    """
+
+    def __init__(self, n: int, rows: Array, cols: Array, src: Array):
+        """Plan the sums over n keys of the pairs (rows[p], cols[p]), which
+        ascend by row and then by column; ``src[p]`` is the flat index of
+        pair p's value in the ``w`` a call receives."""
+        starts, self.levels = _pairwise_tree(n)
+        lengths = np.diff(np.append(starts, n))
+        leaf = np.searchsorted(starts, cols, side="right") - 1
+        first = np.ones(rows.size, dtype=bool)  # a pair that opens a (row, leaf) segment
+        first[1:] = (rows[1:] != rows[:-1]) | (leaf[1:] != leaf[:-1])
+        segment = np.cumsum(first) - 1
+        seg_row, seg_leaf = rows[first], leaf[first]
+        seg_length = lengths[seg_leaf]
+        # The leaf sums are laid out group by group, one group per leaf length.
+        self.groups = []
+        position = np.empty(seg_row.size, dtype=np.intp)
+        offset = 0
+        for length in np.flatnonzero(np.bincount(seg_length)).tolist():  # np.unique loads numpy.ma
+            members = np.flatnonzero(seg_length == length)
+            position[members] = offset + np.arange(members.size)
+            pair = np.flatnonzero(seg_length[segment] == length)
+            local = position[segment[pair]] - offset
+            dst = local * length + cols[pair] - starts[leaf[pair]]
+            self.groups.append((length, offset, members.size, src[pair], dst))
+            offset += members.size
+        per_row = np.bincount(seg_row, minlength=n)
+        single = per_row[seg_row] == 1
+        self.single_rows, self.single_at = seg_row[single], position[single]
+        self.multi_rows = np.flatnonzero(per_row > 1)
+        column = np.searchsorted(self.multi_rows, seg_row[~single])
+        self.multi_flat = seg_leaf[~single] * self.multi_rows.size + column
+        self.multi_at = position[~single]
+        self.n, self.nodes, self.count = n, 2 * starts.size - 1, offset
+        for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_flat, self.multi_at,
+                  *(a for group in self.groups for a in group[3:]),
+                  *(a for level in self.levels for a in level)):
+            a.flags.writeable = False
+
+    def __call__(self, w: Array) -> Array:
+        sums = np.empty(self.count)
+        for length, offset, count, src, dst in self.groups:
+            buffer = np.zeros(count * length)
+            buffer[dst] = np.take(w, src)
+            sums[offset : offset + count] = buffer.reshape(count, length).sum(axis=1)
+        out = np.zeros(self.n)
+        out[self.single_rows] = sums[self.single_at]
+        if self.multi_rows.size:
+            table = np.zeros((self.nodes, self.multi_rows.size))
+            table.reshape(-1)[self.multi_flat] = sums[self.multi_at]
+            for node, left, right in self.levels:
+                table[node] = table[left] + table[right]
+            out[self.multi_rows] = table[-1] + 0.0
+        return out
+
+
+@lru_cache(maxsize=1)
+def _row_sum_model_holds() -> bool:
+    """Whether :class:`_RowSums` gives ``np.sum``'s bits on a fixed probe.
+
+    Rows of 7, 150, 264 and 1500 keys make one leaf, two unequal leaves, a
+    leaf beside a split half, and a deeper tree. Each length has a row
+    with every second key, a row with one run across a leaf border, a row
+    with one key and a row of -0.0 terms, and the terms' magnitudes spread
+    over 2^-30..2^30, so a wrong tree or leaf order shows in the bits."""
+    rng = Rng(20)
+    for n in (7, 150, 264, 1500):
+        touched = np.zeros((4, n), dtype=bool)
+        touched[0, ::2] = True
+        touched[1, n // 3 : n // 3 + 140] = True
+        touched[2, n - 1] = True
+        touched[3, ::3] = True
+        dense = np.zeros((4, n))
+        rows, cols = np.nonzero(touched)
+        scale = np.floor(rng.uniform(rows.size) * 61.0) - 30.0
+        dense[rows, cols] = np.where(rows == 3, -0.0, rng.normal(rows.size) * 2.0**scale)
+        got = _RowSums(n, rows, cols, rows * n + cols)(dense)[:4]
+        if not np.array_equal(got.view(np.uint64), dense.sum(axis=1).view(np.uint64)):
+            return False
+    return True
+
+
+def _row_sum_plan(keys: "KeyList") -> _RowSums | None:
+    """The row-sum plan of ``keys``, or None (the scatter) when numpy's sum
+    does not follow the model."""
+    if not _row_sum_model_holds():
+        return None
+    rows, slots = np.nonzero(keys.valid)
+    n, width = keys.keys.shape
+    return _RowSums(n, rows, keys.keys[rows, slots], rows * width + slots)
+
+
+def _transpose_plan(keys: "KeyList") -> tuple["KeyList", Array]:
+    """For each key of ``keys``, the queries that attend it in ascending
+    order, and for each slot of that list the flat index of the slot of
+    ``keys`` it takes its value from (0 where invalid)."""
+    rows, slots = np.nonzero(keys.valid)
+    cols = keys.keys[rows, slots]
+    order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
+    back = KeyList.from_pairs(cols[order], rows[order], keys.keys.shape[0])
+    gather = np.zeros(back.keys.shape, dtype=np.intp)
+    gather[back.valid] = (rows * keys.keys.shape[1] + slots)[order]
+    for a in (back.keys, back.valid, gather):
+        a.flags.writeable = False
+    return back, gather
 
 
 @dataclass(frozen=True)
@@ -244,10 +416,15 @@ class KeyList:
     invalid slots hold in-range keys that carry weight 0. A head that
     attends every pair holds broadcast views of ``arange(N)``, so it builds
     no N x N index array.
+
+    ``plans`` is a dict only on the window lists :func:`window_keys` caches:
+    each builds its row-sum and transpose plans on first use and keeps
+    them there. Every other list (top-k, explicit, full) keeps nothing.
     """
 
     keys: Array
     valid: Array
+    plans: dict | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def full(n: int) -> "KeyList":
@@ -268,6 +445,17 @@ class KeyList:
     def pairs(self) -> int:
         """Number of attended query-key pairs."""
         return int(self.valid.sum())
+
+    def _plan(self, name: str, build: Callable[["KeyList"], object]):
+        """The plan ``name`` of a window list, built by ``build(self)`` on
+        first use and kept; None for a list that keeps no plans."""
+        if self.plans is None:
+            return None
+        if name not in self.plans:
+            with _PLAN_LOCK:
+                if name not in self.plans:
+                    self.plans[name] = build(self)
+        return self.plans[name]
 
     def _values(self, x: Array, axis: int):
         """The ``values`` of :func:`ordered_sum` for a product over the
@@ -316,14 +504,17 @@ class KeyList:
     def row_sum(self, w: Array) -> Array:
         """Row sums of slot values, bit-identical to ``to_dense(w).sum(axis=1)``.
 
-        numpy sums each row pairwise over its full length, an order no
-        accumulation over the slots alone reproduces, so the rows are
-        scattered into zeroed length-N rows, ``ROW_SUM_CHUNK`` at a time,
-        and summed there. A broadcast list's slots already are the dense
-        row, so its rows are summed in place.
+        numpy sums each row pairwise over its full length. A broadcast
+        list's slots already are the dense row, so its rows are summed in
+        place. A window list sums only the pairwise leaves its keys touch
+        (:class:`_RowSums`). Any other list scatters its rows into zeroed
+        length-N rows, ``ROW_SUM_CHUNK`` at a time, and sums them there.
         """
         if self.keys.strides[0] == 0:
             return np.ascontiguousarray(w).sum(axis=1)
+        plan = self._plan("row_sum", _row_sum_plan)
+        if plan is not None:
+            return plan(w)
         n = self.keys.shape[0]
         out = np.empty(n)
         for start in range(0, n, ROW_SUM_CHUNK):
@@ -341,15 +532,16 @@ class KeyList:
 
     def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
-        each of the slot values ``weights`` moved into that layout."""
-        rows, slots = np.nonzero(self.valid)
-        cols = self.keys[rows, slots]
-        order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
-        back = KeyList.from_pairs(cols[order], rows[order], self.keys.shape[0])
-        moved = [np.zeros(back.keys.shape) for _ in weights]
-        for out, w in zip(moved, weights):
-            out[back.valid] = w[rows, slots][order]
-        return back, moved
+        each of the slot values ``weights`` moved into that layout.
+
+        A broadcast list is its own transpose (every key's queries are all
+        N, ascending), so each weight is only transposed. Other lists move
+        each weight with one gather (:func:`_transpose_plan`), which a
+        window list builds once and keeps."""
+        if self.keys.strides[0] == 0:
+            return self, [w.T for w in weights]
+        back, gather = self._plan("transposed", _transpose_plan) or _transpose_plan(self)
+        return back, [np.where(back.valid, np.take(w, gather), 0.0) for w in weights]
 
 
 def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Array]:
@@ -364,7 +556,9 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Arr
 def window_keys(n: int, radius: int) -> KeyList:
     """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
     slots that start where the window does, shifted inside the sequence at
-    either end; slots outside the window are invalid. Cached; read-only."""
+    either end; slots outside the window are invalid. Cached; read-only.
+    A window narrower than the sequence keeps its row-sum and transpose
+    plans (see :class:`KeyList`); a full one keeps nothing."""
     if radius >= n - 1:
         return KeyList.full(n)
     width = min(2 * radius + 1, n)
@@ -372,7 +566,7 @@ def window_keys(n: int, radius: int) -> KeyList:
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
     valid = np.abs(keys - queries) <= radius
     keys.flags.writeable = valid.flags.writeable = False
-    return KeyList(keys, valid)
+    return KeyList(keys, valid, plans={})
 
 
 def _topk_keys(q: Array, k: Array, block_size: int, top_k: int) -> KeyList:

@@ -23,11 +23,22 @@ stack kernel through ``np.add.accumulate``, which is sequential by
 definition: einsum would reduce its only axis in a SIMD inner loop, and
 ``np.add.reduce`` pairwise.
 
+einsum's inner loop runs along the output's fastest axis. A product
+whose values every row shares (``matmul``) and whose row blocks are
+taller than they are wide writes into a column-major buffer, so that
+loop runs over the rows rather than over 16-32 columns; k keeps the
+largest stride, so it stays the outermost loop and the bits are the same.
+The result is returned C-contiguous, because later ``np.sum`` calls group
+their terms by memory layout.
+
 An einsum that fuses multiply-add (numpy built for an FMA baseline) or
 iterates in another order would change bits, so at import
 :func:`choose_block_kernel` runs the fused kernel on a small fixed probe
 and keeps it only if it gives the stack kernel's bits on every case;
-otherwise ``BLOCK_KERNEL`` is the stack kernel.
+otherwise ``BLOCK_KERNEL`` is the stack kernel. The probe runs once more
+with column-major outputs, and ``FUSED_COLUMN_MAJOR`` records whether the
+fused kernel keeps those bits there too; if not, every product writes
+row-major blocks.
 """
 
 from __future__ import annotations
@@ -92,18 +103,23 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
     ``BLOCK_KERNEL`` in blocks of at most ``ORDERED_SUM_BLOCK`` terms (or
     one row), each with a k-major copy of its coefficients; one buffer per
     call holds the gathered values. The fused kernel reads shared values
-    in place, so their blocks count only the K x rows coefficient copy.
+    in place, so their blocks count only the K x rows coefficient copy;
+    when a block of them is taller than wide, the sums go to a column-major
+    buffer (see the module docstring). The result is C-contiguous.
     The stack kernel may start a reduction from its first term rather than
     from 0.0, and an accumulate always does; that differs from the loop
     only where every term is -0.0, and the final ``+= 0.0`` turns that
     -0.0 into the loop's +0.0 and leaves every other value as it is.
     """
     count, rows = coef.shape
-    out = np.zeros((rows, cols))
-    if count == 0 or out.size == 0:
-        return out
+    if count == 0 or rows * cols == 0:
+        return np.zeros((rows, cols))
     per_row = count * cols if callable(values) or BLOCK_KERNEL is stacked_block else count
     step = min(rows, max(1, ORDERED_SUM_BLOCK // per_row))
+    # Rows innermost where a block is taller than wide (see the module docstring).
+    column_major = (not callable(values) and step > cols > 1
+                    and BLOCK_KERNEL is not stacked_block and FUSED_COLUMN_MAJOR)
+    out = np.zeros((cols, rows)).T if column_major else np.zeros((rows, cols))
     if callable(values):
         buffer = np.empty(count * step * cols)
     else:
@@ -120,17 +136,18 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
         kernel = stacked_block if block.size == 1 else BLOCK_KERNEL
         kernel(np.ascontiguousarray(coef[:, start:stop]), operand, block)
     out += 0.0
-    return out
+    return np.ascontiguousarray(out)
 
 
 def _probe_cases() -> list[tuple[Array, Array]]:
     """(coef, values) blocks on which a kernel must give the stack kernel's
-    bits: one row, one column and several of each, with values shared by
-    the rows (read-only, as ``ordered_sum`` passes them) and gathered.
-    Each output element adds, in order, 1*(-1) and (1+2^-30)^2 (exact
-    only under a fused multiply-add), or 1 and then 2^-53 eighteen times
-    (1 only in ascending order), or only -0.0 terms. Row i scales its
-    coefficients by 2^i, which keeps every case exact."""
+    bits: one row, one column, several of each and 40 rows (enough for the
+    SIMD loops when rows run innermost), with values shared by the rows
+    (read-only, as ``ordered_sum`` passes them) and gathered. Each output
+    element adds, in order, 1*(-1) and (1+2^-30)^2 (exact only under a
+    fused multiply-add), or 1 and then 2^-53 eighteen times (1 only in
+    ascending order), or only -0.0 terms. Row i scales its coefficients by
+    2^(i mod 8), which keeps every case exact."""
     count = 20
     tiny = 2.0**-53
     near = 1.0 + 2.0**-30
@@ -138,10 +155,11 @@ def _probe_cases() -> list[tuple[Array, Array]]:
     columns[:2, 0] = (-1.0, near)
     columns[0, 1], columns[2:, 1] = 1.0, tiny
     columns[:, 2] = -0.0
-    coef = np.ones((count, 3)) * 2.0 ** np.arange(3)
+    coef = np.ones((count, 40)) * 2.0 ** (np.arange(40) % 8)
     coef[1] *= near
     cases = []
-    for rows, cols in [(1, slice(None)), (3, slice(None)), (3, [0]), (3, [1]), (3, [2])]:
+    for rows, cols in [(1, slice(None)), (3, slice(None)), (3, [0]), (3, [1]), (3, [2]),
+                       (40, slice(None)), (40, [0, 1])]:
         c = np.ascontiguousarray(coef[:, :rows])
         v = np.ascontiguousarray(columns[:, cols])
         shared = v[:, None, :]
@@ -151,21 +169,32 @@ def _probe_cases() -> list[tuple[Array, Array]]:
     return cases
 
 
+def _gives_stack_bits(kernel: Callable[[Array, Array, Array], None], column_major: bool) -> bool:
+    """Whether ``kernel``, writing into row-major or (``column_major``)
+    column-major outputs, gives :func:`stacked_block`'s bits on every
+    probe case."""
+    for coef, values in _probe_cases():
+        shape = (coef.shape[1], values.shape[2])
+        want = np.empty(shape)
+        got = np.empty(shape[::-1]).T if column_major else np.empty(shape)
+        kernel(coef, values.copy() if values.flags.writeable else values, got)
+        stacked_block(coef, values, want)
+        if not np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)):
+            return False
+    return True
+
+
 def choose_block_kernel(candidate: Callable[[Array, Array, Array], None] = fused_block):
     """``candidate`` if it gives :func:`stacked_block`'s bits on every
     probe case, else :func:`stacked_block`."""
-    for coef, values in _probe_cases():
-        want = np.empty((coef.shape[1], values.shape[2]))
-        got = np.empty_like(want)
-        candidate(coef, values.copy() if values.flags.writeable else values, got)
-        stacked_block(coef, values, want)
-        if not np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)):
-            return stacked_block
-    return candidate
+    return candidate if _gives_stack_bits(candidate, column_major=False) else stacked_block
 
 
 #: The kernel :func:`ordered_sum` runs row blocks through.
 BLOCK_KERNEL = choose_block_kernel()
+#: Whether :func:`fused_block` keeps its bits writing column-major blocks,
+#: where :func:`ordered_sum` puts shared-operand products with tall blocks.
+FUSED_COLUMN_MAJOR = BLOCK_KERNEL is fused_block and _gives_stack_bits(fused_block, column_major=True)
 
 
 def matmul(a: Array, b: Array) -> Array:

@@ -170,6 +170,26 @@ class TestRun:
         b = (tmp_path / "r2" / "report.json").read_bytes()
         assert a == b
 
+    def test_threads_match_sequential_with_fresh_window_plans(self, tmp_path):
+        """Four threads build the window lists' plans at once; one thread
+        builds them alone. N=256 with radius 8 spans several pairwise leaves."""
+        from salad.masking import window_keys
+
+        grid = ["--set", "grid.frames=4", "--set", "grid.height=8", "--set", "grid.width=8",
+                "--set", "mask.radius=8"]
+        for name, threads in (("r4", "4"), ("r1", "1")):
+            window_keys.cache_clear()
+            assert run_cli("run", *small_args(tmp_path, name, *grid),
+                           "--threads", threads, "--no-timestamp") == 0
+        a = (tmp_path / "r4" / "report.json").read_bytes()
+        b = (tmp_path / "r1" / "report.json").read_bytes()
+        assert a == b
+
+    @pytest.mark.parametrize("command", ["gen", "check", "analyze"])
+    def test_threads_is_refused_where_it_does_nothing(self, tmp_path, capsys, command):
+        assert run_cli(command, "--out", str(tmp_path), "--threads", "2") == 3
+        assert capsys.readouterr().err == "error: --threads applies to run and export-maps\n"
+
     def test_timestamp_field_present_by_default(self, tmp_path):
         run_cli("run", *small_args(tmp_path))
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -624,10 +644,12 @@ BUNDLE_ARGS = ["--set", 'block.params_bundle="{tmp}/bundle.sldp"']
 
 
 def exit_three_cases():
-    """Case name -> (extra ``run`` arguments, files to write first). File
-    names are relative to the test's temporary directory, which the
-    arguments spell "{tmp}"."""
+    """Case name -> (extra arguments, files to write first), plus the
+    subcommand where it is not ``run``. File names are relative to the
+    test's temporary directory, which the arguments spell "{tmp}"."""
     cases = {
+        **{f"threads_with_{command}": (["--threads", "2"], {}, command)
+           for command in ("gen", "check", "analyze")},
         "layers_abc": (["--set", "layers=abc"], {}),
         "heads_x": (["--set", "grid.heads=x"], {}),
         "seed_above_u64": (["--set", "seed=18446744073709551621"], {}),
@@ -710,14 +732,14 @@ QUIET_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
 @QUIET_OVERFLOW
 @pytest.mark.parametrize("case", sorted(EXIT_THREE))
 def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
-    args, files = EXIT_THREE[case]
+    args, files, *command = EXIT_THREE[case]
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
         else:
             (tmp_path / name).write_text(content)
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
-    assert run_cli("run", *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
+    assert run_cli(*command or ["run"], *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

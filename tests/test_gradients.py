@@ -326,7 +326,7 @@ KERNEL_CASES = [  # (frames, height, width), plan entry
     window_case(3, (2, 3, 4), 11, True),
     window_case(4, (3, 3, 3), 13, False),  # 2r+1 = N, still not every pair
     window_case(5, (3, 3, 3), 13, True),
-    window_case(6, (3, 5, 10), 4, False),  # N = 150 is not a multiple of ROW_SUM_CHUNK
+    window_case(6, (3, 5, 10), 4, False),  # N = 150 splits into unequal leaves of 72 and 78
     window_case(7, (3, 5, 10), 4, True),
     pytest.param((2, 3, 4), Window(23), id="full-window"),
     pytest.param((2, 3, 4), TopK(block_size=5, k=2), id="topk-ragged"),

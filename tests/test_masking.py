@@ -1,14 +1,19 @@
+import gc
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salad import numerics
+from salad import masking, numerics
 from salad.analysis import head_sparsity_stats, plan_sparsity_stats
 from salad.checks import build_window_mask
 from salad.errors import BlockCountError, ConfigError, DegenerateRowError, StateError
+from salad.gradients import head_attention_backward
 from salad.masking import (
     CalibrationResult,
     Explicit,
@@ -23,6 +28,7 @@ from salad.masking import (
     invert_permutation,
     realize_head_mask,
     select_topk_blocks,
+    sparse_head_attention,
     st_reorder_permutation,
     topk_block_select,
     window_attended_pairs,
@@ -501,3 +507,187 @@ def test_full_key_list_apply_memory_stays_within_a_row_block():
     r = Rng(3)
     keys, w, x = KeyList.full(512), r.normal((512, 512)), r.normal((512, 16))
     assert traced_peak(keys.apply, w, x) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * x.nbytes
+
+
+
+# ---------------------------------------------------------------------------
+# Row sums, and the plans the cached window lists keep
+
+ROW_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, 150, 1000, 1024, 1500]
+
+
+def row_sum_values(r, shape):
+    """Slot values over magnitudes 2^-30..2^30, about 10% of them -0.0 and
+    10% +0.0, with a first row of only -0.0."""
+    w = signed_values(r, shape) * 2.0 ** np.floor(60.0 * r.uniform(shape) - 30.0)
+    w = np.where(r.uniform(shape) < 0.1, 0.0, w)
+    w[0] = -0.0
+    return w
+
+
+def row_sum_lists(n):
+    """Window (several radii), top-k and explicit key lists over n keys."""
+    r = Rng(n)
+    q, k = r.normal((n, 4)), r.normal((n, 4))
+    mask = r.uniform((n, n)) < 0.1
+    np.fill_diagonal(mask, True)
+    return {
+        **{f"window_r{radius}": window_keys(n, radius) for radius in (0, 3, 8, 70)},
+        "topk": head_keys(TopK(block_size=8, k=min(2, -(-n // 8))), grid_of(1, 1, n), q, k)[0],
+        "explicit": head_keys(Explicit(mask), grid_of(1, 1, n))[0],
+    }
+
+
+@pytest.fixture
+def fresh_window_plans():
+    """The window lists and the row-sum model check, built anew in the
+    test and again after it."""
+    masking.window_keys.cache_clear()
+    masking._row_sum_model_holds.cache_clear()
+    yield
+    masking.window_keys.cache_clear()
+    masking._row_sum_model_holds.cache_clear()
+
+
+@pytest.fixture
+def plan_builds(monkeypatch, fresh_window_plans):
+    """How many plans of each kind the window lists build, by builder name."""
+    built = Counter()
+    for name in ("_row_sum_plan", "_transpose_plan"):
+        build = getattr(masking, name)
+        monkeypatch.setattr(masking, name,
+                            lambda keys, name=name, build=build: built.update([name]) or build(keys))
+    return built
+
+
+@pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
+def test_row_sum_matches_the_dense_sum(n):
+    r = Rng(n + 1)
+    for name, keys in row_sum_lists(n).items():
+        for _ in range(2):  # a cached window list sums again with the plan it kept
+            w = row_sum_values(r, keys.keys.shape)
+            want = keys.to_dense(w).sum(axis=1)
+            assert same_bits(keys.row_sum(w), want), name
+            assert same_bits(keys.row_sum(w), want), name
+
+
+def test_row_sum_model_splits_rows_as_numpy_does():
+    starts, levels = masking._pairwise_tree(150)
+    assert starts.tolist() == [0, 72] and len(levels) == 1
+    starts, levels = masking._pairwise_tree(264)  # a 128 leaf beside a split 136
+    assert starts.tolist() == [0, 128, 192] and [level[0].tolist() for level in levels] == [[3], [4]]
+    assert masking._pairwise_tree(128)[0].tolist() == [0] and masking._row_sum_model_holds()
+
+
+def test_row_sum_falls_back_to_the_scatter_when_the_model_disagrees(monkeypatch,
+                                                                      fresh_window_plans):
+    monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
+    assert not masking._row_sum_model_holds()
+    for n in (150, 1024):
+        keys = window_keys(n, 8)
+        w = row_sum_values(Rng(n), keys.keys.shape)
+        assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1))
+        assert keys.plans["row_sum"] is None
+
+
+@pytest.mark.parametrize("n, radius", [(7, 2), (150, 4), (1024, 8), (1500, 70)])
+def test_window_transpose_matches_the_dense_transpose(n, radius):
+    keys = window_keys(n, radius)
+    w = row_sum_values(Rng(n), keys.keys.shape)
+    for plain in (False, True, False):
+        listed = KeyList(keys.keys, keys.valid) if plain else keys
+        back, moved = listed.transposed(w, -w)
+        for got, want in zip(moved, (w, -w)):
+            assert same_bits(back.to_dense(got), keys.to_dense(want).T)
+            assert same_bits(np.where(back.valid, 0.0, got), np.zeros(got.shape))
+
+
+def test_topk_and_explicit_lists_keep_no_plans():
+    r = Rng(9)
+    q, k, v, go = (r.normal((64, 4)) for _ in range(4))
+    mask = r.uniform((64, 64)) < 0.2
+    np.fill_diagonal(mask, True)
+    for entry in (TopK(block_size=8, k=2), Explicit(mask)):
+        _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 4, 4))
+        head_attention_backward(q, k, v, rec, go)
+        assert rec.keys.plans is None
+
+
+def test_window_plans_are_built_once(plan_builds):
+    r = Rng(4)
+    q, k, v, go = (r.normal((256, 4)) for _ in range(4))
+    for _ in range(3):
+        for entry in (Window(8), Window(8, reordered=True), Window(3)):
+            _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 8, 8))
+            head_attention_backward(q, k, v, rec, go)
+    assert plan_builds == {"_row_sum_plan": 2, "_transpose_plan": 2}  # window_keys(256, 8) and (256, 3)
+    assert window_keys(256, 8).plans.keys() == {"row_sum", "transposed"}
+
+
+def test_window_plans_are_built_once_under_racing_threads(plan_builds):
+    """Eight threads, on a short switch interval, sum and transpose one new
+    window list at once: each plan is built once and every result is the
+    single-threaded one."""
+    keys = window_keys(1024, 8)
+    w = row_sum_values(Rng(5), keys.keys.shape)
+    want_sum = KeyList(keys.keys, keys.valid).row_sum(w)  # the scatter
+    results = []
+    start = threading.Barrier(8)
+
+    def race():
+        start.wait(timeout=10)
+        results.append((keys.row_sum(w), keys.transposed(w)[1][0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    assert plan_builds == {"_row_sum_plan": 1, "_transpose_plan": 1}
+    back = keys.plans["transposed"][0]
+    assert same_bits(back.to_dense(results[0][1]), keys.to_dense(w).T)
+    assert all(same_bits(s, want_sum) and same_bits(m, results[0][1]) for s, m in results)
+
+
+def test_full_window_list_is_its_own_transpose_and_keeps_nothing():
+    """Transposing the full list through its pairs peaked at 65 MB at
+    N=1024, 8x the weights."""
+    n = 1024
+    keys = window_keys(n, n - 1)
+    w = Rng(1).normal((n, n))
+    assert traced_peak(keys.transposed, w, w) < 64 * 1024
+    back, moved = keys.transposed(w, w)
+    assert back is keys and all(same_bits(m, w.T) for m in moved)
+    keys.row_sum(w)
+    assert keys.plans is None
+
+
+def test_window_row_sum_and_transpose_make_no_reference_cycles():
+    keys = window_keys(1024, 8)
+    w = row_sum_values(Rng(2), keys.keys.shape)
+    keys.row_sum(w), keys.transposed(w)
+    gc.disable()
+    try:
+        gc.collect()
+        keys.row_sum(w)
+        keys.transposed(w, w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_window_plan_arrays_are_read_only():
+    keys = window_keys(1500, 70)
+    w = row_sum_values(Rng(3), keys.keys.shape)
+    keys.row_sum(w), keys.transposed(w)
+    sums, (back, gather) = keys.plans["row_sum"], keys.plans["transposed"]
+    arrays = [a for a in vars(sums).values() if isinstance(a, np.ndarray)]
+    arrays += [a for group in sums.groups for a in group if isinstance(a, np.ndarray)]
+    arrays += [a for level in sums.levels for a in level] + [back.keys, back.valid, gather]
+    assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)

@@ -218,6 +218,65 @@ def test_stack_kernel_memory_stays_within_a_row_block(monkeypatch, rng):
     assert traced_peak(matmul, a, b) < 2 * numerics.ORDERED_SUM_BLOCK * 8 + 2 * 512 * 16 * 8
 
 
+
+def recording_kernel(monkeypatch):
+    """Swap ``BLOCK_KERNEL`` for the fused kernel plus a record of each
+    block's output strides, in elements."""
+    strides = []
+
+    def kernel(coef, values, out):
+        strides.append(tuple(s // 8 for s in out.strides))
+        numerics.fused_block(coef, values, out)
+
+    monkeypatch.setattr(numerics, "BLOCK_KERNEL", kernel)
+    return strides
+
+
+@pytest.mark.parametrize("m, inner, n, column_major", [
+    (1024, 32, 32, True),  # a (1024 x 32) x (32 x 32) projection: one tall block
+    (129, 1024, 16, True),  # blocks of 64 rows by 16 columns
+    (2048, 2048, 32, False),  # blocks of 32 rows by 32 columns stay row-major
+    (32, 1024, 32, False),
+    (8, 8, 1, False),  # one column is the same memory either way
+])
+def test_tall_shared_blocks_run_rows_innermost(monkeypatch, m, inner, n, column_major):
+    """A shared-operand product writes column-major blocks exactly where a
+    block has more rows than columns (and more than one column), and
+    returns a C-contiguous result with the loop's bits."""
+    strides = recording_kernel(monkeypatch)
+    r = Rng(m + inner + n)
+    a, b = spread(r, (m, inner)), spread(r, (inner, n))
+    got = matmul(a, b)
+    assert got.flags.c_contiguous
+    assert same_bits(got, loop_matmul(a, b))
+    assert strides and all((s[1] != 1) == column_major for s in strides)
+
+
+def test_column_major_probe_failure_keeps_row_major_blocks(monkeypatch):
+    monkeypatch.setattr(numerics, "FUSED_COLUMN_MAJOR", False)
+    strides = recording_kernel(monkeypatch)
+    r = Rng(3)
+    a, b = spread(r, (1024, 32)), spread(r, (32, 32))
+    assert same_bits(matmul(a, b), loop_matmul(a, b))
+    assert strides == [(32, 1)]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6" or platform.machine() != "x86_64",
+                    reason="the column-major layout was verified on numpy 2.4.6 for x86-64")
+def test_probe_keeps_column_major_blocks():
+    assert numerics.FUSED_COLUMN_MAJOR
+
+
+def test_probe_rejects_a_kernel_that_reorders_only_column_major_blocks():
+    def kernel(coef, values, out):
+        if out.flags.c_contiguous:
+            numerics.fused_block(coef, values, out)
+        else:
+            numerics.fused_block(coef[::-1].copy(), np.ascontiguousarray(values[::-1]), out)
+
+    assert numerics.choose_block_kernel(kernel) is kernel
+    assert not numerics._gives_stack_bits(kernel, column_major=True)
+
 class TestSoftmaxMasked:
     def test_single_survivor(self):
         logits = np.array([[5.0, 100.0, -3.0]])
