@@ -63,7 +63,8 @@ def head_attention_backward(
 
     The products over queries (dK and dV) run on the transposed key list,
     which visits each key's queries in ascending order as ``matmul`` on
-    the dense transpose would.
+    the dense transpose would; the list's structure gives that transpose
+    without sorting pairs (:meth:`KeyList.transposed`).
     """
     inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
     keys, attn = rec.keys, rec.weights

@@ -19,11 +19,12 @@ element's terms added in ascending order), and every term it skips is an
 exact zero, so the kernel gives the bits of dense masked attention.
 Row sums (the softmax denominator and the backward's sum(y*g)) follow
 numpy's pairwise sum of the dense row; a window list sums only the
-pairwise leaves its keys touch (:class:`_RowSums`). The window lists that
-:func:`window_keys` caches build that row-sum plan and their transposed
-list on first use and keep both; lists built per forward keep nothing.
-The dense band mask the oracles compare it against is
-``checks.build_window_mask``.
+pairwise leaves its keys touch, by the plan (:class:`_RowSums`) that
+:func:`window_keys` builds and caches with the list. The backward runs on
+transposed lists, which each list's structure gives without sorting
+pairs: a window list is its own transpose, and a block list (top-k, or an
+explicit mask in blocks of one token) transposes its block selection. The
+dense band mask the oracles compare it against is ``checks.build_window_mask``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,7 +219,7 @@ def select_topk_blocks(q: Array, k: Array, block_size: int, top_k: int) -> list[
 
 def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
     """Realize the top-k block selection as a boolean N x N mask."""
-    return _topk_keys(q, k, block_size, top_k).mask()
+    return _block_keys(_topk_keep(q, k, block_size, top_k), block_size, len(q)).mask()
 
 
 def realize_head_mask(
@@ -243,10 +244,6 @@ ROW_SUM_CHUNK = 128
 
 #: Most elements numpy's pairwise sum adds in one leaf (its ``PW_BLOCKSIZE``).
 PAIRWISE_LEAF = 128
-
-#: Held while a window list builds a plan, so each plan is built once.
-_PLAN_LOCK = threading.Lock()
-
 
 def _pairwise_node(start: int, n: int, starts: list, joins: list) -> tuple[int, int]:
     """Append numpy's pairwise-sum tree over elements start..start+n-1 to
@@ -382,31 +379,6 @@ def _row_sum_model_holds() -> bool:
     return True
 
 
-def _row_sum_plan(keys: "KeyList") -> _RowSums | None:
-    """The row-sum plan of ``keys``, or None (the scatter) when numpy's sum
-    does not follow the model."""
-    if not _row_sum_model_holds():
-        return None
-    rows, slots = np.nonzero(keys.valid)
-    n, width = keys.keys.shape
-    return _RowSums(n, rows, keys.keys[rows, slots], rows * width + slots)
-
-
-def _transpose_plan(keys: "KeyList") -> tuple["KeyList", Array]:
-    """For each key of ``keys``, the queries that attend it in ascending
-    order, and for each slot of that list the flat index of the slot of
-    ``keys`` it takes its value from (0 where invalid)."""
-    rows, slots = np.nonzero(keys.valid)
-    cols = keys.keys[rows, slots]
-    order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
-    back = KeyList.from_pairs(cols[order], rows[order], keys.keys.shape[0])
-    gather = np.zeros(back.keys.shape, dtype=np.intp)
-    gather[back.valid] = (rows * keys.keys.shape[1] + slots)[order]
-    for a in (back.keys, back.valid, gather):
-        a.flags.writeable = False
-    return back, gather
-
-
 @dataclass(frozen=True)
 class KeyList:
     """The keys each of N queries attends, as two (N, W) arrays.
@@ -417,45 +389,29 @@ class KeyList:
     attends every pair holds broadcast views of ``arange(N)``, so it builds
     no N x N index array.
 
-    ``plans`` is a dict only on the window lists :func:`window_keys` caches:
-    each builds its row-sum and transpose plans on first use and keeps
-    them there. Every other list (top-k, explicit, full) keeps nothing.
+    How a list was built gives its transpose. A window list
+    (:func:`window_keys`, ``window``) is its own, and holds the row-sum
+    plan it was built with in ``row_sums``. A block list (:func:`_block_keys`:
+    top-k, and explicit masks as blocks of one token) keeps its
+    ``(keep, block_size)`` in ``blocks``. A bare ``KeyList(keys, valid)``
+    is neither, and has no transpose.
     """
 
     keys: Array
     valid: Array
-    plans: dict | None = field(default=None, compare=False, repr=False)
+    window: bool = False
+    blocks: tuple[Array, int] | None = field(default=None, compare=False, repr=False)
+    row_sums: _RowSums | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def full(n: int) -> "KeyList":
         """Every query attends every key."""
         return KeyList(np.broadcast_to(np.arange(n), (n, n)), np.broadcast_to(True, (n, n)))
 
-    @staticmethod
-    def from_pairs(rows: Array, cols: Array, n: int) -> "KeyList":
-        """Pack (query, key) pairs grouped by ascending query, keeping their
-        order within each query, into slots from 0."""
-        counts = np.bincount(rows, minlength=n)
-        slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        keys = np.zeros((n, int(counts.max())), dtype=np.int64)
-        keys[rows, slots] = cols
-        return KeyList(keys, np.arange(keys.shape[1]) < counts[:, None])
-
     @property
     def pairs(self) -> int:
         """Number of attended query-key pairs."""
         return int(self.valid.sum())
-
-    def _plan(self, name: str, build: Callable[["KeyList"], object]):
-        """The plan ``name`` of a window list, built by ``build(self)`` on
-        first use and kept; None for a list that keeps no plans."""
-        if self.plans is None:
-            return None
-        if name not in self.plans:
-            with _PLAN_LOCK:
-                if name not in self.plans:
-                    self.plans[name] = build(self)
-        return self.plans[name]
 
     def _values(self, x: Array, axis: int):
         """The ``values`` of :func:`ordered_sum` for a product over the
@@ -506,15 +462,16 @@ class KeyList:
 
         numpy sums each row pairwise over its full length. A broadcast
         list's slots already are the dense row, so its rows are summed in
-        place. A window list sums only the pairwise leaves its keys touch
-        (:class:`_RowSums`). Any other list scatters its rows into zeroed
+        place. A window list sums only the pairwise leaves its keys touch,
+        with the plan it holds in ``row_sums`` (:class:`_RowSums`). Any
+        other list, and a window list whose plan is None because numpy's
+        sum does not follow the model, scatters its rows into zeroed
         length-N rows, ``ROW_SUM_CHUNK`` at a time, and sums them there.
         """
         if self.keys.strides[0] == 0:
             return np.ascontiguousarray(w).sum(axis=1)
-        plan = self._plan("row_sum", _row_sum_plan)
-        if plan is not None:
-            return plan(w)
+        if self.row_sums is not None:
+            return self.row_sums(w)
         n = self.keys.shape[0]
         out = np.empty(n)
         for start in range(0, n, ROW_SUM_CHUNK):
@@ -532,16 +489,33 @@ class KeyList:
 
     def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
-        each of the slot values ``weights`` moved into that layout.
+        each of the slot values ``weights`` moved there by one gather (0.0
+        in invalid slots). The list's structure gives it; no pair is sorted.
 
-        A broadcast list is its own transpose (every key's queries are all
-        N, ascending), so each weight is only transposed. Other lists move
-        each weight with one gather (:func:`_transpose_plan`), which a
-        window list builds once and keeps."""
+        A broadcast list is its own transpose, so each weight is only
+        transposed. So is a window list, as |i - j| <= r is symmetric: back
+        slot (j, m) reads query i = keys[j, m] at its slot j - keys[i, 0].
+        A block list's back list is the block list of ``keep.T``; key j of
+        block b sits in slot rank[a, b] * size + j % size of the rows of
+        query block a, b being the rank[a, b]-th block that a keeps."""
         if self.keys.strides[0] == 0:
             return self, [w.T for w in weights]
-        back, gather = self._plan("transposed", _transpose_plan) or _transpose_plan(self)
-        return back, [np.where(back.valid, np.take(w, gather), 0.0) for w in weights]
+        n, width = self.keys.shape
+        if self.window:
+            back = self
+            first = np.arange(n) * width - self.keys[:, 0]  # flat index of w[i, j] is first[i] + j
+            gather = first.take(self.keys) + np.arange(n)[:, None]
+        elif self.blocks is not None:
+            keep, size = self.blocks
+            back = _block_keys(keep.T, size, n)
+            queries = back.keys[::size]  # the back list once per key block
+            rank = np.cumsum(keep, axis=1, dtype=np.int32) - 1
+            at = queries * width + rank[queries // size, np.arange(len(keep))[:, None]] * size
+            gather = (at[:, None] + np.arange(size)[:, None]).reshape(-1, at.shape[1])[:n]
+        else:
+            raise StateError("a key list of bare arrays has no structure to transpose by")
+        # An invalid slot's index can fall outside w: "clip" keeps it in range and where drops it.
+        return back, [np.where(back.valid, np.take(w, gather, mode="clip"), 0.0) for w in weights]
 
 
 def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Array]:
@@ -552,34 +526,57 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Arr
     return keys.apply(attn, v), attn
 
 
+#: Held across each :func:`window_keys` lookup, so threads that miss at once build one list.
+_WINDOW_LOCK = threading.Lock()
+
+
+def _locked(cached: Callable) -> Callable:
+    """The ``lru_cache`` ``cached``, each call under ``_WINDOW_LOCK``."""
+    def call(*args):
+        with _WINDOW_LOCK:
+            return cached(*args)
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return wraps(cached)(call)
+
+
+@_locked
 @lru_cache(maxsize=64)
 def window_keys(n: int, radius: int) -> KeyList:
     """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
     slots that start where the window does, shifted inside the sequence at
     either end; slots outside the window are invalid. Cached; read-only.
-    A window narrower than the sequence keeps its row-sum and transpose
-    plans (see :class:`KeyList`); a full one keeps nothing."""
+    A window narrower than the sequence is built with its row-sum plan (or
+    None when numpy's sum does not follow the model); a full one is
+    :meth:`KeyList.full`."""
     if radius >= n - 1:
         return KeyList.full(n)
     width = min(2 * radius + 1, n)
     queries = np.arange(n)[:, None]
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
     valid = np.abs(keys - queries) <= radius
+    row_sums = None
+    if _row_sum_model_holds():
+        rows, slots = np.nonzero(valid)
+        row_sums = _RowSums(n, rows, keys[rows, slots], rows * width + slots)
     keys.flags.writeable = valid.flags.writeable = False
-    return KeyList(keys, valid, plans={})
+    return KeyList(keys, valid, window=True, row_sums=row_sums)
 
 
-def _topk_keys(q: Array, k: Array, block_size: int, top_k: int) -> KeyList:
-    """Each query reads its block's selected key blocks in ascending order from slot 0, laid
-    out once per query block; a short last block, last in any row, has its missing keys cut."""
-    keep = _topk_keep(q, k, block_size, top_k)
-    tokens = keep.sum(axis=1) * block_size - keep[:, -1] * (len(keep) * block_size - len(q))
+def _block_keys(keep: Array, block_size: int, n: int) -> KeyList:
+    """The block list of ``keep``: the queries of block a read the key
+    blocks b with ``keep[a, b]`` in ascending order from slot 0, laid out
+    once per query block; a short last block, last in any row, has its
+    missing keys cut. Invalid slots hold key 0."""
+    counts = keep.sum(axis=1)
+    tokens = counts * block_size - keep[:, -1] * (len(keep) * block_size - n)
     slot = np.arange(tokens.max())
     valid = slot < tokens[:, None]
-    blocks = np.argsort(~keep, axis=1, kind="stable")  # selected blocks first, ascending
+    rows, cols = np.nonzero(keep)  # kept blocks, ascending in each row
+    blocks = np.zeros((len(keep), counts.max()), dtype=np.intp)
+    blocks[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
     keys = np.where(valid, blocks[:, slot // block_size] * block_size + slot % block_size, 0)
-    row_block = np.arange(len(q)) // block_size
-    return KeyList(keys[row_block], valid[row_block])
+    row_block = np.arange(n) // block_size
+    return KeyList(keys[row_block], valid[row_block], blocks=(keep, block_size))
 
 
 def head_keys(
@@ -603,14 +600,14 @@ def head_keys(
     if isinstance(entry, TopK):
         if q is None or k is None:
             raise StateError("top-k plans need the head's queries and keys to realize a mask")
-        return _topk_keys(q, k, entry.block_size, entry.k), None
+        return _block_keys(_topk_keep(q, k, entry.block_size, entry.k), entry.block_size, n), None
     if isinstance(entry, Explicit):
         if entry.mask.shape != (n, n):
             raise ConfigError(f"explicit mask shape {entry.mask.shape} does not match N={n}")
         if not entry.mask.diagonal().all():
             row = int(np.flatnonzero(~entry.mask.diagonal())[0])
             raise DegenerateRowError(f"explicit mask row {row} does not attend itself")
-        return KeyList.from_pairs(*np.nonzero(entry.mask), n), None
+        return _block_keys(entry.mask, 1, n), None
     raise ConfigError(f"unknown plan entry {entry!r}")
 
 

@@ -46,6 +46,31 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def from_pairs(rows, cols, n):
+    """The ``KeyList`` of (query, key) pairs grouped by ascending query,
+    keeping their order within each query, packed into slots from 0 with
+    key 0 in invalid slots; the reference for explicit lists."""
+    counts = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    keys = np.zeros((n, int(counts.max())), dtype=np.int64)
+    keys[rows, slots] = cols
+    return KeyList(keys, np.arange(keys.shape[1]) < counts[:, None])
+
+
+def transpose_plan(keys):
+    """For each key of ``keys``, the queries that attend it in ascending
+    order (by a stable sort of every pair on its key), and for each slot
+    of that list the flat index of the slot of ``keys`` it takes its value
+    from (0 where invalid); the reference for ``KeyList.transposed``."""
+    rows, slots = np.nonzero(keys.valid)
+    cols = keys.keys[rows, slots]
+    order = np.argsort(cols, kind="stable")  # stable: each key's queries stay ascending
+    back = from_pairs(cols[order], rows[order], keys.keys.shape[0])
+    gather = np.zeros(back.keys.shape, dtype=np.intp)
+    gather[back.valid] = (rows * keys.keys.shape[1] + slots)[order]
+    return back, gather
+
+
 def loop_topk_blocks(q, k, block_size, top_k):
     """Top-k block selection one query block at a time: each block's mean
     on its own, one stable argsort per query block; the reference for
@@ -64,7 +89,7 @@ def loop_topk_blocks(q, k, block_size, top_k):
 
 def loop_topk_keys(q, k, block_size, top_k):
     """The top-k ``KeyList`` from (query, key) pairs listed one query block
-    at a time; the reference for ``masking._topk_keys``."""
+    at a time; the reference for top-k lists."""
     n = q.shape[0]
     spans = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
     rows, cols = [], []
@@ -72,7 +97,7 @@ def loop_topk_keys(q, k, block_size, top_k):
         block_keys = np.concatenate([np.arange(*spans[kb]) for kb in selected])
         rows.append(np.repeat(np.arange(a, b), block_keys.size))
         cols.append(np.tile(block_keys, b - a))
-    return KeyList.from_pairs(np.concatenate(rows), np.concatenate(cols), n)
+    return from_pairs(np.concatenate(rows), np.concatenate(cols), n)
 
 
 def loop_mask_to_bytes(mask):

@@ -171,8 +171,9 @@ class TestRun:
         assert a == b
 
     def test_threads_match_sequential_with_fresh_window_plans(self, tmp_path):
-        """Four threads build the window lists' plans at once; one thread
-        builds them alone. N=256 with radius 8 spans several pairwise leaves."""
+        """Four threads ask for a new window list and its row-sum plan at
+        once; one thread builds them alone. N=256 with radius 8 spans
+        several pairwise leaves."""
         from salad.masking import window_keys
 
         grid = ["--set", "grid.frames=4", "--set", "grid.height=8", "--set", "grid.width=8",

@@ -25,7 +25,6 @@ from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3
 from salad import block, checks, gradients, linear_attention, masking, numerics
 from salad.masking import (
     Explicit,
-    KeyList,
     LatentGrid,
     MaskPlan,
     TopK,
@@ -35,6 +34,8 @@ from salad.masking import (
 )
 from salad.numerics import Rng, matmul, softmax_masked
 from salad.tensor_io import record_from_dict, record_to_dict
+
+from conftest import from_pairs
 
 
 def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides):
@@ -63,7 +64,7 @@ def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides)
 
 
 def mask_keys(mask):
-    return KeyList.from_pairs(*np.nonzero(mask), mask.shape[0])
+    return from_pairs(*np.nonzero(mask), mask.shape[0])
 
 
 def slot_values(keys, dense):

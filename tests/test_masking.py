@@ -2,7 +2,7 @@ import gc
 import math
 import sys
 import threading
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +36,8 @@ from salad.masking import (
 )
 from salad.numerics import Rng
 
-from conftest import loop_topk_blocks, loop_topk_keys, same_bits, traced_peak
+from conftest import (from_pairs, loop_topk_blocks, loop_topk_keys, same_bits, traced_peak,
+                      transpose_plan)
 
 
 def grid_of(f, h, w, heads=1, d=4):
@@ -511,7 +512,7 @@ def test_full_key_list_apply_memory_stays_within_a_row_block():
 
 
 # ---------------------------------------------------------------------------
-# Row sums, and the plans the cached window lists keep
+# Row sums, and the transposes each list's structure gives
 
 ROW_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, 150, 1000, 1024, 1500]
 
@@ -538,8 +539,24 @@ def row_sum_lists(n):
     }
 
 
+def reference_transposed(keys, *weights):
+    """``KeyList.transposed`` through the pair-sorting ``transpose_plan``."""
+    back, gather = transpose_plan(keys)
+    return back, [np.where(back.valid, np.take(w, gather), 0.0) for w in weights]
+
+
+def assert_transpose_matches_the_pair_sort(keys, w):
+    """Keys, valid flags and moved weights bit for bit, the weights moved
+    from every slot but read only from valid ones."""
+    back, moved = keys.transposed(w, -w)
+    want_back, want_moved = reference_transposed(keys, w, -w)
+    assert back.keys.dtype == want_back.keys.dtype == np.int64
+    assert np.array_equal(back.keys, want_back.keys) and np.array_equal(back.valid, want_back.valid)
+    assert all(same_bits(got, want) for got, want in zip(moved, want_moved))
+
+
 @pytest.fixture
-def fresh_window_plans():
+def fresh_window_lists():
     """The window lists and the row-sum model check, built anew in the
     test and again after it."""
     masking.window_keys.cache_clear()
@@ -549,22 +566,11 @@ def fresh_window_plans():
     masking._row_sum_model_holds.cache_clear()
 
 
-@pytest.fixture
-def plan_builds(monkeypatch, fresh_window_plans):
-    """How many plans of each kind the window lists build, by builder name."""
-    built = Counter()
-    for name in ("_row_sum_plan", "_transpose_plan"):
-        build = getattr(masking, name)
-        monkeypatch.setattr(masking, name,
-                            lambda keys, name=name, build=build: built.update([name]) or build(keys))
-    return built
-
-
 @pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
 def test_row_sum_matches_the_dense_sum(n):
     r = Rng(n + 1)
     for name, keys in row_sum_lists(n).items():
-        for _ in range(2):  # a cached window list sums again with the plan it kept
+        for _ in range(2):  # a cached window list sums again with the plan it holds
             w = row_sum_values(r, keys.keys.shape)
             want = keys.to_dense(w).sum(axis=1)
             assert same_bits(keys.row_sum(w), want), name
@@ -580,26 +586,71 @@ def test_row_sum_model_splits_rows_as_numpy_does():
 
 
 def test_row_sum_falls_back_to_the_scatter_when_the_model_disagrees(monkeypatch,
-                                                                      fresh_window_plans):
+                                                                      fresh_window_lists):
+    """Without a plan a window list scatters its row sums, and still
+    transposes itself, to the same bits."""
     monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
     assert not masking._row_sum_model_holds()
     for n in (150, 1024):
         keys = window_keys(n, 8)
+        assert keys.row_sums is None and keys.window
         w = row_sum_values(Rng(n), keys.keys.shape)
         assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1))
-        assert keys.plans["row_sum"] is None
+        back, (moved,) = keys.transposed(w)
+        assert back is keys and same_bits(back.to_dense(moved), keys.to_dense(w).T)
 
 
-@pytest.mark.parametrize("n, radius", [(7, 2), (150, 4), (1024, 8), (1500, 70)])
+@pytest.mark.parametrize("n, radius", [(7, 2), (33, 0), (64, 8), (150, 3), (150, 4), (300, 70),
+                                       (1024, 8), (1500, 70)])
 def test_window_transpose_matches_the_dense_transpose(n, radius):
+    """A window list is its own transpose: its moved weights, -0.0 among
+    them, are the dense transpose, 0.0 in invalid slots, and the backward
+    product over them gives the pair-sorted back list's bits."""
     keys = window_keys(n, radius)
-    w = row_sum_values(Rng(n), keys.keys.shape)
-    for plain in (False, True, False):
-        listed = KeyList(keys.keys, keys.valid) if plain else keys
-        back, moved = listed.transposed(w, -w)
-        for got, want in zip(moved, (w, -w)):
-            assert same_bits(back.to_dense(got), keys.to_dense(want).T)
-            assert same_bits(np.where(back.valid, 0.0, got), np.zeros(got.shape))
+    r = Rng(n + radius)
+    w = row_sum_values(r, keys.keys.shape)
+    back, moved = keys.transposed(w, -w)
+    assert back is keys and keys.window
+    for got, want in zip(moved, (w, -w)):
+        assert same_bits(back.to_dense(got), keys.to_dense(want).T)
+        assert same_bits(np.where(back.valid, 0.0, got), np.zeros(got.shape))
+    x = signed_values(r, (n, 4))
+    want_back, want_moved = reference_transposed(keys, w, -w)
+    for got, want in zip(moved, want_moved):
+        assert same_bits(back.apply(got, x), want_back.apply(want, x))
+
+
+@pytest.mark.parametrize("n", [8, 9, 17, 63, 100, 511, 2048])
+def test_topk_transpose_matches_the_pair_sort(n):
+    r = Rng(n)
+    q, k = r.normal((n, 4)), r.normal((n, 4))
+    for block_size in (1, 2, 3, 8, 16):
+        nb = -(-n // block_size)
+        for top_k in sorted({1, 2, 4, nb} & set(range(1, nb + 1))):
+            if top_k == nb and n * nb > 2048 * 128:
+                continue  # a full 2048 x 2048 list below blocks of 16: 0.7 s of pair sort each
+            keys, _ = head_keys(TopK(block_size, top_k), grid_of(1, 1, n), q, k)
+            assert keys.blocks is not None and not keys.window
+            assert_transpose_matches_the_pair_sort(keys, signed_values(r, keys.keys.shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 150, 600])
+def test_explicit_lists_match_the_pair_lists_and_their_sorted_transpose(n):
+    r = Rng(n + 7)
+    for density in (0.0, 0.01, 0.1, 0.5, 0.9, 1.0):
+        mask = r.uniform((n, n)) < density
+        np.fill_diagonal(mask, True)
+        keys, _ = head_keys(Explicit(mask), grid_of(1, 1, n))
+        want = from_pairs(*np.nonzero(mask), n)
+        assert keys.keys.dtype == want.keys.dtype == np.int64
+        assert np.array_equal(keys.keys, want.keys) and np.array_equal(keys.valid, want.valid)
+        assert_transpose_matches_the_pair_sort(keys, signed_values(r, keys.keys.shape))
+
+
+def test_a_bare_key_list_has_no_transpose():
+    keys = window_keys(64, 8)
+    with pytest.raises(StateError, match="no structure"):
+        KeyList(keys.keys, keys.valid).transposed(np.zeros(keys.keys.shape))
 
 
 def test_topk_and_explicit_lists_keep_no_plans():
@@ -610,33 +661,39 @@ def test_topk_and_explicit_lists_keep_no_plans():
     for entry in (TopK(block_size=8, k=2), Explicit(mask)):
         _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 4, 4))
         head_attention_backward(q, k, v, rec, go)
-        assert rec.keys.plans is None
+        assert rec.keys.row_sums is None and rec.keys.blocks is not None and not rec.keys.window
 
 
-def test_window_plans_are_built_once(plan_builds):
+def test_window_plans_are_built_once(monkeypatch, fresh_window_lists):
+    """Each window list builds its row-sum plan with itself, and no forward
+    or backward over it builds another."""
+    assert masking._row_sum_model_holds()  # its probe builds plans of its own
+    built = []
+    row_sums = masking._RowSums
+    monkeypatch.setattr(masking, "_RowSums", lambda n, *a: built.append(n) or row_sums(n, *a))
     r = Rng(4)
     q, k, v, go = (r.normal((256, 4)) for _ in range(4))
     for _ in range(3):
         for entry in (Window(8), Window(8, reordered=True), Window(3)):
             _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 8, 8))
             head_attention_backward(q, k, v, rec, go)
-    assert plan_builds == {"_row_sum_plan": 2, "_transpose_plan": 2}  # window_keys(256, 8) and (256, 3)
-    assert window_keys(256, 8).plans.keys() == {"row_sum", "transposed"}
+            assert rec.keys.transposed()[0] is rec.keys  # a reordered entry runs on permuted tokens
+    assert built == [256, 256]  # window_keys(256, 8) and (256, 3)
+    assert masking.window_keys.cache_info().misses == 2
 
 
-def test_window_plans_are_built_once_under_racing_threads(plan_builds):
-    """Eight threads, on a short switch interval, sum and transpose one new
-    window list at once: each plan is built once and every result is the
-    single-threaded one."""
-    keys = window_keys(1024, 8)
-    w = row_sum_values(Rng(5), keys.keys.shape)
-    want_sum = KeyList(keys.keys, keys.valid).row_sum(w)  # the scatter
-    results = []
+def test_window_plans_are_built_once_under_racing_threads(fresh_window_lists):
+    """Eight threads, on a short switch interval, ask for one new window
+    list at once: it is built once, every thread gets that list, and each
+    sums and transposes it to the single-threaded bits."""
     start = threading.Barrier(8)
+    results = []
+    w = row_sum_values(Rng(5), (1024, 17))
 
     def race():
         start.wait(timeout=10)
-        results.append((keys.row_sum(w), keys.transposed(w)[1][0]))
+        keys = window_keys(1024, 8)
+        results.append((keys, keys.row_sum(w), keys.transposed(w)[1][0]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -649,10 +706,41 @@ def test_window_plans_are_built_once_under_racing_threads(plan_builds):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(results) == 8
-    assert plan_builds == {"_row_sum_plan": 1, "_transpose_plan": 1}
-    back = keys.plans["transposed"][0]
-    assert same_bits(back.to_dense(results[0][1]), keys.to_dense(w).T)
-    assert all(same_bits(s, want_sum) and same_bits(m, results[0][1]) for s, m in results)
+    assert masking.window_keys.cache_info().misses == 1
+    keys = window_keys(1024, 8)
+    want_sum = KeyList(keys.keys, keys.valid).row_sum(w)  # the scatter
+    assert same_bits(keys.to_dense(results[0][2]), keys.to_dense(w).T)
+    assert all(got is keys and same_bits(s, want_sum) and same_bits(m, results[0][2])
+               for got, s, m in results)
+
+
+def test_window_transpose_keeps_nothing():
+    """The cached list holds no transpose, so transposing it leaves no
+    allocation behind."""
+    keys = window_keys(1024, 8)
+    w = row_sum_values(Rng(8), keys.keys.shape)
+    keys.transposed(w)
+    tracemalloc.start()
+    try:
+        keys.transposed(w, w)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024
+
+
+def test_topk_transpose_memory_stays_within_its_outputs():
+    """N = 2048, blocks of 8, k = 4 (a 2048 x 384 back list): the back
+    keys, valid flags and gather take 17 bytes a back slot and the two
+    moved weights 16 more. The transpose peaks under 48 bytes a slot, so
+    it holds no N x N block and no per-pair arrays beside them."""
+    r = Rng(12)
+    q, k = r.normal((2048, 4)), r.normal((2048, 4))
+    keys, _ = head_keys(TopK(block_size=8, k=4), grid_of(1, 1, 2048), q, k)
+    w = r.normal(keys.keys.shape)
+    back, _ = keys.transposed()
+    assert back.keys.shape == (2048, 384)
+    assert traced_peak(keys.transposed, w, w) < 48 * back.keys.size
 
 
 def test_full_window_list_is_its_own_transpose_and_keeps_nothing():
@@ -665,7 +753,7 @@ def test_full_window_list_is_its_own_transpose_and_keeps_nothing():
     back, moved = keys.transposed(w, w)
     assert back is keys and all(same_bits(m, w.T) for m in moved)
     keys.row_sum(w)
-    assert keys.plans is None
+    assert keys.row_sums is None and keys.blocks is None
 
 
 def test_window_row_sum_and_transpose_make_no_reference_cycles():
@@ -684,10 +772,8 @@ def test_window_row_sum_and_transpose_make_no_reference_cycles():
 
 def test_window_plan_arrays_are_read_only():
     keys = window_keys(1500, 70)
-    w = row_sum_values(Rng(3), keys.keys.shape)
-    keys.row_sum(w), keys.transposed(w)
-    sums, (back, gather) = keys.plans["row_sum"], keys.plans["transposed"]
+    sums = keys.row_sums
     arrays = [a for a in vars(sums).values() if isinstance(a, np.ndarray)]
     arrays += [a for group in sums.groups for a in group if isinstance(a, np.ndarray)]
-    arrays += [a for level in sums.levels for a in level] + [back.keys, back.valid, gather]
+    arrays += [a for level in sums.levels for a in level] + [keys.keys, keys.valid]
     assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
