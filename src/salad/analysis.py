@@ -17,7 +17,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .block import BlockTrace, head_slices
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .masking import HeadPlan, LatentGrid, MaskPlan, TopK, Window, head_keys, window_attended_pairs
 from .numerics import DEFAULT_RANK_REL_TOL, Array, Rng, numerical_rank
 from .tensor_io import check_json, record_from_dict, record_to_dict, refuse_unknown_keys
@@ -190,16 +190,37 @@ def branch_rank_analysis(
 
     The linear branch factors through a d x d state, so its per-head rank
     is provably at most the head dimension; the sparse branch usually sits
-    much higher.
+    much higher. Every operand (each head's sparse output, and its linear
+    output where the branch ran) is solved in one stacked
+    :func:`numerical_rank` call. When that raises :class:`NumericError`,
+    the operands are solved again one at a time, in row order, and the
+    error names the layer, head and branch of the first that fails.
     """
-    out = []
+    rows, slots, operands = [], [], []
     for layer, trace in traces:
         for head, s in enumerate(head_slices(grid.channels, grid.heads)):
-            rank_s = numerical_rank(trace.o_s[:, s], rel_tol)
-            rank_l = None if trace.o_l is None else numerical_rank(trace.o_l[:, s], rel_tol)
-            out.append({"layer": layer, "head": head, "rank_sparse": rank_s,
-                        "rank_linear": rank_l, "head_dim": grid.head_dim})
-    return out
+            row = {"layer": layer, "head": head, "rank_sparse": None, "rank_linear": None,
+                   "head_dim": grid.head_dim}
+            rows.append(row)
+            for branch, out in (("sparse", trace.o_s), ("linear", trace.o_l)):
+                if out is not None:
+                    slots.append((row, branch))
+                    operands.append(out[:, s])
+    if not operands:
+        return rows
+    try:
+        ranks = numerical_rank(operands, rel_tol)
+    except NumericError:
+        for (row, branch), x in zip(slots, operands):
+            try:
+                numerical_rank(x, rel_tol)
+            except NumericError as exc:
+                raise NumericError(f"layer {row['layer']}, head {row['head']}, {branch} branch: "
+                                   f"{exc}") from None
+        raise
+    for (row, branch), rank in zip(slots, ranks.tolist()):
+        row[f"rank_{branch}"] = rank
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ otherwise ``BLOCK_KERNEL`` is the stack kernel. The probe runs once more
 with column-major outputs, and ``FUSED_COLUMN_MAJOR`` records whether the
 fused kernel keeps those bits there too; if not, every product writes
 row-major blocks.
+
+:func:`jacobi_singular_values` solves a stack of matrices at once. Each of
+its sums runs over the rows of one matrix, in that matrix's memory layout,
+and each rotation is elementwise, so a matrix in a stack gets the bits it
+gets alone, and one Python loop over the sweeps serves the whole stack.
 """
 
 from __future__ import annotations
@@ -281,99 +286,138 @@ def round_robin_rounds(n: int) -> list[tuple[Array, Array]]:
 
 def householder_r(a: Array) -> Array:
     """Upper-triangular factor R (n x n) of the QR factorization of a tall
-    m x n matrix (m >= n), by Householder reflections.
+    m x n matrix (m >= n), or of each matrix of a (B, m, n) stack, by
+    Householder reflections.
 
-    Each reflection updates the trailing columns with ``np.sum`` column
-    reductions, so the accumulation order is fixed and BLAS-free. A column
-    that is already zero on and below the diagonal is left as it is.
+    A float64 ``a`` is factored in place: it ends as R stacked on zeros,
+    and R is returned as a view of its first n rows. Each reflection
+    updates the trailing columns with ``np.sum`` reductions over the row
+    axis, so the accumulation order is fixed and BLAS-free, and it is the
+    same for a matrix in a stack as for that matrix alone. A matrix whose
+    column is already zero on and below the diagonal is left as it is at
+    that step; only the others are reflected.
     """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[1]
+    a = np.asarray(a, dtype=np.float64)
+    stack = a if a.ndim == 3 else a[None]
+    n = stack.shape[2]
     for k in range(n):
-        v = a[k:, k].copy()
-        norm = math.sqrt(float(np.sum(v * v)))
-        if norm == 0.0:
+        v = stack[:, k:, k].copy()
+        norm = np.sqrt(np.sum(v * v, axis=1))
+        live = norm != 0.0
+        if not live.any():
             continue
-        diag = -math.copysign(norm, v[0])
-        v[0] -= diag
-        scale = 2.0 / float(np.sum(v * v))
-        a[k, k] = diag
-        a[k + 1 :, k] = 0.0
-        rest = a[k:, k + 1 :]
-        rest -= v[:, None] * (np.sum(v[:, None] * rest, axis=0) * scale)
-    return a[:n]
+        work = stack
+        if not live.all():
+            # empty_like keeps each matrix's memory layout, which sets the
+            # order of its sums over the rows.
+            work = np.empty_like(stack[: np.count_nonzero(live)])
+            work[...] = stack[live]
+            v, norm = v[live], norm[live]
+        diag = -np.copysign(norm, v[:, 0])
+        v[:, 0] -= diag
+        scale = 2.0 / np.sum(v * v, axis=1)
+        work[:, k, k] = diag
+        work[:, k + 1 :, k] = 0.0
+        rest = work[:, k:, k + 1 :]
+        rest -= v[:, :, None] * (np.sum(v[:, :, None] * rest, axis=1) * scale[:, None])[:, None]
+        if work is not stack:
+            stack[live] = work
+    return a[..., :n, :]
 
 
 def jacobi_singular_values(x: Array) -> Array:
-    """Singular values via QR-preconditioned one-sided Jacobi rotations.
+    """Singular values via QR-preconditioned one-sided Jacobi rotations, in
+    descending order: an (n,) array for an (m, n) matrix, or (B, n) for
+    each matrix of a (B, m, n) stack (or a sequence of equal-shape
+    matrices), solved together.
 
-    The tall operand (``x``, or ``x.T`` when wide) is first reduced to its
-    square triangular factor R, which has the same singular values, so
-    each sweep touches n-long columns rather than N-long ones. The sweeps
-    then visit the column pairs of R in round-robin order, one vectorized
-    round of disjoint pairs at a time, rotating whenever a pair's implicit
-    Gram off-diagonal exceeds ``_JACOBI_SWEEP_TOL`` relative to the column
-    norms; at convergence the column 2-norms are the singular values.
-    No LAPACK involvement, so the iteration is fully deterministic.
+    Each tall operand (the matrix, or its transpose when wide; a wide stack
+    is transposed as a whole) is first reduced to its square triangular
+    factor R, which has the same singular values, so each sweep touches
+    n-long columns rather than N-long ones. The sweeps then visit the
+    column pairs of R in round-robin order, one vectorized round of
+    disjoint pairs at a time over the whole stack, rotating each (matrix,
+    pair) entry whose implicit Gram off-diagonal exceeds
+    ``_JACOBI_SWEEP_TOL`` relative to the column norms; at convergence the
+    column 2-norms are the singular values. The sweeps stop after one in
+    which no matrix rotated. Later sweeps change a matrix whose sweep
+    rotated nothing in no value (at most the sign of a zero entry, which
+    no singular value sees), and every column sum is a reduction over the
+    row axis of that matrix alone, so each matrix's values are bit-equal
+    to the ones it gets alone. No LAPACK involvement, so the iteration is
+    fully deterministic.
 
-    The operand is first scaled by the power of two that brings its
-    largest entry into [0.5, 1), and the singular values are scaled back.
-    That is exact and every later step is scale-free, so ordinary operands
-    keep their bits, and entries near 1e200 or 1e-200 cannot overflow or
-    underflow when squared.
+    Two rules keep a pair that no rotation can change from stalling the
+    sweeps. A column whose squared norm is below the smallest normal
+    float64 counts as zero, as one of exactly 0.0 does, and is never
+    rotated. And where ``zeta**2`` overflows, the tangent is +-0.0 (its
+    true size is below 1e-154), so the rotation changes no value and does
+    not count as one.
+
+    The working copy of the operand is scaled, matrix by matrix, by the
+    power of two that brings the largest entry into [0.5, 1), and the
+    singular values are scaled back. That is exact and every later step
+    is scale-free, so ordinary operands keep their bits, and entries near
+    1e200 or 1e-200 cannot overflow or underflow when squared.
 
     Raises :class:`NumericError` for non-finite input or sweeps that do
     not converge.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {x.shape}")
-    ensure_finite(x, "singular-value input")
-    _, exponent = math.frexp(float(np.max(np.abs(x), initial=0.0)))
-    x = np.ldexp(x, -exponent)
-    a = householder_r(x.T if x.shape[0] < x.shape[1] else x)
-    rounds = round_robin_rounds(a.shape[1])
+    a = np.array(x, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    ensure_finite(a, "singular-value input")
+    stack = a if a.ndim == 3 else a[None]
+    _, exponent = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
+    np.ldexp(stack, -exponent[:, None, None], out=stack)
+    r = householder_r(stack.swapaxes(1, 2) if stack.shape[1] < stack.shape[2] else stack)
+    rounds = round_robin_rounds(r.shape[2])
+    tiny = np.finfo(np.float64).tiny
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p, q in rounds:
-            ap = a[:, p]
-            aq = a[:, q]
-            alpha = np.sum(ap * ap, axis=0)
-            beta = np.sum(aq * aq, axis=0)
-            gamma = np.sum(ap * aq, axis=0)
-            live = (alpha != 0.0) & (beta != 0.0)
+            ap = r[:, :, p]
+            aq = r[:, :, q]
+            alpha = np.sum(ap * ap, axis=1)
+            beta = np.sum(aq * aq, axis=1)
+            gamma = np.sum(ap * aq, axis=1)
+            live = (alpha >= tiny) & (beta >= tiny)
             live &= np.abs(gamma) > _JACOBI_SWEEP_TOL * np.sqrt(alpha * beta)
-            if not live.any():
+            mat, pair = np.nonzero(live)
+            if mat.size == 0:
                 continue
-            rotated = True
-            if not live.all():
-                p, q, ap, aq = p[live], q[live], ap[:, live], aq[:, live]
-                alpha, beta, gamma = alpha[live], beta[live], gamma[live]
+            ap, aq = ap[mat, :, pair], aq[mat, :, pair]
+            alpha, beta, gamma = alpha[mat, pair], beta[mat, pair], gamma[mat, pair]
             zeta = (beta - alpha) / (2.0 * gamma)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            a[:, p] = c * ap - s * aq
-            a[:, q] = s * ap + c * aq
+            with np.errstate(over="ignore"):  # zeta**2 = inf gives t = +-0.0
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            rotated |= bool(t.any())
+            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+            s = c * t[:, None]
+            r[mat, :, p[pair]] = c * ap - s * aq
+            r[mat, :, q[pair]] = s * ap + c * aq
         if not rotated:
             break
     else:
         raise NumericError(f"Jacobi sweeps did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    return np.ldexp(np.sort(sv)[::-1], exponent)
+    sv = np.sqrt(np.sum(r * r, axis=1))
+    sv = np.ldexp(np.sort(sv, axis=1)[:, ::-1], exponent[:, None])
+    return sv if a.ndim == 3 else sv[0]
 
 
-def numerical_rank(x: Array, rel_tol: float = DEFAULT_RANK_REL_TOL) -> int:
-    """Count singular values above ``rel_tol`` times the largest one.
+def numerical_rank(x: Array, rel_tol: float = DEFAULT_RANK_REL_TOL) -> int | Array:
+    """Count singular values above ``rel_tol`` times the largest one: an
+    int for one matrix, an int array for each matrix of a (B, m, n) stack
+    (or a sequence of equal-shape matrices), solved by one
+    :func:`jacobi_singular_values` call.
 
     The all-zero matrix has rank 0. ``rel_tol`` must lie in (0, 1).
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     sv = jacobi_singular_values(x)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    ranks = np.sum(sv > rel_tol * sv[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 # ---------------------------------------------------------------------------

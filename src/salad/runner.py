@@ -38,7 +38,7 @@ from .block import (
     salad_forward,
 )
 from .config import RunConfig, config_from_dict
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .gradients import gradcheck_salad
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
 from .tensor_io import check_json, dumps_json, load_json, record_from_dict, record_to_dict
@@ -132,9 +132,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         drop_section = {**record_to_dict(explicit), "speedup_estimate": speedup}
 
     # Branch output ranks on the sampled layers.
-    ranks = branch_rank_analysis(
-        [(layer, traces[(layer, rt)]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
-    )
+    try:
+        ranks = branch_rank_analysis(
+            [(layer, traces[(layer, rt)]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
+        )
+    except NumericError as exc:
+        raise NumericError(f"rank analysis at timestep {rt}, {exc}") from None
 
     oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas,
                                    results[(0, 0)][3], 0 in explicit_dropped)

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -5,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from salad.errors import ConfigError
+from salad import numerics
+from salad.errors import ConfigError, DimensionError, NumericError
 from salad.masking import Explicit, KeyList
-from salad.numerics import Rng, matmul
+from salad.numerics import Rng, ensure_finite, matmul, round_robin_rounds
 from salad.tensor_io import (DOCUMENT_VERSION, PLAN_FORMAT, _RECORD_KINDS, dumps_json, mask_to_bytes,
                              record_to_dict)
 
@@ -190,3 +192,67 @@ def elimination_rank(a, rel_tol=1e-6):
         a = np.delete(np.delete(a - np.outer(a[:, idx[1]], a[idx[0], :]) / pivot, idx[0], axis=0),
                       idx[1], axis=1)
     return rank
+
+
+def one_matrix_householder_r(a):
+    """R (n x n) of one tall m x n matrix by Householder reflections, one
+    column reduction at a time; ``a`` is left as it is. The reference for
+    ``numerics.householder_r``."""
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[1]
+    for k in range(n):
+        v = a[k:, k].copy()
+        norm = math.sqrt(float(np.sum(v * v)))
+        if norm == 0.0:
+            continue
+        diag = -math.copysign(norm, v[0])
+        v[0] -= diag
+        scale = 2.0 / float(np.sum(v * v))
+        a[k, k] = diag
+        a[k + 1 :, k] = 0.0
+        rest = a[k:, k + 1 :]
+        rest -= v[:, None] * (np.sum(v[:, None] * rest, axis=0) * scale)
+    return a[:n]
+
+
+def one_matrix_jacobi_singular_values(x):
+    """Singular values of one matrix, one QR-preconditioned Jacobi solve at
+    a time, with a squared norm of exactly 0.0 as the only zero column. The
+    reference for ``numerics.jacobi_singular_values``: it stalls where a
+    squared column norm is subnormal (``numerics`` treats those as zero)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {x.shape}")
+    ensure_finite(x, "singular-value input")
+    _, exponent = math.frexp(float(np.max(np.abs(x), initial=0.0)))
+    x = np.ldexp(x, -exponent)
+    a = one_matrix_householder_r(x.T if x.shape[0] < x.shape[1] else x)
+    rounds = round_robin_rounds(a.shape[1])
+    for _ in range(numerics._JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in rounds:
+            ap = a[:, p]
+            aq = a[:, q]
+            alpha = np.sum(ap * ap, axis=0)
+            beta = np.sum(aq * aq, axis=0)
+            gamma = np.sum(ap * aq, axis=0)
+            live = (alpha != 0.0) & (beta != 0.0)
+            live &= np.abs(gamma) > numerics._JACOBI_SWEEP_TOL * np.sqrt(alpha * beta)
+            if not live.any():
+                continue
+            rotated = True
+            if not live.all():
+                p, q, ap, aq = p[live], q[live], ap[:, live], aq[:, live]
+                alpha, beta, gamma = alpha[live], beta[live], gamma[live]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            a[:, p] = c * ap - s * aq
+            a[:, q] = s * ap + c * aq
+        if not rotated:
+            break
+    else:
+        raise NumericError(f"Jacobi sweeps did not converge in {numerics._JACOBI_MAX_SWEEPS} sweeps")
+    sv = np.sqrt(np.sum(a * a, axis=0))
+    return np.ldexp(np.sort(sv)[::-1], exponent)

@@ -15,10 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from salad.block import head_slices
 from salad.cli import main
 from salad.config import RunConfig, apply_override, config_from_dict, load_config
 from salad.errors import ConfigError
 from salad.tensor_io import read_tensor
+
+from conftest import one_matrix_jacobi_singular_values
 
 
 def run_cli(*argv):
@@ -804,6 +807,68 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
             "--set", f"maps.export={json.dumps(maps)}"]
     assert run_cli("run", *args) == 0
     assert seen == [(4 * 5, 1 + maps)]
+
+
+def one_matrix_rank(x, rel_tol):
+    """A branch rank by the one-matrix reference solve and the counting rule."""
+    sv = one_matrix_jacobi_singular_values(x)
+    return 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > rel_tol * sv[0]))
+
+
+RANK_CASES = {
+    "no_rank_layers": ["--set", "analysis.rank_layers=[]"],
+    "repeated_layer": ["--set", "analysis.rank_layers=[1,0,1]"],
+    "block_dropped": ["--set", "block.dropped=true"],
+    "non_shared": ["--set", "block.variant=non_shared"],
+    "wide_operands": ["--set", "grid.head_dim=16"],
+    "two_threads": ["--threads", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_rows_match_one_matrix_solves_from_one_stacked_call(tmp_path, monkeypatch, case):
+    """The report's rank rows equal the rows of solving each branch operand
+    alone with the conftest reference, and the run makes one
+    singular-value call for all of them (none without rank layers). The
+    small grid has N=8, so head_dim 16 makes the operands wide."""
+    from salad import numerics, runner
+
+    reference, calls = [], []
+    solve, rank_analysis = numerics.jacobi_singular_values, runner.branch_rank_analysis
+
+    def counting_solve(x):
+        calls.append(len(x))
+        return solve(x)
+
+    def with_reference(traces, grid, rel_tol):
+        for layer, trace in traces:
+            for head, s in enumerate(head_slices(grid.channels, grid.heads)):
+                sparse, linear = (None if out is None else one_matrix_rank(out[:, s], rel_tol)
+                                  for out in (trace.o_s, trace.o_l))
+                reference.append({"layer": layer, "head": head, "rank_sparse": sparse,
+                                  "rank_linear": linear, "head_dim": grid.head_dim})
+        return rank_analysis(traces, grid, rel_tol)
+
+    monkeypatch.setattr(numerics, "jacobi_singular_values", counting_solve)
+    monkeypatch.setattr(runner, "branch_rank_analysis", with_reference)
+    assert run_cli("run", *small_args(tmp_path), *RANK_CASES[case]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["ranks"] == reference
+    linear = sum(row["rank_linear"] is not None for row in reference)
+    assert calls == ([len(reference) + linear] if reference else [])
+    assert (case == "block_dropped") == (linear == 0 < len(reference))
+
+
+def test_rank_stage_numeric_error_names_its_operand(tmp_path, capsys, monkeypatch):
+    """A rank operand that does not converge exits 3, and the message names
+    the rank timestep and the layer, head and branch of the first operand
+    that fails, in report row order."""
+    from salad import numerics
+
+    monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+    assert run_cli("run", *small_args(tmp_path), "--set", "analysis.rank_timestep=1") == 3
+    err = capsys.readouterr().err
+    assert err == ("error: rank analysis at timestep 1, layer 0, head 0, sparse branch: "
+                   "Jacobi sweeps did not converge in 1 sweeps\n")
 
 
 @pytest.mark.parametrize("overrides,forwards", [

@@ -1,6 +1,6 @@
 import math
 import platform
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,8 @@ from salad.numerics import (
     tanh,
 )
 
-from conftest import elimination_rank, same_bits, traced_peak, triple_loop_matmul
+from conftest import (elimination_rank, one_matrix_householder_r, one_matrix_jacobi_singular_values,
+                      same_bits, traced_peak, triple_loop_matmul)
 
 
 class TestMatmul:
@@ -491,6 +492,152 @@ class TestJacobiSingularValues:
         monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(NumericError, match="did not converge"):
             jacobi_singular_values(rng.normal((32, 6)))
+
+
+def rank_operand_stack(rng, m, n, wide):
+    """Eight (m, n) matrices as one C-order stack, each transposed when
+    ``wide``: plain, with every third column zero, all zero, scaled by
+    1e200, 1e-200 and 3e150, with graded columns, and with orthogonal
+    columns. The last needs no rotation and converges in the first sweep;
+    the plain ones take several."""
+    plain = rng.normal((m, n))
+    zero_cols = rng.normal((m, n))
+    zero_cols[:, ::3] = 0.0
+    graded = rng.normal((m, n)) * np.logspace(0, -9, n)
+    orthogonal = np.eye(m, n) * np.arange(n, 0, -1)
+    mats = [plain, zero_cols, np.zeros((m, n)), plain * 1e200, rng.normal((m, n)) * 1e-200,
+            rng.normal((m, n)) * 3e150, graded, orthogonal]
+    stack = np.stack(mats)
+    return np.ascontiguousarray(stack.swapaxes(1, 2)) if wide else stack
+
+
+def stall_sweep_inputs():
+    """600 seeded inputs of five kinds: square matrices with one zero row,
+    tall ones with 4 zero rows, rank-deficient products, graded columns and
+    plain tall matrices, with 2 to 17 columns."""
+    for seed in range(120):
+        rng = Rng(seed)
+        n = 2 + seed % 16
+        square = rng.normal((n, n))
+        square[seed % n] = 0.0
+        zero_rows = rng.normal((2 * n + 4, n))
+        zero_rows[rng.permutation(2 * n + 4)[:4]] = 0.0
+        k = 1 + seed % (n - 1)
+        product = matmul(rng.normal((2 * n, k)), rng.normal((k, n)))
+        graded = rng.normal((2 * n, n)) * np.logspace(0, -12, n)
+        yield from (square, zero_rows, product, graded, rng.normal((3 * n, n)))
+
+
+class TestStackedSolve:
+    """One solve over a (B, m, n) stack gives each matrix the bits of the
+    one-matrix reference in conftest."""
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_stack_is_bit_equal_to_the_one_matrix_reference(self, n):
+        rng = Rng(n)
+        for m in sorted({n, n + 1, 2 * n + 3, 64, 512}):
+            for wide in (False, True):
+                stack = rank_operand_stack(rng, m, n, wide)
+                got = jacobi_singular_values(stack)
+                assert got.shape == (len(stack), n)
+                for x, sv in zip(stack, got):
+                    try:
+                        with np.errstate(over="ignore"):
+                            want = one_matrix_jacobi_singular_values(x)
+                    except NumericError:
+                        # A stall of the reference (a transposed square with
+                        # zero rows), which the package mends.
+                        want = np.linalg.svd(x, compute_uv=False)
+                        assert np.max(np.abs(sv - want)) <= 1e-12 * want[0]
+                        continue
+                    assert same_bits(sv, want), (m, wide)
+                # The factor of the unscaled operands, which are not extreme.
+                keep = [0, 1, 2, 6, 7]
+                tall = stack[keep].swapaxes(1, 2) if wide else stack[keep]
+                work = tall.copy(order="K")
+                r = householder_r(work)
+                assert r.base is work or r.base is work.base
+                assert not work[:, n:].any()
+                for x, got_r in zip(tall, r):
+                    assert same_bits(got_r, one_matrix_householder_r(x)), (m, wide)
+
+    def test_one_matrix_is_a_stack_of_one(self, rng):
+        x = rng.normal((64, 7))
+        assert same_bits(jacobi_singular_values(x), jacobi_singular_values(x[None])[0])
+        assert numerical_rank(x) == 7 and numerical_rank(x[None]).tolist() == [7]
+
+    def test_a_sequence_of_matrices_is_a_stack(self, rng):
+        mats = [rng.normal((20, 5)) for _ in range(3)]
+        assert same_bits(jacobi_singular_values(mats), jacobi_singular_values(np.stack(mats)))
+        assert jacobi_singular_values(np.zeros((0, 20, 5))).shape == (0, 5)
+
+    def test_operand_is_left_as_it_is(self, rng):
+        stack = rng.normal((3, 40, 6))
+        before = stack.copy()
+        jacobi_singular_values(stack)
+        assert same_bits(stack, before)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(DimensionError):
+            jacobi_singular_values(np.zeros(5))
+        with pytest.raises(DimensionError):
+            jacobi_singular_values(np.zeros((2, 3, 4, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_non_finite_operand_raises(self, rng, bad):
+        stack = rng.normal((3, 32, 4))
+        stack[1, 5, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            jacobi_singular_values(stack)
+
+    def test_one_unconverged_operand_raises(self, rng, monkeypatch):
+        orthogonal = np.eye(32, 6) * np.arange(6, 0, -1)
+        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+        assert np.array_equal(jacobi_singular_values(np.stack([orthogonal] * 2)),
+                              [np.arange(6.0, 0, -1)] * 2)
+        with pytest.raises(NumericError, match="did not converge"):
+            jacobi_singular_values(np.stack([orthogonal, rng.normal((32, 6)), orthogonal]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [
+        # One column of R collapses to entries near 1e-159: its squared norm
+        # is subnormal but not 0.0.
+        np.vstack([Rng(0).normal((7, 8)), np.zeros((1, 8))]),
+        # zeta = (beta - alpha) / (2 gamma) is near -5e155, so zeta**2
+        # overflows and the tangent is 0.0.
+        np.array([[1.0, 1e-156], [0.0, 1e-150]]),
+    ], ids=["subnormal_norm", "tangent_overflow"])
+    def test_pairs_no_rotation_changes_do_not_stall(self, x):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="did not converge"):
+            one_matrix_jacobi_singular_values(x)
+        sv = jacobi_singular_values(x)
+        want = np.linalg.svd(x, compute_uv=False)
+        assert sv.shape == want.shape
+        assert np.max(np.abs(sv - want)) <= 1e-12 * want[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_sweep_converges_and_keeps_the_reference_bits(self):
+        """Every input converges near LAPACK, stacked by shape; each one the
+        reference solves keeps its bits, and the reference stalls on 42."""
+        inputs = list(stall_sweep_inputs())
+        by_shape = defaultdict(list)
+        for i, x in enumerate(inputs):
+            by_shape[x.shape].append(i)
+        got = {}
+        for rows in by_shape.values():
+            got.update(zip(rows, jacobi_singular_values([inputs[i] for i in rows])))
+        stalled = 0
+        for i, x in enumerate(inputs):
+            want = np.linalg.svd(x, compute_uv=False)
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * want[0], i
+            try:
+                with np.errstate(over="ignore"):
+                    reference = one_matrix_jacobi_singular_values(x)
+            except NumericError:
+                stalled += 1
+                continue
+            assert same_bits(got[i], reference), i
+        assert stalled == 42
 
 
 class TestRng:
