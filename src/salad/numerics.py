@@ -319,7 +319,12 @@ def householder_r(a: Array) -> Array:
         work[:, k, k] = diag
         work[:, k + 1 :, k] = 0.0
         rest = work[:, k:, k + 1 :]
-        rest -= v[:, :, None] * (np.sum(v[:, :, None] * rest, axis=1) * scale[:, None])[:, None]
+        # Matrices go in blocks of at most ORDERED_SUM_BLOCK products, which
+        # bounds the scratch memory; a matrix's sums do not depend on its block.
+        step = max(1, ORDERED_SUM_BLOCK // max(1, rest[0].size))
+        for b in range(0, len(rest), step):
+            block, vb = rest[b : b + step], v[b : b + step, :, None]
+            block -= vb * (np.sum(vb * block, axis=1) * scale[b : b + step, None])[:, None]
         if work is not stack:
             stack[live] = work
     return a[..., :n, :]
@@ -368,7 +373,8 @@ def jacobi_singular_values(x: Array) -> Array:
         raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     ensure_finite(a, "singular-value input")
     stack = a if a.ndim == 3 else a[None]
-    _, exponent = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
+    largest = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
+    _, exponent = np.frexp(largest)
     np.ldexp(stack, -exponent[:, None, None], out=stack)
     r = householder_r(stack.swapaxes(1, 2) if stack.shape[1] < stack.shape[2] else stack)
     rounds = round_robin_rounds(r.shape[2])
