@@ -292,8 +292,9 @@ def householder_r(a: Array) -> Array:
     A float64 ``a`` is factored in place: it ends as R stacked on zeros,
     and R is returned as a view of its first n rows. Each reflection
     updates the trailing columns with ``np.sum`` reductions over the row
-    axis, so the accumulation order is fixed and BLAS-free, and it is the
-    same for a matrix in a stack as for that matrix alone. A matrix whose
+    axis of each matrix, in its memory layout, so the accumulation order
+    is fixed and BLAS-free, and it is the same for a matrix in a stack as
+    for that matrix alone. A matrix whose
     column is already zero on and below the diagonal is left as it is at
     that step; only the others are reflected.
     """

@@ -216,10 +216,11 @@ def one_matrix_householder_r(a):
 
 
 def one_matrix_jacobi_singular_values(x):
-    """Singular values of one matrix, one QR-preconditioned Jacobi solve at
-    a time, with a squared norm of exactly 0.0 as the only zero column. The
-    reference for ``numerics.jacobi_singular_values``: it stalls where a
-    squared column norm is subnormal (``numerics`` treats those as zero)."""
+    """Singular values of one matrix by QR-preconditioned one-sided Jacobi,
+    the reference for ``numerics.jacobi_singular_values``. It stalls on two
+    kinds of pair that ``numerics`` skips: a column whose squared norm is
+    subnormal rather than 0.0, and a rotation whose tangent is 0.0 because
+    ``zeta**2`` overflows, which changes nothing but counts as one."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {x.shape}")
