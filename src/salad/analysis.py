@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,8 +181,16 @@ def plan_branch_drop(records: Sequence[GateRecord], strategy: str, **params) -> 
 # Rank comparison
 
 
+class BranchOutputs(NamedTuple):
+    """The two branch outputs of one forward, all of its record that
+    :func:`branch_rank_analysis` reads."""
+
+    o_s: Array
+    o_l: Array | None
+
+
 def branch_rank_analysis(
-    traces: Sequence[tuple[int, BlockTrace]],
+    traces: Sequence[tuple[int, BlockTrace | BranchOutputs]],
     grid: LatentGrid,
     rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> list[dict]:

@@ -87,16 +87,23 @@ def _load_bundle_if_configured(cfg: RunConfig) -> None:
         read_params(cfg.block.params_bundle, cfg.to_grid())
 
 
-def _note_block_kernel() -> None:
-    # One stderr line, once the work is done, when products ran on the
-    # slower stack kernel; the bits, stdout and the report are the same.
+def _note_fallbacks() -> None:
+    # One stderr line, once the work is done, for each import-time bit
+    # probe that fell back to a slower path; the bits, stdout and the
+    # report are the same either way.
     import numpy as np
 
-    from . import numerics
+    from . import masking, numerics
 
     if numerics.BLOCK_KERNEL is numerics.stacked_block:
         print(f"note: numpy {np.__version__} einsum failed the bit probe; "
               "products use the slower stack kernel", file=sys.stderr)
+    elif not numerics.FUSED_COLUMN_MAJOR:
+        print(f"note: numpy {np.__version__} einsum failed the column-major bit probe; "
+              "products write row-major blocks", file=sys.stderr)
+    if not masking._row_sum_model_holds():
+        print(f"note: numpy {np.__version__} sum failed the row-sum probe; "
+              "window lists scatter their row sums", file=sys.stderr)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -112,7 +119,7 @@ def cmd_run(cfg: RunConfig) -> int:
     from .runner import REPORT_NAME, run_pipeline
 
     report = run_pipeline(cfg, out_dir=cfg.out)
-    _note_block_kernel()
+    _note_fallbacks()
     print(Path(cfg.out) / REPORT_NAME)
     print(f"aggregate sparsity {report.sparsity['aggregate']:.4f}, "
           f"estimated speedup {report.speedup_estimate:.3f}x")
@@ -137,7 +144,7 @@ def cmd_check(cfg: RunConfig, only: str | None, list_only: bool) -> int:
         return EXIT_CHECK_FAILED
     for res in results:
         print(res.line())
-    _note_block_kernel()
+    _note_fallbacks()
     failed = [res for res in results if not res.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import Array, Rng, ensure_finite, matmul, ordered_sum
+from .numerics import ORDERED_SUM_BLOCK, Array, Rng, ensure_finite, matmul, ordered_sum
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -518,12 +518,36 @@ class KeyList:
         return back, [np.where(back.valid, np.take(w, gather, mode="clip"), 0.0) for w in weights]
 
 
-def attend_keys(q: Array, k: Array, v: Array, keys: KeyList) -> tuple[Array, Array]:
+def attend_keys(q: Array, k: Array, v: Array, keys: KeyList,
+                weights: bool = True) -> tuple[Array, Array | None]:
     """Scaled dot-product attention over ``keys``: the output and the
-    (N, W) slot weights."""
-    logits = keys.scores(q, k) * (1.0 / math.sqrt(q.shape[1]))
-    attn = keys.softmax(logits)
-    return keys.apply(attn, v), attn
+    (N, W) slot weights, or None for them unless ``weights``.
+
+    A broadcast list runs scores, softmax and product one block of at most
+    ``ORDERED_SUM_BLOCK`` slots at a time, so it holds one block's
+    temporaries (and the weights, when kept) rather than several N x N
+    arrays. That moves no bit: each row's scores, max, exponentials, row
+    sum and product read only that row, and :func:`ordered_sum` adds each
+    element's terms in ascending order however its rows are blocked. A
+    window or block list is O(N * W) already, and a window list's row-sum
+    plan spans all its rows, so it runs as one block."""
+    n = keys.keys.shape[0]
+    scale = 1.0 / math.sqrt(q.shape[1])
+    step = max(1, ORDERED_SUM_BLOCK // n) if keys.keys.strides[0] == 0 else n
+    if step >= n:
+        attn = keys.softmax(keys.scores(q, k) * scale)
+        return keys.apply(attn, v), attn if weights else None
+    k = np.ascontiguousarray(k.T).T  # scores read k.T contiguous: copy it once, not per block
+    out = np.empty((n, v.shape[1]))
+    attn = np.empty((n, n)) if weights else None
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = KeyList(keys.keys[start:stop], keys.valid[start:stop])
+        w = rows.softmax(rows.scores(q[start:stop], k) * scale)
+        out[start:stop] = rows.apply(w, v)
+        if attn is not None:
+            attn[start:stop] = w
+    return out, attn
 
 
 #: Held across each :func:`window_keys` lookup, so threads that miss at once build one list.
@@ -680,7 +704,7 @@ def calibrate_window(
     for q, k, v in profiles:
         if perm is not None:
             q, k, v = q[perm], k[perm], v[perm]
-        full, _ = attend_keys(q, k, v, KeyList.full(q.shape[0]))
+        full, _ = attend_keys(q, k, v, KeyList.full(q.shape[0]), weights=False)
         prepared.append((q, k, v, full))
 
     last_rse = math.inf
@@ -690,7 +714,7 @@ def calibrate_window(
         for q, k, v, full in prepared:
             # The RSE sums in calibration token order; summing the output
             # scattered back to default order would change its last bits.
-            sparse, _ = attend_keys(q, k, v, window_keys(q.shape[0], radius))
+            sparse, _ = attend_keys(q, k, v, window_keys(q.shape[0], radius), weights=False)
             num += float(np.sum((sparse - full) ** 2))
             den += float(np.sum(full**2))
         last_rse = (0.0 if num == 0.0 else math.inf) if den == 0.0 else num / den

@@ -2,10 +2,10 @@
 oracle checks, report assembly, and gate analysis over saved reports.
 
 Everything is a pure function of (config, seed). The per-(layer,
-timestep) forwards run on a pool of ``threads`` workers (one worker runs
-them in order) and land in index order, so the report bytes do not
-depend on the thread count. A forward's record outlives its task only
-when the report reads it.
+timestep) forwards run in order in the caller at ``threads`` 1 and on a
+pool of ``threads`` workers otherwise, and land in index order, so the
+report bytes do not depend on the thread count. A task returns only what
+the report reads; the maps task alone keeps its forward's whole record.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    BranchOutputs,
     DROP_STRATEGIES,
     DropPlan,
     GateRecord,
@@ -91,28 +92,39 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     # Bundles may arrive with the branch already removed.
     explicit_dropped |= {i for i, p in enumerate(workload.params) if p.dropped}
 
-    # Only the records the report reads outlive their task: each rank
-    # layer at the rank timestep, and the maps task.
+    # A task returns only what the report reads: its gate and attended
+    # pairs, the branch outputs of each rank layer at the rank timestep, the
+    # output of task (0, 0), and the whole record of the maps task.
     rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
         else list(range(cfg.layers))
     rt = cfg.analysis.rank_timestep
-    kept = {(layer, rt) for layer in rank_layers}
-    if cfg.maps.export:
-        kept.add((cfg.maps.layer, cfg.maps.timestep))
+    rank_tasks = {(layer, rt) for layer in rank_layers}
+    maps_task = (cfg.maps.layer, cfg.maps.timestep) if cfg.maps.export else None
 
-    def one(layer: int, t: int):
+    def one(lt: tuple[int, int]):
+        layer, t = lt
         params = workload.params[layer]
         if layer in explicit_dropped and not params.dropped:
             params = replace(params, dropped=True)
         x = workload.inputs[layer, t] * sigmas[t]
-        out, trace = salad_forward(x, params, plan, grid, rope_cfg)
-        first = out if (layer, t) == (0, 0) else None
-        return trace.gate, trace.attended_pairs, trace if (layer, t) in kept else None, first
+        try:
+            out, trace = salad_forward(x, params, plan, grid, rope_cfg)
+        except NumericError as exc:
+            raise NumericError(f"forward at timestep {t}, layer {layer}: {exc}") from None
+        kept = trace if lt == maps_task else \
+            BranchOutputs(trace.o_s, trace.o_l) if lt in rank_tasks else None
+        return trace.gate, trace.attended_pairs, kept, out if lt == (0, 0) else None
 
+    # Results are read in task order, so the first task to fail in that
+    # order raises. One thread runs the tasks here: a pool thread would add
+    # only its own malloc arena.
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = dict(zip(tasks, pool.map(lambda lt: one(*lt), tasks)))
-    traces = {lt: trace for lt, (_, _, trace, _) in results.items() if trace is not None}
+    if cfg.threads == 1:
+        results = dict(zip(tasks, map(one, tasks)))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = dict(zip(tasks, pool.map(one, tasks)))
+    traces = {lt: kept for lt, (_, _, kept, _) in results.items() if kept is not None}
 
     # Gate records and the cost ledger over the layers as actually run.
     records = [GateRecord(layer, t, results[(layer, t)][0]) for layer, t in tasks]

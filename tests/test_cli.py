@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -464,6 +466,35 @@ def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeyp
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
+@pytest.mark.parametrize("probe", ["column_major", "row_sum"])
+def test_probe_fallbacks_are_noted_on_stderr_only(tmp_path, capsys, monkeypatch, probe):
+    """A run whose fused kernel fails the column-major probe, or whose
+    window lists scatter their row sums, says so in one stderr line; stdout
+    and the report are the same."""
+    from salad import masking, numerics
+
+    args = ["run", *small_args(tmp_path), "--no-timestamp"]
+    assert run_cli(*args) == 0
+    probed = capsys.readouterr()
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    assert "probe" not in probed.err
+    if probe == "column_major":
+        monkeypatch.setattr(numerics, "FUSED_COLUMN_MAJOR", False)
+    else:
+        monkeypatch.setattr(masking, "_row_sum_model_holds", lambda: False)
+        masking.window_keys.cache_clear()  # rebuild the lists without their plans
+    try:
+        assert run_cli(*args) == 0
+    finally:
+        masking.window_keys.cache_clear()
+    fallen = capsys.readouterr()
+    assert fallen.out == probed.out
+    notes = fallen.err.splitlines()
+    phrase = "row-major blocks" if probe == "column_major" else "scatter their row sums"
+    assert len(notes) == 1 and phrase in notes[0] and np.__version__ in notes[0]
+    assert (tmp_path / "out" / "report.json").read_bytes() == report
+
+
 class TestAnalyze:
     def test_outputs(self, tmp_path, capsys):
         run_cli("run", *small_args(tmp_path, "r"), "--no-timestamp")
@@ -779,9 +810,9 @@ def test_config_too_large_for_memory_exits_3_without_traceback(tmp_path, capsys,
 @pytest.mark.parametrize("maps", [False, True])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, threads, maps):
-    """On the default 4x5 run, the forward records alive when rank analysis
-    starts are the rank layer's at the rank timestep and the maps task's,
-    not one per (layer, timestep)."""
+    """On the default 4x5 run, the only forward record alive when rank
+    analysis starts is the maps task's: the rank layer's task returns just
+    its branch outputs, and no other task keeps its record."""
     from salad import runner
 
     live, ran, lock = set(), [], threading.Lock()
@@ -806,7 +837,50 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
     args = ["--out", str(tmp_path), "--threads", str(threads), "--set", "analysis.rank_layers=[1]",
             "--set", f"maps.export={json.dumps(maps)}"]
     assert run_cli("run", *args) == 0
-    assert seen == [(4 * 5, 1 + maps)]
+    assert seen == [(4 * 5, maps)]
+
+
+def test_one_thread_runs_the_tasks_without_a_pool(tmp_path, monkeypatch):
+    """``--threads 1`` runs every task in the caller, and its report is the
+    ``--threads 2`` report."""
+    from salad import runner
+
+    assert run_cli("run", *small_args(tmp_path, "pooled"), "--threads", "2", "--no-timestamp") == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--threads 1 started a pool")
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    assert run_cli("run", *small_args(tmp_path, "inline"), "--threads", "1", "--no-timestamp") == 0
+    assert ((tmp_path / "inline" / "report.json").read_bytes()
+            == (tmp_path / "pooled" / "report.json").read_bytes())
+
+
+def test_forward_numeric_error_names_its_layer_and_timestep(tmp_path, capsys):
+    """Every layer overflows at timestep 0. The error names the first
+    failing task in task order, so stderr is the same at 1 and 2 threads."""
+    errs = []
+    for threads in ("1", "2"):
+        assert run_cli("run", "--out", str(tmp_path / threads), "--threads", threads,
+                       "--set", "sigma.values=[1e200,1,1,1,1]") == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == ("error: forward at timestep 0, layer 0: "
+                                  "attention scores contains non-finite values\n")
+
+
+def test_calibrated_run_at_n2048_stays_within_100_mb(tmp_path):
+    """A calibrated run at N=2048 peaked at 180 MB when calibration's full
+    attention held about five N x N arrays per head and token order."""
+    args = [sys.executable, "-m", "salad", "run", "--no-timestamp", "--threads", "1",
+            "--out", str(tmp_path)]
+    for override in ("mask.kind=calibrate", "grid.frames=8", "grid.height=16", "grid.width=16",
+                     "grid.heads=2", "grid.head_dim=32", "layers=1", "timesteps=1"):
+        args += ["--set", override]
+    proc = subprocess.Popen(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 100 * 1024  # KiB
 
 
 def one_matrix_rank(x, rel_tol):

@@ -35,7 +35,7 @@ from salad.masking import (
 from salad.numerics import Rng, matmul, softmax_masked
 from salad.tensor_io import record_from_dict, record_to_dict
 
-from conftest import from_pairs
+from conftest import from_pairs, same_bits
 
 
 def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides):
@@ -350,6 +350,25 @@ def test_window_plan_is_bit_identical_to_dense_path(monkeypatch, shape, entry):
     assert sorted(got[2]) == sorted(want[2])
     for name in want[2]:
         assert np.array_equal(got[2][name], want[2][name]), name
+
+
+def test_full_window_row_blocks_keep_the_weights_and_grads(monkeypatch):
+    """At N=512 a full window runs in row blocks of 128 queries; its weights
+    and every gradient are bit-equal to a run as one block."""
+    x, params, _, grid = small_setup(shape=(8, 8, 8), d=8)
+    plan = MaskPlan.uniform(Window(radius=grid.seq_len), grid.heads)
+
+    def forward_weights_and_grads():
+        _, trace = salad_forward(x, params, plan, grid)
+        return [info.weights for info in trace.heads], salad_loss_grads(x, params, plan, grid)
+
+    weights, (loss, grads) = forward_weights_and_grads()
+    monkeypatch.setattr(masking, "ORDERED_SUM_BLOCK", 1 << 62)
+    one_block, (one_block_loss, one_block_grads) = forward_weights_and_grads()
+    assert all(same_bits(w, want) for w, want in zip(weights, one_block))
+    assert loss == one_block_loss and sorted(grads) == sorted(one_block_grads)
+    for name, grad in grads.items():
+        assert same_bits(np.asarray(grad), np.asarray(one_block_grads[name])), name
 
 
 def refuse_dense_path(monkeypatch, *originals):

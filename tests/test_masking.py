@@ -503,6 +503,34 @@ def test_key_list_cases_span_several_row_blocks():
         assert n * width * channels > 2 * numerics.ORDERED_SUM_BLOCK
 
 
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 512, 1000])
+def test_full_list_row_blocks_give_the_one_block_bits(n):
+    """``attend_keys`` runs a full list in row blocks of at most
+    ``ORDERED_SUM_BLOCK`` slots; its output and weights keep the bits of the
+    whole list's scores, softmax and product. Rows scale their logits by
+    2^-30..2^30 and about 10% of the terms are -0.0."""
+    r = Rng(n + 7)
+    keys = KeyList.full(n)
+    q = signed_values(r, (n, 16)) * 2.0 ** np.floor(61.0 * r.uniform((n, 1)) - 30.0)
+    k, v = signed_values(r, (n, 16)), signed_values(r, (n, 16))
+    weights = keys.softmax(keys.scores(q, k) * 0.25)
+    out = keys.apply(weights, v)
+    got, got_weights = masking.attend_keys(q, k, v, keys)
+    assert same_bits(got, out) and same_bits(got_weights, weights)
+    got, no_weights = masking.attend_keys(q, k, v, keys, weights=False)
+    assert same_bits(got, out) and no_weights is None
+
+
+def test_full_list_attention_memory_stays_within_a_row_block():
+    """At N=2048 the whole-list path peaked at 128 MB; an output-only call
+    holds one row block's temporaries, and a call that keeps the weights
+    adds only the N x N weights."""
+    n, r = 2048, Rng(4)
+    q, k, v = (r.normal((n, 32)) for _ in range(3))
+    assert traced_peak(masking.attend_keys, q, k, v, KeyList.full(n), False) <= 8 * 2**20
+    assert traced_peak(masking.attend_keys, q, k, v, KeyList.full(n)) <= n * n * 8 + 8 * 2**20
+
+
 def test_full_key_list_apply_memory_stays_within_a_row_block():
     """A full 512-key list would stack 512 x 512 x 16 terms (32 MiB) at once."""
     r = Rng(3)
