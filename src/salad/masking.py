@@ -417,10 +417,10 @@ class KeyList:
         """The ``values`` of :func:`ordered_sum` for a product over the
         keys: x gathered at row i's keys, which are rows of x (``axis=0``:
         k a slot, j a channel) or its columns (``axis=1``: k a channel, j
-        a slot). A broadcast list (every query shares its keys) gathers
-        its one index row once, into values every row shares."""
+        a slot). A broadcast list (every query attends every key, in
+        order) reads x as it is, as values every row shares."""
         if self.keys.strides[0] == 0:
-            return x.take(self.keys[0], axis=axis)
+            return x
 
         def gather(s: int, e: int, out: Array) -> None:
             index = self.keys[s:e].T if axis == 0 else self.keys[s:e]
@@ -537,7 +537,8 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList,
     if step >= n:
         attn = keys.softmax(keys.scores(q, k) * scale)
         return keys.apply(attn, v), attn if weights else None
-    k = np.ascontiguousarray(k.T).T  # scores read k.T contiguous: copy it once, not per block
+    # Each block reads k.T and v C-contiguous: copy them once, not per block.
+    k, v = np.ascontiguousarray(k.T).T, np.ascontiguousarray(v)
     out = np.empty((n, v.shape[1]))
     attn = np.empty((n, n)) if weights else None
     for start in range(0, n, step):

@@ -511,9 +511,9 @@ def test_full_list_row_blocks_give_the_one_block_bits(n):
     2^-30..2^30 and about 10% of the terms are -0.0."""
     r = Rng(n + 7)
     keys = KeyList.full(n)
-    q = signed_values(r, (n, 16)) * 2.0 ** np.floor(61.0 * r.uniform((n, 1)) - 30.0)
-    k, v = signed_values(r, (n, 16)), signed_values(r, (n, 16))
-    weights = keys.softmax(keys.scores(q, k) * 0.25)
+    q = signed_values(r, (n, 24)) * 2.0 ** np.floor(61.0 * r.uniform((n, 1)) - 30.0)
+    k, v = signed_values(r, (n, 24)), signed_values(r, (n, 24))
+    weights = keys.softmax(keys.scores(q, k) * (1.0 / math.sqrt(24)))
     out = keys.apply(weights, v)
     got, got_weights = masking.attend_keys(q, k, v, keys)
     assert same_bits(got, out) and same_bits(got_weights, weights)
