@@ -116,8 +116,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         return trace.gate, trace.attended_pairs, kept, out if lt == (0, 0) else None
 
     # Results are read in task order, so the first task to fail in that
-    # order raises. One thread runs the tasks here: a pool thread would add
-    # only its own malloc arena.
+    # order raises. At one thread the tasks run here: a pool thread would
+    # add only its own malloc arena.
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
     if cfg.threads == 1:
         results = dict(zip(tasks, map(one, tasks)))
