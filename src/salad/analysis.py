@@ -16,7 +16,7 @@ from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .block import BlockTrace, head_slices
+from .block import head_slices
 from .errors import ConfigError, DataError, NumericError
 from .masking import HeadPlan, LatentGrid, MaskPlan, TopK, Window, head_keys, window_attended_pairs
 from .numerics import DEFAULT_RANK_REL_TOL, Array, Rng, numerical_rank
@@ -183,14 +183,15 @@ def plan_branch_drop(records: Sequence[GateRecord], strategy: str, **params) -> 
 
 class BranchOutputs(NamedTuple):
     """The two branch outputs of one forward, all of its record that
-    :func:`branch_rank_analysis` reads."""
+    :func:`branch_rank_analysis` reads (a forward's ``BlockTrace`` carries
+    the same two fields)."""
 
     o_s: Array
     o_l: Array | None
 
 
 def branch_rank_analysis(
-    traces: Sequence[tuple[int, BlockTrace | BranchOutputs]],
+    traces: Sequence[tuple[int, BranchOutputs]],
     grid: LatentGrid,
     rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> list[dict]:

@@ -40,11 +40,10 @@ with column-major outputs, and ``FUSED_COLUMN_MAJOR`` records whether the
 fused kernel keeps those bits there too; if not, every product writes
 row-major blocks.
 
-:func:`jacobi_singular_values` solves a stack of matrices at once. It works
-on a C-order copy, so a matrix gets the same bits in any memory layout.
-Each of its sums runs over the rows of one matrix, and each rotation is
-elementwise, so a matrix in a stack gets the bits it gets alone, and one
-Python loop over the sweeps serves the whole stack.
+:func:`jacobi_singular_values` solves a stack of matrices at once. Each of
+its sums runs over the rows of one matrix, in that matrix's memory layout,
+and each rotation is elementwise, so a matrix in a stack gets the bits it
+gets alone, and one Python loop over the sweeps serves the whole stack.
 """
 
 from __future__ import annotations
@@ -370,7 +369,7 @@ def jacobi_singular_values(x: Array) -> Array:
     Raises :class:`NumericError` for non-finite input or sweeps that do
     not converge.
     """
-    a = np.array(x, dtype=np.float64, order="C")  # row sums group by layout: fix it
+    a = np.array(x, dtype=np.float64)
     if a.ndim not in (2, 3):
         raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     ensure_finite(a, "singular-value input")

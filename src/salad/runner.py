@@ -111,9 +111,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             out, trace = salad_forward(x, params, plan, grid, rope_cfg)
         except NumericError as exc:
             raise NumericError(f"forward at timestep {t}, layer {layer}: {exc}") from None
-        kept = trace if lt == maps_task else \
-            BranchOutputs(trace.o_s, trace.o_l) if lt in rank_tasks else None
-        return trace.gate, trace.attended_pairs, kept, out if lt == (0, 0) else None
+        return (trace.gate, trace.attended_pairs,
+                BranchOutputs(trace.o_s, trace.o_l) if lt in rank_tasks else None,
+                trace if lt == maps_task else None, out if lt == (0, 0) else None)
 
     # Results are read in task order, so the first task to fail in that
     # order raises. At one thread the tasks run here: a pool thread would
@@ -124,7 +124,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = dict(zip(tasks, pool.map(one, tasks)))
-    traces = {lt: kept for lt, (_, _, kept, _) in results.items() if kept is not None}
+    maps_trace = results[maps_task][3] if maps_task is not None else None
 
     # Gate records and the cost ledger over the layers as actually run.
     records = [GateRecord(layer, t, results[(layer, t)][0]) for layer, t in tasks]
@@ -146,13 +146,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     # Branch output ranks on the sampled layers.
     try:
         ranks = branch_rank_analysis(
-            [(layer, traces[(layer, rt)]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
+            [(layer, results[(layer, rt)][2]) for layer in rank_layers], grid, cfg.analysis.rank_rel_tol
         )
     except NumericError as exc:
         raise NumericError(f"rank analysis at timestep {rt}, {exc}") from None
 
     oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas,
-                                   results[(0, 0)][3], 0 in explicit_dropped)
+                                   results[(0, 0)][4], 0 in explicit_dropped)
 
     gradcheck_section: dict = {"run": False, "all_passed": None, "reports": []}
     if cfg.checks.gradcheck_in_run:
@@ -193,13 +193,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         (out / REPORT_NAME).write_text(dumps_json(record_to_dict(report)))
         if cfg.maps.export:
             layer, t = cfg.maps.layer, cfg.maps.timestep
-            trace = traces[(layer, t)]
-            pr = trace.projection
+            pr = maps_trace.projection
             if pr.q_lin is None:  # a dropped non-shared branch skipped its projections
                 x = workload.inputs[layer, t] * sigmas[t]
                 pr.q_lin, pr.k_lin, pr.v_lin = linear_projection(x, workload.params[layer],
                                                                  grid, rope_cfg)
-            export_attention_maps(trace, cfg.maps.head, out / "maps" / f"l{layer}_t{t}")
+            export_attention_maps(maps_trace, cfg.maps.head, out / "maps" / f"l{layer}_t{t}")
     return report
 
 

@@ -868,19 +868,30 @@ def test_forward_numeric_error_names_its_layer_and_timestep(tmp_path, capsys):
                                   "attention scores contains non-finite values\n")
 
 
+# Starts a command and prints its exit code and peak RSS in KiB. A child
+# exec'd straight from the test process would report that process's own
+# peak, which it inherits at exec; this small launcher's peak is what the
+# command inherits instead.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def test_calibrated_run_at_n2048_stays_within_100_mb(tmp_path):
     """A calibrated run at N=2048 peaked at 180 MB when calibration's full
     attention held about five N x N arrays per head and token order."""
-    args = [sys.executable, "-m", "salad", "run", "--no-timestamp", "--threads", "1",
-            "--out", str(tmp_path)]
+    args = [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "salad", "run",
+            "--no-timestamp", "--threads", "1", "--out", str(tmp_path)]
     for override in ("mask.kind=calibrate", "grid.frames=8", "grid.height=16", "grid.width=16",
                      "grid.heads=2", "grid.head_dim=32", "layers=1", "timesteps=1"):
         args += ["--set", override]
-    proc = subprocess.Popen(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 100 * 1024  # KiB
+    launched = subprocess.run(args, capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, launched.stdout.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024
 
 
 def one_matrix_rank(x, rel_tol):

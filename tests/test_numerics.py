@@ -456,30 +456,8 @@ class TestJacobiSingularValues:
         assert np.max(np.abs(sv[:3] - want)) < 1e-12 * want[0]
 
     def test_wide_matches_its_transpose(self, rng):
-        # A wide matrix is solved through its transpose in that view's
-        # layout; a tall operand is solved as a C-order copy, so the two
-        # agree to rounding, not bit for bit.
         x = rng.normal((16, 512))
-        sv = jacobi_singular_values(x)
-        assert np.max(np.abs(sv - jacobi_singular_values(x.T))) <= 1e-12 * sv[0]
-
-    @pytest.mark.parametrize("shape", [(64, 16), (16, 64)], ids=["tall", "wide"])
-    def test_layout_moves_no_bit(self, shape):
-        """Fortran-order operands, transposed views and column-slice views
-        get the bits of their C-order copies, alone and in a stack."""
-        m, n = shape
-        r = Rng(3)
-        base = r.normal((m, 3 * n))
-        operands = [np.asfortranarray(r.normal(shape)), r.normal((n, m)).T, base[:, n : 2 * n],
-                    base[:, ::3]]
-        for x in operands:
-            assert same_bits(jacobi_singular_values(x),
-                             jacobi_singular_values(np.ascontiguousarray(x)))
-        stack = np.stack(operands)
-        for odd in (np.asfortranarray(stack), stack.swapaxes(1, 2).copy().swapaxes(1, 2)):
-            assert same_bits(jacobi_singular_values(odd), jacobi_singular_values(stack))
-        c_copies = [np.ascontiguousarray(x) for x in operands]
-        assert same_bits(jacobi_singular_values(operands), jacobi_singular_values(c_copies))
+        assert np.array_equal(jacobi_singular_values(x), jacobi_singular_values(x.T))
 
     @pytest.mark.parametrize("n", range(1, 18))
     def test_round_robin_meets_every_pair_once_per_sweep(self, n):
