@@ -31,7 +31,7 @@ from .linear_attention import (
     rope3d_apply,
 )
 from .masking import HeadAttention, LatentGrid, MaskPlan, sparse_head_attention
-from .numerics import Array, matmul, relu, sigmoid, tanh
+from .numerics import Array, relu, sigmoid, stacked_matmul, tanh
 
 _ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
 GATE_ACTIVATIONS = (*_ACTIVATIONS, "constant")
@@ -157,14 +157,16 @@ def lora_apply(w: Array, a: Array, b: Array, scale: float = 1.0) -> Array:
     """Merge a low-rank update into a dense weight: W + scale * (b a)^T.
 
     Composed so that x @ merged == x @ W + scale * (x @ a^T) @ b^T; the
-    update's rank is at most the adapter rank.
+    update's rank is at most the adapter rank. Any one of the three may be
+    a stack with a leading axis; so is the result then, each element with
+    the bits it gets alone (by :func:`stacked_matmul`).
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != w.shape[0] or b.shape[0] != w.shape[1] or a.shape[0] != b.shape[1]:
+    if a.shape[-1] != w.shape[-2] or b.shape[-2] != w.shape[-1] or a.shape[-2] != b.shape[-1]:
         raise DimensionError(f"lora shapes a={a.shape} b={b.shape} do not fit weight {w.shape}")
-    return w + scale * matmul(b, a).T
+    return w + scale * stacked_matmul(b, a).swapaxes(-1, -2)
 
 
 def merged_weight(params: SaladParams, name: str) -> Array:
@@ -198,32 +200,38 @@ def added_param_count(
     return (channels * d_model if with_proj else 0) + gate
 
 
-def gate_pre_activations(x: Array, gate_w: Array, gate_b: float) -> Array:
-    """Per-token affine gate inputs x_i . gate_w + gate_b, shape (N,)."""
+def gate_pre_activations(x: Array, gate_w: Array, gate_b: float | Array) -> Array:
+    """Per-token affine gate inputs x_i . gate_w + gate_b, shape (N,), or
+    (S, N) when X is an (S, N, D) stack, ``gate_w`` an (S, D) one or
+    ``gate_b`` an (S,) one."""
     x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(gate_w, dtype=np.float64).reshape(-1)
-    return matmul(x, w[:, None])[:, 0] + gate_b
+    w = np.asarray(gate_w, dtype=np.float64)
+    b = np.asarray(gate_b, dtype=np.float64)
+    return stacked_matmul(x, w[..., None])[..., 0] + (b[:, None] if b.ndim else gate_b)
 
 
 def compute_gate(
     x: Array,
     gate_w: Array,
-    gate_b: float,
+    gate_b: float | Array,
     activation: str = "sigmoid",
     constant: float = 0.5,
-) -> float:
+) -> float | Array:
     """Scalar gate: token mean of the activated per-token projections.
 
     With ``constant`` activation the input is ignored and the fixed value
     is returned, which turns the fused output into an affine function of
-    that value.
+    that value. A stacked input (see :func:`gate_pre_activations`) gives
+    one gate per element, an (S,) array; each element's mean runs over a
+    C-contiguous row, as a lone (N,) mean does, so it has the same bits.
     """
     if activation == "constant":
         return float(constant)
     if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown gate activation {activation!r}")
     u = gate_pre_activations(x, gate_w, gate_b)
-    return float(np.mean(_ACTIVATIONS[activation](u)))
+    gate = np.mean(np.ascontiguousarray(_ACTIVATIONS[activation](u)), axis=-1)
+    return float(gate) if gate.ndim == 0 else gate
 
 
 @dataclass
@@ -255,18 +263,20 @@ def linear_projection(x: Array, params: SaladParams, grid: LatentGrid,
                       rope_cfg: RopeConfig) -> tuple[Array, Array, Array]:
     """The non-shared linear branch's own rotated queries and keys and its
     values."""
-    q_lin = rope3d_apply(matmul(x, params.w_q_lin), grid, rope_cfg)
-    k_lin = rope3d_apply(matmul(x, params.w_k_lin), grid, rope_cfg)
-    return q_lin, k_lin, matmul(x, params.w_v_lin)
+    q_lin = rope3d_apply(stacked_matmul(x, params.w_q_lin), grid, rope_cfg)
+    k_lin = rope3d_apply(stacked_matmul(x, params.w_k_lin), grid, rope_cfg)
+    return q_lin, k_lin, stacked_matmul(x, params.w_v_lin)
 
 
 def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfig) -> Projection:
     """Merge adapters, project X to Q/K/V, and rotate every head of Q and K.
-    A dropped non-shared branch is never read, so it is not projected."""
+    A dropped non-shared branch is never read, so it is not projected.
+    Stacked inputs or weights give stacked projections (see
+    :func:`stacked_forward`)."""
     wq, wk, wv, wo = (merged_weight(params, m) for m in ("q", "k", "v", "o"))
-    q = rope3d_apply(matmul(x, wq), grid, rope_cfg)
-    k = rope3d_apply(matmul(x, wk), grid, rope_cfg)
-    v = matmul(x, wv)
+    q = rope3d_apply(stacked_matmul(x, wq), grid, rope_cfg)
+    k = rope3d_apply(stacked_matmul(x, wk), grid, rope_cfg)
+    v = stacked_matmul(x, wv)
     if params.variant == "shared":
         linear = (q, k, v)
     elif params.dropped:
@@ -288,16 +298,20 @@ class BlockTrace:
     stage, and ``heads`` holds per head its :class:`HeadAttention` (the
     weights of the attended pairs only; for reordered heads in permuted
     order, where the band structure is visible).
+
+    The record of :func:`stacked_forward` keeps the stack axis on every
+    value that varies along it (a gate becomes an (S,) array), and a head
+    whose attention varies holds the list of each element's records.
     """
 
     o_s: Array
     o_l: Array | None
-    gate: float
-    gate_applied: float | None
+    gate: float | Array
+    gate_applied: float | Array | None
     fused: Array
     proj_out: Array | None
     projection: Projection
-    heads: list[HeadAttention]
+    heads: list[HeadAttention | list[HeadAttention]]
 
     @property
     def attended_pairs(self) -> list[int]:
@@ -309,15 +323,10 @@ def head_slices(channels: int, heads: int) -> list[slice]:
     return [slice(h * d, (h + 1) * d) for h in range(heads)]
 
 
-def salad_forward(
-    x: Array,
-    params: SaladParams,
-    plan: MaskPlan,
-    grid: LatentGrid,
-    rope_cfg: RopeConfig | None = None,
-) -> tuple[Array, BlockTrace]:
-    """Run the block on one sequence; returns (output, record)."""
-    x = np.asarray(x, dtype=np.float64)
+def _validate_forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
+                  rope_cfg: RopeConfig | None) -> RopeConfig:
+    """Validate one forward's parameters, input and plan; the rope config
+    it runs with."""
     params.validate(grid)
     n, d = grid.seq_len, grid.head_dim
     if x.shape != (n, params.d_model):
@@ -328,16 +337,82 @@ def salad_forward(
         rope_cfg = RopeConfig.default(d)
     if rope_cfg.head_dim != d:
         raise ConfigError(f"rope split covers {rope_cfg.head_dim} channels, head_dim is {d}")
+    return rope_cfg
 
+
+def salad_forward(
+    x: Array,
+    params: SaladParams,
+    plan: MaskPlan,
+    grid: LatentGrid,
+    rope_cfg: RopeConfig | None = None,
+) -> tuple[Array, BlockTrace]:
+    """Run the block on one sequence; returns (output, record). It is the
+    forward :func:`stacked_forward` runs, with nothing stacked."""
+    x = np.asarray(x, dtype=np.float64)
+    return _forward(x, params, plan, grid, _validate_forward(x, params, plan, grid, rope_cfg))
+
+
+def stacked_forward(
+    x: Array,
+    params: SaladParams,
+    plan: MaskPlan,
+    grid: LatentGrid,
+    rope_cfg: RopeConfig | None,
+    name: str,
+    values: Array,
+) -> tuple[Array, BlockTrace]:
+    """Run the block on S variants at once: ``values`` is an (S, *shape)
+    stack of the input (``name`` "x") or of the parameter
+    :meth:`SaladParams.param` calls ``name`` ("gate_b" as (S, 1)), and
+    everything else is shared. Returns the (S, N, D) outputs and the
+    stacked record (see :class:`BlockTrace`); element s has the bits
+    :func:`salad_forward` gives its variant. ``x`` and ``params`` are
+    validated once, not once per element.
+
+    In the style of JAX's ``vmap``, the forward is written once and a value
+    that varies carries the leading stack axis: a stacked operand makes a
+    product tall or wide (:func:`stacked_matmul`), elementwise steps
+    broadcast, and a head runs its whole stack at once
+    (:func:`sparse_head_attention`). A value that does not depend on the
+    stacked one is computed once, so a late parameter such as ``w_o``
+    repeats only the last product.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rope_cfg = _validate_forward(x, params, plan, grid, rope_cfg)
+    if name != "x" and name not in params.param_names():
+        raise ConfigError(f"unknown parameter {name!r}; expected x or one of {params.param_names()}")
+    values = np.asarray(values, dtype=np.float64)
+    base = x.shape if name == "x" else params.param(name).shape
+    if values.shape[1:] != base or not len(values):
+        raise DimensionError(f"stack of {name} has shape {values.shape}, expected (S, *{base})")
+    if name == "x":
+        x = values
+    elif name == "gate_b":
+        params = replace(params, gate_b=values[:, 0])
+    else:
+        params = params.with_param(name, values)
+    out, trace = _forward(x, params, plan, grid, rope_cfg)
+    return np.broadcast_to(out, (len(values), *out.shape[-2:])), trace
+
+
+def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
+             rope_cfg: RopeConfig) -> tuple[Array, BlockTrace]:
+    """The block on validated inputs, any of which may carry a leading
+    stack axis (see :func:`stacked_forward`)."""
     pr = project(x, params, grid, rope_cfg)
-    o_s = np.zeros_like(pr.q)
-    o_l = None if params.dropped else np.zeros_like(pr.q)
-    heads: list[HeadAttention] = []
+    # A head's output carries the stack axis when any of its inputs does.
+    o_s = np.zeros(max(pr.q.shape, pr.k.shape, pr.v.shape, key=len))
+    o_l = None if params.dropped else np.zeros(
+        max(pr.q_lin.shape, pr.k_lin.shape, pr.v_lin.shape, key=len))
+    heads: list[HeadAttention | list[HeadAttention]] = []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
-        o_s[:, s], info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
+        o_s[..., s], info = sparse_head_attention(pr.q[..., s], pr.k[..., s], pr.v[..., s],
+                                                  plan[head], grid)
         if o_l is not None:
-            o_l[:, s] = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
+            o_l[..., s] = linear_attention_streaming(pr.q_lin[..., s], pr.k_lin[..., s],
+                                                     pr.v_lin[..., s])
         heads.append(info)
 
     gate = compute_gate(x, params.gate_w, params.gate_b,
@@ -347,10 +422,11 @@ def salad_forward(
         fused = o_s
     else:
         gate_applied = params.lambda_override if params.lambda_override is not None else gate
-        proj_out = matmul(o_l, params.proj)
-        fused = o_s + gate_applied * proj_out
+        proj_out = stacked_matmul(o_l, params.proj)
+        scale = gate_applied if np.ndim(gate_applied) == 0 else gate_applied[:, None, None]
+        fused = o_s + scale * proj_out
     trace = BlockTrace(o_s, o_l, gate, gate_applied, fused, proj_out, pr, heads)
-    return matmul(fused, pr.wo), trace
+    return stacked_matmul(fused, pr.wo), trace
 
 
 def write_pgm(mat: Array, path: Path) -> None:

@@ -745,10 +745,12 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
 
     The calling process runs ``gradcheck`` when it is named, else the first
     named check. The others go, in registration order, to a forked process
-    pool of ``min(len(others), usable CPUs - 1)`` workers; with no worker
-    (one CPU, one check, no fork) the caller runs them all. A check that
-    raises raises here, the first in the named order winning; a worker that
-    dies raises :class:`LostChecksError` naming the checks it took along.
+    pool of ``min(len(others), usable CPUs)`` workers: the caller's own
+    check is short, so a worker takes the CPU it frees, and which process
+    runs which check never depends on timing. With one CPU, one check or
+    no fork the caller runs them all. A check that raises raises here, the
+    first in the named order winning; a worker that dies raises
+    :class:`LostChecksError` naming the checks it took along.
     """
     names = list(ALL_CHECKS) if only is None else only
     if not names:
@@ -761,7 +763,8 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
         raise ConfigError(f"check {repeated[0]!r} is named more than once")
     mine = "gradcheck" if "gradcheck" in names else names[0]
     rest = [n for n in ALL_CHECKS if n in names and n != mine]
-    workers = min(len(rest), _usable_cpus() - 1)
+    cpus = _usable_cpus()
+    workers = min(len(rest), cpus) if cpus > 1 else 0
     if workers > 0:
         import multiprocessing
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .masking import LatentGrid, grid_coords
-from .numerics import Array, matmul, relu
+from .numerics import Array, matmul, relu, stacked_matmul
 
 #: Denominator guard; a dead query row divides 0 by this and returns 0.
 EPSILON = 1e-9
@@ -74,11 +74,12 @@ def rope3d_rotate(x: Array, coords: Array, cfg: RopeConfig) -> Array:
     rotation is an isometry of its pair, and a token at (0, 0, 0) is
     returned unchanged. ``x`` may hold several heads side by side (any
     multiple of the head dimension); every head turns by the same angles.
+    An (S, N, C) stack turns each element alike.
     """
     x, heads = _rope_input(x, cfg)
     coords = np.asarray(coords)
-    if coords.shape != (x.shape[0], 3):
-        raise DimensionError(f"coords shape {coords.shape} does not match {x.shape[0]} rows")
+    if coords.shape != (x.shape[-2], 3):
+        raise DimensionError(f"coords shape {coords.shape} does not match {x.shape[-2]} rows")
     return _rotate_pairs(x, *_rope_tables(coords, cfg, heads))
 
 
@@ -88,10 +89,11 @@ def rope3d_apply(x: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
 
 
 def _grid_rotate(x: Array, grid: LatentGrid, cfg: RopeConfig, sign: int) -> Array:
-    """Turn ``x`` by ``sign`` times the grid's angles, from the cached tables."""
-    if x.shape[0] != grid.seq_len:
-        raise DimensionError(f"sequence length {x.shape[0]} does not match grid N={grid.seq_len}")
+    """Turn ``x`` by ``sign`` times the grid's angles, from the cached
+    tables; ``x`` is (N, C) or an (S, N, C) stack, each element turned alike."""
     x, heads = _rope_input(x, cfg)
+    if x.shape[-2] != grid.seq_len:
+        raise DimensionError(f"sequence length {x.shape[-2]} does not match grid N={grid.seq_len}")
     return _rotate_pairs(x, *grid_rope_tables(grid.frames, grid.height, grid.width, cfg, heads, sign))
 
 
@@ -108,9 +110,9 @@ def grid_rope_tables(frames: int, height: int, width: int, cfg: RopeConfig, head
 
 def _rope_input(x: Array, cfg: RopeConfig) -> tuple[Array, int]:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or not cfg.head_dim or x.shape[1] % cfg.head_dim:
-        raise ConfigError(f"input has {x.shape[1] if x.ndim == 2 else '?'} channels, rope split covers {cfg.head_dim}")
-    return x, x.shape[1] // cfg.head_dim
+    if x.ndim not in (2, 3) or not cfg.head_dim or x.shape[-1] % cfg.head_dim:
+        raise ConfigError(f"input has {x.shape[-1] if x.ndim in (2, 3) else '?'} channels, rope split covers {cfg.head_dim}")
+    return x, x.shape[-1] // cfg.head_dim
 
 
 def _rope_tables(coords: Array, cfg: RopeConfig, heads: int) -> tuple[Array, Array]:
@@ -123,8 +125,8 @@ def _rope_tables(coords: Array, cfg: RopeConfig, heads: int) -> tuple[Array, Arr
 def _rotate_pairs(x: Array, c: Array, s: Array) -> Array:
     """Turn channel pair i of ``x`` by the angle with cosine ``c[:, i]``, sine ``s[:, i]``."""
     out = np.empty_like(x)
-    out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s
-    out[:, 1::2] = x[:, 0::2] * s + x[:, 1::2] * c
+    out[..., 0::2] = x[..., 0::2] * c - x[..., 1::2] * s
+    out[..., 1::2] = x[..., 0::2] * s + x[..., 1::2] * c
     return out
 
 
@@ -145,20 +147,28 @@ def linear_attention_streaming(q: Array, k: Array, v: Array) -> Array:
     identical to the quadratic form at Theta(N d^2) cost.
     """
     _, _, _, _, num, den = streaming_terms(q, k, v)
-    return num / den[:, None]
+    return num / den[..., None]
 
 
 def streaming_terms(q: Array, k: Array, v: Array) -> tuple[Array, ...]:
     """(relu(Q), relu(K), H, Z, numerators, guarded denominators) of the
-    streaming form; the backward pass reuses them."""
+    streaming form; the backward pass reuses them.
+
+    Each of Q, K and V may be an (S, N, d) stack, the 2-D ones shared by
+    every element, and each element gets the bits it gets alone: the
+    products run through :func:`stacked_matmul`, and Z sums relu(K) down
+    its token axis, which is never the fastest in memory, so each column
+    adds its tokens in order."""
     _check_qkv(q, k, v)
     fq = relu(q)
     fk = relu(k)
-    h = matmul(fk.T, v)
-    z = fk.sum(axis=0)
-    return fq, fk, h, z, matmul(fq, h), matmul(fq, z[:, None])[:, 0] + EPSILON
+    h = stacked_matmul(fk.swapaxes(-1, -2), v)
+    z = fk.sum(axis=-2)
+    return fq, fk, h, z, stacked_matmul(fq, h), stacked_matmul(fq, z[..., None])[..., 0] + EPSILON
 
 
 def _check_qkv(q: Array, k: Array, v: Array) -> None:
-    if q.ndim != 2 or q.shape != k.shape or v.shape[0] != q.shape[0] or v.ndim != 2:
+    """Q, K and V as N x d matrices or (S, N, d) stacks of them."""
+    if any(a.ndim not in (2, 3) for a in (q, k, v)) or q.shape[-2:] != k.shape[-2:] or (
+            v.shape[-2] != q.shape[-2]) or len({len(a) for a in (q, k, v) if a.ndim == 3}) > 1:
         raise DimensionError(f"inconsistent attention shapes q={q.shape} k={k.shape} v={v.shape}")

@@ -20,15 +20,20 @@ exact zero, so the kernel gives the bits of dense masked attention.
 Row sums (the softmax denominator and the backward's sum(y*g)) follow
 numpy's pairwise sum of the dense row; a window list sums only the
 pairwise leaves its keys touch, by the plan (:class:`_RowSums`) that
-:func:`window_keys` builds and caches with the list. The backward runs on
-transposed lists, which each list's structure gives without sorting
-pairs: a window list is its own transpose, and a block list (top-k, or an
-explicit mask in blocks of one token) transposes its block selection. The
-dense band mask the oracles compare it against is ``checks.build_window_mask``.
+:func:`window_keys` builds and caches with the list. A stack of inputs
+to one window head runs as one block-diagonal list
+(:meth:`KeyList.stacked`) whose plan sums each element's rows over their
+own N-long dense rows, so each element gets its lone bits. The backward
+runs on transposed lists, which each list's structure gives without
+sorting pairs: a window list is its own transpose, and a block list
+(top-k, or an explicit mask in blocks of one token) transposes its block
+selection. The dense band mask the oracles compare it against is
+``checks.build_window_mask``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass, field
@@ -327,30 +332,44 @@ class _RowSums:
         single = per_row[seg_row] == 1
         self.single_rows, self.single_at = seg_row[single], position[single]
         self.multi_rows = np.flatnonzero(per_row > 1)
-        column = np.searchsorted(self.multi_rows, seg_row[~single])
-        self.multi_flat = seg_leaf[~single] * self.multi_rows.size + column
+        self.multi_leaf = seg_leaf[~single]
+        self.multi_column = np.searchsorted(self.multi_rows, seg_row[~single])
         self.multi_at = position[~single]
         self.n, self.nodes, self.count = n, 2 * starts.size - 1, offset
-        for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_flat, self.multi_at,
+        self.stack = 1
+        for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_leaf,
+                  self.multi_column, self.multi_at,
                   *(a for group in self.groups for a in group[3:]),
                   *(a for level in self.levels for a in level)):
             a.flags.writeable = False
 
+    def stacked(self, count: int) -> "_RowSums":
+        """This plan for ``count`` lists stacked as :meth:`KeyList.stacked`
+        builds them: each element's slot values follow the previous one's,
+        and its rows are summed over their own n-long dense rows."""
+        plan = copy.copy(self)
+        plan.stack = count
+        return plan
+
     def __call__(self, w: Array) -> Array:
-        sums = np.empty(self.count)
+        """The row sums of slot values ``w`` (every element's, one after
+        another); each element's leaves and joins run side by side."""
+        w = w.reshape(self.stack, -1)
+        sums = np.empty((self.stack, self.count))
         for length, offset, count, src, dst in self.groups:
-            buffer = np.zeros(count * length)
-            buffer[dst] = np.take(w, src)
-            sums[offset : offset + count] = buffer.reshape(count, length).sum(axis=1)
-        out = np.zeros(self.n)
-        out[self.single_rows] = sums[self.single_at]
+            buffer = np.zeros((self.stack, count * length))
+            buffer[:, dst] = np.take(w, src, axis=1)
+            sums[:, offset : offset + count] = buffer.reshape(-1, length).sum(axis=1).reshape(
+                self.stack, count)
+        out = np.zeros((self.stack, self.n))
+        out[:, self.single_rows] = sums[:, self.single_at]
         if self.multi_rows.size:
-            table = np.zeros((self.nodes, self.multi_rows.size))
-            table.reshape(-1)[self.multi_flat] = sums[self.multi_at]
+            table = np.zeros((self.nodes, self.stack, self.multi_rows.size))
+            table[self.multi_leaf, :, self.multi_column] = sums[:, self.multi_at].T
             for node, left, right in self.levels:
                 table[node] = table[left] + table[right]
-            out[self.multi_rows] = table[-1] + 0.0
-        return out
+            out[:, self.multi_rows] = table[-1] + 0.0
+        return out.reshape(-1)
 
 
 @lru_cache(maxsize=1)
@@ -481,11 +500,28 @@ class KeyList:
 
     def softmax(self, logits: Array) -> Array:
         """``numerics.softmax_masked`` on slot logits, with the valid slots
-        as the mask."""
-        row_max = np.where(self.valid, logits, -np.inf).max(axis=1)
-        shifted = np.where(self.valid, logits - row_max[:, None], 0.0)
-        weights = np.exp(shifted) * self.valid
+        as the mask. A broadcast list has no invalid slot, so it skips the
+        masking, which would keep every value as it is."""
+        if self.keys.strides[0] == 0:
+            weights = np.exp(logits - logits.max(axis=1)[:, None])
+        else:
+            row_max = np.where(self.valid, logits, -np.inf).max(axis=1)
+            shifted = np.where(self.valid, logits - row_max[:, None], 0.0)
+            weights = np.exp(shifted) * self.valid
         return weights / self.row_sum(weights)[:, None]
+
+    def stacked(self, count: int) -> "KeyList":
+        """``count`` copies of this window list as one block-diagonal list
+        over count x N queries and keys: query s*N + i attends keys s*N +
+        ``keys[i]``. Its row sums run each copy's plan over that copy's own
+        N-long dense rows (:meth:`_RowSums.stacked`), so every copy's rows
+        get the bits this list gives them; the list needs a row-sum plan."""
+        n = self.keys.shape[0]
+        if self.row_sums is None:
+            raise StateError("only a window list with a row-sum plan stacks")
+        keys = (self.keys + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
+        valid = np.broadcast_to(self.valid, (count, *self.valid.shape)).reshape(count * n, -1)
+        return KeyList(keys, valid, window=True, row_sums=self.row_sums.stacked(count))
 
     def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
@@ -507,7 +543,7 @@ class KeyList:
             gather = first.take(self.keys) + np.arange(n)[:, None]
         elif self.blocks is not None:
             keep, size = self.blocks
-            back = _block_keys(keep.T, size, n)
+            back = _block_keys(_transposed_copy(keep), size, n)
             queries = back.keys[::size]  # the back list once per key block
             rank = np.cumsum(keep, axis=1, dtype=np.int32) - 1
             at = queries * width + rank[queries // size, np.arange(len(keep))[:, None]] * size
@@ -587,6 +623,20 @@ def window_keys(n: int, radius: int) -> KeyList:
     return KeyList(keys, valid, window=True, row_sums=row_sums)
 
 
+def _transposed_copy(a: Array) -> Array:
+    """``a.T`` as a C-order copy, written in strips of rows of ``a`` of at
+    most ``ORDERED_SUM_BLOCK`` elements. On a 2-vCPU Xeon guest,
+    ``np.nonzero`` on the strided ``a.T`` of a 2048 x 2048 mask took 40 ms
+    against 19 ms on a C-order copy, but one strided copy of the whole
+    mask misses the cache on nearly every element (35 ms); strips that
+    stay in cache took 8 ms."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    step = max(1, ORDERED_SUM_BLOCK // max(1, a.shape[1]))
+    for start in range(0, len(a), step):
+        out[:, start : start + step] = a[start : start + step].T
+    return out
+
+
 def _block_keys(keep: Array, block_size: int, n: int) -> KeyList:
     """The block list of ``keep``: the queries of block a read the key
     blocks b with ``keep[a, b]`` in ascending order from slot 0, laid out
@@ -654,20 +704,42 @@ def sparse_head_attention(
     v: Array,
     entry: HeadPlan,
     grid: LatentGrid,
-) -> tuple[Array, HeadAttention]:
+) -> tuple[Array, HeadAttention | list[HeadAttention]]:
     """One head of masked softmax attention under a plan entry.
 
     Reordered windows permute the sequence first, and the output is
     scattered back to the original token order.
+
+    Any of Q, K and V may be an (S, N, d) stack, the 2-D ones shared by
+    every element; then the (S, N, d) outputs come back with each
+    element's record, in a list, and each element gets the bits it gets
+    alone. A window with a row-sum plan runs the whole stack as one
+    block-diagonal list (:meth:`KeyList.stacked`), a reordered one
+    permuting within each element; other entries run element by element.
     """
-    keys, perm = head_keys(entry, grid, q, k)
+    if q.ndim == k.ndim == v.ndim == 2:
+        count = None
+        keys, perm = head_keys(entry, grid, q, k)
+        attend = keys
+    else:
+        count = max(len(a) for a in (q, k, v) if a.ndim == 3)
+        q, k, v = (np.broadcast_to(a, (count, *a.shape[-2:])) for a in (q, k, v))
+        keys, perm = head_keys(entry, grid) if isinstance(entry, Window) else (None, None)
+        if keys is None or keys.row_sums is None:
+            outs, records = zip(*(sparse_head_attention(q[s], k[s], v[s], entry, grid)
+                                  for s in range(count)))
+            return np.stack(outs), list(records)
+        attend = keys.stacked(count)
     if perm is not None:
-        q, k, v = q[perm], k[perm], v[perm]
-    out, weights = attend_keys(q, k, v, keys)
+        q, k, v = (a[..., perm, :] for a in (q, k, v))
+    out, weights = attend_keys(*(a.reshape(-1, a.shape[-1]) for a in (q, k, v)), attend)
+    out = out.reshape(v.shape)
     if perm is not None:
         permuted, out = out, np.empty_like(out)
-        out[perm] = permuted
-    return out, HeadAttention(weights, keys, perm)
+        out[..., perm, :] = permuted
+    if count is None:
+        return out, HeadAttention(weights, keys, perm)
+    return out, [HeadAttention(w, keys, perm) for w in weights.reshape(count, -1, weights.shape[1])]
 
 
 # ---------------------------------------------------------------------------

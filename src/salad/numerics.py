@@ -219,6 +219,40 @@ def matmul(a: Array, b: Array) -> Array:
     return ensure_finite(ordered_sum(a.T, b, b.shape[1]), "matmul result")
 
 
+def stacked_matmul(a: Array, b: Array) -> Array:
+    """:func:`matmul` over a leading stack axis: ``a`` is (M, K) or
+    (S, M, K), ``b`` is (K, P) or (S, K, P), and a 2-D operand is every
+    element's. Element s of the C-contiguous (S, M, P) result has the bits
+    of ``matmul(a[s], b[s])``, as every element's sums add in ascending k
+    from 0.0 however the rows and columns are grouped.
+
+    A stacked ``a`` runs as one tall product, a stacked ``b`` as one wide
+    one, and two stacked operands as one :func:`ordered_sum` whose gather
+    reads each row's own element of ``b``. Two 2-D operands are
+    :func:`matmul` itself.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 2 and b.ndim == 2:
+        return matmul(a, b)
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.shape[-1] != b.shape[-2] or (
+            a.ndim == b.ndim == 3 and len(a) != len(b)):
+        raise DimensionError(f"stacked matmul operands do not fit: {a.shape} x {b.shape}")
+    m, p = a.shape[-2], b.shape[-1]
+    if b.ndim == 2:
+        return matmul(a.reshape(-1, a.shape[-1]), b).reshape(len(a), m, p)
+    by_k = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, S, P)
+    if a.ndim == 2:
+        return np.ascontiguousarray(
+            matmul(a, by_k.reshape(len(by_k), -1)).reshape(m, len(b), p).transpose(1, 0, 2))
+
+    def gather(start: int, stop: int, out: Array) -> None:
+        by_k.take(np.arange(start, stop) // m, axis=1, out=out, mode="clip")
+
+    out = ordered_sum(a.reshape(-1, a.shape[-1]).T, gather, p)
+    return ensure_finite(out, "matmul result").reshape(len(a), m, p)
+
+
 def softmax_masked(logits: Array, mask: Array) -> Array:
     """Row softmax restricted to ``mask``; masked entries are exactly 0.
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from salad import numerics
+from salad.block import salad_forward
 from salad.errors import ConfigError, DimensionError, NumericError
+from salad.gradients import FD_STEP
 from salad.masking import Explicit, KeyList
 from salad.numerics import Rng, ensure_finite, matmul, round_robin_rounds
 from salad.tensor_io import (DOCUMENT_VERSION, PLAN_FORMAT, _RECORD_KINDS, dumps_json, mask_to_bytes,
@@ -71,6 +73,25 @@ def transpose_plan(keys):
     gather = np.zeros(back.keys.shape, dtype=np.intp)
     gather[back.valid] = (rows * keys.keys.shape[1] + slots)[order]
     return back, gather
+
+
+def loop_fd_gradient(x, params, plan, grid, rope_cfg, name, step=FD_STEP):
+    """Central differences one perturbation at a time, each through its own
+    ``salad_forward``; the reference for ``gradients.fd_gradient``."""
+    base = np.array(x, dtype=np.float64) if name == "x" else params.param(name).copy()
+    flat = base.reshape(-1)
+    out = np.zeros_like(flat)
+    for i in range(flat.size):
+        for sign in (+1.0, -1.0):
+            bumped = flat.copy()
+            bumped[i] += sign * step
+            value = bumped.reshape(base.shape)
+            if name == "x":
+                y, _ = salad_forward(value, params, plan, grid, rope_cfg)
+            else:
+                y, _ = salad_forward(x, params.with_param(name, value), plan, grid, rope_cfg)
+            out[i] += sign * float(np.sum(y * y))
+    return (out / (2.0 * step)).reshape(base.shape)
 
 
 def loop_topk_blocks(q, k, block_size, top_k):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from salad.block import (
+    LoraUpdate,
     SaladParams,
     added_param_count,
     compute_gate,
@@ -15,11 +16,14 @@ from salad.block import (
     merged_weight,
     salad_forward,
     sparse_head_attention,
+    stacked_forward,
 )
 from salad.errors import ConfigError, DimensionError, StateError
 from salad.linear_attention import RopeConfig
 from salad.masking import Explicit, LatentGrid, MaskPlan, TopK, Window, window_attended_pairs
-from salad.numerics import matmul, numerical_rank
+from salad.numerics import Rng, matmul, numerical_rank
+
+from conftest import same_bits
 
 
 def small_grid(heads=2, d=4):
@@ -318,3 +322,152 @@ class TestHeadSlices:
     def test_contiguous_slices(self):
         slices = head_slices(12, 3)
         assert [(s.start, s.stop) for s in slices] == [(0, 4), (4, 8), (8, 12)]
+
+
+# ---------------------------------------------------------------------------
+# The stacked forward, element by element against lone forwards
+
+
+def stack_setup(variant="shared", **overrides):
+    """A 2x2x2 grid with 2 heads of 4 channels, adapters on q and o (so
+    both factor shapes appear), and an input."""
+    rng = Rng(61)
+    grid = small_grid()
+    h = grid.channels
+    lora = {t: LoraUpdate(a=rng.normal((2, h)), b=rng.normal((h, 2)), scale=0.5) for t in "qo"}
+    extra = {}
+    if variant == "non_shared":
+        extra = {name: rng.normal((h, h)) * h**-0.5 for name in ("w_q_lin", "w_k_lin", "w_v_lin")}
+    p = random_params(rng, grid, lora=lora, variant=variant, **extra)
+    p = dataclasses.replace(p, **overrides)
+    return rng.normal((grid.seq_len, h)), p, grid
+
+
+def perturbed(rng, base, count=3):
+    """``count`` variants of ``base``: the first ``base`` itself."""
+    values = base[None] + rng.normal((count, *base.shape)) * 0.3
+    values[0] = base
+    return values
+
+
+def with_value(x, params, name, value):
+    """The lone forward's input and parameters for one stack element."""
+    if name == "x":
+        return value, params
+    return x, params.with_param(name, value)
+
+
+def element(value, s, lone):
+    """Element s of a stacked record value, or the value itself where the
+    stack left it shared (it has the lone value's shape)."""
+    return value[s] if np.ndim(value) > np.ndim(lone) else value
+
+
+def assert_elements_match_lone_forwards(x, params, plan, grid, name, values):
+    out, trace = stacked_forward(x, params, plan, grid, None, name, values)
+    assert out.shape == (len(values), grid.seq_len, params.d_model)
+    for s, value in enumerate(values):
+        want, lone = salad_forward(*with_value(x, params, name, value), plan, grid)
+        assert same_bits(out[s], want), s
+        for field in ("o_s", "o_l", "fused", "proj_out"):
+            got = getattr(trace, field)
+            if got is None:
+                assert getattr(lone, field) is None
+            else:
+                assert same_bits(element(got, s, getattr(lone, field)), getattr(lone, field)), field
+        for field in ("gate", "gate_applied"):
+            assert element(getattr(trace, field), s, getattr(lone, field)) == getattr(lone, field)
+        for head, (got, want_head) in enumerate(zip(trace.heads, lone.heads)):
+            got = got[s] if isinstance(got, list) else got
+            assert same_bits(got.weights, want_head.weights), head
+            assert np.array_equal(got.keys.keys, want_head.keys.keys)
+            assert np.array_equal(got.perm, want_head.perm)
+
+
+STACK_PLANS = {
+    "window": [Window(radius=2), Window(radius=0)],
+    "reordered": [Window(radius=1, reordered=True), Window(radius=2, reordered=True)],
+    "topk": [TopK(block_size=2, k=2), Window(radius=1)],
+    "explicit": [Explicit(np.eye(8, dtype=bool) | (Rng(5).uniform((8, 8)) < 0.3)),
+                 Window(radius=1, reordered=True)],
+    "full": [Window(radius=7), Window(radius=9, reordered=True)],
+}
+#: One stacked parameter of each kind: the input, dense weights early and
+#: late, the gate's weights and bias, both adapter factors, and a
+#: non-shared branch weight.
+STACK_NAMES = ["x", "w_q", "w_v", "w_o", "proj", "gate_w", "gate_b", "lora_q.a", "lora_o.b",
+               "w_k_lin"]
+
+
+@pytest.mark.parametrize("plan", STACK_PLANS)
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_each_stack_element_has_its_lone_forward_bits(plan, name):
+    x, params, grid = stack_setup("non_shared" if name.endswith("_lin") else "shared")
+    base = x if name == "x" else params.param(name)
+    assert_elements_match_lone_forwards(x, params, MaskPlan(STACK_PLANS[plan]), grid, name,
+                                        perturbed(Rng(len(name)), base))
+
+
+@pytest.mark.parametrize("variant", [
+    {"dropped": True}, {"gate_activation": "constant", "gate_constant": 0.3},
+    {"lambda_override": 0.7}, {"gate_detached": True}, {"gate_activation": "tanh"}], ids=str)
+@pytest.mark.parametrize("name", ["x", "w_k", "proj", "gate_w", "gate_b", "w_v_lin"])
+def test_block_variants_stack_to_their_lone_bits(variant, name):
+    """Where a variant ignores the stacked value (a dropped branch's proj
+    or non-shared weights, a constant or overridden gate's parameters),
+    every element gets the one shared output."""
+    x, params, grid = stack_setup("non_shared" if name.endswith("_lin") else "shared", **variant)
+    base = x if name == "x" else params.param(name)
+    plan = MaskPlan([Window(radius=2), Window(radius=1, reordered=True)])
+    assert_elements_match_lone_forwards(x, params, plan, grid, name, perturbed(Rng(9), base, 4))
+
+
+def test_a_stack_of_one_has_the_lone_bits():
+    x, params, grid = stack_setup()
+    plan = MaskPlan(STACK_PLANS["reordered"])
+    out, _ = stacked_forward(x, params, plan, grid, None, "x", x[None])
+    assert same_bits(out[0], salad_forward(x, params, plan, grid)[0])
+
+
+@pytest.mark.parametrize("entry", [Window(radius=4), Window(radius=4, reordered=True),
+                                   Window(radius=40)], ids=str)
+def test_stacked_windows_over_two_row_sum_leaves(entry):
+    """At N=150 numpy sums a dense row as two leaves (72 + 78), so rows
+    near the border join two leaf sums; each element still gets its bits."""
+    rng = Rng(150)
+    grid = LatentGrid(3, 5, 10, heads=1, head_dim=4)
+    params = random_params(rng, grid)
+    x = rng.normal((grid.seq_len, grid.channels))
+    assert_elements_match_lone_forwards(x, params, MaskPlan([entry]), grid, "x", perturbed(rng, x))
+
+
+def test_stacked_forward_validates_the_stack():
+    x, params, grid = stack_setup()
+    plan = MaskPlan(STACK_PLANS["window"])
+    with pytest.raises(DimensionError, match="stack of w_q"):
+        stacked_forward(x, params, plan, grid, None, "w_q", params.w_q)
+    with pytest.raises(DimensionError, match="stack of x"):
+        stacked_forward(x, params, plan, grid, None, "x", x[None, :-1])
+    with pytest.raises(DimensionError, match="stack of gate_b"):
+        stacked_forward(x, params, plan, grid, None, "gate_b", np.zeros((0, 1)))
+    with pytest.raises(ConfigError, match="unknown parameter 'w_q_lin'"):
+        stacked_forward(x, params, plan, grid, None, "w_q_lin", params.w_q[None])
+    with pytest.raises(DimensionError, match="input shape"):
+        stacked_forward(x[:-1], params, plan, grid, None, "x", x[None])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 130, 300])
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+def test_stacked_gate_means_have_the_lone_bits(n, activation):
+    """The token mean adds a contiguous row pairwise (in 8 lanes from 8
+    tokens on, and in halves past 128), so each stacked row must be summed
+    as a lone (N,) vector is."""
+    rng = Rng(n)
+    x, w, b = rng.normal((3, n, 6)) * 4.0, rng.normal((3, 6)), rng.normal(3)
+    for stacked, lone in [((x, w[0], b[0]), lambda s: (x[s], w[0], b[0])),
+                          ((x[0], w, b[0]), lambda s: (x[0], w[s], b[0])),
+                          ((x[0], w[0], b), lambda s: (x[0], w[0], float(b[s])))]:
+        gates = compute_gate(*stacked, activation)
+        assert gates.shape == (3,)
+        for s in range(3):
+            assert gates[s] == compute_gate(*lone(s), activation)

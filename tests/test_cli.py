@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -866,6 +867,18 @@ def test_forward_numeric_error_names_its_layer_and_timestep(tmp_path, capsys):
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == ("error: forward at timestep 0, layer 0: "
                                   "attention scores contains non-finite values\n")
+
+
+def test_in_run_gradcheck_overflow_names_its_bump(tmp_path, capsys, monkeypatch):
+    """A finite-difference bump that overflows inside a stacked forward
+    exits 3, naming the parameter, its element and the sign of the step."""
+    from salad import gradients, runner
+
+    monkeypatch.setattr(runner, "gradcheck_salad",
+                        functools.partial(gradients.gradcheck_salad, step=1e300))
+    assert run_cli("run", *small_args(tmp_path), "--set", "checks.gradcheck_in_run=true") == 3
+    assert capsys.readouterr().err == ("error: finite differences of x, element 0, +1e+300 step: "
+                                       "attention scores contains non-finite values\n")
 
 
 # Starts a command and prints its exit code and peak RSS in KiB. A child

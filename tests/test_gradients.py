@@ -7,6 +7,7 @@ import pytest
 
 from salad.block import LoraUpdate, SaladParams, salad_forward
 from salad.checks import build_window_mask
+from salad.errors import NumericError
 from salad.gradients import (
     GradCheckReport,
     checkable_params,
@@ -35,7 +36,7 @@ from salad.masking import (
 from salad.numerics import Rng, matmul, softmax_masked
 from salad.tensor_io import record_from_dict, record_to_dict
 
-from conftest import from_pairs, same_bits
+from conftest import from_pairs, loop_fd_gradient, same_bits
 
 
 def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides):
@@ -419,3 +420,67 @@ def test_topk_path_never_builds_a_dense_mask(monkeypatch):
     out, _ = salad_forward(x, params, plan, grid)
     _, grads = salad_loss_grads(x, params, plan, grid)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
+
+
+# ---------------------------------------------------------------------------
+# Finite differences on stacked forwards
+
+
+def oracle_setups():
+    """A shared block with adapters on every target and a non-shared block,
+    as ``check_gradients`` checks them."""
+    x, params, plan, grid = small_setup(lora=True)
+    rng, h = Rng(23), grid.channels
+    non_shared = dataclasses.replace(params, lora={}, variant="non_shared",
+                                     **{name: rng.normal((h, h)) * h**-0.5
+                                        for name in ("w_q_lin", "w_k_lin", "w_v_lin")})
+    return [(x, params, plan, grid), (x, non_shared, plan, grid)]
+
+
+@pytest.mark.parametrize("setup", [0, 1], ids=["shared-lora", "non-shared"])
+def test_fd_gradient_has_the_one_at_a_time_bits(setup):
+    x, params, plan, grid = oracle_setups()[setup]
+    for name in checkable_params(params):
+        got = fd_gradient(x, params, plan, grid, None, name)
+        assert same_bits(got, loop_fd_gradient(x, params, plan, grid, None, name)), name
+
+
+def test_fd_gradient_keeps_its_bits_across_stack_chunks(monkeypatch):
+    """Stacks of three bumps split the +step and -step of every second
+    element between two stacked forwards."""
+    x, params, plan, grid = oracle_setups()[0]
+    calls = []
+    real = gradients.stacked_forward
+    monkeypatch.setattr(gradients, "stacked_forward", lambda *a: calls.append(len(a[6])) or real(*a))
+    monkeypatch.setattr(gradients, "ORDERED_SUM_BLOCK", 3 * grid.seq_len * grid.channels)
+    for name in ("x", "gate_b", "lora_k.b", "w_o"):
+        calls.clear()
+        got = fd_gradient(x, params, plan, grid, None, name)
+        size = 2 * (x if name == "x" else params.param(name)).size
+        assert calls == [3] * (size // 3) + ([size % 3] if size % 3 else []), name
+        assert same_bits(got, loop_fd_gradient(x, params, plan, grid, None, name)), name
+
+
+def test_gradient_oracle_runs_one_stacked_forward_per_parameter(monkeypatch):
+    """The regression guard for per-perturbation forwards: the oracle's
+    2,212 bumps (2 x 1,106 parameter elements) run as 27 stacked forwards,
+    one per parameter of its two blocks, beside its 11 lone forwards."""
+    stacked, forwards = [], []
+    real_stacked, real_forward = gradients.stacked_forward, block._forward
+    monkeypatch.setattr(gradients, "stacked_forward",
+                        lambda *a: stacked.append(len(a[6])) or real_stacked(*a))
+    monkeypatch.setattr(block, "_forward", lambda *a: forwards.append(1) or real_forward(*a))
+    assert checks.check_gradients().passed
+    assert len(stacked) == 16 + 11 and sum(stacked) == 2212
+    assert len(forwards) == len(stacked) + 11
+
+
+@pytest.mark.parametrize("shift,named", [(0.0, r"element 0, \+1e\+300 step"),
+                                         (-1e300, r"element 0, -1e\+300 step")])
+def test_an_overflowing_bump_names_its_parameter_element_and_sign(shift, named):
+    """x[0, 0] = -1e300 makes the +step bump the only finite one."""
+    x, params, plan, grid = small_setup()
+    x[0, 0] = x[0, 0] if shift == 0.0 else shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=rf"^finite differences of x, {named}: \S"):
+            fd_gradient(x, params, plan, grid, None, "x", step=1e300)

@@ -15,6 +15,7 @@ from salad.linear_attention import (
     linear_attention_streaming,
     rope3d_apply,
     rope3d_rotate,
+    streaming_terms,
 )
 from salad.masking import LatentGrid
 from salad.numerics import Rng, numerical_rank
@@ -191,3 +192,48 @@ class TestLinearAttention:
 
     def test_epsilon_value(self):
         assert EPSILON == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stacks: each element gets the bits it gets alone
+
+
+@pytest.mark.parametrize("rotate", [rope3d_apply, rope3d_backward])
+def test_stacked_rotation_turns_each_element_alike(rng, rotate):
+    grid = LatentGrid(3, 2, 4, heads=2, head_dim=12)
+    cfg = RopeConfig(split=(6, 4, 2), base=500.0)
+    x = rng.normal((3, grid.seq_len, grid.channels))
+    got = rotate(x, grid, cfg)
+    for s in range(3):
+        assert same_bits(got[s], rotate(x[s], grid, cfg))
+    with pytest.raises(DimensionError):
+        rotate(x[:, :-1], grid, cfg)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 130, 300])
+@pytest.mark.parametrize("stacked", ["q", "k", "v", "kv", "qkv"])
+def test_stacked_streaming_terms_have_the_lone_bits(n, stacked):
+    """Z sums relu(K) down the token axis; a C-order stack, and one whose
+    elements interleave in memory (as a wide product's would), must add
+    each column's tokens in the order a lone (N, d) array does, and every
+    product and quotient must match too. About half the features are
+    zero, as ReLU makes them."""
+    r = Rng(n + len(stacked))
+    lone = {name: r.normal((n, 6)) * 3.0 for name in "qkv"}
+    for layout in ("c_order", "interleaved"):
+        args = []
+        for name in "qkv":
+            if name not in stacked:
+                args.append(lone[name])
+            elif layout == "c_order":
+                args.append(r.normal((3, n, 6)) * 3.0)
+            else:
+                args.append(r.normal((n, 3, 6)).transpose(1, 0, 2) * 3.0)
+        got = streaming_terms(*args)
+        out = linear_attention_streaming(*args)
+        for s in range(3):
+            element = [a[s] if a.ndim == 3 else a for a in args]
+            want = streaming_terms(*element)
+            for term, (g, w) in enumerate(zip(got, want)):
+                assert same_bits(g[s] if g.ndim > w.ndim else g, w), (layout, term)
+            assert same_bits(out[s], linear_attention_streaming(*element)), layout

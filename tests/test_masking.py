@@ -805,3 +805,73 @@ def test_window_plan_arrays_are_read_only():
     arrays += [a for group in sums.groups for a in group if isinstance(a, np.ndarray)]
     arrays += [a for level in sums.levels for a in level] + [keys.keys, keys.valid]
     assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of window lists, and the broadcast softmax
+
+
+@pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
+def test_stacked_window_row_sums_are_each_lists_own(n):
+    """A stack of three copies of a window list sums each copy's rows over
+    that copy's own N-long dense rows (not the stack's 3N-long ones)."""
+    r = Rng(n + 3)
+    for radius in (0, 3, 8, 70):
+        keys = window_keys(n, radius)
+        if keys.row_sums is None:
+            continue  # a full window is broadcast, and does not stack
+        w = [row_sum_values(r, keys.keys.shape) for _ in range(3)]
+        stacked = keys.stacked(3)
+        assert stacked.keys.shape == (3 * n, keys.keys.shape[1]) and stacked.window
+        assert same_bits(stacked.row_sum(np.concatenate(w)),
+                         np.concatenate([keys.to_dense(v).sum(axis=1) for v in w]))
+
+
+def test_stacked_window_list_is_block_diagonal():
+    keys = window_keys(6, 1)
+    stacked = keys.stacked(2)
+    assert np.array_equal(stacked.mask(), np.kron(np.eye(2, dtype=bool), keys.mask()))
+    back, (moved,) = stacked.transposed(stacked.valid * 1.0)
+    assert back is stacked and np.array_equal(back.to_dense(moved), stacked.mask().T * 1.0)
+
+
+def test_only_a_window_list_with_a_plan_stacks():
+    for keys in (KeyList.full(8), head_keys(Explicit(np.eye(8, dtype=bool)), grid_of(2, 2, 2))[0]):
+        with pytest.raises(StateError, match="row-sum plan"):
+            keys.stacked(2)
+
+
+@pytest.mark.parametrize("entry", [Window(2), Window(1, reordered=True), Window(3, reordered=True),
+                                   Window(30), TopK(block_size=4, k=2),
+                                   Explicit(np.eye(24, dtype=bool) | (Rng(2).uniform((24, 24)) < 0.2))],
+                         ids=str)
+@pytest.mark.parametrize("stacked", ["q", "v", "qkv"])
+def test_stacked_head_attention_gives_each_element_its_bits(entry, stacked):
+    """Any of Q, K and V stacked, the others shared: each element's output
+    and record are those of its lone call."""
+    grid = grid_of(2, 3, 4)
+    r = Rng(len(stacked))
+    lone = {name: signed_values(r, (grid.seq_len, 4)) for name in "qkv"}
+    args = {name: signed_values(r, (3, grid.seq_len, 4)) if name in stacked else lone[name]
+            for name in "qkv"}
+    out, records = sparse_head_attention(*args.values(), entry, grid)
+    assert out.shape == (3, grid.seq_len, 4) and len(records) == 3
+    for s in range(3):
+        want, rec = sparse_head_attention(*(a[s] if a.ndim == 3 else a for a in args.values()),
+                                          entry, grid)
+        assert same_bits(out[s], want) and same_bits(records[s].weights, rec.weights)
+        assert np.array_equal(records[s].keys.keys, rec.keys.keys)
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_broadcast_softmax_skips_the_mask_to_the_masked_bits(n):
+    """A full list's softmax masks nothing: unmasked, it gives the bits of
+    the masked path on the same slots as a list of ordinary arrays. Rows
+    spread their logits over 2^-30..2^30."""
+    r = Rng(n + 1)
+    full = KeyList.full(n)
+    masked = KeyList(np.ascontiguousarray(full.keys), np.ascontiguousarray(full.valid))
+    logits = signed_values(r, (n, n)) * 2.0 ** np.floor(61.0 * r.uniform((n, 1)) - 30.0)
+    got = full.softmax(logits)
+    assert got.flags.c_contiguous
+    assert same_bits(got, masked.softmax(logits))

@@ -102,6 +102,36 @@ def test_matmul_bits_match_loop_sweep(inner):
                 assert same_bits(matmul(x, y), loop_matmul(x, y)), (m, n, inner)
 
 
+@pytest.mark.parametrize("stacked", ["a", "b", "both"])
+@pytest.mark.parametrize("kernel", ["fused", "stack"])
+def test_stacked_matmul_gives_each_element_its_loop_bits(monkeypatch, stacked, kernel):
+    """A tall, a wide and a gathered product: element s of the result is
+    ``matmul(a[s], b[s])`` bit for bit, with either block kernel and with
+    one row per block."""
+    if kernel == "stack":
+        monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    r = Rng(len(stacked))
+    for m, inner, n in ((1, 1, 1), (3, 9, 2), (8, 4, 4), (33, 129, 7), (2, 257, 1)):
+        for block in (numerics.ORDERED_SUM_BLOCK, 1):
+            monkeypatch.setattr(numerics, "ORDERED_SUM_BLOCK", block)
+            a = spread(r, (4, m, inner) if stacked in ("a", "both") else (m, inner))
+            b = spread(r, (4, inner, n) if stacked in ("b", "both") else (inner, n))
+            got = numerics.stacked_matmul(a, b)
+            assert got.shape == (4, m, n) and got.flags.c_contiguous
+            for s in range(4):
+                want = loop_matmul(a[s] if a.ndim == 3 else a, b[s] if b.ndim == 3 else b)
+                assert same_bits(got[s], want), (m, inner, n, s)
+
+
+def test_stacked_matmul_checks_its_operands(rng):
+    assert same_bits(numerics.stacked_matmul(np.eye(2), np.ones((2, 3))), np.ones((2, 3)))
+    for a, b in (((2, 3, 4), (2, 5, 6)), ((2, 3, 4), (3, 4, 6)), ((3, 4), (4,)), ((2, 2, 3, 4), (4, 1))):
+        with pytest.raises(DimensionError):
+            numerics.stacked_matmul(rng.normal(a), rng.normal(b))
+    with pytest.raises(NumericError, match="matmul result"):
+        numerics.stacked_matmul(np.full((2, 1, 1), 1e300), np.full((2, 1, 1), 1e300))
+
+
 def test_matmul_bits_hold_with_one_row_per_block(monkeypatch):
     """A budget below one row makes every row its own block, so an (m, K) x
     (K, 1) product sums a single output element per block."""
