@@ -147,6 +147,22 @@ def build_window_mask(n: int, radius: int) -> Array:
     return (idx[None, :] >= idx[:, None] - radius) & (idx[None, :] <= idx[:, None] + radius)
 
 
+def topk_blocks_ref(q: Array, k: Array, block_size: int, top_k: int) -> list[list[int]]:
+    """Brute-force top-k block selection: every (query block, key block)
+    pair scored by the dot product of the two block means, each query
+    block's key blocks ranked by a stable sort of the negated scores (ties
+    to the lower block index), and its first ``top_k`` kept with the query
+    block itself."""
+    starts = np.arange(0, q.shape[0], block_size)
+    sizes = (np.minimum(starts + block_size, q.shape[0]) - starts)[:, None]
+    q_means, k_means = (np.add.reduceat(x, starts) / sizes for x in (q, k))
+    ranked = np.argsort(-(q_means @ k_means.T), axis=1, kind="stable")
+    keep = np.zeros((starts.size, starts.size), dtype=bool)
+    np.put_along_axis(keep, ranked[:, :top_k], True, axis=1)
+    keep[np.diag_indices(starts.size)] = True
+    return [np.flatnonzero(row).tolist() for row in keep]
+
+
 def linear_attention_naive(q: Array, k: Array, v: Array) -> Array:
     """Quadratic-form ReLU linear attention.
 
@@ -418,8 +434,9 @@ def check_rope() -> Outcome:
 
 @_check("topk", "brute-force ranking on 100 instances; k=all is full attention; default k=4")
 def check_topk() -> Outcome:
-    """Selected blocks equal a brute-force ranking; k = block count is
-    full attention; the default k is 4."""
+    """Selected blocks equal :func:`topk_blocks_ref`'s brute-force ranking
+    (one stable sort of every block pair's score) on 100 seeded instances;
+    k = block count is full attention; the default k is 4."""
     rng = Rng(808)
     failures = []
     for i in range(100):
@@ -428,16 +445,7 @@ def check_topk() -> Outcome:
         d = 8
         q, k = rng.normal((n, d)), rng.normal((n, d))
         top_k = 1 + int(rng.raw(1)[0] % ((n + b - 1) // b))
-        got = select_topk_blocks(q, k, b, top_k)
-
-        spans = [(s, min(s + b, n)) for s in range(0, n, b)]
-        q_means = np.stack([q[a:e].mean(axis=0) for a, e in spans])
-        k_means = np.stack([k[a:e].mean(axis=0) for a, e in spans])
-        want = []
-        for qb in range(len(spans)):
-            scored = sorted(range(len(spans)), key=lambda j: (-float(q_means[qb] @ k_means[j]), j))
-            want.append(sorted(set(scored[:top_k]) | {qb}))
-        if got != want:
+        if select_topk_blocks(q, k, b, top_k) != topk_blocks_ref(q, k, b, top_k):
             failures.append(f"selection mismatch at instance {i}")
             break
 
@@ -503,27 +511,32 @@ def check_calibration() -> Outcome:
     return failures, None
 
 
-def _window_counts_match(n: int, r: Array) -> bool:
-    """Whether the per-row band counts of an N-token sequence add up to the
-    closed form for each radius in ``r``."""
-    i = np.arange(n)
-    hi = np.minimum(i[None, :] + r[:, None], n - 1)
-    lo = np.maximum(i[None, :] - r[:, None], 0)
-    counts = (hi - lo + 1).sum(axis=1)
-    closed = (2 * r + 1) * n - r * (r + 1)
-    return np.array_equal(counts, closed)
+def _window_counts_match(n: int, r: Array, closed: Array) -> bool:
+    """Whether the band pair counts of an N-token sequence equal ``closed``
+    for each radius in ``r``, counted row by row over every (radius, row)
+    pair at once: row i attends keys max(i - r, 0) .. min(i + r, N - 1).
+    The table is int16, which holds i + r < 2N for every N up to 16384."""
+    i = np.arange(n, dtype=np.int16)
+    r = r.astype(np.int16)[:, None]
+    hi = np.add(i, r)
+    np.minimum(hi, n - 1, out=hi)
+    lo = np.subtract(i, r)
+    np.maximum(lo, 0, out=lo)
+    hi -= lo
+    hi += 1
+    return np.array_equal(hi.sum(axis=1, dtype=np.int32), closed)
 
 
 @_check("window_counts", "closed form == exhaustive for N<=512; 10% density reports sparsity 0.90")
 def check_window_counts() -> Outcome:
-    """Closed-form band pair counts vs exhaustive counting, and the
-    aggregate-sparsity value at the ~10% density operating point."""
+    """Closed-form band pair counts vs exhaustive counting: every row of
+    every radius r < N for each N <= 512 as one (radius, row) table per N,
+    and boolean band masks for N <= 64; then the aggregate-sparsity value
+    at the ~10% density operating point."""
     failures = []
-    # Arithmetic per-row count for every N <= 512 and every radius, up to
-    # 64 radii at a time so no (N, N) array is built.
     for n in range(1, 513):
-        if not all(_window_counts_match(n, np.arange(r0, min(r0 + 64, n)))
-                   for r0 in range(0, n, 64)):
+        r = np.arange(n)
+        if not _window_counts_match(n, r, (2 * r + 1) * n - r * (r + 1)):
             failures.append(f"closed form mismatch at N={n}")
             break
     # Boolean-mask counting for every radius up to N = 64.
@@ -746,9 +759,11 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     The calling process runs ``gradcheck`` when it is named, else the first
     named check. The others go, in registration order, to a forked process
     pool of ``min(len(others), usable CPUs)`` workers: the caller's own
-    check is short, so a worker takes the CPU it frees, and which process
-    runs which check never depends on timing. With one CPU, one check or
-    no fork the caller runs them all. A check that raises raises here, the
+    check is short, so a worker takes the CPU it frees. Which worker takes
+    which of the others depends on timing, as the workers pull from one
+    queue; the caller's check does not, so a trace of the calling process
+    counts the same work every run. With one CPU, one check or no fork the
+    caller runs them all. A check that raises raises here, the
     first in the named order winning; a worker that dies raises
     :class:`LostChecksError` naming the checks it took along.
     """

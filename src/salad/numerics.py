@@ -471,11 +471,14 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z: Array) -> Array:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's output mix, in place on the uint64 array ``z``, which it
+    returns; callers pass an array of their own making."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class Rng:
@@ -497,7 +500,9 @@ class Rng:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        return _mix64(np.uint64(self.seed) + idx * _GAMMA)
+        idx *= _GAMMA
+        idx += np.uint64(self.seed)
+        return _mix64(idx)
 
     def uniform(self, shape) -> Array:
         """Uniform samples in [0, 1) with 53-bit resolution."""
@@ -510,11 +515,13 @@ class Rng:
         scalar = np.isscalar(shape)
         n = int(shape) if scalar else int(np.prod(shape))
         m = (n + 1) // 2
-        # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-        u1 = ((self.raw(m) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-        u2 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
+        # The first m outputs give u1 in (0, 1], which keeps the log finite,
+        # and the next m give u2 in [0, 1). Below 2^53, (x + 1) * 2^-53 is
+        # exactly x * 2^-53 + 2^-53.
+        u = (self.raw(2 * m) >> np.uint64(11)).astype(np.float64)
+        u *= 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u[:m] + 2.0**-53))
+        theta = (2.0 * math.pi) * u[m:]
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return out if scalar else out.reshape(shape)
 

@@ -278,3 +278,78 @@ def one_matrix_jacobi_singular_values(x):
         raise NumericError(f"Jacobi sweeps did not converge in {numerics._JACOBI_MAX_SWEEPS} sweeps")
     sv = np.sqrt(np.sum(a * a, axis=0))
     return np.ldexp(np.sort(sv)[::-1], exponent)
+
+
+def _mix64_out_of_place(z):
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class TwoDrawRng:
+    """Counter-addressed splitmix64 that mixes through fresh arrays and
+    draws u1 and u2 of ``normal`` from two ``raw`` calls; the bit-for-bit
+    reference for ``numerics.Rng``."""
+
+    def __init__(self, seed):
+        self.seed = int(seed) & ((1 << 64) - 1)
+        self._pos = 0
+
+    def raw(self, n):
+        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        self._pos += n
+        return _mix64_out_of_place(np.uint64(self.seed) + idx * np.uint64(0x9E3779B97F4A7C15))
+
+    def uniform(self, shape):
+        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        out = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return out.reshape(shape) if not np.isscalar(shape) else out
+
+    def normal(self, shape):
+        scalar = np.isscalar(shape)
+        n = int(shape) if scalar else int(np.prod(shape))
+        m = (n + 1) // 2
+        u1 = ((self.raw(m) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * math.pi) * u2
+        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        return out if scalar else out.reshape(shape)
+
+    def permutation(self, n):
+        return np.argsort(self.uniform(n), kind="stable")
+
+    def spawn(self, stream):
+        tag = _mix64_out_of_place(np.array([stream & ((1 << 64) - 1)], dtype=np.uint64))[0]
+        return TwoDrawRng(int(_mix64_out_of_place(np.array([self.seed ^ int(tag)], dtype=np.uint64))[0]))
+
+
+def chunked_window_counts(n):
+    """Band pair counts of an N-token sequence for every radius r < N,
+    counted row by row 64 radii at a time in int64; the reference for the
+    enumeration in ``checks._window_counts_match``."""
+    i = np.arange(n)
+    counts = []
+    for r0 in range(0, n, 64):
+        r = np.arange(r0, min(r0 + 64, n))
+        hi = np.minimum(i[None, :] + r[:, None], n - 1)
+        lo = np.maximum(i[None, :] - r[:, None], 0)
+        counts.append((hi - lo + 1).sum(axis=1))
+    return np.concatenate(counts)
+
+
+def sorted_topk_blocks(q, k, block_size, top_k):
+    """Top-k block selection with one Python ``sorted`` per query block,
+    keyed on (-score, block index) over per-pair dot products of the block
+    means; the reference for ``checks.topk_blocks_ref``."""
+    n = q.shape[0]
+    spans = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
+    q_means = np.stack([q[a:e].mean(axis=0) for a, e in spans])
+    k_means = np.stack([k[a:e].mean(axis=0) for a, e in spans])
+    selected = []
+    for qb in range(len(spans)):
+        scored = sorted(range(len(spans)), key=lambda j: (-float(q_means[qb] @ k_means[j]), j))
+        selected.append(sorted(set(scored[:top_k]) | {qb}))
+    return selected

@@ -425,6 +425,19 @@ class TestCheckDispatch:
         assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
 
+    def test_brute_force_oracles_print_their_verdicts_through_the_pool(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        """The caller runs ``window_counts`` and a one-worker pool ``topk``."""
+        self.cpus(monkeypatch, 2)
+        assert run_cli("check", "--only", "window_counts,topk", "--out", str(tmp_path)) == 0
+        assert re.sub(r" \(\d+\.\d+s\)$", "", capsys.readouterr().out, flags=re.MULTILINE) == (
+            "[PASS] window_counts: max_err=3.480e-04 closed form == exhaustive for N<=512; "
+            "10% density reports sparsity 0.90\n"
+            "[PASS] topk: max_err=0.000e+00 brute-force ranking on 100 instances; "
+            "k=all is full attention; default k=4\n"
+            "all 2 checks passed\n")
+        assert multiprocessing.active_children() == []
+
     def test_gradient_oracle_runs_in_the_calling_process(self, monkeypatch):
         """Perfbench traces only the calling process, so its per-layer
         gradient metrics for ``check_suite`` need ``gradcheck`` there."""

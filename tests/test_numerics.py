@@ -23,8 +23,8 @@ from salad.numerics import (
     tanh,
 )
 
-from conftest import (elimination_rank, one_matrix_householder_r, one_matrix_jacobi_singular_values,
-                      same_bits, traced_peak, triple_loop_matmul)
+from conftest import (TwoDrawRng, elimination_rank, one_matrix_householder_r,
+                      one_matrix_jacobi_singular_values, same_bits, traced_peak, triple_loop_matmul)
 
 
 class TestMatmul:
@@ -724,3 +724,34 @@ class TestRng:
         b = root.spawn(2).raw(4)
         assert not np.array_equal(a, b)
         assert np.array_equal(root.spawn(1).raw(4), a)
+
+    #: Every method, on odd and even sizes, scalar and tuple shapes and size 1.
+    CALLS = [("raw", 1), ("raw", 8), ("uniform", 1), ("uniform", 7), ("uniform", (3, 4)),
+             ("normal", 1), ("normal", (1,)), ("normal", (1, 1)), ("normal", 2), ("normal", 7),
+             ("normal", (8, 8)), ("normal", (5, 3)), ("normal", (64, 16)), ("permutation", 1),
+             ("permutation", 9), ("raw", 3), ("normal", 0), ("normal", 1001)]
+
+    @staticmethod
+    def same_draws(got, want):
+        return got.dtype == want.dtype and same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_streams_match_the_two_draw_reference(self, seed):
+        """Each call gives the reference's bits and leaves the counter
+        where the reference leaves it, in order and interleaved."""
+        got, want = Rng(seed), TwoDrawRng(seed)
+        shuffled = [self.CALLS[i] for i in np.argsort(TwoDrawRng(seed ^ 7).uniform(len(self.CALLS)))]
+        for method, arg in self.CALLS + shuffled + self.CALLS[::-1]:
+            assert self.same_draws(getattr(got, method)(arg), getattr(want, method)(arg)), (method, arg)
+            assert got._pos == want._pos
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_spawned_streams_match_the_two_draw_reference(self, seed):
+        root, want_root = Rng(seed), TwoDrawRng(seed)
+        root.normal(5), want_root.normal(5)
+        for stream in (0, 1, 2, 2**63, 2**64 - 1, 2**64 + 3):
+            got, want = root.spawn(stream), want_root.spawn(stream)
+            assert got.seed == want.seed and got._pos == want._pos == 0
+            for method, arg in self.CALLS:
+                assert self.same_draws(getattr(got, method)(arg), getattr(want, method)(arg))
+            assert root._pos == want_root._pos == 6
