@@ -31,9 +31,8 @@ from .masking import (
     Window,
     calibrate_window,
     st_reorder_permutation,
-    topk_block_select,
 )
-from .numerics import Rng, matmul, numerical_rank, softmax_masked
+from .numerics import Rng, matmul, numerical_rank
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,5 @@ __all__ = [
     "rope3d_apply",
     "salad_forward",
     "salad_loss_grads",
-    "softmax_masked",
     "st_reorder_permutation",
-    "topk_block_select",
 ]

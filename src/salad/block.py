@@ -314,7 +314,11 @@ class BlockTrace:
     heads: list[HeadAttention | list[HeadAttention]]
 
     @property
-    def attended_pairs(self) -> list[int]:
+    def attended_pairs(self) -> list[int] | list[list[int]]:
+        """Pairs each head attends; for a stacked record whose heads vary,
+        one such list per element (every head of such a record varies)."""
+        if isinstance(self.heads[0], list):
+            return [[info.keys.pairs for info in element] for element in zip(*self.heads)]
         return [info.keys.pairs for info in self.heads]
 
 

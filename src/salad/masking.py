@@ -33,7 +33,6 @@ selection. The dense band mask the oracles compare it against is
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass, field
@@ -222,23 +221,6 @@ def select_topk_blocks(q: Array, k: Array, block_size: int, top_k: int) -> list[
     return [np.flatnonzero(row).tolist() for row in _topk_keep(q, k, block_size, top_k)]
 
 
-def topk_block_select(q: Array, k: Array, block_size: int, top_k: int) -> Array:
-    """Realize the top-k block selection as a boolean N x N mask."""
-    return _block_keys(_topk_keep(q, k, block_size, top_k), block_size, len(q)).mask()
-
-
-def realize_head_mask(
-    entry: HeadPlan,
-    grid: LatentGrid,
-    q: Array | None = None,
-    k: Array | None = None,
-) -> tuple[Array, Array | None]:
-    """Boolean N x N mask of :func:`head_keys`, plus the token permutation
-    it applies under (or None)."""
-    keys, perm = head_keys(entry, grid, q, k)
-    return keys.mask(), perm
-
-
 # ---------------------------------------------------------------------------
 # Key lists and the attention kernel (see the module docstring for why it
 # gives the bits of dense masked attention)
@@ -304,10 +286,10 @@ class _RowSums:
     dense sum's. :func:`_row_sum_model_holds` checks that model once.
     """
 
-    def __init__(self, n: int, rows: Array, cols: Array, src: Array):
+    def __init__(self, n: int, rows: Array, cols: Array, src: Array, size: int):
         """Plan the sums over n keys of the pairs (rows[p], cols[p]), which
         ascend by row and then by column; ``src[p]`` is the flat index of
-        pair p's value in the ``w`` a call receives."""
+        pair p's value among the ``size`` slot values of one list."""
         starts, self.levels = _pairwise_tree(n)
         lengths = np.diff(np.append(starts, n))
         leaf = np.searchsorted(starts, cols, side="right") - 1
@@ -335,36 +317,29 @@ class _RowSums:
         self.multi_leaf = seg_leaf[~single]
         self.multi_column = np.searchsorted(self.multi_rows, seg_row[~single])
         self.multi_at = position[~single]
-        self.n, self.nodes, self.count = n, 2 * starts.size - 1, offset
-        self.stack = 1
+        self.n, self.nodes, self.count, self.size = n, 2 * starts.size - 1, offset, size
         for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_leaf,
                   self.multi_column, self.multi_at,
                   *(a for group in self.groups for a in group[3:]),
                   *(a for level in self.levels for a in level)):
             a.flags.writeable = False
 
-    def stacked(self, count: int) -> "_RowSums":
-        """This plan for ``count`` lists stacked as :meth:`KeyList.stacked`
-        builds them: each element's slot values follow the previous one's,
-        and its rows are summed over their own n-long dense rows."""
-        plan = copy.copy(self)
-        plan.stack = count
-        return plan
-
     def __call__(self, w: Array) -> Array:
-        """The row sums of slot values ``w`` (every element's, one after
-        another); each element's leaves and joins run side by side."""
-        w = w.reshape(self.stack, -1)
-        sums = np.empty((self.stack, self.count))
+        """The row sums of slot values ``w``: one list's ``size`` values, or
+        a stack of them laid out as :meth:`KeyList.stacked` lays out its
+        lists; each element's leaves and joins run side by side."""
+        w = w.reshape(-1, self.size)
+        stack = len(w)
+        sums = np.empty((stack, self.count))
         for length, offset, count, src, dst in self.groups:
-            buffer = np.zeros((self.stack, count * length))
+            buffer = np.zeros((stack, count * length))
             buffer[:, dst] = np.take(w, src, axis=1)
             sums[:, offset : offset + count] = buffer.reshape(-1, length).sum(axis=1).reshape(
-                self.stack, count)
-        out = np.zeros((self.stack, self.n))
+                stack, count)
+        out = np.zeros((stack, self.n))
         out[:, self.single_rows] = sums[:, self.single_at]
         if self.multi_rows.size:
-            table = np.zeros((self.nodes, self.stack, self.multi_rows.size))
+            table = np.zeros((self.nodes, stack, self.multi_rows.size))
             table[self.multi_leaf, :, self.multi_column] = sums[:, self.multi_at].T
             for node, left, right in self.levels:
                 table[node] = table[left] + table[right]
@@ -392,7 +367,7 @@ def _row_sum_model_holds() -> bool:
         rows, cols = np.nonzero(touched)
         scale = np.floor(rng.uniform(rows.size) * 61.0) - 30.0
         dense[rows, cols] = np.where(rows == 3, -0.0, rng.normal(rows.size) * 2.0**scale)
-        got = _RowSums(n, rows, cols, rows * n + cols)(dense)[:4]
+        got = _RowSums(n, rows, cols, rows * n + cols, 4 * n)(dense)[:4]
         if not np.array_equal(got.view(np.uint64), dense.sum(axis=1).view(np.uint64)):
             return False
     return True
@@ -499,9 +474,11 @@ class KeyList:
         return out
 
     def softmax(self, logits: Array) -> Array:
-        """``numerics.softmax_masked`` on slot logits, with the valid slots
-        as the mask. A broadcast list has no invalid slot, so it skips the
-        masking, which would keep every value as it is."""
+        """Row softmax of slot logits over the valid slots, exactly 0 in
+        the others: invalid slots never enter the row max, the exponential
+        or the row sum (:meth:`row_sum`). A broadcast list has no invalid
+        slot, so it skips the masking, which would keep every value as it
+        is."""
         if self.keys.strides[0] == 0:
             weights = np.exp(logits - logits.max(axis=1)[:, None])
         else:
@@ -513,15 +490,15 @@ class KeyList:
     def stacked(self, count: int) -> "KeyList":
         """``count`` copies of this window list as one block-diagonal list
         over count x N queries and keys: query s*N + i attends keys s*N +
-        ``keys[i]``. Its row sums run each copy's plan over that copy's own
-        N-long dense rows (:meth:`_RowSums.stacked`), so every copy's rows
-        get the bits this list gives them; the list needs a row-sum plan."""
+        ``keys[i]``. It shares this list's row-sum plan, which sums each
+        copy's rows over that copy's own N-long dense rows, so every copy's
+        rows get the bits this list gives them; the list needs a plan."""
         n = self.keys.shape[0]
         if self.row_sums is None:
             raise StateError("only a window list with a row-sum plan stacks")
         keys = (self.keys + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
         valid = np.broadcast_to(self.valid, (count, *self.valid.shape)).reshape(count * n, -1)
-        return KeyList(keys, valid, window=True, row_sums=self.row_sums.stacked(count))
+        return KeyList(keys, valid, window=True, row_sums=self.row_sums)
 
     def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
@@ -618,7 +595,7 @@ def window_keys(n: int, radius: int) -> KeyList:
     row_sums = None
     if _row_sum_model_holds():
         rows, slots = np.nonzero(valid)
-        row_sums = _RowSums(n, rows, keys[rows, slots], rows * width + slots)
+        row_sums = _RowSums(n, rows, keys[rows, slots], rows * width + slots, n * width)
     keys.flags.writeable = valid.flags.writeable = False
     return KeyList(keys, valid, window=True, row_sums=row_sums)
 

@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateRowError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -251,32 +251,6 @@ def stacked_matmul(a: Array, b: Array) -> Array:
 
     out = ordered_sum(a.reshape(-1, a.shape[-1]).T, gather, p)
     return ensure_finite(out, "matmul result").reshape(len(a), m, p)
-
-
-def softmax_masked(logits: Array, mask: Array) -> Array:
-    """Row softmax restricted to ``mask``; masked entries are exactly 0.
-
-    Exclusion is structural: masked logits never enter the exponential or
-    the row sum, which realizes the "minus infinity" semantics without the
-    rounding artifacts of adding a large negative constant. Each row is
-    shifted by its unmasked maximum before exponentiation.
-
-    Raises :class:`DegenerateRowError` if any row masks out every entry.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if logits.shape != mask.shape or logits.ndim != 2:
-        raise DimensionError(f"logits {logits.shape} and mask {mask.shape} must be equal 2-D shapes")
-    ensure_finite(logits, "logits")
-    alive = mask.any(axis=1)
-    if not alive.all():
-        row = int(np.flatnonzero(~alive)[0])
-        raise DegenerateRowError(f"mask row {row} excludes every key")
-    row_max = np.where(mask, logits, -np.inf).max(axis=1)
-    shifted = np.where(mask, logits - row_max[:, None], 0.0)
-    weights = np.exp(shifted) * mask
-    out = weights / weights.sum(axis=1)[:, None]
-    return out
 
 
 def relu(x: Array) -> Array:

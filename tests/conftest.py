@@ -8,7 +8,7 @@ import pytest
 
 from salad import numerics
 from salad.block import salad_forward
-from salad.errors import ConfigError, DimensionError, NumericError
+from salad.errors import ConfigError, DegenerateRowError, DimensionError, NumericError
 from salad.gradients import FD_STEP
 from salad.masking import Explicit, KeyList
 from salad.numerics import Rng, ensure_finite, matmul, round_robin_rounds
@@ -32,6 +32,32 @@ def triple_loop_matmul(a, b):
             for k in range(kk):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
+    return out
+
+
+def softmax_masked(logits, mask):
+    """Row softmax restricted to ``mask``; masked entries are exactly 0.
+
+    Exclusion is structural: masked logits never enter the exponential or
+    the row sum, which realizes the "minus infinity" semantics without the
+    rounding artifacts of adding a large negative constant. Each row is
+    shifted by its unmasked maximum before exponentiation.
+
+    Raises :class:`DegenerateRowError` if any row masks out every entry.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if logits.shape != mask.shape or logits.ndim != 2:
+        raise DimensionError(f"logits {logits.shape} and mask {mask.shape} must be equal 2-D shapes")
+    ensure_finite(logits, "logits")
+    alive = mask.any(axis=1)
+    if not alive.all():
+        row = int(np.flatnonzero(~alive)[0])
+        raise DegenerateRowError(f"mask row {row} excludes every key")
+    row_max = np.where(mask, logits, -np.inf).max(axis=1)
+    shifted = np.where(mask, logits - row_max[:, None], 0.0)
+    weights = np.exp(shifted) * mask
+    out = weights / weights.sum(axis=1)[:, None]
     return out
 
 

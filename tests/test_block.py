@@ -422,6 +422,24 @@ def test_block_variants_stack_to_their_lone_bits(variant, name):
     assert_elements_match_lone_forwards(x, params, plan, grid, name, perturbed(Rng(9), base, 4))
 
 
+@pytest.mark.parametrize("plan", ["window", "topk"])
+def test_stacked_record_counts_each_elements_pairs(plan):
+    """A stacked input gives one pairs list per element, that of its lone
+    forward: window heads ran as one block-diagonal list, top-k heads
+    element by element. A stacked ``w_o`` leaves the heads shared, and
+    the record counts their pairs once."""
+    x, params, grid = stack_setup()
+    plan = MaskPlan(STACK_PLANS[plan])
+    values = perturbed(Rng(3), x, 4)
+    _, trace = stacked_forward(x, params, plan, grid, None, "x", values)
+    want = [salad_forward(value, params, plan, grid)[1].attended_pairs for value in values]
+    assert trace.attended_pairs == want
+    if isinstance(plan[0], TopK):
+        assert len({pairs[0] for pairs in want}) > 1  # the elements select different blocks
+    _, trace = stacked_forward(x, params, plan, grid, None, "w_o", perturbed(Rng(4), params.w_o))
+    assert trace.attended_pairs == want[0]
+
+
 def test_a_stack_of_one_has_the_lone_bits():
     x, params, grid = stack_setup()
     plan = MaskPlan(STACK_PLANS["reordered"])

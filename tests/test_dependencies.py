@@ -10,7 +10,7 @@ import salad.checks  # noqa: F401  (imported before the tracer patches module at
 import salad.cli
 import salad.runner  # noqa: F401
 import salad.workload  # noqa: F401
-from test_bench_targets import PERFBENCH, load_tracer_module, salad_names_used
+from test_bench_targets import PERFBENCH, RETIRED_TARGETS, load_tracer_module, salad_names_used
 
 PACKAGE = Path(salad.__file__).parent
 
@@ -82,17 +82,12 @@ def test_every_definition_is_reached_from_the_package_or_the_benchmark():
     assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
 
 
-#: Tracer targets no run takes: the dense mask and softmax paths, which
-#: only tests call.
-UNREACHED_TARGETS = {"numerics.softmax_masked", "masking.realize_head_mask",
-                     "masking.topk_block_select"}
-
-
 def test_cli_runs_reach_every_tracer_target_but_the_dense_paths(tmp_path, capsys):
     """``gen``, a window ``run`` on that workload, a top-k ``run`` with the
     in-run gradcheck, a calibrate ``run`` and ``check --only determinism``,
     traced in this process, record a span for every tracer target except
-    the dense paths, so no per-layer metric built on the others reads 0."""
+    the retired dense paths, so no per-layer metric built on the others
+    reads 0."""
     grid = ["--set", "layers=2", "--set", "timesteps=2", "--set", "grid.frames=2",
             "--set", "grid.height=2", "--set", "grid.width=2", "--set", "grid.heads=2",
             "--set", "grid.head_dim=4", "--set", "mask.radius=2", "--set", "mask.block_size=2",
@@ -113,9 +108,15 @@ def test_cli_runs_reach_every_tracer_target_but_the_dense_paths(tmp_path, capsys
     finally:
         tracer.uninstall()
     assert codes == [0] * len(commands), capsys.readouterr().err
-    assert tracer.missing == []
+    assert tracer.missing == RETIRED_TARGETS
     reached = {span[1] for span in tracer.spans}
-    assert set(tracer_module.TARGETS) - reached == UNREACHED_TARGETS
+    assert set(tracer_module.TARGETS) - reached == set(RETIRED_TARGETS)
+
+
+def test_every_export_resolves():
+    """``from salad import *`` raises on a name in ``__all__`` that the
+    package no longer defines."""
+    exec("from salad import *", {})
 
 
 def test_import_salad_loads_no_pipeline_module():

@@ -26,11 +26,9 @@ from salad.masking import (
     calibrate_window,
     head_keys,
     invert_permutation,
-    realize_head_mask,
     select_topk_blocks,
     sparse_head_attention,
     st_reorder_permutation,
-    topk_block_select,
     window_attended_pairs,
     window_keys,
 )
@@ -127,7 +125,7 @@ class TestTopK:
         n, b = 8, 2
         q = np.ones((n, 2))
         k = np.concatenate([np.full((2, 2), v) for v in (1.0, 4.0, 2.0, 3.0)])
-        mask = topk_block_select(q, k, b, 1)
+        mask = head_keys(TopK(b, 1), grid_of(1, 1, n), q, k)[0].mask()
         sel = select_topk_blocks(q, k, b, 1)
         for qb in range(4):
             rows = slice(qb * b, (qb + 1) * b)
@@ -154,7 +152,7 @@ class TestTopK:
 
     def test_k_equal_block_count_is_all_true(self, rng):
         q, k = rng.normal((9, 3)), rng.normal((9, 3))  # short last block
-        assert topk_block_select(q, k, 4, 3).all()
+        assert head_keys(TopK(4, 3), grid_of(1, 1, 9), q, k)[0].mask().all()
 
     def test_defaults(self):
         assert TopK(block_size=8).k == 4
@@ -208,21 +206,21 @@ class TestRealize:
     def test_explicit_shape_check(self):
         g = grid_of(2, 2, 2)
         with pytest.raises(ConfigError, match="does not match"):
-            realize_head_mask(Explicit(np.ones((4, 4), dtype=bool)), g)
+            head_keys(Explicit(np.ones((4, 4), dtype=bool)), g)
 
     def test_explicit_empty_row(self):
         g = grid_of(2, 2, 1)
         mask = np.ones((4, 4), dtype=bool)
         mask[2, :] = False
         with pytest.raises(DegenerateRowError, match="row 2"):
-            realize_head_mask(Explicit(mask), g)
+            head_keys(Explicit(mask), g)
 
     def test_explicit_missing_diagonal(self):
         g = grid_of(2, 2, 1)
         mask = np.ones((4, 4), dtype=bool)
         mask[1, 1] = False  # row still has keys, but not itself
         with pytest.raises(DegenerateRowError, match="attend itself"):
-            realize_head_mask(Explicit(mask), g)
+            head_keys(Explicit(mask), g)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -235,18 +233,17 @@ class TestRealize:
         ]
         for entry in entries:
             q, k = r.normal((8, 4)), r.normal((8, 4))
-            mask, _ = realize_head_mask(entry, g, q, k)
-            assert mask.diagonal().all()
+            assert head_keys(entry, g, q, k)[0].mask().diagonal().all()
 
     def test_topk_needs_data(self):
         with pytest.raises(StateError):
-            realize_head_mask(TopK(block_size=2, k=1), grid_of(2, 2, 1))
+            head_keys(TopK(block_size=2, k=1), grid_of(2, 2, 1))
 
     def test_window_reordered_returns_permutation(self):
         g = grid_of(2, 2, 2)
-        _, perm = realize_head_mask(Window(radius=1, reordered=True), g)
+        _, perm = head_keys(Window(radius=1, reordered=True), g)
         assert perm is not None
-        _, perm = realize_head_mask(Window(radius=1), g)
+        _, perm = head_keys(Window(radius=1), g)
         assert perm is None
 
 
@@ -342,12 +339,11 @@ class TestSparsityStats:
         g = grid_of(2, 2, 2, heads=1, d=4)
         entry = TopK(block_size=2, k=2)
         q, k = rng.normal((8, 4)), rng.normal((8, 4))
-        realized = head_keys(entry, g, q, k)[0].pairs
+        keys, _ = head_keys(entry, g, q, k)
         model = head_sparsity_stats(entry, g)
         assert model.attended_pairs == 8 * 4  # k*B keys per row
-        assert realized >= model.attended_pairs  # forced diagonal adds
-        mask, _ = realize_head_mask(entry, g, q, k)
-        assert realized == int(mask.sum())
+        assert keys.pairs >= model.attended_pairs  # forced diagonal adds
+        assert keys.pairs == int(keys.mask().sum())
 
     def test_plan_length_mismatch(self):
         g = grid_of(2, 2, 2, heads=2, d=4)

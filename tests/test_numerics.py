@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salad import numerics
-from salad.errors import DegenerateRowError, DimensionError, NumericError
+from salad.errors import DimensionError, NumericError
+from salad.masking import Explicit, KeyList, LatentGrid, head_keys, window_keys
 from salad.numerics import (
     Rng,
     householder_r,
@@ -19,7 +20,6 @@ from salad.numerics import (
     relu,
     round_robin_rounds,
     sigmoid,
-    softmax_masked,
     tanh,
 )
 
@@ -308,60 +308,91 @@ def test_probe_rejects_a_kernel_that_reorders_only_column_major_blocks():
     assert numerics.choose_block_kernel(kernel) is kernel
     assert not numerics._gives_stack_bits(kernel, column_major=True)
 
+
+def softmax_lists(mask, radius):
+    """A broadcast list over ``len(mask)`` keys, the window list of
+    ``radius`` and the block list of the explicit ``mask``: the three kinds
+    of list ``KeyList.softmax`` runs on, each with its mask."""
+    n = len(mask)
+    lists = [KeyList.full(n), window_keys(n, radius),
+             head_keys(Explicit(mask), LatentGrid(1, 1, n, heads=1, head_dim=2))[0]]
+    return [(keys, keys.mask()) for keys in lists]
+
+
+def dense_softmax(keys, logits):
+    """``keys.softmax`` on the slot logits of a dense (N, N) matrix, as the
+    dense (N, N) weights."""
+    return keys.to_dense(keys.softmax(np.take_along_axis(logits, keys.keys, axis=1)))
+
+
 class TestSoftmaxMasked:
+    """``KeyList.softmax``, the masked softmax every head runs."""
+
     def test_single_survivor(self):
-        logits = np.array([[5.0, 100.0, -3.0]])
-        mask = np.array([[True, False, False]])
-        assert softmax_masked(logits, mask).tolist() == [[1.0, 0.0, 0.0]]
+        # Row 1 keeps every key, so the block list's rows 0 and 2 have
+        # invalid slots; they read key 0, which row 2 masks at logit 1e4.
+        mask = np.eye(3, dtype=bool)
+        mask[1] = True
+        logits = np.where(mask, np.array([[5.0], [-3.0], [2.0]]), 1e4)
+        for keys, kept in softmax_lists(mask, 0)[1:]:
+            one = kept.sum(axis=1) == 1
+            assert dense_softmax(keys, logits)[one].tolist() == (kept[one] * 1.0).tolist()
+        assert dense_softmax(KeyList.full(1), np.array([[5.0]])).tolist() == [[1.0]]
 
     def test_uniform_logits(self):
+        mask = np.eye(4, dtype=bool)
+        mask[0, 1:] = mask[2, 3] = mask[3, :2] = True
         for c in (-7.5, 0.0, 3e4):
-            out = softmax_masked(np.full((1, 4), c), np.ones((1, 4), dtype=bool))
-            assert out.tolist() == [[0.25, 0.25, 0.25, 0.25]]
+            for keys, kept in softmax_lists(mask, 1):
+                out = dense_softmax(keys, np.full((4, 4), c))
+                assert out.tolist() == (kept / kept.sum(axis=1)[:, None]).tolist()
 
     def test_against_extended_precision(self):
         import mpmath
 
         mpmath.mp.dps = 50
-        logits = np.array([[1.0, 2.0, 3.0]])
-        out = softmax_masked(logits, np.ones((1, 3), dtype=bool))
-        exps = [mpmath.e ** mpmath.mpf(v) for v in (1, 2, 3)]
-        total = sum(exps)
-        want = [float(e / total) for e in exps]
-        assert np.max(np.abs(out[0] - want)) < 1e-15
+        logits = np.array([[1.0, 2.0, 3.0]] * 3)
+        mask = np.eye(3, dtype=bool)
+        mask[0, 2] = mask[2, 0] = True
+        for keys, kept in softmax_lists(mask, 1):
+            for row, terms, keep in zip(dense_softmax(keys, logits), logits, kept):
+                exps = [mpmath.e ** mpmath.mpf(v) for v in terms[keep]]
+                want = [float(e / sum(exps)) for e in exps]
+                assert np.max(np.abs(row[keep] - want)) < 1e-15
 
     def test_masked_entries_exactly_zero(self, rng):
         logits = rng.normal((6, 6)) * 50
         mask = rng.uniform((6, 6)) < 0.5
         np.fill_diagonal(mask, True)
-        out = softmax_masked(logits, mask)
-        assert np.all(out[~mask] == 0.0)
-        assert np.max(np.abs(out[mask].reshape(-1))) <= 1.0
-
-    def test_degenerate_row_raises(self):
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(DegenerateRowError, match="row 1"):
-            softmax_masked(np.zeros((2, 2)), mask)
+        for keys, kept in softmax_lists(mask, 2):
+            y = keys.softmax(np.take_along_axis(logits, keys.keys, axis=1))
+            assert np.all(y[~keys.valid] == 0.0)  # window edges, short block rows
+            out = keys.to_dense(y)
+            assert np.all(out[~kept] == 0.0)
+            assert np.max(np.abs(out[kept])) <= 1.0
 
     def test_shift_invariance_bit_for_bit(self):
         # Dyadic logits and shifts add exactly, so the max-subtracted
         # inputs are identical and the outputs match to the bit.
-        logits = np.array([[0.5, -1.25, 3.0, 0.0], [2.0, 2.5, -0.5, 1.75]])
-        mask = np.array([[True, False, True, True], [True, True, True, False]])
-        base = softmax_masked(logits, mask)
-        for c in (-8.0, 0.25, 1024.0):
-            assert np.array_equal(softmax_masked(logits + c, mask), base)
+        logits = np.array([[0.5, -1.25, 3.0, 0.0], [2.0, 2.5, -0.5, 1.75],
+                           [-2.0, 0.25, 1.5, 4.0], [1.0, -0.75, 0.0, 2.25]])
+        mask = np.array([[1, 0, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
+        for keys, _ in softmax_lists(mask, 1):
+            base = dense_softmax(keys, logits)
+            for c in (-8.0, 0.25, 1024.0):
+                assert same_bits(dense_softmax(keys, logits + c), base)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_rows_are_simplices(self, seed):
         r = Rng(seed)
-        logits = r.normal((5, 7)) * 10
-        mask = r.uniform((5, 7)) < 0.4
-        mask[:, 0] = True
-        out = softmax_masked(logits, mask)
-        assert np.all(out >= 0.0)
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+        logits = r.normal((7, 7)) * 10
+        mask = r.uniform((7, 7)) < 0.4
+        np.fill_diagonal(mask, True)
+        for keys, kept in softmax_lists(mask, int(r.raw(1)[0] % 6)):
+            out = dense_softmax(keys, logits)
+            assert np.all(out >= 0.0) and np.all(out[~kept] == 0.0)
+            assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
 
 class TestElementwise:
