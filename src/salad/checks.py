@@ -32,7 +32,7 @@ from .block import (
     sparse_head_attention,
 )
 from .config import RunConfig, config_from_dict
-from .errors import BlockCountError, ConfigError, LostChecksError
+from .errors import BlockCountError, ConfigError
 from .gradients import gradcheck_salad, salad_loss_grads
 from .linear_attention import (
     EPSILON,
@@ -85,12 +85,17 @@ def _check(list_name: str, summary: str):
     """Register an oracle in ``ALL_CHECKS`` under ``list_name``, timed. Its
     result is named after the function less ``check_``, passes when the
     oracle returns no failure, and details the failures joined by "; ",
-    or ``summary`` when they carry no text."""
+    or ``summary`` when they carry no text. An oracle that raises fails,
+    its detail naming the exception, so every check ends in a verdict; the
+    registered check's ``__wrapped__`` still raises, traceback and all."""
     def register(oracle: Callable[[], Outcome]) -> Callable[[], CheckResult]:
         @functools.wraps(oracle)
         def check() -> CheckResult:
             t0 = monotonic()
-            failures, max_err = oracle()
+            try:
+                failures, max_err = oracle()
+            except Exception as exc:  # a verdict like any other, not a traceback
+                failures, max_err = [f"raised {type(exc).__name__}: {exc}"], None
             return CheckResult(oracle.__name__.removeprefix("check_"), not failures, max_err,
                                "; ".join(failures) or summary, monotonic() - t0)
 
@@ -753,8 +758,8 @@ def _run_check(name: str) -> CheckResult:
 
 
 def run_checks(only: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and return their results in
-    the named order.
+    """Run the named checks (all by default) and return one result per
+    named check, in the named order.
 
     The calling process runs ``gradcheck`` when it is named, else the first
     named check. The others go, in registration order, to a forked process
@@ -763,9 +768,9 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     which of the others depends on timing, as the workers pull from one
     queue; the caller's check does not, so a trace of the calling process
     counts the same work every run. With one CPU, one check or no fork the
-    caller runs them all. A check that raises raises here, the
-    first in the named order winning; a worker that dies raises
-    :class:`LostChecksError` naming the checks it took along.
+    caller runs them all. When a worker process dies the pool stops, and
+    every check that had not returned fails as lost; one that raised
+    already failed in its wrapper.
     """
     names = list(ALL_CHECKS) if only is None else only
     if not names:
@@ -796,23 +801,12 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = {name: pool.submit(_run_check, name) for name in rest}
-        try:
-            own = _run_check(mine)
-        except Exception as exc:  # re-raised in named order below
-            own = exc
-        results = []
-        for name in names:
-            if name == mine:
-                if isinstance(own, Exception):
-                    raise own
-                results.append(own)
-                continue
+        results = {mine: _run_check(mine)}
+        for name in rest:
             try:
-                results.append(futures[name].result())
+                results[name] = futures[name].result()
             except BrokenProcessPool:
-                lost = [n for n in rest if isinstance(futures[n].exception(), BrokenProcessPool)]
-                raise LostChecksError("a check worker process died; lost the results of "
-                                      + ", ".join(lost)) from None
-        return results
+                results[name] = CheckResult(name, False, None, "lost: a worker process died")
+        return [results[name] for name in names]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

@@ -9,8 +9,9 @@ process and the rest on forked workers.
 
 Exit codes are a stable contract: 0 success, 2 I/O error, 3 config or
 validation error (a config too large for memory included), 4
-verification-check failure (a failed oracle, or a check worker process
-that died).
+verification-check failure. Every named check prints one verdict line:
+one that raised, or was lost when a check worker process died, prints
+[FAIL] with its cause like one that missed its tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, LostChecksError, SaladError
+from .errors import ConfigError, SaladError
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="gate percentiles and drop plans from reports")
     p_analyze.add_argument("--report", metavar="PATH", action="append", default=[],
                            dest="reports", help="saved run report (repeatable)")
-    p_maps = sub.add_parser("export-maps", help="run one forward pass and export attention maps")
+    p_maps = sub.add_parser("export-maps", help="run the block as run does, writing report.json "
+                            "and the attention maps of the maps.* forward")
     for p in (p_gen, p_run, p_check, p_analyze, p_maps):
         _common_flags(p)
     return parser
@@ -137,11 +139,7 @@ def cmd_check(cfg: RunConfig, only: str | None, list_only: bool) -> int:
         return EXIT_OK
     _load_bundle_if_configured(cfg)
     names = None if only is None else [n.strip() for n in only.split(",") if n.strip()]
-    try:
-        results = run_checks(names)
-    except LostChecksError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    results = run_checks(names)
     for res in results:
         print(res.line())
     _note_fallbacks()

@@ -3,8 +3,8 @@
 The CLI maps these onto its stable exit codes: any :class:`SaladError`
 is a validation problem (exit 3), and so is a ``MemoryError`` (a config
 too large for the host); plain ``OSError`` is an I/O problem (exit 2).
-Failed verification checks exit 4 without raising; a check worker process
-that dies raises :class:`LostChecksError`, which exits 4 as well.
+Failed verification checks exit 4 without raising: a check that raises,
+or is lost when a check worker process dies, is one more failed check.
 """
 
 
@@ -41,11 +41,3 @@ class DataError(SaladError, ValueError):
 
 class StateError(SaladError, RuntimeError):
     """An operation needs state (such as a top-k head's queries and keys) it was not given."""
-
-
-class LostChecksError(RuntimeError):
-    """A check worker process died, and the results of its checks with it.
-
-    Not a :class:`SaladError`: the input was fine, the checks did not
-    finish, so ``salad check`` exits 4.
-    """

@@ -348,10 +348,12 @@ def jacobi_singular_values(x: Array) -> Array:
     Each tall operand (the matrix, or its transpose when wide; a wide stack
     is transposed as a whole) is first reduced to its square triangular
     factor R, which has the same singular values, so each sweep touches
-    n-long columns rather than N-long ones. The sweeps then visit the
-    column pairs of R in round-robin order, one vectorized round of
-    disjoint pairs at a time over the whole stack, rotating each (matrix,
-    pair) entry whose implicit Gram off-diagonal exceeds
+    n-long columns rather than N-long ones. R is factored from a C-order
+    copy, so no memory layout sets the order of its sums: the bits do not
+    depend on the operand's layout, and a non-square matrix and its
+    transpose get the same ones. The sweeps then visit the column pairs of R in round-robin order, one
+    vectorized round of disjoint pairs at a time over the whole stack,
+    rotating each (matrix, pair) entry whose implicit Gram off-diagonal exceeds
     ``_JACOBI_SWEEP_TOL`` relative to the column norms; at convergence the
     column 2-norms are the singular values. The sweeps stop after one in
     which no matrix rotated. Later sweeps change a matrix whose sweep
@@ -385,7 +387,8 @@ def jacobi_singular_values(x: Array) -> Array:
     largest = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
     _, exponent = np.frexp(largest)
     np.ldexp(stack, -exponent[:, None, None], out=stack)
-    r = householder_r(stack.swapaxes(1, 2) if stack.shape[1] < stack.shape[2] else stack)
+    tall = stack.swapaxes(1, 2) if stack.shape[1] < stack.shape[2] else stack
+    r = householder_r(np.ascontiguousarray(tall))
     rounds = round_robin_rounds(r.shape[2])
     tiny = np.finfo(np.float64).tiny
     for _ in range(_JACOBI_MAX_SWEEPS):

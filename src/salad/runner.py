@@ -273,7 +273,8 @@ def load_report(path: str | Path) -> RunReport:
 def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
                     out_dir: str | Path) -> dict:
     """Percentile tables, drop plans per strategy, and re-estimated
-    speedups from one or more saved run reports."""
+    speedups from one or more saved run reports of one layer count and
+    grid."""
     if not report_paths:
         raise DataError("analyze needs at least one report with gate records")
     reports = [load_report(p) for p in report_paths]
@@ -282,7 +283,13 @@ def analyze_reports(cfg: RunConfig, report_paths: list[str | Path],
         raise DataError("loaded reports carry no gate records")
 
     base = reports[0]
-    grid = config_from_dict(base.config).to_grid()
+    first, *others = [config_from_dict(r.config) for r in reports]
+    for path, other in zip(report_paths[1:], others):
+        if (other.layers, other.grid) != (first.layers, first.grid):
+            raise DataError(f"report {path} ran {other.layers} layers on {other.grid}, but report "
+                            f"{report_paths[0]} ran {first.layers} on {first.grid}; "
+                            "analyze prices every report on the first one's FLOPs")
+    grid = first.to_grid()
     strategies = cfg.analysis.strategies
     if strategies is None:  # every strategy at its defaults
         strategies = [{"strategy": name} for name in DROP_STRATEGIES]

@@ -105,8 +105,11 @@ def load_workload(dir_path: str | Path, cfg: RunConfig) -> Workload:
     where = f"workload manifest {manifest_path}"
     manifest = check_header(load_json(manifest_path, where), WORKLOAD_FORMAT, where)
     check_json(manifest, {"inputs": str, "params": list[str]}, where)
-    inputs = read_tensor(root / manifest["inputs"])
     grid = cfg.to_grid()
+    want_grid = cfg.to_dict()["grid"]
+    if manifest.get("grid", want_grid) != want_grid:  # manifests written by hand may omit it
+        raise ConfigError(f"{where} was written for grid {manifest['grid']}, config wants {want_grid}")
+    inputs = read_tensor(root / manifest["inputs"])
     expect = (cfg.layers, cfg.timesteps, grid.seq_len, grid.channels)
     if inputs.shape != expect:
         raise ConfigError(f"workload inputs have shape {inputs.shape}, config wants {expect}")

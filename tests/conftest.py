@@ -274,7 +274,7 @@ def one_matrix_jacobi_singular_values(x):
     ensure_finite(x, "singular-value input")
     _, exponent = math.frexp(float(np.max(np.abs(x), initial=0.0)))
     x = np.ldexp(x, -exponent)
-    a = one_matrix_householder_r(x.T if x.shape[0] < x.shape[1] else x)
+    a = one_matrix_householder_r(np.ascontiguousarray(x.T if x.shape[0] < x.shape[1] else x))
     rounds = round_robin_rounds(a.shape[1])
     for _ in range(numerics._JACOBI_MAX_SWEEPS):
         rotated = False

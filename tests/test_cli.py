@@ -362,8 +362,26 @@ class TestCheckCommand:
         assert "1 of 2 checks failed" in captured.err
 
 
-def _raise_config_error():
+def check_config_error():
     raise ConfigError("synthetic check error")
+
+
+def check_type_error():
+    raise TypeError("synthetic type error")
+
+
+def check_dies():
+    os._exit(1)
+
+
+def check_dies_too():
+    os._exit(1)
+
+
+PARAM_COUNT_PASS = ("[PASS] param_count: shared 0 / proj H*D / proj+gate H*D + D + 1 bias / "
+                    "non-shared 4*H*D")
+CONFIG_ERROR_FAIL = "[FAIL] config_error: raised ConfigError: synthetic check error"
+TYPE_ERROR_FAIL = "[FAIL] type_error: raised TypeError: synthetic type error"
 
 
 class TestCheckDispatch:
@@ -376,11 +394,14 @@ class TestCheckDispatch:
 
     @pytest.fixture
     def registry(self, monkeypatch):
-        """Patch in extra registry entries; forked workers inherit them."""
+        """Register oracles through ``_check``, as the package registers its
+        own, each under its name less ``check_``; forked workers inherit them."""
         from salad import checks
 
-        def add(**entries):
-            monkeypatch.setattr(checks, "ALL_CHECKS", {**checks.ALL_CHECKS, **entries})
+        def add(*oracles):
+            monkeypatch.setattr(checks, "ALL_CHECKS", dict(checks.ALL_CHECKS))
+            for oracle in oracles:
+                checks._check(oracle.__name__.removeprefix("check_"), "synthetic")(oracle)
         return add
 
     @staticmethod
@@ -389,54 +410,71 @@ class TestCheckDispatch:
 
         monkeypatch.setattr(checks, "_usable_cpus", lambda: n)
 
+    @staticmethod
+    def check(tmp_path, capsys, only):
+        """Exit code, verdict lines less their times, and stderr of one
+        ``salad check --only``; no child process is left behind."""
+        code = run_cli("check", "--only", only, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        return code, re.sub(r" \(\d+\.\d+s\)$", "", captured.out, flags=re.MULTILINE), captured.err
+
     def test_verdicts_do_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
-        times = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)
         printed = {}
         for n in (1, 2, 4):
             self.cpus(monkeypatch, n)
-            assert run_cli("check", "--only", self.NAMES, "--out", str(tmp_path)) == 0
-            printed[n] = times.sub("", capsys.readouterr().out)
-            assert multiprocessing.active_children() == []
+            code, printed[n], _ = self.check(tmp_path, capsys, self.NAMES)
+            assert code == 0
         assert printed[1] == printed[2] == printed[4]
         assert [line.split(":")[0] for line in printed[1].splitlines()[:-1]] == [
             f"[PASS] {name}" for name in self.NAMES.split(",")]
 
     @pytest.mark.parametrize("n", [1, 2, 4])
-    @pytest.mark.parametrize("only", ["raiser,param_count", "param_count,raiser"],
-                             ids=["caller", "worker"])
-    def test_check_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch, registry,
-                                                   n, only):
-        registry(raiser=_raise_config_error)
+    @pytest.mark.parametrize("only, lines", [
+        ("config_error,param_count,type_error",
+         [CONFIG_ERROR_FAIL, PARAM_COUNT_PASS, TYPE_ERROR_FAIL]),
+        ("type_error,param_count,config_error",
+         [TYPE_ERROR_FAIL, PARAM_COUNT_PASS, CONFIG_ERROR_FAIL]),
+    ], ids=["config_error_in_caller", "type_error_in_caller"])
+    def test_raised_check_prints_fail_and_exits_4(self, tmp_path, capsys, monkeypatch, registry,
+                                                  n, only, lines):
+        """A check that raises, a package error or any other, in the caller
+        or in a worker, prints one FAIL line naming the exception, in the
+        named order, and hides no other verdict."""
+        registry(check_config_error, check_type_error)
         self.cpus(monkeypatch, n)
-        assert run_cli("check", "--only", only, "--out", str(tmp_path)) == 3
-        captured = capsys.readouterr()
-        assert captured.err == "error: synthetic check error\n"
-        assert captured.out == ""
-        assert multiprocessing.active_children() == []
+        assert self.check(tmp_path, capsys, only) == (
+            4, "\n".join(lines) + "\n", "2 of 3 checks failed\n")
 
-    def test_worker_death_exits_4_naming_the_lost_checks(self, tmp_path, capsys, monkeypatch,
-                                                         registry):
-        registry(dies=lambda: os._exit(1))
-        self.cpus(monkeypatch, 2)
-        assert run_cli("check", "--only", "param_count,dies", "--out", str(tmp_path)) == 4
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "error: a check worker process died; lost the results of dies"]
-        assert "Traceback" not in captured.err
-        assert multiprocessing.active_children() == []
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("only, lines", [
+        ("param_count,dies", [PARAM_COUNT_PASS, "[FAIL] dies: lost: a worker process died"]),
+        ("config_error,dies", [CONFIG_ERROR_FAIL, "[FAIL] dies: lost: a worker process died"]),
+        ("type_error,dies,dies_too", [TYPE_ERROR_FAIL, "[FAIL] dies: lost: a worker process died",
+                                      "[FAIL] dies_too: lost: a worker process died"]),
+    ], ids=["beside_a_pass", "beside_a_config_error", "two_workers_die"])
+    def test_worker_death_prints_fail_and_exits_4(self, tmp_path, capsys, monkeypatch, registry,
+                                                  n, only, lines):
+        """A check whose worker process dies prints one FAIL line saying it
+        was lost, beside the caller's verdict. A check that kills the
+        caller kills ``salad check`` itself, so deaths run only in workers,
+        and one CPU runs no worker."""
+        registry(check_config_error, check_type_error, check_dies, check_dies_too)
+        self.cpus(monkeypatch, n)
+        failed = sum(line.startswith("[FAIL]") for line in lines)
+        assert self.check(tmp_path, capsys, only) == (
+            4, "\n".join(lines) + "\n", f"{failed} of {len(lines)} checks failed\n")
 
     def test_brute_force_oracles_print_their_verdicts_through_the_pool(self, tmp_path, capsys,
                                                                         monkeypatch):
         """The caller runs ``window_counts`` and a one-worker pool ``topk``."""
         self.cpus(monkeypatch, 2)
-        assert run_cli("check", "--only", "window_counts,topk", "--out", str(tmp_path)) == 0
-        assert re.sub(r" \(\d+\.\d+s\)$", "", capsys.readouterr().out, flags=re.MULTILINE) == (
+        assert self.check(tmp_path, capsys, "window_counts,topk")[:2] == (0, (
             "[PASS] window_counts: max_err=3.480e-04 closed form == exhaustive for N<=512; "
             "10% density reports sparsity 0.90\n"
             "[PASS] topk: max_err=0.000e+00 brute-force ranking on 100 instances; "
             "k=all is full attention; default k=4\n"
-            "all 2 checks passed\n")
-        assert multiprocessing.active_children() == []
+            "all 2 checks passed\n"))
 
     def test_gradient_oracle_runs_in_the_calling_process(self, monkeypatch):
         """Perfbench traces only the calling process, so its per-layer
@@ -675,6 +713,18 @@ def edited_workload(edit, layers=2, timesteps=5) -> dict:
     return {**files, "manifest.json": json.dumps(manifest)}
 
 
+def report_pair(*overrides) -> dict:
+    """Two saved one-timestep reports for the ``small_args`` grid, the
+    second run under config ``overrides`` too, as ``a.json`` and ``b.json``."""
+    from salad.runner import run_pipeline
+    from salad.tensor_io import dumps_json, record_to_dict
+
+    base = ["grid.frames=2", "grid.height=2", "grid.width=2", "grid.heads=2", "grid.head_dim=4",
+            "layers=2", "timesteps=1"]
+    return {name: dumps_json(record_to_dict(run_pipeline(load_config(None, [*base, *extra]))))
+            for name, extra in (("a.json", []), ("b.json", overrides))}
+
+
 #: Case name -> ``run`` arguments whose drop section breaks its strategy's bounds.
 BAD_DROP_SECTIONS = {
     "drop_interval_lo_above_hi": (["--set", "drop.strategy=interval", "--set", "drop.lo=0.9",
@@ -758,6 +808,12 @@ def exit_three_cases():
         "plan_version_2": (PLAN_ARGS, {"plan.json": json.dumps(
             {**PLAN_HEADER, "version": 2, "heads": plan_records({**WINDOW_TWO, "head": 0})})}),
         "manifest_version_2": (WORKLOAD_ARGS, edited_workload(lambda m: m.update(version=2))),
+        # The same N and D as the config's grid, but 4 heads of 2 on 1x2x4.
+        "manifest_of_another_grid": (WORKLOAD_ARGS, edited_workload(lambda m: m.update(grid={
+            "frames": 1, "height": 2, "width": 4, "heads": 4, "head_dim": 2}))),
+        **{f"analyze_reports_of_other_{what}": (
+            ["--report", "{tmp}/a.json", "--report", "{tmp}/b.json"], report_pair(override),
+            "analyze") for what, override in (("layers", "layers=3"), ("grids", "grid.frames=4"))},
         "sidecar_rows_past_payload": (PLAN_ARGS, {
             "plan.json": json.dumps({**PLAN_HEADER, "heads": plan_records(
                 {"head": 0, "kind": "explicit", "sidecar": "m.smsk"})}),
@@ -791,6 +847,27 @@ def test_bad_input_exits_3_without_traceback(tmp_path, capsys, case):
     assert run_cli(*command or ["run"], *small_args(tmp_path), "--set", "timesteps=5", *args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_inputs_of_another_shape_are_refused_naming_their_files(tmp_path, capsys):
+    """A workload generated for 4x4x4 with 2 heads of 8 does not run under
+    2x8x4 with 4 heads of 4, though N and D agree; and ``analyze`` does
+    not pool reports of different layer counts and grids."""
+    workload = tmp_path / "w"
+    assert run_cli("gen", "--out", str(workload)) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--out", str(tmp_path / "r"), "--set", f'workload_dir="{workload}"',
+                   "--set", "grid.frames=2", "--set", "grid.height=8",
+                   "--set", "grid.heads=4", "--set", "grid.head_dim=4") == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: workload manifest {workload / 'manifest.json'} was written for grid ")
+    for name, text in report_pair("layers=3", "grid.frames=4").items():
+        (tmp_path / name).write_text(text)
+    assert run_cli("analyze", "--report", str(tmp_path / "a.json"), "--report",
+                   str(tmp_path / "b.json"), "--out", str(tmp_path / "a")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {tmp_path / 'b.json'} ran 3 layers on ")
+    assert f"but report {tmp_path / 'a.json'} ran 2 on " in err
 
 
 def test_missing_workload_manifest_exits_2_without_traceback(tmp_path, capsys):

@@ -520,6 +520,15 @@ class TestJacobiSingularValues:
         x = rng.normal((16, 512))
         assert np.array_equal(jacobi_singular_values(x), jacobi_singular_values(x.T))
 
+    @pytest.mark.parametrize("shape", [(64, 16), (16, 64)], ids=["tall", "wide"])
+    def test_memory_layout_does_not_move_the_bits(self, shape):
+        """A C-order copy, an F-order copy, a transposed view of a C-order
+        transpose, and the transpose itself give the same bits."""
+        x = Rng(3).normal(shape)
+        want = jacobi_singular_values(x)
+        for operand in (np.asfortranarray(x), np.ascontiguousarray(x.T).T, x.T):
+            assert same_bits(jacobi_singular_values(operand), want)
+
     @pytest.mark.parametrize("n", range(1, 18))
     def test_round_robin_meets_every_pair_once_per_sweep(self, n):
         rounds = round_robin_rounds(n)
