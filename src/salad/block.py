@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, StateError
 from .linear_attention import (
+    LinearState,
     RopeConfig,
     linear_attention_map,
     linear_attention_streaming,
@@ -297,7 +298,10 @@ class BlockTrace:
     None when the branch is dropped. ``projection`` is the projection
     stage, and ``heads`` holds per head its :class:`HeadAttention` (the
     weights of the attended pairs only; for reordered heads in permuted
-    order, where the band structure is visible).
+    order, where the band structure is visible). ``linear`` holds per head
+    the linear branch's streaming state (:class:`LinearState`), which the
+    backward pass reads rather than forming again; it is None when the
+    branch is dropped.
 
     The record of :func:`stacked_forward` keeps the stack axis on every
     value that varies along it (a gate becomes an (S,) array), and a head
@@ -312,6 +316,7 @@ class BlockTrace:
     proj_out: Array | None
     projection: Projection
     heads: list[HeadAttention | list[HeadAttention]]
+    linear: list[LinearState] | None
 
     @property
     def attended_pairs(self) -> list[int] | list[list[int]]:
@@ -410,13 +415,15 @@ def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
     o_l = None if params.dropped else np.zeros(
         max(pr.q_lin.shape, pr.k_lin.shape, pr.v_lin.shape, key=len))
     heads: list[HeadAttention | list[HeadAttention]] = []
+    linear: list[LinearState] | None = None if o_l is None else []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[..., s], info = sparse_head_attention(pr.q[..., s], pr.k[..., s], pr.v[..., s],
                                                   plan[head], grid)
         if o_l is not None:
-            o_l[..., s] = linear_attention_streaming(pr.q_lin[..., s], pr.k_lin[..., s],
-                                                     pr.v_lin[..., s])
+            o_l[..., s], state = linear_attention_streaming(
+                pr.q_lin[..., s], pr.k_lin[..., s], pr.v_lin[..., s], return_state=True)
+            linear.append(state)
         heads.append(info)
 
     gate = compute_gate(x, params.gate_w, params.gate_b,
@@ -429,7 +436,7 @@ def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
         proj_out = stacked_matmul(o_l, params.proj)
         scale = gate_applied if np.ndim(gate_applied) == 0 else gate_applied[:, None, None]
         fused = o_s + scale * proj_out
-    trace = BlockTrace(o_s, o_l, gate, gate_applied, fused, proj_out, pr, heads)
+    trace = BlockTrace(o_s, o_l, gate, gate_applied, fused, proj_out, pr, heads, linear)
     return stacked_matmul(fused, pr.wo), trace
 
 

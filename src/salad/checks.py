@@ -769,8 +769,10 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     queue; the caller's check does not, so a trace of the calling process
     counts the same work every run. With one CPU, one check or no fork the
     caller runs them all. When a worker process dies the pool stops, and
-    every check that had not returned fails as lost; one that raised
-    already failed in its wrapper.
+    every check that had not returned is lost with it; each lost check then
+    runs again alone in a fresh one-worker pool, so only a check whose own
+    worker dies fails as lost. One that raised already failed in its
+    wrapper.
     """
     names = list(ALL_CHECKS) if only is None else only
     if not names:
@@ -798,15 +800,23 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     # Fork, not spawn: a worker starts without importing numpy again and
     # sees the registry as the caller holds it. The pool forks every worker
     # at the first submit, before it starts its own thread.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=fork)
     try:
         futures = {name: pool.submit(_run_check, name) for name in rest}
         results = {mine: _run_check(mine)}
+        lost = []
         for name in rest:
             try:
                 results[name] = futures[name].result()
             except BrokenProcessPool:
-                results[name] = CheckResult(name, False, None, "lost: a worker process died")
-        return [results[name] for name in names]
+                lost.append(name)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+    for name in lost:  # the executor does not say whose worker died
+        with ProcessPoolExecutor(1, mp_context=fork) as alone:
+            try:
+                results[name] = alone.submit(_run_check, name).result()
+            except BrokenProcessPool:
+                results[name] = CheckResult(name, False, None, "lost: a worker process died")
+    return [results[name] for name in names]

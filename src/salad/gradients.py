@@ -16,9 +16,9 @@ import numpy as np
 
 from .block import SaladParams, gate_pre_activations, head_slices, salad_forward, stacked_forward
 from .errors import NumericError
-from .linear_attention import RopeConfig, _grid_rotate, streaming_terms
+from .linear_attention import LinearState, RopeConfig, _grid_rotate
 from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan
-from .numerics import ORDERED_SUM_BLOCK, Array, matmul, sigmoid, tanh
+from .numerics import ORDERED_SUM_BLOCK, Array, matmul, relu, sigmoid, tanh
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -95,24 +95,28 @@ def rope3d_backward(gy: Array, grid: LatentGrid, cfg: RopeConfig) -> Array:
 
 
 def relu_linear_attention_backward(
-    q: Array, k: Array, v: Array, go: Array
+    q: Array, k: Array, v: Array, go: Array, state: LinearState
 ) -> tuple[Array, Array, Array]:
     """Gradients of the streaming ReLU linear attention output.
 
     Quotient rule through O_i = f_i H / (f_i Z + eps) with f = relu(Q),
     H = relu(K)^T V, Z = relu(K)^T 1, then the ReLU gates route the
-    feature gradients back onto Q and K.
+    feature gradients back onto Q and K. H, Z, the numerators and the
+    guarded denominators are the ``state`` the forward recorded for this
+    head (:class:`LinearState`), read rather than formed again; dH and dZ
+    are one product, relu(Q)^T [dnum | dden].
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    fq, fk, h, z, num, den = streaming_terms(q, k, np.asarray(v, dtype=np.float64))
+    h, z, num, den = state.h, state.z, state.num, state.den
+    fq = relu(q)
     dnum = go / den[:, None]
     dden = -np.sum(num * go, axis=1) / (den * den)
     dfq = matmul(dnum, h.T) + dden[:, None] * z[None, :]
-    dh = matmul(fq.T, dnum)
-    dz = matmul(fq.T, dden[:, None])[:, 0]
+    dhz = matmul(fq.T, np.concatenate([dnum, dden[:, None]], axis=1))
+    dh, dz = dhz[:, :-1], dhz[:, -1]
     dfk = matmul(v, dh.T) + dz[None, :]
-    dv = matmul(fk, dh)
+    dv = matmul(relu(k), dh)
     return dfq * (q > 0), dfk * (k > 0), dv
 
 
@@ -205,22 +209,25 @@ def salad_loss_grads(
 
         if do_l is not None:
             dql_h, dkl_h, dvl_h = relu_linear_attention_backward(
-                pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s], do_l[:, s]
+                pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s], do_l[:, s], rec.linear[head]
             )
             dql_rot[:, s] += dql_h
             dkl_rot[:, s] += dkl_h
             dvl[:, s] += dvl_h
 
     # Each projection X W: undo the rotation (queries and keys only), then
-    # route the gradient onto W and back into X.
+    # route the gradient onto W and back into X. The weight gradients share
+    # X^T, so they run as one product, X^T [dQ | dK | dV ...].
     stages = [("w_q", dq_rot, pr.wq, True), ("w_k", dk_rot, pr.wk, True), ("w_v", dv, pr.wv, False)]
     if not shared:
         stages += [("w_q_lin", dql_rot, params.w_q_lin, True),
                    ("w_k_lin", dkl_rot, params.w_k_lin, True),
                    ("w_v_lin", dvl, params.w_v_lin, False)]
-    for name, d_out, w, rotated in stages:
-        d_pre = rope3d_backward(d_out, grid, pr.rope_cfg) if rotated else d_out
-        grads[name] = matmul(x.T, d_pre)
+    d_pres = [rope3d_backward(d_out, grid, pr.rope_cfg) if rotated else d_out
+              for _, d_out, _, rotated in stages]
+    dws = np.split(matmul(x.T, np.concatenate(d_pres, axis=1)), len(stages), axis=1)
+    for (name, _, w, _), d_pre, dw in zip(stages, d_pres, dws):
+        grads[name] = np.ascontiguousarray(dw)
         dx += matmul(d_pre, np.asarray(w).T)
     grads["w_o"] = dwo
 

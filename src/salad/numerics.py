@@ -21,7 +21,10 @@ numpy sums pairwise only along the axis that is fastest in memory, here
 product to memory. A block with a single output element always takes the
 stack kernel through ``np.add.accumulate``, which is sequential by
 definition: einsum would reduce its only axis in a SIMD inner loop, and
-``np.add.reduce`` pairwise.
+``np.add.reduce`` pairwise. A reduction may start from its first term
+rather than from 0.0, which differs from the loop only where every term
+is -0.0, so the stack kernel adds a final 0.0 to turn that -0.0 into the
+loop's +0.0; einsum zero-fills its output and starts every sum at +0.0.
 
 einsum's inner loop runs along the output's fastest axis. A product
 whose values every row shares (``matmul``) and whose row blocks are
@@ -34,11 +37,11 @@ their terms by memory layout.
 An einsum that fuses multiply-add (numpy built for an FMA baseline) or
 iterates in another order would change bits, so at import
 :func:`choose_block_kernel` runs the fused kernel on a small fixed probe
-and keeps it only if it gives the stack kernel's bits on every case;
-otherwise ``BLOCK_KERNEL`` is the stack kernel. The probe runs once more
-with column-major outputs, and ``FUSED_COLUMN_MAJOR`` records whether the
-fused kernel keeps those bits there too; if not, every product writes
-row-major blocks.
+and keeps it only if it gives the stack kernel's bits on every case (a
+sum of -0.0 terms must come out +0.0); otherwise ``BLOCK_KERNEL`` is the
+stack kernel. The probe runs once more with column-major outputs, and
+``FUSED_COLUMN_MAJOR`` records whether the fused kernel keeps those bits
+there too; if not, every product writes row-major blocks.
 
 :func:`jacobi_singular_values` solves a stack of matrices at once. Each of
 its sums runs over the rows of one matrix, in that matrix's memory layout,
@@ -86,14 +89,15 @@ def fused_block(coef: Array, values: Array, out: Array) -> None:
 
 def stacked_block(coef: Array, values: Array, out: Array) -> None:
     """:func:`fused_block` by a product stack reduced over its leading
-    axis, or accumulated when ``out`` has one element. A writable
-    ``values`` is scratch and holds the stack afterwards; a read-only one
-    (a broadcast) is left as it is."""
+    axis, or accumulated when ``out`` has one element, plus a final 0.0
+    (see the module docstring). A writable ``values`` is scratch and holds
+    the stack afterwards; a read-only one (a broadcast) is left as it is."""
     stack = np.multiply(values, coef[:, :, None], out=values if values.flags.writeable else None)
     if out.size == 1:
         out[...] = np.add.accumulate(stack, axis=0)[-1]
     else:
         np.add.reduce(stack, axis=0, out=out)
+    out += 0.0
 
 
 def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], cols: int) -> Array:
@@ -111,10 +115,11 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
     in place, so their blocks count only the K x rows coefficient copy;
     when a block of them is taller than wide, the sums go to a column-major
     buffer (see the module docstring). The result is C-contiguous.
-    The stack kernel may start a reduction from its first term rather than
-    from 0.0, and an accumulate always does; that differs from the loop
-    only where every term is -0.0, and the final ``+= 0.0`` turns that
-    -0.0 into the loop's +0.0 and leaves every other value as it is.
+
+    Products that share a left operand run as one call on their right
+    operands side by side: each output column adds the same terms in the
+    same order whatever columns sit beside it, so every column keeps its
+    bits.
     """
     count, rows = coef.shape
     if count == 0 or rows * cols == 0:
@@ -140,7 +145,6 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
             operand = shared
         kernel = stacked_block if block.size == 1 else BLOCK_KERNEL
         kernel(np.ascontiguousarray(coef[:, start:stop]), operand, block)
-    out += 0.0
     return np.ascontiguousarray(out)
 
 
@@ -151,8 +155,8 @@ def _probe_cases() -> list[tuple[Array, Array]]:
     (read-only, as ``ordered_sum`` passes them) and gathered. Each output
     element adds, in order, 1*(-1) and (1+2^-30)^2 (exact only under a
     fused multiply-add), or 1 and then 2^-53 eighteen times (1 only in
-    ascending order), or only -0.0 terms. Row i scales its coefficients by
-    2^(i mod 8), which keeps every case exact."""
+    ascending order), or only -0.0 terms (+0.0 in the loop). Row i scales
+    its coefficients by 2^(i mod 8), which keeps every case exact."""
     count = 20
     tiny = 2.0**-53
     near = 1.0 + 2.0**-30
@@ -184,7 +188,7 @@ def _gives_stack_bits(kernel: Callable[[Array, Array, Array], None], column_majo
         got = np.empty(shape[::-1]).T if column_major else np.empty(shape)
         kernel(coef, values.copy() if values.flags.writeable else values, got)
         stacked_block(coef, values, want)
-        if not np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)):
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             return False
     return True
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from salad import numerics
-from salad.block import salad_forward
+from salad.block import head_slices, salad_forward
 from salad.errors import ConfigError, DegenerateRowError, DimensionError, NumericError
-from salad.gradients import FD_STEP
+from salad.gradients import (FD_STEP, gate_mean_backward, head_attention_backward, matmul_backward,
+                             rope3d_backward)
+from salad.linear_attention import EPSILON
 from salad.masking import Explicit, KeyList
 from salad.numerics import Rng, ensure_finite, matmul, round_robin_rounds
 from salad.tensor_io import (DOCUMENT_VERSION, PLAN_FORMAT, _RECORD_KINDS, dumps_json, mask_to_bytes,
@@ -379,3 +381,83 @@ def sorted_topk_blocks(q, k, block_size, top_k):
         scored = sorted(range(len(spans)), key=lambda j: (-float(q_means[qb] @ k_means[j]), j))
         selected.append(sorted(set(scored[:top_k]) | {qb}))
     return selected
+
+
+def recomputing_linear_backward(q, k, v, go):
+    """Gradients of one head's streaming linear attention that form its
+    state again (H, Z, numerators and denominators by separate products)
+    and run dH and dZ as two products; the reference for
+    ``gradients.relu_linear_attention_backward``, which reads the state
+    its forward recorded."""
+    fq, fk = np.maximum(q, 0.0), np.maximum(k, 0.0)
+    h = matmul(fk.T, v)
+    z = fk.sum(axis=0)
+    num = matmul(fq, h)
+    den = matmul(fq, z[:, None])[:, 0] + EPSILON
+    dnum = go / den[:, None]
+    dden = -np.sum(num * go, axis=1) / (den * den)
+    dfq = matmul(dnum, h.T) + dden[:, None] * z[None, :]
+    dh = matmul(fq.T, dnum)
+    dz = matmul(fq.T, dden[:, None])[:, 0]
+    dfk = matmul(v, dh.T) + dz[None, :]
+    dv = matmul(fk, dh)
+    return dfq * (q > 0), dfk * (k > 0), dv
+
+
+def reference_loss_grads(x, params, plan, grid, rope_cfg=None):
+    """``gradients.salad_loss_grads`` as it ran before the forward recorded
+    the linear state: each head's linear backward forms that state again
+    (:func:`recomputing_linear_backward`) and each projection weight's
+    gradient is its own product ``X^T dW``; the reference for the recorded
+    state and the wide weight-gradient product."""
+    out, rec = salad_forward(x, params, plan, grid, rope_cfg)
+    pr = rec.projection
+    shared = params.variant == "shared"
+    dfinal = 2.0 * out
+    dfused, dwo = matmul_backward(rec.fused, pr.wo, dfinal)
+    grads = {"proj": np.zeros_like(params.proj), "gate_w": np.zeros_like(params.gate_w),
+             "gate_b": 0.0}
+    do_l = None
+    dx = np.zeros_like(x, dtype=np.float64)
+    if not params.dropped:
+        dproj_out = rec.gate_applied * dfused
+        dg_applied = float(np.sum(rec.proj_out * dfused))
+        do_l, grads["proj"] = matmul_backward(rec.o_l, params.proj, dproj_out)
+        if params.lambda_override is not None or params.gate_activation == "constant":
+            grads["lambda"] = dg_applied
+        else:
+            dx_gate, grads["gate_w"], grads["gate_b"] = gate_mean_backward(
+                x, params.gate_w, params.gate_b, params.gate_activation, dg_applied)
+            if not params.gate_detached:
+                dx += dx_gate
+    dq_rot, dk_rot, dv = (np.zeros_like(a) for a in (pr.q, pr.k, pr.v))
+    if shared:
+        dql_rot, dkl_rot, dvl = dq_rot, dk_rot, dv
+    else:
+        dql_rot, dkl_rot, dvl = (np.zeros_like(a) for a in (pr.q, pr.k, pr.v))
+    for head, s in enumerate(head_slices(params.channels, grid.heads)):
+        info = rec.heads[head]
+        rows = slice(None) if info.perm is None else info.perm
+        q2, k2, v2, do2 = (a[rows, s] for a in (pr.q, pr.k, pr.v, dfused))
+        for dst, src in zip((dq_rot, dk_rot, dv), head_attention_backward(q2, k2, v2, info, do2)):
+            dst[rows, s] += src
+        if do_l is not None:
+            for dst, src in zip((dql_rot, dkl_rot, dvl), recomputing_linear_backward(
+                    pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s], do_l[:, s])):
+                dst[:, s] += src
+    stages = [("w_q", dq_rot, pr.wq, True), ("w_k", dk_rot, pr.wk, True), ("w_v", dv, pr.wv, False)]
+    if not shared:
+        stages += [("w_q_lin", dql_rot, params.w_q_lin, True),
+                   ("w_k_lin", dkl_rot, params.w_k_lin, True),
+                   ("w_v_lin", dvl, params.w_v_lin, False)]
+    for name, d_out, w, rotated in stages:
+        d_pre = rope3d_backward(d_out, grid, pr.rope_cfg) if rotated else d_out
+        grads[name] = matmul(x.T, d_pre)
+        dx += matmul(d_pre, np.asarray(w).T)
+    grads["w_o"] = dwo
+    for name, u in params.lora.items():
+        dmerged = grads[f"w_{name}"]
+        grads[f"lora_{name}.a"] = u.scale * matmul(dmerged, u.b).T
+        grads[f"lora_{name}.b"] = u.scale * matmul(u.a, dmerged).T
+    grads["x"] = dx
+    return float(np.sum(out * out)), grads

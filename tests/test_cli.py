@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tempfile
 import threading
 import weakref
@@ -378,6 +379,11 @@ def check_dies_too():
     os._exit(1)
 
 
+def check_slow():
+    time.sleep(1.0)
+    return [], None
+
+
 PARAM_COUNT_PASS = ("[PASS] param_count: shared 0 / proj H*D / proj+gate H*D + D + 1 bias / "
                     "non-shared 4*H*D")
 CONFIG_ERROR_FAIL = "[FAIL] config_error: raised ConfigError: synthetic check error"
@@ -464,6 +470,18 @@ class TestCheckDispatch:
         failed = sum(line.startswith("[FAIL]") for line in lines)
         assert self.check(tmp_path, capsys, only) == (
             4, "\n".join(lines) + "\n", f"{failed} of {len(lines)} checks failed\n")
+
+    def test_a_dying_check_loses_no_healthy_verdict(self, tmp_path, capsys, monkeypatch,
+                                                    registry):
+        """At 2 CPUs ``slow`` and ``dies`` share the pool. When ``dies`` kills
+        its worker the pool stops, and ``slow`` is lost with it; each lost
+        check then runs alone, so ``slow`` prints its own PASS and only
+        ``dies`` is lost."""
+        registry(check_slow, check_dies)
+        self.cpus(monkeypatch, 2)
+        assert self.check(tmp_path, capsys, "param_count,slow,dies") == (
+            4, f"{PARAM_COUNT_PASS}\n[PASS] slow: synthetic\n"
+               "[FAIL] dies: lost: a worker process died\n", "1 of 3 checks failed\n")
 
     def test_brute_force_oracles_print_their_verdicts_through_the_pool(self, tmp_path, capsys,
                                                                         monkeypatch):

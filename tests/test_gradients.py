@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from salad.block import LoraUpdate, SaladParams, salad_forward
+from salad.block import LoraUpdate, SaladParams, head_slices, salad_forward
 from salad.checks import build_window_mask
 from salad.errors import NumericError
 from salad.gradients import (
@@ -22,7 +22,8 @@ from salad.gradients import (
     salad_loss_grads,
     softmax_backward,
 )
-from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_apply
+from salad.linear_attention import (RopeConfig, linear_attention_streaming, rope3d_apply,
+                                    streaming_terms)
 from salad import block, checks, gradients, linear_attention, masking
 from salad.masking import (
     Explicit,
@@ -36,7 +37,8 @@ from salad.masking import (
 from salad.numerics import Rng, matmul
 from salad.tensor_io import record_from_dict, record_to_dict
 
-from conftest import from_pairs, loop_fd_gradient, same_bits, softmax_masked
+from conftest import (from_pairs, loop_fd_gradient, recomputing_linear_backward,
+                      reference_loss_grads, same_bits, softmax_masked)
 
 
 def small_setup(seed=21, heads=2, d=4, lora=False, shape=(2, 2, 2), **overrides):
@@ -163,7 +165,8 @@ class TestPrimitiveBackward:
         k[1, 2] *= -1.0
         v = rng.normal((n, d))
         r = rng.normal((n, d))
-        dq, dk, dv = relu_linear_attention_backward(q, k, v, r)
+        _, state = linear_attention_streaming(q, k, v, return_state=True)
+        dq, dk, dv = relu_linear_attention_backward(q, k, v, r, state)
         loss = lambda: float(np.sum(linear_attention_streaming(q, k, v) * r))
         assert max_rel_err(fd_scalar(loss, q), dq) < 1e-6
         assert max_rel_err(fd_scalar(loss, k), dk) < 1e-6
@@ -419,6 +422,93 @@ def test_topk_path_never_builds_a_dense_mask(monkeypatch):
     out, _ = salad_forward(x, params, plan, grid)
     _, grads = salad_loss_grads(x, params, plan, grid)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(grads["x"]))
+
+
+# ---------------------------------------------------------------------------
+# The recorded linear state and the wide weight-gradient product
+
+
+def variant_setup(variant):
+    """A block with adapters on every target at N=24: shared, non-shared,
+    or non-shared with its linear branch dropped."""
+    x, params, _, grid = small_setup(lora=True, shape=(2, 3, 4))
+    if variant != "shared":
+        rng, h = Rng(29), grid.channels
+        params = dataclasses.replace(params, variant="non_shared", dropped=variant == "dropped",
+                                     **{name: rng.normal((h, h)) * h**-0.5
+                                        for name in ("w_q_lin", "w_k_lin", "w_v_lin")})
+    return x, params, grid
+
+
+VARIANTS = ["shared", "non_shared", "dropped"]
+GRAD_PLANS = {
+    "window": Window(radius=3),
+    "reordered": Window(radius=2, reordered=True),
+    "topk": TopK(block_size=5, k=2),
+    "explicit": Explicit(random_mask(24, 7)),
+    "full": Window(radius=23),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_recorded_linear_state_is_a_fresh_streaming_terms_call(variant):
+    """Each head's recorded H, Z, numerators and denominators have the bits
+    of ``streaming_terms`` on that head's linear-branch inputs; a dropped
+    branch records none."""
+    x, params, grid = variant_setup(variant)
+    _, trace = salad_forward(x, params, MaskPlan.uniform(Window(radius=2), grid.heads), grid)
+    if variant == "dropped":
+        assert trace.linear is None
+        return
+    pr = trace.projection
+    slices = head_slices(grid.channels, grid.heads)
+    assert len(trace.linear) == len(slices)
+    for s, state in zip(slices, trace.linear):
+        _, _, h, z, num, den = streaming_terms(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
+        for got, want in ((state.h, h), (state.z, z), (state.num, num), (state.den, den)):
+            assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("plan_name", sorted(GRAD_PLANS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loss_grads_match_the_recomputing_reference(variant, plan_name):
+    """``salad_loss_grads``, which reads the recorded linear state and runs
+    the projection-weight gradients as one product, gives the bits of the
+    reference that forms the state again and runs one product per weight."""
+    x, params, grid = variant_setup(variant)
+    plan = MaskPlan.uniform(GRAD_PLANS[plan_name], grid.heads)
+    loss, grads = salad_loss_grads(x, params, plan, grid)
+    want_loss, want = reference_loss_grads(x, params, plan, grid)
+    assert loss == want_loss and sorted(grads) == sorted(want)
+    for name in want:
+        assert same_bits(np.asarray(grads[name], dtype=np.float64),
+                         np.asarray(want[name], dtype=np.float64)), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_op_forms_each_heads_linear_state_once(monkeypatch, variant):
+    """The regression guard for a backward that forms the linear state
+    again: one ``salad_loss_grads`` runs ``streaming_terms`` once per head,
+    in its forward, and a dropped branch not at all."""
+    calls = []
+    real = linear_attention.streaming_terms
+    for name, module in list(sys.modules.items()):  # every binding, as a backward may import it
+        if name.split(".")[0] == "salad" and getattr(module, "streaming_terms", None) is real:
+            monkeypatch.setattr(module, "streaming_terms", lambda *a: calls.append(1) or real(*a))
+    x, params, grid = variant_setup(variant)
+    salad_loss_grads(x, params, MaskPlan.uniform(Window(radius=2), grid.heads), grid)
+    assert len(calls) == (0 if variant == "dropped" else grid.heads)
+
+
+def test_linear_backward_matches_the_recomputing_reference(rng):
+    """With dead feature rows and the epsilon guard in play."""
+    n, d = 40, 6
+    q, k, v, go = (rng.normal((n, d)) for _ in range(4))
+    q[:5] = -np.abs(q[:5])  # rows whose features all vanish
+    _, state = linear_attention_streaming(q, k, v, return_state=True)
+    got = relu_linear_attention_backward(q, k, v, go, state)
+    for g, w in zip(got, recomputing_linear_backward(q, k, v, go)):
+        assert same_bits(g, w)
 
 
 # ---------------------------------------------------------------------------

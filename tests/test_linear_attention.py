@@ -18,7 +18,7 @@ from salad.linear_attention import (
     streaming_terms,
 )
 from salad.masking import LatentGrid
-from salad.numerics import Rng, numerical_rank
+from salad.numerics import Rng, matmul, numerical_rank
 
 from conftest import same_bits
 
@@ -237,3 +237,16 @@ def test_stacked_streaming_terms_have_the_lone_bits(n, stacked):
             for term, (g, w) in enumerate(zip(got, want)):
                 assert same_bits(g[s] if g.ndim > w.ndim else g, w), (layout, term)
             assert same_bits(out[s], linear_attention_streaming(*element)), layout
+
+
+@pytest.mark.parametrize("n", [1, 9, 130, 1024])
+def test_numerators_and_normalizer_run_as_one_product_with_the_bits_of_two(n):
+    """``streaming_terms`` forms relu(Q) [H | Z] in one product; its
+    numerators and guarded denominators have the bits of the two separate
+    products relu(Q) H and relu(Q) Z, with dead feature rows included."""
+    r = Rng(n)
+    q, k, v = (r.normal((n, 16)) for _ in range(3))
+    q[: n // 4] = -np.abs(q[: n // 4])
+    fq, _, h, z, num, den = streaming_terms(q, k, v)
+    assert same_bits(num, matmul(fq, h))
+    assert same_bits(den, matmul(fq, z[:, None])[:, 0] + EPSILON)

@@ -601,6 +601,20 @@ def test_row_sum_matches_the_dense_sum(n):
             assert same_bits(keys.row_sum(w), want), name
 
 
+@pytest.mark.parametrize("budget", [1, 300])
+def test_row_sums_keep_their_bits_in_passes_of_any_size(monkeypatch, budget):
+    """Leaves summed in passes, not one buffer: a pass budget below one leaf
+    lays out one leaf at a time, and 300 values split every stack of
+    leaves at an odd place."""
+    monkeypatch.setattr(masking, "ROW_SUM_BUFFER", 0)
+    monkeypatch.setattr(masking, "ORDERED_SUM_BLOCK", budget)
+    for n in (150, 1000):
+        r = Rng(n + budget)
+        for name, keys in row_sum_lists(n).items():
+            w = row_sum_values(r, keys.keys.shape)
+            assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1)), (n, name)
+
+
 def test_row_sum_model_splits_rows_as_numpy_does():
     starts, levels = masking._pairwise_tree(150)
     assert starts.tolist() == [0, 72] and len(levels) == 1
@@ -677,15 +691,41 @@ def test_a_bare_key_list_has_no_transpose():
         KeyList(keys.keys, keys.valid).transposed(np.zeros(keys.keys.shape))
 
 
-def test_topk_and_explicit_lists_keep_no_plans():
+def test_topk_and_explicit_lists_keep_one_plan_per_query_block(monkeypatch):
+    """A forward's top-k list builds one row-sum plan over its 8 query
+    blocks (an explicit list, in blocks of one token, over its 64 rows),
+    and the backward's softmax reuses it; the back list holds none."""
+    built = []
+    row_sums = masking._RowSums
+    monkeypatch.setattr(masking, "_RowSums", lambda *a: built.append(a[-1]) or row_sums(*a))
     r = Rng(9)
     q, k, v, go = (r.normal((64, 4)) for _ in range(4))
     mask = r.uniform((64, 64)) < 0.2
     np.fill_diagonal(mask, True)
-    for entry in (TopK(block_size=8, k=2), Explicit(mask)):
+    for entry, blocks in ((TopK(block_size=8, k=2), 8), (Explicit(mask), 64)):
+        built.clear()
         _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 4, 4))
         head_attention_backward(q, k, v, rec, go)
-        assert rec.keys.row_sums is None and rec.keys.blocks is not None and not rec.keys.window
+        assert built == [blocks] and rec.keys.row_sums.rows == blocks
+        assert rec.keys.blocks is not None and not rec.keys.window
+        assert rec.keys.transposed()[0].row_sums is None
+        with pytest.raises(StateError, match="only a window list"):
+            rec.keys.stacked(2)
+
+
+@pytest.mark.parametrize("n", [7, 150, 1000])
+def test_block_lists_scatter_their_row_sums_when_the_model_disagrees(monkeypatch, n):
+    monkeypatch.setattr(masking, "_row_sum_model_holds", lambda: False)
+    r = Rng(n)
+    q, k = r.normal((n, 4)), r.normal((n, 4))
+    mask = r.uniform((n, n)) < 0.1
+    np.fill_diagonal(mask, True)
+    lists = {"topk": head_keys(TopK(block_size=8, k=1), grid_of(1, 1, n), q, k)[0],
+             "explicit": head_keys(Explicit(mask), grid_of(1, 1, n))[0]}
+    for name, keys in lists.items():
+        assert keys.row_sums is None and keys.blocks is not None
+        w = row_sum_values(Rng(n), keys.keys.shape)
+        assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1)), name
 
 
 def test_window_plans_are_built_once(monkeypatch, fresh_window_lists):

@@ -241,6 +241,46 @@ def test_shared_operand_product_is_one_kernel_call(monkeypatch):
     assert same_bits(got, loop_matmul(a, b))
 
 
+@pytest.mark.parametrize("kernel", ["fused", "stack"])
+def test_a_product_of_only_negative_zero_terms_is_positive_zero(monkeypatch, kernel):
+    """The loop adds -0.0 terms to 0.0 and gets +0.0. einsum zero-fills its
+    output, so the fused kernel gets it with no final addition, even into
+    a buffer holding -0.0; the stack kernel adds its final 0.0 itself,
+    also on a one-element block, which it accumulates."""
+    count, rows, cols = 9, 4, 3
+    for shape in ((rows, cols), (1, 1)):
+        values = np.full((count, 1, shape[1]), -0.0)
+        values.flags.writeable = False
+        out = np.full(shape, -0.0)
+        if kernel == "fused":
+            numerics.fused_block(np.ones((count, shape[0])), values, out)
+        else:
+            numerics.stacked_block(np.ones((count, shape[0])), values, out)
+        assert same_bits(out, np.zeros(shape)), shape
+    if kernel == "stack":
+        monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    for m, n in ((rows, cols), (1, 1), (rows, 1)):
+        got = matmul(np.full((m, count), -0.0), np.ones((count, n)))
+        assert same_bits(got, np.zeros((m, n))), (m, n)
+
+
+@pytest.mark.parametrize("kernel", ["fused", "stack"])
+@pytest.mark.parametrize("n, width, parts", [(1024, 32, 3), (1024, 32, 6), (24, 8, 6), (7, 1, 2)])
+def test_a_wide_shared_operand_product_keeps_each_parts_bits(monkeypatch, kernel, n, width,
+                                                             parts):
+    """``X^T [dQ | dK | dV ...]``, the block's projection-weight gradients
+    as one product (three blocks shared, six non-shared), gives each part
+    the bits of its own product ``X^T dW``."""
+    if kernel == "stack":
+        monkeypatch.setattr(numerics, "BLOCK_KERNEL", numerics.stacked_block)
+    r = Rng(n + width + parts)
+    x = spread(r, (n, width))
+    ds = [spread(r, (n, width)) for _ in range(parts)]
+    wide = matmul(x.T, np.concatenate(ds, axis=1))
+    for got, d in zip(np.split(wide, parts, axis=1), ds):
+        assert same_bits(np.ascontiguousarray(got), matmul(x.T, d))
+
+
 def test_stack_kernel_memory_stays_within_a_row_block(monkeypatch, rng):
     """The stack kernel writes every product of a shared operand, so its
     blocks stay sized by the terms: 512 x 512 x 16 would be 32 MiB."""
