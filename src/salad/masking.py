@@ -15,14 +15,13 @@ a head costs in proportion to the pairs it attends. Every product adds
 its terms in the dense ``matmul`` order, through the same
 ``numerics.ordered_sum`` (the operand gathered at each row's keys, one
 term per channel for the scores and per slot for the weighted sum, each
-element's terms added in ascending order), and every term it skips is an
+element's terms added in ascending order; a window list reads it through
+views whose rows slide along the operand), and every term it skips is an
 exact zero, so the kernel gives the bits of dense masked attention.
 Row sums (the softmax denominator and the backward's sum(y*g)) follow
 numpy's pairwise sum of the dense row; a window list sums only the
 pairwise leaves its keys touch, by the plan (:class:`_RowSums`) that
-:func:`window_keys` builds and caches with the list, and a forward's block
-list by a plan over its query blocks, built with the list and reused by
-the backward. A stack of inputs
+:func:`window_keys` builds and caches with the list. A stack of inputs
 to one window head runs as one block-diagonal list
 (:meth:`KeyList.stacked`) whose plan sums each element's rows over their
 own N-long dense rows, so each element gets its lone bits. The backward
@@ -234,18 +233,6 @@ ROW_SUM_CHUNK = 128
 #: Most elements numpy's pairwise sum adds in one leaf (its ``PW_BLOCKSIZE``).
 PAIRWISE_LEAF = 128
 
-#: Most leaf values of one stack element a row-sum plan lays out in one
-#: buffer (2 MiB of float64), as a window plan at N=1024 (1.1 MiB) does;
-#: a larger element's leaves are summed in passes.
-ROW_SUM_BUFFER = 1 << 18
-
-#: Leaf values per pass, and per buffer of smaller elements (128 KiB). At
-#: N=8192 a top-k plan's leaves hold 5.1M values, mostly zero; on a 2-vCPU
-#: Xeon guest, passes took 7-10 ms against 25 ms in one buffer. At N=512
-#: its eight 190 KiB elements laid out two to a buffer raised the peak RSS
-#: of a two-thread top-k run by 1.4 MB; one to a buffer, by none.
-ROW_SUM_PASS = 1 << 14
-
 def _pairwise_node(start: int, n: int, starts: list, joins: list) -> tuple[int, int]:
     """Append numpy's pairwise-sum tree over elements start..start+n-1 to
     ``starts`` (each leaf's first element) and ``joins`` ((height, left,
@@ -300,12 +287,10 @@ class _RowSums:
     dense sum's. :func:`_row_sum_model_holds` checks that model once.
     """
 
-    def __init__(self, n: int, rows: Array, cols: Array, src: Array, size: int,
-                 row_count: int | None = None):
+    def __init__(self, n: int, rows: Array, cols: Array, src: Array, size: int):
         """Plan the sums over n keys of the pairs (rows[p], cols[p]), which
         ascend by row and then by column; ``src[p]`` is the flat index of
-        pair p's value among the ``size`` slot values of one list, whose
-        ``row_count`` rows (n by default) the plan sums."""
+        pair p's value among the ``size`` slot values of one list."""
         starts, self.levels = _pairwise_tree(n)
         lengths = np.diff(np.append(starts, n))
         leaf = np.searchsorted(starts, cols, side="right") - 1
@@ -326,15 +311,14 @@ class _RowSums:
             dst = local * length + cols[pair] - starts[leaf[pair]]
             self.groups.append((length, offset, members.size, src[pair], dst))
             offset += members.size
-        row_count = n if row_count is None else row_count
-        per_row = np.bincount(seg_row, minlength=row_count)
+        per_row = np.bincount(seg_row, minlength=n)
         single = per_row[seg_row] == 1
         self.single_rows, self.single_at = seg_row[single], position[single]
         self.multi_rows = np.flatnonzero(per_row > 1)
         self.multi_leaf = seg_leaf[~single]
         self.multi_column = np.searchsorted(self.multi_rows, seg_row[~single])
         self.multi_at = position[~single]
-        self.rows, self.nodes, self.count, self.size = row_count, 2 * starts.size - 1, offset, size
+        self.n, self.nodes, self.count, self.size = n, 2 * starts.size - 1, offset, size
         for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_leaf,
                   self.multi_column, self.multi_at,
                   *(a for group in self.groups for a in group[3:]),
@@ -344,36 +328,16 @@ class _RowSums:
     def __call__(self, w: Array) -> Array:
         """The row sums of slot values ``w``: one list's ``size`` values, or
         a stack of them laid out as :meth:`KeyList.stacked` lays out its
-        lists; each element's leaves and joins run side by side. An
-        element's leaves are laid out whole in a zeroed buffer, small
-        elements several to a buffer; those of more than ``ROW_SUM_BUFFER``
-        values are laid out in passes, in one buffer whose written values
-        each pass zeroes again."""
+        lists; each element's leaves and joins run side by side."""
         w = w.reshape(-1, self.size)
         stack = len(w)
         sums = np.empty((stack, self.count))
         for length, offset, count, src, dst in self.groups:
-            values = np.take(w, src, axis=1)
-            if count * length <= ROW_SUM_BUFFER:  # whole elements, small ones batched
-                batch = max(1, ROW_SUM_PASS // (count * length))
-                for e in range(0, stack, batch):
-                    leaves = np.zeros((min(batch, stack - e), count * length))
-                    leaves[:, dst] = values[e : e + batch]
-                    sums[e : e + batch, offset : offset + count] = leaves.reshape(
-                        -1, length).sum(axis=1).reshape(len(leaves), count)
-                continue
-            step = max(1, ROW_SUM_PASS // (stack * length))  # leaves per pass
-            cuts = np.searchsorted(dst, np.arange(0, count + step, step) * length).tolist()
-            buffer = np.zeros(stack * step * length)
-            for i, start in enumerate(range(0, count, step)):
-                stop = min(start + step, count)
-                leaves = buffer[: stack * (stop - start) * length].reshape(stack, -1)
-                at = dst[cuts[i] : cuts[i + 1]] - start * length
-                leaves[:, at] = values[:, cuts[i] : cuts[i + 1]]
-                sums[:, offset + start : offset + stop] = leaves.reshape(-1, length).sum(
-                    axis=1).reshape(stack, -1)
-                leaves[:, at] = 0.0  # the next pass starts from a zeroed buffer
-        out = np.zeros((stack, self.rows))
+            buffer = np.zeros((stack, count * length))
+            buffer[:, dst] = np.take(w, src, axis=1)
+            sums[:, offset : offset + count] = buffer.reshape(-1, length).sum(axis=1).reshape(
+                stack, count)
+        out = np.zeros((stack, self.n))
         out[:, self.single_rows] = sums[:, self.single_at]
         if self.multi_rows.size:
             table = np.zeros((self.nodes, stack, self.multi_rows.size))
@@ -422,11 +386,12 @@ class KeyList:
 
     How a list was built gives its transpose. A window list
     (:func:`window_keys`, ``window``) is its own, and holds the row-sum
-    plan it was built with in ``row_sums``. A block list (:func:`_block_keys`:
+    plan it was built with in ``row_sums`` and its ``spans``: the row
+    ranges (start, stop, first key, step) over which row i's keys begin
+    at first + step * (i - start), step 0 or 1. A block list (:func:`_block_keys`:
     top-k, and explicit masks as blocks of one token) keeps its
-    ``(keep, block_size)`` in ``blocks``, and a forward's list holds a
-    row-sum plan over its query blocks. A bare ``KeyList(keys, valid)`` is
-    neither, and has no transpose.
+    ``(keep, block_size)`` in ``blocks``. A bare ``KeyList(keys, valid)``
+    is neither, and has no transpose.
     """
 
     keys: Array
@@ -434,6 +399,8 @@ class KeyList:
     window: bool = False
     blocks: tuple[Array, int] | None = field(default=None, compare=False, repr=False)
     row_sums: _RowSums | None = field(default=None, compare=False, repr=False)
+    spans: tuple[tuple[int, int, int, int], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     @staticmethod
     def full(n: int) -> "KeyList":
@@ -445,14 +412,29 @@ class KeyList:
         """Number of attended query-key pairs."""
         return int(self.valid.sum())
 
-    def _values(self, x: Array, axis: int):
-        """The ``values`` of :func:`ordered_sum` for a product over the
-        keys: x gathered at row i's keys, which are rows of x (``axis=0``:
-        k a slot, j a channel) or its columns (``axis=1``: k a channel, j
-        a slot). A broadcast list (every query attends every key, in
-        order) reads x as it is, as values every row shares."""
+    def _product(self, coef: Array, x: Array, axis: int, cols: int) -> Array:
+        """:func:`ordered_sum` of ``coef`` over x read at row i's keys,
+        which are rows of x (``axis=0``: k a slot, j a channel) or its
+        columns (``axis=1``: k a channel, j a slot). A broadcast list
+        (every query attends every key, in order) reads x as it is, as
+        values every row shares. A window list whose gathered operand
+        would fill more than one ``ORDERED_SUM_BLOCK`` reads each of its
+        spans through a view of x whose rows slide along the keys, so
+        nothing is gathered; a smaller one gathers, as one gather costs
+        less than the two extra kernel calls of three spans. Any other
+        list gathers x at its keys."""
         if self.keys.strides[0] == 0:
-            return x
+            return ordered_sum(coef, x, cols)
+        if self.spans is not None and coef.size * cols > ORDERED_SUM_BLOCK:
+            x = np.ascontiguousarray(x)
+            row, key = x.strides[0], x.strides[axis]
+            runs = []
+            for start, stop, first, step in self.spans:
+                view = np.ndarray((len(coef), stop - start, cols), x.dtype, x, first * key,
+                                  (row, step * key, x.itemsize))
+                view.flags.writeable = False
+                runs.append((start, stop, view))
+            return ordered_sum(coef, runs, cols)
 
         def gather(s: int, e: int, out: Array) -> None:
             index = self.keys[s:e].T if axis == 0 else self.keys[s:e]
@@ -460,21 +442,20 @@ class KeyList:
             # that would make it gather into a temporary and copy.
             x.take(index, axis=axis, out=out, mode="clip")
 
-        return gather
+        return ordered_sum(coef, gather, cols)
 
     def scores(self, a: Array, b: Array) -> Array:
         """``matmul(a, b.T)`` at the listed pairs: slot m of row i holds
         a[i] . b[keys[i, m]], accumulated over channels in ascending order
         from 0.0 as :func:`matmul` does (by :func:`ordered_sum`)."""
-        values = self._values(np.ascontiguousarray(b.T), axis=1)
-        return ensure_finite(ordered_sum(a.T, values, self.keys.shape[1]), "attention scores")
+        scores = self._product(a.T, np.ascontiguousarray(b.T), 1, self.keys.shape[1])
+        return ensure_finite(scores, "attention scores")
 
     def apply(self, w: Array, x: Array) -> Array:
         """``matmul(dense, x)`` for slot weights ``w``: row i sums
         w[i, m] x[keys[i, m]] over its keys in ascending order (by
         :func:`ordered_sum`)."""
-        values = self._values(x, axis=0)
-        return ensure_finite(ordered_sum(w.T, values, x.shape[1]), "attention product")
+        return ensure_finite(self._product(w.T, x, 0, x.shape[1]), "attention product")
 
     def to_dense(self, w: Array, start: int = 0, stop: int | None = None) -> Array:
         """The (N, N) matrix the slot values ``w`` stand for, or its rows
@@ -494,27 +475,17 @@ class KeyList:
 
         numpy sums each row pairwise over its full length. A broadcast
         list's slots already are the dense row, so its rows are summed in
-        place. A window or block list sums only the pairwise leaves its
-        keys touch, with the plan it holds in ``row_sums``
-        (:class:`_RowSums`). A block list's plan covers one row per query
-        block, as every row of a block holds that block's keys, and sums
-        row j of every block as element j of a stack of ``block_size``; a
-        short last block is padded with zero rows, whose sums are dropped.
-        Any other list, and a list whose plan is None because numpy's sum
-        does not follow the model, scatters its rows into zeroed length-N
-        rows, ``ROW_SUM_CHUNK`` at a time, and sums them there.
+        place. A window list sums only the pairwise leaves its keys touch,
+        with the plan it holds in ``row_sums`` (:class:`_RowSums`). Any
+        other list, and a window list whose plan is None because numpy's
+        sum does not follow the model, scatters its rows into zeroed
+        length-N rows, ``ROW_SUM_CHUNK`` at a time, and sums them there.
         """
         if self.keys.strides[0] == 0:
             return np.ascontiguousarray(w).sum(axis=1)
-        plan, n = self.row_sums, self.keys.shape[0]
-        if plan is not None and self.blocks is None:
-            return plan(w)
-        if plan is not None:
-            size = self.blocks[1]
-            if plan.rows * size > n:
-                w = np.concatenate([w, np.zeros((plan.rows * size - n, w.shape[1]))])
-            sums = plan(w.reshape(plan.rows, size, -1).swapaxes(0, 1))
-            return sums.reshape(size, -1).T.reshape(-1)[:n]
+        if self.row_sums is not None:
+            return self.row_sums(w)
+        n = self.keys.shape[0]
         out = np.empty(n)
         for start in range(0, n, ROW_SUM_CHUNK):
             stop = min(start + ROW_SUM_CHUNK, n)
@@ -542,7 +513,7 @@ class KeyList:
         copy's rows over that copy's own N-long dense rows, so every copy's
         rows get the bits this list gives them; the list needs a plan."""
         n = self.keys.shape[0]
-        if not self.window or self.row_sums is None:
+        if self.row_sums is None:
             raise StateError("only a window list with a row-sum plan stacks")
         keys = (self.keys + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
         valid = np.broadcast_to(self.valid, (count, *self.valid.shape)).reshape(count * n, -1)
@@ -568,7 +539,7 @@ class KeyList:
             gather = first.take(self.keys) + np.arange(n)[:, None]
         elif self.blocks is not None:
             keep, size = self.blocks
-            back = _block_keys(_transposed_copy(keep), size, n, row_sums=False)
+            back = _block_keys(_transposed_copy(keep), size, n)
             queries = back.keys[::size]  # the back list once per key block
             rank = np.cumsum(keep, axis=1, dtype=np.int32) - 1
             at = queries * width + rank[queries // size, np.arange(len(keep))[:, None]] * size
@@ -645,7 +616,13 @@ def window_keys(n: int, radius: int) -> KeyList:
         rows, slots = np.nonzero(valid)
         row_sums = _RowSums(n, rows, keys[rows, slots], rows * width + slots, n * width)
     keys.flags.writeable = valid.flags.writeable = False
-    return KeyList(keys, valid, window=True, row_sums=row_sums)
+    # Windows start at key 0 up to row lo, slide one key a row up to row
+    # hi, and end at key n - 1 from there.
+    lo = int(np.searchsorted(keys[:, 0], 0, side="right"))
+    hi = max(lo, int(np.searchsorted(keys[:, 0], n - width)))
+    spans = tuple(span for span in ((0, lo, 0, 0), (lo, hi, lo - radius, 1), (hi, n, n - width, 0))
+                  if span[1] > span[0])
+    return KeyList(keys, valid, window=True, row_sums=row_sums, spans=spans)
 
 
 def _transposed_copy(a: Array) -> Array:
@@ -662,13 +639,11 @@ def _transposed_copy(a: Array) -> Array:
     return out
 
 
-def _block_keys(keep: Array, block_size: int, n: int, row_sums: bool = True) -> KeyList:
+def _block_keys(keep: Array, block_size: int, n: int) -> KeyList:
     """The block list of ``keep``: the queries of block a read the key
     blocks b with ``keep[a, b]`` in ascending order from slot 0, laid out
     once per query block; a short last block, last in any row, has its
-    missing keys cut. Invalid slots hold key 0. With ``row_sums`` (and
-    numpy's sum following the model) the list holds a row-sum plan over
-    its query blocks (see :meth:`KeyList.row_sum`)."""
+    missing keys cut. Invalid slots hold key 0."""
     counts = keep.sum(axis=1)
     tokens = counts * block_size - keep[:, -1] * (len(keep) * block_size - n)
     slot = np.arange(tokens.max())
@@ -677,12 +652,8 @@ def _block_keys(keep: Array, block_size: int, n: int, row_sums: bool = True) -> 
     blocks = np.zeros((len(keep), counts.max()), dtype=np.intp)
     blocks[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
     keys = np.where(valid, blocks[:, slot // block_size] * block_size + slot % block_size, 0)
-    plan = None
-    if row_sums and _row_sum_model_holds():
-        rows, slots = np.nonzero(valid)
-        plan = _RowSums(n, rows, keys[rows, slots], rows * len(slot) + slots, valid.size, len(keep))
     row_block = np.arange(n) // block_size
-    return KeyList(keys[row_block], valid[row_block], blocks=(keep, block_size), row_sums=plan)
+    return KeyList(keys[row_block], valid[row_block], blocks=(keep, block_size))
 
 
 def head_keys(

@@ -14,7 +14,10 @@ sums. The fused kernel (:func:`fused_block`) is one
 ``einsum("ki,kij->ij")``: k has the largest stride in every operand, so
 numpy's iterator puts it outermost and adds each output element's
 products one at a time in ascending k, from 0.0, with a multiply and a
-separate add. The stack kernel (:func:`stacked_block`) writes the
+separate add. A window's values are a view whose rows slide along k, so
+their row stride can equal the k stride; the iterator may then run rows
+outside k, which keeps each element's order, as the cols axis (smallest
+stride) stays innermost. The stack kernel (:func:`stacked_block`) writes the
 products as a C-order (K, rows, cols) stack and reduces its leading axis;
 numpy sums pairwise only along the axis that is fastest in memory, here
 ``cols``, so that order is sequential too, at the cost of writing every
@@ -82,8 +85,9 @@ def ensure_finite(x: Array, label: str = "array") -> Array:
 def fused_block(coef: Array, values: Array, out: Array) -> None:
     """Write ``out[i, j] = sum_k coef[k, i] * values[k, i, j]``, adding the
     products in ascending k from 0.0, by one einsum (see the module
-    docstring). ``coef`` and ``values`` must be k-major and C-contiguous
-    (``values`` may broadcast over i)."""
+    docstring). ``coef`` must be k-major and C-contiguous, and ``values``
+    k-major: C-contiguous, broadcast over i, or a view whose rows slide
+    along k (see :func:`ordered_sum`)."""
     np.einsum("ki,kij->ij", coef, values, out=out, optimize=False)
 
 
@@ -100,21 +104,30 @@ def stacked_block(coef: Array, values: Array, out: Array) -> None:
     out += 0.0
 
 
-def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], cols: int) -> Array:
+def ordered_sum(coef: Array, values: Array | list[tuple[int, int, Array]]
+                | Callable[[int, int, Array], None], cols: int) -> Array:
     """The (rows, cols) sums ``sum_k coef[k, i] * values[k, i, j]``, each
     added in ascending k from 0.0, exactly as a loop ``out += term[k]``
     would.
 
-    ``coef`` is (K, rows) in any layout. ``values`` is either a (K, cols)
-    array that every result row shares, or a callable ``gather(start,
-    stop, out)`` that writes the values of result rows start..stop-1 into
-    ``out``, a C-order (K, stop - start, cols) scratch array. Rows go to
-    ``BLOCK_KERNEL`` in blocks of at most ``ORDERED_SUM_BLOCK`` terms (or
-    one row), each with a k-major copy of its coefficients; one buffer per
-    call holds the gathered values. The fused kernel reads shared values
-    in place, so their blocks count only the K x rows coefficient copy;
-    when a block of them is taller than wide, the sums go to a column-major
-    buffer (see the module docstring). The result is C-contiguous.
+    ``coef`` is (K, rows) in any layout. ``values`` is one of:
+
+    - a (K, cols) array that every result row shares;
+    - a list of runs ``(start, stop, view)`` that cover the rows in order,
+      each ``view`` a read-only (K, stop - start, cols) array with positive
+      strides, none larger than its k stride or smaller than its cols
+      stride (such as a window whose rows slide along one array);
+    - a callable ``gather(start, stop, out)`` that writes the values of
+      result rows start..stop-1 into ``out``, a C-order (K, stop - start,
+      cols) scratch array.
+
+    Rows go to ``BLOCK_KERNEL`` in blocks of at most ``ORDERED_SUM_BLOCK``
+    terms (or one row), each with a k-major copy of its coefficients; one
+    buffer per call holds the gathered values. The fused kernel reads
+    shared values and views in place, so their blocks count only the
+    K x rows coefficient copy; when a block of shared values is taller
+    than wide, the sums go to a column-major buffer (see the module
+    docstring). The result is C-contiguous.
 
     Products that share a left operand run as one call on their right
     operands side by side: each output column adds the same terms in the
@@ -124,27 +137,32 @@ def ordered_sum(coef: Array, values: Array | Callable[[int, int, Array], None], 
     count, rows = coef.shape
     if count == 0 or rows * cols == 0:
         return np.zeros((rows, cols))
-    per_row = count * cols if callable(values) or BLOCK_KERNEL is stacked_block else count
-    step = min(rows, max(1, ORDERED_SUM_BLOCK // per_row))
+    in_place = not callable(values) and BLOCK_KERNEL is not stacked_block
+    step = min(rows, max(1, ORDERED_SUM_BLOCK // (count if in_place else count * cols)))
+    shared = not callable(values) and not isinstance(values, list)
     # Rows innermost where a block is taller than wide (see the module docstring).
-    column_major = (not callable(values) and step > cols > 1
-                    and BLOCK_KERNEL is not stacked_block and FUSED_COLUMN_MAJOR)
+    column_major = shared and in_place and step > cols > 1 and FUSED_COLUMN_MAJOR
     out = np.zeros((cols, rows)).T if column_major else np.zeros((rows, cols))
     if callable(values):
         buffer = np.empty(count * step * cols)
+        runs = [(0, rows, None)]
+    elif shared:
+        row = np.ascontiguousarray(values)[:, None, :]
+        row.flags.writeable = False
+        runs = [(0, rows, row)]
     else:
-        shared = np.ascontiguousarray(values)[:, None, :]
-        shared.flags.writeable = False
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        block = out[start:stop]
-        if callable(values):
-            operand = buffer[: count * (stop - start) * cols].reshape(count, stop - start, cols)
-            values(start, stop, operand)
-        else:
-            operand = shared
-        kernel = stacked_block if block.size == 1 else BLOCK_KERNEL
-        kernel(np.ascontiguousarray(coef[:, start:stop]), operand, block)
+        runs = values
+    for first, last, run in runs:
+        for start in range(first, last, step):
+            stop = min(start + step, last)
+            block = out[start:stop]
+            if callable(values):
+                operand = buffer[: count * (stop - start) * cols].reshape(count, stop - start, cols)
+                values(start, stop, operand)
+            else:
+                operand = run if shared else run[:, start - first : stop - first]
+            kernel = stacked_block if block.size == 1 else BLOCK_KERNEL
+            kernel(np.ascontiguousarray(coef[:, start:stop]), operand, block)
     return np.ascontiguousarray(out)
 
 
@@ -156,7 +174,9 @@ def _probe_cases() -> list[tuple[Array, Array]]:
     element adds, in order, 1*(-1) and (1+2^-30)^2 (exact only under a
     fused multiply-add), or 1 and then 2^-53 eighteen times (1 only in
     ascending order), or only -0.0 terms (+0.0 in the loop). Row i scales
-    its coefficients by 2^(i mod 8), which keeps every case exact."""
+    its coefficients by 2^(i mod 8), which keeps every case exact. The
+    last case reads its values through a read-only view whose rows slide
+    one term along k, as a window list's products do."""
     count = 20
     tiny = 2.0**-53
     near = 1.0 + 2.0**-30
@@ -175,6 +195,10 @@ def _probe_cases() -> list[tuple[Array, Array]]:
         shared.flags.writeable = False
         cases.append((c, shared))
         cases.append((c, np.ascontiguousarray(np.broadcast_to(shared, (count, rows, v.shape[1])))))
+    rows = 3
+    base = np.concatenate([columns, np.zeros((rows - 1, 3))])
+    sliding = np.lib.stride_tricks.as_strided(base, (count, rows, 3), (24, 24, 8), writeable=False)
+    cases.append((np.ascontiguousarray(coef[:, :rows]), sliding))
     return cases
 
 

@@ -481,6 +481,53 @@ def test_key_list_kernel_stack_fallback_gives_the_fused_bits(case, monkeypatch):
     assert same_bits(keys.apply(w, x), fused[1])
 
 
+@pytest.mark.parametrize("n,radius", [(1, 0), (2, 0), (9, 0), (9, 1), (9, 3), (9, 6), (9, 7),
+                                      (40, 5), (300, 17)])
+def test_window_products_read_views_with_the_loops_bits(n, radius, monkeypatch):
+    """A window list whose gathered operand would fill more than one block
+    (here any) reads its operands through views whose rows slide along the
+    keys, one per span of rows, and gathers nothing: narrow and wide
+    windows, radius 0 and windows as wide as the sequence give the loops'
+    bits, on contiguous operands and on column slices."""
+    monkeypatch.setattr(masking, "ORDERED_SUM_BLOCK", 0)
+    keys = window_keys(n, radius)
+    if radius < n - 1:
+        spans = keys.spans
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        for start, stop, first, step in spans:
+            assert np.array_equal(keys.keys[start:stop, 0], first + step * np.arange(stop - start))
+    operands = []
+    real = masking.ordered_sum
+    monkeypatch.setattr(masking, "ordered_sum",
+                        lambda coef, values, cols: operands.append(values) or real(coef, values, cols))
+    r = Rng(n + radius)
+    width = keys.keys.shape[1]
+    for channels in (1, 5):
+        wide = signed_values(r, (n, 3 * channels))
+        a, b, x = (wide[:, i * channels:(i + 1) * channels] for i in range(3))
+        w = signed_values(r, (n, width))
+        assert same_bits(keys.scores(a, b), loop_scores(keys, a, b)), channels
+        assert same_bits(keys.apply(w, x), loop_apply(keys, w, x)), channels
+    assert not any(callable(values) for values in operands)
+
+
+def test_window_products_gather_below_one_block_and_read_views_above(monkeypatch):
+    operands = []
+    real = masking.ordered_sum
+    monkeypatch.setattr(masking, "ordered_sum",
+                        lambda coef, values, cols: operands.append(values) or real(coef, values, cols))
+    r = Rng(5)
+    for n, radius, channels, views in ((64, 4, 16, False), (1024, 8, 16, True)):
+        keys = window_keys(n, radius)
+        a, b = r.normal((n, channels)), r.normal((n, channels))
+        operands.clear()
+        keys.scores(a, b)
+        keys.apply(keys.scores(a, b), b)
+        assert [isinstance(values, list) for values in operands] == [views] * 3, n
+        assert [callable(values) for values in operands] == [not views] * 3, n
+
+
 @pytest.mark.parametrize("n", [7, 128, 129, 2048])
 def test_full_key_list_row_sum_matches_the_scatter(n):
     r = Rng(n)
@@ -601,20 +648,6 @@ def test_row_sum_matches_the_dense_sum(n):
             assert same_bits(keys.row_sum(w), want), name
 
 
-@pytest.mark.parametrize("budget", [1, 300])
-def test_row_sums_keep_their_bits_in_passes_of_any_size(monkeypatch, budget):
-    """Leaves summed in passes, not one buffer: a pass budget below one leaf
-    lays out one leaf at a time, and 300 values split every stack of
-    leaves at an odd place."""
-    monkeypatch.setattr(masking, "ROW_SUM_BUFFER", 0)
-    monkeypatch.setattr(masking, "ORDERED_SUM_BLOCK", budget)
-    for n in (150, 1000):
-        r = Rng(n + budget)
-        for name, keys in row_sum_lists(n).items():
-            w = row_sum_values(r, keys.keys.shape)
-            assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1)), (n, name)
-
-
 def test_row_sum_model_splits_rows_as_numpy_does():
     starts, levels = masking._pairwise_tree(150)
     assert starts.tolist() == [0, 72] and len(levels) == 1
@@ -691,41 +724,15 @@ def test_a_bare_key_list_has_no_transpose():
         KeyList(keys.keys, keys.valid).transposed(np.zeros(keys.keys.shape))
 
 
-def test_topk_and_explicit_lists_keep_one_plan_per_query_block(monkeypatch):
-    """A forward's top-k list builds one row-sum plan over its 8 query
-    blocks (an explicit list, in blocks of one token, over its 64 rows),
-    and the backward's softmax reuses it; the back list holds none."""
-    built = []
-    row_sums = masking._RowSums
-    monkeypatch.setattr(masking, "_RowSums", lambda *a: built.append(a[-1]) or row_sums(*a))
+def test_topk_and_explicit_lists_keep_no_plans():
     r = Rng(9)
     q, k, v, go = (r.normal((64, 4)) for _ in range(4))
     mask = r.uniform((64, 64)) < 0.2
     np.fill_diagonal(mask, True)
-    for entry, blocks in ((TopK(block_size=8, k=2), 8), (Explicit(mask), 64)):
-        built.clear()
+    for entry in (TopK(block_size=8, k=2), Explicit(mask)):
         _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 4, 4))
         head_attention_backward(q, k, v, rec, go)
-        assert built == [blocks] and rec.keys.row_sums.rows == blocks
-        assert rec.keys.blocks is not None and not rec.keys.window
-        assert rec.keys.transposed()[0].row_sums is None
-        with pytest.raises(StateError, match="only a window list"):
-            rec.keys.stacked(2)
-
-
-@pytest.mark.parametrize("n", [7, 150, 1000])
-def test_block_lists_scatter_their_row_sums_when_the_model_disagrees(monkeypatch, n):
-    monkeypatch.setattr(masking, "_row_sum_model_holds", lambda: False)
-    r = Rng(n)
-    q, k = r.normal((n, 4)), r.normal((n, 4))
-    mask = r.uniform((n, n)) < 0.1
-    np.fill_diagonal(mask, True)
-    lists = {"topk": head_keys(TopK(block_size=8, k=1), grid_of(1, 1, n), q, k)[0],
-             "explicit": head_keys(Explicit(mask), grid_of(1, 1, n))[0]}
-    for name, keys in lists.items():
-        assert keys.row_sums is None and keys.blocks is not None
-        w = row_sum_values(Rng(n), keys.keys.shape)
-        assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1)), name
+        assert rec.keys.row_sums is None and rec.keys.blocks is not None and not rec.keys.window
 
 
 def test_window_plans_are_built_once(monkeypatch, fresh_window_lists):
