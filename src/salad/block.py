@@ -217,7 +217,8 @@ def compute_gate(
     gate_b: float | Array,
     activation: str = "sigmoid",
     constant: float = 0.5,
-) -> float | Array:
+    return_pre: bool = False,
+) -> float | Array | tuple[float | Array, Array | None]:
     """Scalar gate: token mean of the activated per-token projections.
 
     With ``constant`` activation the input is ignored and the fixed value
@@ -225,14 +226,17 @@ def compute_gate(
     that value. A stacked input (see :func:`gate_pre_activations`) gives
     one gate per element, an (S,) array; each element's mean runs over a
     C-contiguous row, as a lone (N,) mean does, so it has the same bits.
+    With ``return_pre`` the result is (gate, pre-activations), the second
+    None for a constant gate, which forms none.
     """
     if activation == "constant":
-        return float(constant)
+        return (float(constant), None) if return_pre else float(constant)
     if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown gate activation {activation!r}")
     u = gate_pre_activations(x, gate_w, gate_b)
     gate = np.mean(np.ascontiguousarray(_ACTIVATIONS[activation](u)), axis=-1)
-    return float(gate) if gate.ndim == 0 else gate
+    gate = float(gate) if gate.ndim == 0 else gate
+    return (gate, u) if return_pre else gate
 
 
 @dataclass
@@ -292,13 +296,16 @@ class BlockTrace:
     """The record of one forward pass: everything the hand-derived backward
     pass, rank analysis and attention-map export read.
 
-    ``gate`` is the scalar the gate path computed; ``gate_applied`` is the
+    ``gate`` is the scalar the gate path computed, and ``gate_pre`` its
+    per-token pre-activations (None for a constant gate), which the
+    backward pass reads; ``gate_applied`` is the
     value that actually scaled the linear branch. ``o_l``,
     ``gate_applied`` and the branch projection output ``proj_out`` are
     None when the branch is dropped. ``projection`` is the projection
     stage, and ``heads`` holds per head its :class:`HeadAttention` (the
-    weights of the attended pairs only; for reordered heads in permuted
-    order, where the band structure is visible). ``linear`` holds per head
+    weights of the attended pairs only, or None when the forward ran
+    without ``weights``; for reordered heads in permuted order, where the
+    band structure is visible). ``linear`` holds per head
     the linear branch's streaming state (:class:`LinearState`), which the
     backward pass reads rather than forming again; it is None when the
     branch is dropped.
@@ -311,6 +318,7 @@ class BlockTrace:
     o_s: Array
     o_l: Array | None
     gate: float | Array
+    gate_pre: Array | None
     gate_applied: float | Array | None
     fused: Array
     proj_out: Array | None
@@ -355,11 +363,18 @@ def salad_forward(
     plan: MaskPlan,
     grid: LatentGrid,
     rope_cfg: RopeConfig | None = None,
+    weights: bool = True,
 ) -> tuple[Array, BlockTrace]:
     """Run the block on one sequence; returns (output, record). It is the
-    forward :func:`stacked_forward` runs, with nothing stacked."""
+    forward :func:`stacked_forward` runs, with nothing stacked.
+
+    The record keeps each head's attention weights only if ``weights``;
+    only the backward pass and map export read them, and a full list's
+    are N x N per head.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return _forward(x, params, plan, grid, _validate_forward(x, params, plan, grid, rope_cfg))
+    return _forward(x, params, plan, grid, _validate_forward(x, params, plan, grid, rope_cfg),
+                    weights)
 
 
 def stacked_forward(
@@ -370,6 +385,7 @@ def stacked_forward(
     rope_cfg: RopeConfig | None,
     name: str,
     values: Array,
+    weights: bool = True,
 ) -> tuple[Array, BlockTrace]:
     """Run the block on S variants at once: ``values`` is an (S, *shape)
     stack of the input (``name`` "x") or of the parameter
@@ -377,7 +393,8 @@ def stacked_forward(
     everything else is shared. Returns the (S, N, D) outputs and the
     stacked record (see :class:`BlockTrace`); element s has the bits
     :func:`salad_forward` gives its variant. ``x`` and ``params`` are
-    validated once, not once per element.
+    validated once, not once per element. ``weights`` is as for
+    :func:`salad_forward`.
 
     In the style of JAX's ``vmap``, the forward is written once and a value
     that varies carries the leading stack axis: a stacked operand makes a
@@ -401,12 +418,12 @@ def stacked_forward(
         params = replace(params, gate_b=values[:, 0])
     else:
         params = params.with_param(name, values)
-    out, trace = _forward(x, params, plan, grid, rope_cfg)
+    out, trace = _forward(x, params, plan, grid, rope_cfg, weights)
     return np.broadcast_to(out, (len(values), *out.shape[-2:])), trace
 
 
 def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
-             rope_cfg: RopeConfig) -> tuple[Array, BlockTrace]:
+             rope_cfg: RopeConfig, weights: bool) -> tuple[Array, BlockTrace]:
     """The block on validated inputs, any of which may carry a leading
     stack axis (see :func:`stacked_forward`)."""
     pr = project(x, params, grid, rope_cfg)
@@ -419,15 +436,15 @@ def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[..., s], info = sparse_head_attention(pr.q[..., s], pr.k[..., s], pr.v[..., s],
-                                                  plan[head], grid)
+                                                  plan[head], grid, weights)
         if o_l is not None:
             o_l[..., s], state = linear_attention_streaming(
                 pr.q_lin[..., s], pr.k_lin[..., s], pr.v_lin[..., s], return_state=True)
             linear.append(state)
         heads.append(info)
 
-    gate = compute_gate(x, params.gate_w, params.gate_b,
-                        params.gate_activation, params.gate_constant)
+    gate, gate_pre = compute_gate(x, params.gate_w, params.gate_b, params.gate_activation,
+                                  params.gate_constant, return_pre=True)
     if params.dropped:
         gate_applied = proj_out = None
         fused = o_s
@@ -436,7 +453,7 @@ def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
         proj_out = stacked_matmul(o_l, params.proj)
         scale = gate_applied if np.ndim(gate_applied) == 0 else gate_applied[:, None, None]
         fused = o_s + scale * proj_out
-    trace = BlockTrace(o_s, o_l, gate, gate_applied, fused, proj_out, pr, heads, linear)
+    trace = BlockTrace(o_s, o_l, gate, gate_pre, gate_applied, fused, proj_out, pr, heads, linear)
     return stacked_matmul(fused, pr.wo), trace
 
 
@@ -455,19 +472,23 @@ def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) 
     """Write one head's sparse and linear maps as CSV plus 8-bit PGM.
 
     CSV keeps full precision; the PGM scales each row by its maximum. The
-    record of a dropped non-shared branch must first get its linear-branch
-    inputs from :func:`linear_projection`.
+    record must keep its attention weights (see :func:`salad_forward`),
+    and that of a dropped non-shared branch must first get its
+    linear-branch inputs from :func:`linear_projection`.
     """
     pr = trace.projection
     if not 0 <= head < len(trace.heads):
         raise ConfigError(f"head {head} out of range for {len(trace.heads)} recorded heads")
+    info = trace.heads[head]
+    if info.weights is None:
+        raise StateError("the record's attention weights were not kept; "
+                         "export maps from a forward run with weights=True")
     if pr.q_lin is None:
         raise StateError("the record's dropped linear branch was never projected")
     s = head_slices(pr.q.shape[1], len(trace.heads))[head]
     linear = linear_attention_map(pr.q_lin[:, s], pr.k_lin[:, s])
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    info = trace.heads[head]
     written = []
     for kind, mat in (("sparse", info.keys.to_dense(info.weights)), ("linear", linear)):
         csv_path = prefix.with_name(f"{prefix.name}_{kind}_h{head}.csv")

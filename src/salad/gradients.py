@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import SaladParams, gate_pre_activations, head_slices, salad_forward, stacked_forward
-from .errors import NumericError
+from .block import SaladParams, head_slices, salad_forward, stacked_forward
+from .errors import NumericError, StateError
 from .linear_attention import LinearState, RopeConfig, _grid_rotate
 from .masking import HeadAttention, KeyList, LatentGrid, MaskPlan
 from .numerics import ORDERED_SUM_BLOCK, Array, matmul, relu, sigmoid, tanh
@@ -65,10 +65,14 @@ def head_attention_backward(
     The products over queries (dK and dV) run on the transposed key list,
     which visits each key's queries in ascending order as ``matmul`` on
     the dense transpose would; the list's structure gives that transpose
-    without sorting pairs (:meth:`KeyList.transposed`).
+    without sorting pairs (:meth:`KeyList.transposed`). The record must
+    keep its attention weights.
     """
-    inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
     keys, attn = rec.keys, rec.weights
+    if attn is None:
+        raise StateError("the head's attention weights were not kept; the backward pass "
+                         "needs a forward run with weights=True")
+    inv_sqrt_d = 1.0 / math.sqrt(q.shape[1])
     dlogits = softmax_backward(attn, keys.scores(go, v), keys)
     back, (dlogits_back, attn_back) = keys.transposed(dlogits, attn)
     dq = keys.apply(dlogits, k) * inv_sqrt_d
@@ -122,16 +126,17 @@ def relu_linear_attention_backward(
 
 def gate_mean_backward(
     x: Array,
+    u: Array,
     gate_w: Array,
-    gate_b: float,
     activation: str,
     g_up: float,
 ) -> tuple[Array, Array, float]:
-    """Gradients of the token-mean gate scalar w.r.t. X, gate_w, gate_b."""
+    """Gradients of the token-mean gate scalar w.r.t. X, gate_w, gate_b,
+    given the per-token pre-activations ``u`` the forward recorded
+    (:attr:`BlockTrace.gate_pre`)."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(gate_w, dtype=np.float64).reshape(-1)
     n = x.shape[0]
-    u = gate_pre_activations(x, w, gate_b)
     dact = np.full(n, g_up / n)
     du = elementwise_backward(activation, u, dact)
     dw = matmul(x.T, du[:, None])[:, 0]
@@ -185,7 +190,7 @@ def salad_loss_grads(
             grads["lambda"] = dg_applied
         else:
             dx_gate, dw_gate, db_gate = gate_mean_backward(
-                x, params.gate_w, params.gate_b, params.gate_activation, dg_applied
+                x, rec.gate_pre, params.gate_w, params.gate_activation, dg_applied
             )
             grads["gate_w"] = dw_gate
             grads["gate_b"] = db_gate
@@ -266,7 +271,8 @@ def fd_gradient(
 
     The 2 x size perturbations (+step, then -step, for each element in
     order) run as a few stacked forwards (:func:`stacked_forward`), each
-    with the bits of its lone forward. A stack holds at most
+    with the bits of its lone forward and without attention weights,
+    as only the outputs are read. A stack holds at most
     ``ORDERED_SUM_BLOCK`` input-sized values (N x max(D, H) each), so every
     parameter of a 2 x 2 x 2 grid with 8 channels runs in one forward, and
     one at N = 64 with 16 channels in stacks of 64. A forward that raises
@@ -283,11 +289,12 @@ def fd_gradient(
         values[np.arange(bumps.size), bumps // 2] += np.where(bumps % 2, -step, step)
         values = values.reshape(bumps.size, *base.shape)
         try:
-            y, _ = stacked_forward(x, params, plan, grid, rope_cfg, name, values)
+            y, _ = stacked_forward(x, params, plan, grid, rope_cfg, name, values, weights=False)
         except NumericError:
             for value, bump in zip(values, bumps.tolist()):  # the first bump that fails alone
                 try:
-                    stacked_forward(x, params, plan, grid, rope_cfg, name, value[None])
+                    stacked_forward(x, params, plan, grid, rope_cfg, name, value[None],
+                                    weights=False)
                 except NumericError as exc:
                     raise NumericError(f"finite differences of {name}, element {bump // 2}, "
                                        f"{'-' if bump % 2 else '+'}{step:g} step: {exc}") from None

@@ -692,10 +692,10 @@ def head_keys(
 class HeadAttention:
     """What :func:`sparse_head_attention` computed for one head, in the
     token order attention ran in (spatial-major for reordered windows):
-    the (N, W) slot ``weights`` over ``keys`` and the token permutation
-    ``perm`` (or None)."""
+    the (N, W) slot ``weights`` over ``keys`` (None when the forward did
+    not keep them) and the token permutation ``perm`` (or None)."""
 
-    weights: Array
+    weights: Array | None
     keys: KeyList
     perm: Array | None
 
@@ -706,8 +706,10 @@ def sparse_head_attention(
     v: Array,
     entry: HeadPlan,
     grid: LatentGrid,
+    weights: bool = True,
 ) -> tuple[Array, HeadAttention | list[HeadAttention]]:
-    """One head of masked softmax attention under a plan entry.
+    """One head of masked softmax attention under a plan entry. The record
+    keeps the slot weights only if ``weights`` (see :func:`attend_keys`).
 
     Reordered windows permute the sequence first, and the output is
     scattered back to the original token order.
@@ -728,20 +730,21 @@ def sparse_head_attention(
         q, k, v = (np.broadcast_to(a, (count, *a.shape[-2:])) for a in (q, k, v))
         keys, perm = head_keys(entry, grid) if isinstance(entry, Window) else (None, None)
         if keys is None or keys.row_sums is None:
-            outs, records = zip(*(sparse_head_attention(q[s], k[s], v[s], entry, grid)
+            outs, records = zip(*(sparse_head_attention(q[s], k[s], v[s], entry, grid, weights)
                                   for s in range(count)))
             return np.stack(outs), list(records)
         attend = keys.stacked(count)
     if perm is not None:
         q, k, v = (a[..., perm, :] for a in (q, k, v))
-    out, weights = attend_keys(*(a.reshape(-1, a.shape[-1]) for a in (q, k, v)), attend)
+    out, attn = attend_keys(*(a.reshape(-1, a.shape[-1]) for a in (q, k, v)), attend, weights)
     out = out.reshape(v.shape)
     if perm is not None:
         permuted, out = out, np.empty_like(out)
         out[..., perm, :] = permuted
     if count is None:
-        return out, HeadAttention(weights, keys, perm)
-    return out, [HeadAttention(w, keys, perm) for w in weights.reshape(count, -1, weights.shape[1])]
+        return out, HeadAttention(attn, keys, perm)
+    each = [None] * count if attn is None else attn.reshape(count, -1, attn.shape[1])
+    return out, [HeadAttention(w, keys, perm) for w in each]
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+#: Box-Muller pairs :meth:`Rng.normal` draws at once.
+_NORMAL_CHUNK = 1 << 14
 
 
 def _mix64(z: Array) -> Array:
@@ -503,8 +505,14 @@ class Rng:
 
     def raw(self, n: int) -> Array:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        start = self._pos
         self._pos += n
+        return self._raw_at(start, n)
+
+    def _raw_at(self, start: int, n: int) -> Array:
+        """The ``n`` raw outputs after the first ``start``, wherever the
+        counter stands."""
+        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         idx *= _GAMMA
         idx += np.uint64(self.seed)
         return _mix64(idx)
@@ -516,18 +524,31 @@ class Rng:
         return out.reshape(shape) if not np.isscalar(shape) else out
 
     def normal(self, shape) -> Array:
-        """Standard normal samples via the Box-Muller transform."""
+        """Standard normal samples via the Box-Muller transform.
+
+        The next 2m outputs, m = ceil(n / 2), make m pairs: output i < m
+        gives u1 and output m + i gives u2 of pair i, whose cosine sample is
+        element i and whose sine sample is element m + i. The pairs are
+        drawn ``_NORMAL_CHUNK`` at a time, straight from their counters, so
+        the temporaries stay a fixed size beside the result.
+        """
         scalar = np.isscalar(shape)
         n = int(shape) if scalar else int(np.prod(shape))
         m = (n + 1) // 2
-        # The first m outputs give u1 in (0, 1], which keeps the log finite,
-        # and the next m give u2 in [0, 1). Below 2^53, (x + 1) * 2^-53 is
-        # exactly x * 2^-53 + 2^-53.
-        u = (self.raw(2 * m) >> np.uint64(11)).astype(np.float64)
-        u *= 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u[:m] + 2.0**-53))
-        theta = (2.0 * math.pi) * u[m:]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        start = self._pos
+        self._pos += 2 * m
+        out = np.empty(2 * m)
+        for lo in range(0, m, _NORMAL_CHUNK):
+            hi = min(lo + _NORMAL_CHUNK, m)
+            # u1 lies in (0, 1], which keeps the log finite, and u2 in
+            # [0, 1). Below 2^53, (x + 1) * 2^-53 is exactly x * 2^-53 + 2^-53.
+            u1, u2 = ((self._raw_at(at, hi - lo) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                      for at in (start + lo, start + m + lo))
+            r = np.sqrt(-2.0 * np.log(u1 + 2.0**-53))
+            theta = (2.0 * math.pi) * u2
+            out[lo:hi] = r * np.cos(theta)
+            out[m + lo : m + hi] = r * np.sin(theta)
+        out = out[:n]
         return out if scalar else out.reshape(shape)
 
     def permutation(self, n: int) -> Array:

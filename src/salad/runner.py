@@ -2,16 +2,20 @@
 oracle checks, report assembly, and gate analysis over saved reports.
 
 Everything is a pure function of (config, seed). The per-(layer,
-timestep) forwards run in order in the caller at ``threads`` 1 and on a
-pool of ``threads`` workers otherwise, and land in index order, so the
-report bytes do not depend on the thread count. A task returns only what
-the report reads; the maps task alone keeps its forward's whole record.
+timestep) forwards run in order in the caller at ``threads`` 1; otherwise
+the caller and a pool of ``threads - 1`` workers take them from one queue
+in order. Either way they land in index order, so the report bytes do not
+depend on the thread count. A task returns only what the report reads;
+the maps task alone keeps its forward's whole record, attention weights
+included.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import threading
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -94,7 +98,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
 
     # A task returns only what the report reads: its gate and attended
     # pairs, the branch outputs of each rank layer at the rank timestep, the
-    # output of task (0, 0), and the whole record of the maps task.
+    # output of task (0, 0), and the whole record of the maps task, the only
+    # forward that keeps its attention weights.
     rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
         else list(range(cfg.layers))
     rt = cfg.analysis.rank_timestep
@@ -108,22 +113,15 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             params = replace(params, dropped=True)
         x = workload.inputs[layer, t] * sigmas[t]
         try:
-            out, trace = salad_forward(x, params, plan, grid, rope_cfg)
+            out, trace = salad_forward(x, params, plan, grid, rope_cfg, weights=lt == maps_task)
         except NumericError as exc:
             raise NumericError(f"forward at timestep {t}, layer {layer}: {exc}") from None
         return (trace.gate, trace.attended_pairs,
                 BranchOutputs(trace.o_s, trace.o_l) if lt in rank_tasks else None,
                 trace if lt == maps_task else None, out if lt == (0, 0) else None)
 
-    # Results are read in task order, so the first task to fail in that
-    # order raises. At one thread the tasks run here: a pool thread would
-    # add only its own malloc arena.
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
-    if cfg.threads == 1:
-        results = dict(zip(tasks, map(one, tasks)))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(zip(tasks, pool.map(one, tasks)))
+    results = dict(zip(tasks, _run_in_order(one, tasks, cfg.threads)))
     maps_trace = results[maps_task][3] if maps_task is not None else None
 
     # Gate records and the cost ledger over the layers as actually run.
@@ -202,9 +200,50 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     return report
 
 
-def _inline_checks(workload, plan, grid, rope_cfg, sigmas, pooled, dropped0) -> list[dict]:
-    """Cheap oracle checks recorded into every run report. ``pooled`` is the
-    pool's output of task (0, 0), which ran sparse-only if ``dropped0``."""
+def _run_in_order(fn: Callable, tasks: Sequence, threads: int) -> list:
+    """``fn`` over ``tasks``, the results in task order.
+
+    At one thread the tasks run here. Otherwise this thread works beside a
+    pool of ``threads - 1`` workers (fewer if there are fewer tasks), and
+    all of them take the next task from one queue in task order: the caller
+    would otherwise sit idle, and each pool thread adds its own malloc
+    arena. The first task to fail in task order raises; once one has
+    failed, no thread starts another.
+    """
+    workers = min(threads, len(tasks)) - 1
+    if workers < 1:
+        return list(map(fn, tasks))
+    results: list = [None] * len(tasks)
+    failed: dict[int, BaseException] = {}
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if failed else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(tasks[i])
+            except BaseException as exc:  # raised below, once every thread has stopped
+                with lock:
+                    failed[i] = exc
+                return
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
+def _inline_checks(workload, plan, grid, rope_cfg, sigmas, task00, dropped0) -> list[dict]:
+    """Cheap oracle checks recorded into every run report. ``task00`` is the
+    output of task (0, 0), which ran sparse-only if ``dropped0``."""
     checks = []
 
     perm = st_reorder_permutation(grid)
@@ -220,8 +259,9 @@ def _inline_checks(workload, plan, grid, rope_cfg, sigmas, pooled, dropped0) -> 
     zero_proj = not params0.dropped and not np.any(params0.proj)
     if zero_proj:
         x = workload.inputs[0, 0] * sigmas[0]
-        other, _ = salad_forward(x, params0 if dropped0 else replace(params0, dropped=True), plan, grid, rope_cfg)
-        full, sparse_only = (other, pooled) if dropped0 else (pooled, other)
+        other, _ = salad_forward(x, params0 if dropped0 else replace(params0, dropped=True), plan, grid,
+                                 rope_cfg, weights=False)
+        full, sparse_only = (other, task00) if dropped0 else (task00, other)
         err = float(np.max(np.abs(full - sparse_only)))
         checks.append({
             "name": "zero_init_equivalence",

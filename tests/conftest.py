@@ -1,5 +1,7 @@
 import math
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from salad import numerics
-from salad.block import head_slices, salad_forward
+from salad.block import gate_pre_activations, head_slices, salad_forward
 from salad.errors import ConfigError, DegenerateRowError, DimensionError, NumericError
 from salad.gradients import (FD_STEP, gate_mean_backward, head_attention_backward, matmul_backward,
                              rope3d_backward)
@@ -76,6 +78,27 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Starts a command and prints its exit code and peak RSS in KiB. A child
+# exec'd straight from the test process would report that process's own
+# peak, which it inherits at exec; this small launcher's peak is what the
+# command inherits instead.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(*argv) -> tuple[int, int]:
+    """Exit code and peak RSS in KiB of the command ``argv``, started
+    through ``PEAK_RSS_LAUNCHER``."""
+    launched = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, *argv],
+                              capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, launched.stdout.split())
+    return code, peak_kib
 
 
 def from_pairs(rows, cols, n):
@@ -406,10 +429,12 @@ def recomputing_linear_backward(q, k, v, go):
 
 def reference_loss_grads(x, params, plan, grid, rope_cfg=None):
     """``gradients.salad_loss_grads`` as it ran before the forward recorded
-    the linear state: each head's linear backward forms that state again
-    (:func:`recomputing_linear_backward`) and each projection weight's
-    gradient is its own product ``X^T dW``; the reference for the recorded
-    state and the wide weight-gradient product."""
+    the linear state and the gate's pre-activations: each head's linear
+    backward forms that state again (:func:`recomputing_linear_backward`),
+    the gate's backward forms its pre-activations again, and each
+    projection weight's gradient is its own product ``X^T dW``; the
+    reference for the recorded state and the wide weight-gradient
+    product."""
     out, rec = salad_forward(x, params, plan, grid, rope_cfg)
     pr = rec.projection
     shared = params.variant == "shared"
@@ -427,7 +452,8 @@ def reference_loss_grads(x, params, plan, grid, rope_cfg=None):
             grads["lambda"] = dg_applied
         else:
             dx_gate, grads["gate_w"], grads["gate_b"] = gate_mean_backward(
-                x, params.gate_w, params.gate_b, params.gate_activation, dg_applied)
+                x, gate_pre_activations(x, params.gate_w, params.gate_b), params.gate_w,
+                params.gate_activation, dg_applied)
             if not params.gate_detached:
                 dx += dx_gate
     dq_rot, dk_rot, dv = (np.zeros_like(a) for a in (pr.q, pr.k, pr.v))

@@ -10,6 +10,7 @@ from salad.block import (
     added_param_count,
     compute_gate,
     export_attention_maps,
+    gate_pre_activations,
     head_slices,
     linear_projection,
     lora_apply,
@@ -133,6 +134,17 @@ class TestGate:
     def test_unknown_activation(self, rng):
         with pytest.raises(ConfigError):
             compute_gate(rng.normal((4, 4)), np.zeros(4), 0.0, "softsign")
+
+    def test_the_record_keeps_the_gate_pre_activations(self, rng):
+        """The backward pass reads them; a constant gate forms none."""
+        grid = small_grid()
+        p = random_params(rng, grid)
+        x = rng.normal((grid.seq_len, grid.channels))
+        plan = MaskPlan.uniform(Window(radius=1), grid.heads)
+        _, trace = salad_forward(x, p, plan, grid)
+        assert same_bits(trace.gate_pre, gate_pre_activations(x, p.gate_w, p.gate_b))
+        _, constant = salad_forward(x, dataclasses.replace(p, gate_activation="constant"), plan, grid)
+        assert constant.gate_pre is None
 
 
 class TestForward:
@@ -297,6 +309,15 @@ class TestAttentionMaps:
             assert ((tmp_path / f"lazy_{kind}_h0.csv").read_bytes()
                     == (tmp_path / f"full_{kind}_h0.csv").read_bytes())
 
+    def test_a_record_without_weights_is_refused(self, rng, tmp_path):
+        grid = small_grid(heads=1, d=4)
+        p = random_params(rng, grid)
+        x = rng.normal((grid.seq_len, grid.channels))
+        _, trace = salad_forward(x, p, MaskPlan([Window(radius=1)]), grid, weights=False)
+        with pytest.raises(StateError, match="weights were not kept"):
+            export_attention_maps(trace, 0, tmp_path / "map")
+        assert not any(tmp_path.iterdir())
+
     def test_head_out_of_range(self, rng, tmp_path):
         grid = small_grid()
         p = random_params(rng, grid)
@@ -406,6 +427,23 @@ def test_each_stack_element_has_its_lone_forward_bits(plan, name):
     base = x if name == "x" else params.param(name)
     assert_elements_match_lone_forwards(x, params, MaskPlan(STACK_PLANS[plan]), grid, name,
                                         perturbed(Rng(len(name)), base))
+
+
+@pytest.mark.parametrize("plan", STACK_PLANS)
+def test_a_forward_without_weights_keeps_its_bits_and_no_weights(plan):
+    """Lone and stacked forwards run without weights give the outputs of
+    those that keep them, and every head of their records holds None."""
+    x, params, grid = stack_setup()
+    plan = MaskPlan(STACK_PLANS[plan])
+    values = perturbed(Rng(7), x)
+    for run in (lambda weights: salad_forward(x, params, plan, grid, weights=weights),
+                lambda weights: stacked_forward(x, params, plan, grid, None, "x", values,
+                                                weights=weights)):
+        (out, trace), (want, kept) = run(False), run(True)
+        assert same_bits(out, want) and same_bits(trace.o_s, kept.o_s)
+        assert trace.attended_pairs == kept.attended_pairs
+        infos = [info for head in trace.heads for info in (head if isinstance(head, list) else [head])]
+        assert len(infos) >= grid.heads and all(info.weights is None for info in infos)
 
 
 @pytest.mark.parametrize("variant", [

@@ -6,7 +6,6 @@ import json
 import multiprocessing
 import os
 import re
-import subprocess
 import sys
 import time
 import tempfile
@@ -25,7 +24,7 @@ from salad.config import RunConfig, apply_override, config_from_dict, load_confi
 from salad.errors import ConfigError
 from salad.tensor_io import read_tensor
 
-from conftest import one_matrix_jacobi_singular_values
+from conftest import one_matrix_jacobi_singular_values, peak_rss_kib
 
 
 def run_cli(*argv):
@@ -921,11 +920,12 @@ def test_config_too_large_for_memory_exits_3_without_traceback(tmp_path, capsys,
 def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, threads, maps):
     """On the default 4x5 run, the only forward record alive when rank
     analysis starts is the maps task's: the rank layer's task returns just
-    its branch outputs, and no other task keeps its record."""
+    its branch outputs, and no other task keeps its record. Only the maps
+    task's record holds attention weights."""
     from salad import runner
 
     live, ran, lock = set(), [], threading.Lock()
-    seen = []
+    seen, kept = [], []
     forward, rank_analysis = runner.salad_forward, runner.branch_rank_analysis
 
     def watched_forward(*args, **kwargs):
@@ -934,6 +934,7 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
             key = len(ran)
             ran.append(key)
             live.add(key)
+            kept.append(all(info.weights is not None for info in trace.heads))
         weakref.finalize(trace, live.discard, key)
         return out, trace
 
@@ -947,6 +948,7 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
             "--set", f"maps.export={json.dumps(maps)}"]
     assert run_cli("run", *args) == 0
     assert seen == [(4 * 5, maps)]
+    assert sum(kept) == maps
 
 
 def test_one_thread_runs_the_tasks_without_a_pool(tmp_path, monkeypatch):
@@ -963,6 +965,68 @@ def test_one_thread_runs_the_tasks_without_a_pool(tmp_path, monkeypatch):
     assert run_cli("run", *small_args(tmp_path, "inline"), "--threads", "1", "--no-timestamp") == 0
     assert ((tmp_path / "inline" / "report.json").read_bytes()
             == (tmp_path / "pooled" / "report.json").read_bytes())
+
+
+def test_two_threads_run_the_tasks_on_the_caller_and_one_worker(tmp_path, monkeypatch):
+    """At ``--threads 2`` the caller works beside one pool thread: the
+    forwards run on exactly those two threads, and the report is the
+    ``--threads 1`` report. Each thread's first forward waits for the
+    other's, so both take tasks however the threads are scheduled."""
+    from salad import runner
+
+    assert run_cli("run", *small_args(tmp_path, "inline"), "--threads", "1", "--no-timestamp") == 0
+    idents, lock, both = [], threading.Lock(), threading.Barrier(2, timeout=30)
+    forward = runner.salad_forward
+
+    def watched_forward(*args, **kwargs):
+        with lock:
+            first = threading.get_ident() not in idents
+            idents.append(threading.get_ident())
+        if first:
+            both.wait()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "salad_forward", watched_forward)
+    assert run_cli("run", *small_args(tmp_path, "pooled"), "--threads", "2", "--no-timestamp") == 0
+    assert threading.get_ident() in idents and len(set(idents)) == 2
+    assert ((tmp_path / "inline" / "report.json").read_bytes()
+            == (tmp_path / "pooled" / "report.json").read_bytes())
+
+
+def test_tasks_land_in_order_and_the_first_failure_in_task_order_raises(monkeypatch):
+    """Eight threads, switching as often as the interpreter allows, run
+    each of 2,000 tasks once and land them in order; a pool is never wider
+    than the tasks; and when task 2 fails only after task 5 has failed on
+    another thread, task 2's error is the one raised."""
+    from salad import runner
+
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = runner._run_in_order(lambda i: ran.append(i) or i * i, range(2000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(2000)] and sorted(ran) == list(range(2000))
+
+    widths, pool = [], runner.ThreadPoolExecutor
+    monkeypatch.setattr(runner, "ThreadPoolExecutor",
+                        lambda max_workers: widths.append(max_workers) or pool(max_workers))
+    assert runner._run_in_order(lambda i: i, range(3), 8) == [0, 1, 2] and widths == [2]
+    five_failed = threading.Event()
+
+    def task(i):
+        if i == 2:
+            assert five_failed.wait(timeout=30)
+        if i == 5:
+            five_failed.set()
+        if i in (2, 5):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as raised:
+        runner._run_in_order(task, range(8), 3)
+    assert raised.value.args == (2,)
 
 
 def test_forward_numeric_error_names_its_layer_and_timestep(tmp_path, capsys):
@@ -989,30 +1053,35 @@ def test_in_run_gradcheck_overflow_names_its_bump(tmp_path, capsys, monkeypatch)
                                        "attention scores contains non-finite values\n")
 
 
-# Starts a command and prints its exit code and peak RSS in KiB. A child
-# exec'd straight from the test process would report that process's own
-# peak, which it inherits at exec; this small launcher's peak is what the
-# command inherits instead.
-PEAK_RSS_LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
+def run_peak_kib(tmp_path, *overrides):
+    """Exit code and peak RSS in KiB of a one-thread ``salad run`` with
+    the config ``overrides``, in its own process."""
+    args = [sys.executable, "-m", "salad", "run", "--no-timestamp", "--threads", "1",
+            "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--set", override]
+    return peak_rss_kib(*args)
 
 
 def test_calibrated_run_at_n2048_stays_within_100_mb(tmp_path):
     """A calibrated run at N=2048 peaked at 180 MB when calibration's full
     attention held about five N x N arrays per head and token order."""
-    args = [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "salad", "run",
-            "--no-timestamp", "--threads", "1", "--out", str(tmp_path)]
-    for override in ("mask.kind=calibrate", "grid.frames=8", "grid.height=16", "grid.width=16",
-                     "grid.heads=2", "grid.head_dim=32", "layers=1", "timesteps=1"):
-        args += ["--set", override]
-    launched = subprocess.run(args, capture_output=True, text=True, check=True)
-    code, peak_kib = map(int, launched.stdout.split())
+    code, peak_kib = run_peak_kib(tmp_path, "mask.kind=calibrate", "grid.frames=8",
+                                  "grid.height=16", "grid.width=16", "grid.heads=2",
+                                  "grid.head_dim=32", "layers=1", "timesteps=1")
     assert code == 0
     assert peak_kib < 100 * 1024
+
+
+def test_full_list_run_at_n4096_keeps_no_attention_weights(tmp_path):
+    """A full-list run at N=4096 peaked at 316 MB when every task kept its
+    two heads' N x N weights, which nothing in a run without maps reads;
+    without them it peaks near 60 MB."""
+    code, peak_kib = run_peak_kib(tmp_path, "mask.radius=4095", "grid.frames=16",
+                                  "grid.height=16", "grid.width=16", "grid.heads=2",
+                                  "grid.head_dim=32", "layers=1", "timesteps=1")
+    assert code == 0
+    assert peak_kib < 158 * 1024
 
 
 def one_matrix_rank(x, rel_tol):

@@ -7,7 +7,7 @@ import pytest
 
 from salad.block import LoraUpdate, SaladParams, head_slices, salad_forward
 from salad.checks import build_window_mask
-from salad.errors import NumericError
+from salad.errors import NumericError, StateError
 from salad.gradients import (
     GradCheckReport,
     checkable_params,
@@ -174,13 +174,13 @@ class TestPrimitiveBackward:
         assert dq[0, 0] == 0.0  # gradient does not cross the relu gate
 
     def test_gate_fd(self, rng):
-        from salad.block import compute_gate
+        from salad.block import compute_gate, gate_pre_activations
 
         x = rng.normal((7, 5))
         w = rng.normal(5)
         b = np.array(0.3)
         for act in ("sigmoid", "tanh"):
-            dx, dw, db = gate_mean_backward(x, w, float(b), act, 1.7)
+            dx, dw, db = gate_mean_backward(x, gate_pre_activations(x, w, float(b)), w, act, 1.7)
             loss_x = lambda: 1.7 * compute_gate(x, w, float(b), act)
             assert max_rel_err(fd_scalar(loss_x, x), dx) < 1e-6
             assert max_rel_err(fd_scalar(loss_x, w), dw) < 1e-6
@@ -289,8 +289,9 @@ def dense_mask(entry, grid, q, k):
     return entry.mask
 
 
-def dense_head_attention(q, k, v, entry, grid):
-    """Reference forward: matmul, softmax_masked, matmul on N x N arrays."""
+def dense_head_attention(q, k, v, entry, grid, weights=True):
+    """Reference forward: matmul, softmax_masked, matmul on N x N arrays;
+    it keeps the weights whatever ``weights`` asks."""
     mask = dense_mask(entry, grid, q, k)
     perm = st_reorder_permutation(grid) if getattr(entry, "reordered", False) else None
     if perm is not None:
@@ -500,6 +501,29 @@ def test_one_op_forms_each_heads_linear_state_once(monkeypatch, variant):
     assert len(calls) == (0 if variant == "dropped" else grid.heads)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_op_forms_the_gate_pre_activations_once(monkeypatch, variant):
+    """The backward reads the pre-activations its forward's gate recorded
+    rather than forming them again."""
+    calls = []
+    real = block.gate_pre_activations
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "salad" and getattr(module, "gate_pre_activations", None) is real:
+            monkeypatch.setattr(module, "gate_pre_activations", lambda *a: calls.append(1) or real(*a))
+    x, params, grid = variant_setup(variant)
+    salad_loss_grads(x, params, MaskPlan.uniform(Window(radius=2), grid.heads), grid)
+    assert len(calls) == 1
+
+
+def test_backward_refuses_a_record_without_weights():
+    x, params, plan, grid = small_setup()
+    _, rec = salad_forward(x, params, plan, grid, weights=False)
+    pr, s = rec.projection, head_slices(params.channels, grid.heads)[0]
+    with pytest.raises(StateError, match="weights were not kept"):
+        gradients.head_attention_backward(pr.q[:, s], pr.k[:, s], pr.v[:, s], rec.heads[0],
+                                          np.ones((grid.seq_len, grid.head_dim)))
+
+
 def test_linear_backward_matches_the_recomputing_reference(rng):
     """With dead feature rows and the epsilon guard in play."""
     n, d = 40, 6
@@ -536,11 +560,20 @@ def test_fd_gradient_has_the_one_at_a_time_bits(setup):
 
 def test_fd_gradient_keeps_its_bits_across_stack_chunks(monkeypatch):
     """Stacks of three bumps split the +step and -step of every second
-    element between two stacked forwards."""
+    element between two stacked forwards, which keep no attention
+    weights."""
     x, params, plan, grid = oracle_setups()[0]
-    calls = []
+    calls, kept = [], []
     real = gradients.stacked_forward
-    monkeypatch.setattr(gradients, "stacked_forward", lambda *a: calls.append(len(a[6])) or real(*a))
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[6]))
+        out, trace = real(*args, **kwargs)
+        kept.extend(info.weights is not None for head in trace.heads
+                    for info in (head if isinstance(head, list) else [head]))
+        return out, trace
+
+    monkeypatch.setattr(gradients, "stacked_forward", counted)
     monkeypatch.setattr(gradients, "ORDERED_SUM_BLOCK", 3 * grid.seq_len * grid.channels)
     for name in ("x", "gate_b", "lora_k.b", "w_o"):
         calls.clear()
@@ -548,6 +581,7 @@ def test_fd_gradient_keeps_its_bits_across_stack_chunks(monkeypatch):
         size = 2 * (x if name == "x" else params.param(name)).size
         assert calls == [3] * (size // 3) + ([size % 3] if size % 3 else []), name
         assert same_bits(got, loop_fd_gradient(x, params, plan, grid, None, name)), name
+    assert kept and not any(kept)
 
 
 def test_gradient_oracle_runs_one_stacked_forward_per_parameter(monkeypatch):
@@ -557,7 +591,7 @@ def test_gradient_oracle_runs_one_stacked_forward_per_parameter(monkeypatch):
     stacked, forwards = [], []
     real_stacked, real_forward = gradients.stacked_forward, block._forward
     monkeypatch.setattr(gradients, "stacked_forward",
-                        lambda *a: stacked.append(len(a[6])) or real_stacked(*a))
+                        lambda *a, **k: stacked.append(len(a[6])) or real_stacked(*a, **k))
     monkeypatch.setattr(block, "_forward", lambda *a: forwards.append(1) or real_forward(*a))
     assert checks.check_gradients().passed
     assert len(stacked) == 16 + 11 and sum(stacked) == 2212
