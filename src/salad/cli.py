@@ -103,7 +103,10 @@ def _note_fallbacks() -> None:
     elif not numerics.FUSED_COLUMN_MAJOR:
         print(f"note: numpy {np.__version__} einsum failed the column-major bit probe; "
               "products write row-major blocks", file=sys.stderr)
-    if not masking._row_sum_model_holds():
+    # The row-sum probe runs when the first window list is built, so a run
+    # that built none took no row-sum fallback.
+    probe = masking._window_row_sum_holds
+    if probe.cache_info().currsize and not probe():
         print(f"note: numpy {np.__version__} sum failed the row-sum probe; "
               "window lists scatter their row sums", file=sys.stderr)
 

@@ -20,11 +20,12 @@ views whose rows slide along the operand), and every term it skips is an
 exact zero, so the kernel gives the bits of dense masked attention.
 Row sums (the softmax denominator and the backward's sum(y*g)) follow
 numpy's pairwise sum of the dense row; a window list sums only the
-pairwise leaves its keys touch, by the plan (:class:`_RowSums`) that
-:func:`window_keys` builds and caches with the list. A stack of inputs
-to one window head runs as one block-diagonal list
-(:meth:`KeyList.stacked`) whose plan sums each element's rows over their
-own N-long dense rows, so each element gets its lone bits. The backward
+pairwise leaves its keys reach, each through a view that shears along
+one of its spans (:func:`_window_row_sum`), so it holds nothing for its
+sums beyond its keys. A stack of inputs to one window head runs as one
+block-diagonal list (:meth:`KeyList.stacked`) that keeps the element's
+spans, so its sums add each element's rows over their own N-long dense
+rows, and each element gets its lone bits. The backward
 runs on transposed lists, which each list's structure gives without
 sorting pairs: a window list is its own transpose, and a block list
 (top-k, or an explicit mask in blocks of one token) transposes its block
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlockCountError, ConfigError, DegenerateRowError, DimensionError, StateError
-from .numerics import ORDERED_SUM_BLOCK, Array, Rng, ensure_finite, matmul, ordered_sum
+from .numerics import ORDERED_SUM_BLOCK, Array, ensure_finite, matmul, ordered_sum
 
 #: Default relative-squared-error budget for window calibration.
 DEFAULT_CALIBRATION_DELTA = 2.0
@@ -227,149 +228,123 @@ def select_topk_blocks(q: Array, k: Array, block_size: int, top_k: int) -> list[
 # gives the bits of dense masked attention)
 
 #: Rows scattered into zeroed length-N rows at a time by :meth:`KeyList.row_sum`
-#: on a list without a row-sum plan.
+#: on a top-k or explicit list, or a window list when the row-sum probe fails.
 ROW_SUM_CHUNK = 128
 
 #: Most elements numpy's pairwise sum adds in one leaf (its ``PW_BLOCKSIZE``).
 PAIRWISE_LEAF = 128
 
-def _pairwise_node(start: int, n: int, starts: list, joins: list) -> tuple[int, int]:
-    """Append numpy's pairwise-sum tree over elements start..start+n-1 to
-    ``starts`` (each leaf's first element) and ``joins`` ((height, left,
-    right) per inner node, children first), and return the subtree's root
-    as (node, height). Leaf i is node i; inner node j is node ~j."""
-    if n <= PAIRWISE_LEAF:
-        starts.append(start)
-        return len(starts) - 1, 0
-    half = n // 2
-    half -= half % 8
-    left, left_height = _pairwise_node(start, half, starts, joins)
-    right, right_height = _pairwise_node(start + half, n - half, starts, joins)
-    joins.append((max(left_height, right_height) + 1, left, right))
-    return ~(len(joins) - 1), joins[-1][0]
 
-
-def _pairwise_tree(n: int) -> tuple[Array, list[tuple[Array, Array, Array]]]:
+@lru_cache(maxsize=64)
+def _pairwise_tree(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """numpy's pairwise sum over a C-contiguous row of n floats, as a tree:
-    the first element of each leaf, in order, and the inner nodes grouped
-    by height, lowest first, as (node, left, right) id arrays. Leaves are
-    nodes 0..L-1, inner nodes follow, and the root is the last node.
+    the (start, stop) of each leaf, in order, and the (left, right)
+    children of each inner node, children first. Leaves are nodes 0..L-1,
+    inner node j is node L + j, and the root is the last node.
 
     A row of at most ``PAIRWISE_LEAF`` elements is one leaf; a longer one
     splits at ``n2 = n // 2; n2 -= n2 % 8`` and sums each part the same
     way."""
-    starts: list[int] = []
-    joins: list[tuple[int, int, int]] = []
-    _pairwise_node(0, n, starts, joins)
-    leaves = len(starts)
-    levels = []
-    for height in range(1, max((join[0] for join in joins), default=0) + 1):
-        level = [(leaves + j, *(leaves + ~c if c < 0 else c for c in children))
-                 for j, (h, *children) in enumerate(joins) if h == height]
-        levels.append(tuple(np.array(ids, dtype=np.intp) for ids in zip(*level)))
-    return np.array(starts, dtype=np.intp), levels
+    leaves: list[tuple[int, int]] = []
+    joins: list[tuple[int, int]] = []
+
+    def split(start: int, stop: int) -> int:
+        # The subtree's root: leaf i is i, inner node j is ~j until all are known.
+        if stop - start <= PAIRWISE_LEAF:
+            leaves.append((start, stop))
+            return len(leaves) - 1
+        half = (stop - start) // 2
+        half -= half % 8
+        joins.append((split(start, start + half), split(start + half, stop)))
+        return ~(len(joins) - 1)
+
+    split(0, n)
+    return tuple(leaves), tuple(tuple(len(leaves) + ~c if c < 0 else c for c in pair)
+                                for pair in joins)
 
 
-class _RowSums:
-    """A key list's row-sum plan: ``to_dense(w).sum(axis=1)`` with work in
-    proportion to the pairs rather than N x N.
+def _window_row_sum(keys: "KeyList", w: Array) -> Array:
+    """``to_dense(w).sum(axis=1)`` of a window list, or of a stack of
+    them (:meth:`KeyList.stacked`) each over its own N-long dense rows,
+    with work in proportion to the pairs rather than N x N.
 
     numpy sums a C row as 0.0 plus a fixed pairwise tree over leaves of at
     most ``PAIRWISE_LEAF`` elements (:func:`_pairwise_tree`). A leaf that
     holds no pair is all +0.0 and sums to +0.0, and adding +0.0 changes no
-    other value, so a row needs only the leaves its pairs touch. Each
-    touched leaf is summed by numpy on a zeroed buffer of exactly its
-    length, which is the dense leaf; the leaf sums of a row that touches
-    several are joined in the tree's order, and a row that touches one is
-    that leaf's sum. A numpy leaf sum starts from 0.0, which turns a -0.0
-    leaf into +0.0, but a zero addend changes no nonzero sum and the final
-    ``+ 0.0`` makes any zero sum +0.0 either way, so the bits are the
-    dense sum's. :func:`_row_sum_model_holds` checks that model once.
-    """
-
-    def __init__(self, n: int, rows: Array, cols: Array, src: Array, size: int):
-        """Plan the sums over n keys of the pairs (rows[p], cols[p]), which
-        ascend by row and then by column; ``src[p]`` is the flat index of
-        pair p's value among the ``size`` slot values of one list."""
-        starts, self.levels = _pairwise_tree(n)
-        lengths = np.diff(np.append(starts, n))
-        leaf = np.searchsorted(starts, cols, side="right") - 1
-        first = np.ones(rows.size, dtype=bool)  # a pair that opens a (row, leaf) segment
-        first[1:] = (rows[1:] != rows[:-1]) | (leaf[1:] != leaf[:-1])
-        segment = np.cumsum(first) - 1
-        seg_row, seg_leaf = rows[first], leaf[first]
-        seg_length = lengths[seg_leaf]
-        # The leaf sums are laid out group by group, one group per leaf length.
-        self.groups = []
-        position = np.empty(seg_row.size, dtype=np.intp)
-        offset = 0
-        for length in np.flatnonzero(np.bincount(seg_length)).tolist():  # np.unique loads numpy.ma
-            members = np.flatnonzero(seg_length == length)
-            position[members] = offset + np.arange(members.size)
-            pair = np.flatnonzero(seg_length[segment] == length)
-            local = position[segment[pair]] - offset
-            dst = local * length + cols[pair] - starts[leaf[pair]]
-            self.groups.append((length, offset, members.size, src[pair], dst))
-            offset += members.size
-        per_row = np.bincount(seg_row, minlength=n)
-        single = per_row[seg_row] == 1
-        self.single_rows, self.single_at = seg_row[single], position[single]
-        self.multi_rows = np.flatnonzero(per_row > 1)
-        self.multi_leaf = seg_leaf[~single]
-        self.multi_column = np.searchsorted(self.multi_rows, seg_row[~single])
-        self.multi_at = position[~single]
-        self.n, self.nodes, self.count, self.size = n, 2 * starts.size - 1, offset, size
-        for a in (self.single_rows, self.single_at, self.multi_rows, self.multi_leaf,
-                  self.multi_column, self.multi_at,
-                  *(a for group in self.groups for a in group[3:]),
-                  *(a for level in self.levels for a in level)):
-            a.flags.writeable = False
-
-    def __call__(self, w: Array) -> Array:
-        """The row sums of slot values ``w``: one list's ``size`` values, or
-        a stack of them laid out as :meth:`KeyList.stacked` lays out its
-        lists; each element's leaves and joins run side by side."""
-        w = w.reshape(-1, self.size)
-        stack = len(w)
-        sums = np.empty((stack, self.count))
-        for length, offset, count, src, dst in self.groups:
-            buffer = np.zeros((stack, count * length))
-            buffer[:, dst] = np.take(w, src, axis=1)
-            sums[:, offset : offset + count] = buffer.reshape(-1, length).sum(axis=1).reshape(
-                stack, count)
-        out = np.zeros((stack, self.n))
-        out[:, self.single_rows] = sums[:, self.single_at]
-        if self.multi_rows.size:
-            table = np.zeros((self.nodes, stack, self.multi_rows.size))
-            table[self.multi_leaf, :, self.multi_column] = sums[:, self.multi_at].T
-            for node, left, right in self.levels:
-                table[node] = table[left] + table[right]
-            out[:, self.multi_rows] = table[-1] + 0.0
-        return out.reshape(-1)
+    other value, so only the leaves a row's keys reach need summing. The
+    rows' valid slot values go into one zeroed buffer, each row's W slots
+    followed by G zeros, G the longest leaf, after a first row of zeros. A
+    leaf that a row's slots reach starts less than G before them and ends
+    less than G after them, so it reads the dense row's zeros from the
+    gaps on either side and nothing else. A leaf's rows, within one span,
+    are then one view of the buffer whose rows step back one element a
+    row in the sliding span (its windows slide one key a row) and not at
+    all in the two clipped ones; numpy sums exactly that leaf's length of
+    each, which is the dense leaf. The leaf sums are joined in the tree's
+    order, each node over the rows that reach its keys; a row that
+    reaches only one child takes that child's sum, as adding a +0.0 leaf
+    would. numpy starts a sum from 0.0, so neither a leaf sum, nor a join
+    of them, nor the dense sum is -0.0 (a -0.0 leaf inside the dense tree
+    changes no nonzero sum), and the bits are the dense sum's.
+    :func:`_window_row_sum_holds` checks that model once."""
+    n, width = keys.spans[-1][1], keys.keys.shape[1]
+    leaves, joins = _pairwise_tree(n)
+    stack, pitch = len(w) // n, width + max(b - a for a, b in leaves)
+    buffer = np.zeros((stack * n + 1, pitch))
+    slots = buffer[1:, :width].reshape(stack, n, width)
+    slots[...] = w.reshape(stack, n, width)
+    for start, stop, _, step in keys.spans:
+        if not step:  # only a clipped span has invalid slots
+            np.copyto(slots[:, start:stop], 0.0, where=~keys.valid[start:stop])
+    # Node j's leaves are reached by rows reach[j] = (lo, hi): those whose
+    # slots first_key..first_key + width - 1 reach its keys; sums[j] holds
+    # its sums over those rows.
+    first_key, (starts, stops) = keys.keys[:n, 0], np.array(leaves).T
+    reach = list(zip(np.searchsorted(first_key, starts - width, "right").tolist(),
+                     np.searchsorted(first_key, stops).tolist()))
+    sums = []
+    item = buffer.itemsize
+    for (a, b), (lo, hi) in zip(leaves, reach):
+        sums.append(np.empty((stack, hi - lo)))
+        for start, stop, first, step in keys.spans:
+            rows = slice(max(lo, start), min(hi, stop))
+            if rows.start < rows.stop:
+                offset = (rows.start + 1) * pitch + a - first - step * (rows.start - start)
+                view = np.ndarray((stack, rows.stop - rows.start, b - a), buffer.dtype, buffer,
+                                  offset * item, (n * pitch * item, (pitch - step) * item, item))
+                view.sum(axis=2, out=sums[-1][:, rows.start - lo : rows.stop - lo])
+    for left, right in joins:
+        (lo, left_hi), (right_lo, hi) = reach[left], reach[right]
+        total = np.zeros((stack, hi - lo))
+        total[:, : left_hi - lo] = sums[left]
+        total[:, right_lo - lo :] += sums[right]
+        reach.append((lo, hi))
+        sums.append(total)
+    return sums[-1].reshape(-1)
 
 
 @lru_cache(maxsize=1)
-def _row_sum_model_holds() -> bool:
-    """Whether :class:`_RowSums` gives ``np.sum``'s bits on a fixed probe.
+def _window_row_sum_holds() -> bool:
+    """Whether :func:`_window_row_sum` gives ``np.sum``'s bits on a fixed
+    probe; :func:`window_keys` asks when it builds its first window list.
 
-    Rows of 7, 150, 264 and 1500 keys make one leaf, two unequal leaves, a
-    leaf beside a split half, and a deeper tree. Each length has a row
-    with every second key, a row with one run across a leaf border, a row
-    with one key and a row of -0.0 terms, and the terms' magnitudes spread
-    over 2^-30..2^30, so a wrong tree or leaf order shows in the bits."""
-    rng = Rng(20)
-    for n in (7, 150, 264, 1500):
-        touched = np.zeros((4, n), dtype=bool)
-        touched[0, ::2] = True
-        touched[1, n // 3 : n // 3 + 140] = True
-        touched[2, n - 1] = True
-        touched[3, ::3] = True
-        dense = np.zeros((4, n))
-        rows, cols = np.nonzero(touched)
-        scale = np.floor(rng.uniform(rows.size) * 61.0) - 30.0
-        dense[rows, cols] = np.where(rows == 3, -0.0, rng.normal(rows.size) * 2.0**scale)
-        got = _RowSums(n, rows, cols, rows * n + cols, 4 * n)(dense)[:4]
-        if not np.array_equal(got.view(np.uint64), dense.sum(axis=1).view(np.uint64)):
+    Windows over 7, 150 and 264 keys make one leaf, two unequal leaves,
+    and a leaf beside a split half, with rows of one key, windows as wide
+    as the sequence, runs of 41 keys across leaf borders and clipped ends.
+    Every third slot holds +0.0 and invalid slots hold values, the first
+    row is all -0.0, the terms' signs and magnitudes (2^-30..2^30) follow
+    fixed sequences, and each list sums as a stack of two, so a wrong
+    tree, leaf, shear or stride shows in the bits. It is kept small, as
+    every process that builds a window list runs it."""
+    for n, radius in ((7, 0), (7, 5), (150, 3), (150, 20), (264, 8)):
+        keys = _window_list(n, radius)
+        k = np.arange(2 * n * keys.keys.shape[1]).reshape(2 * n, -1)
+        w = np.ldexp(k * 0.6180339887498949 % 1.0 - 0.5, k * 7 % 61 - 30)
+        w[:, 1::3] = 0.0
+        w[0] = -0.0
+        scatter = KeyList(keys.keys, keys.valid)  # the dense sums, a few rows at a time
+        want = np.concatenate([scatter.row_sum(half) for half in (w[:n], w[n:])])
+        if not np.array_equal(_window_row_sum(keys, w).view(np.uint64), want.view(np.uint64)):
             return False
     return True
 
@@ -385,20 +360,18 @@ class KeyList:
     no N x N index array.
 
     How a list was built gives its transpose. A window list
-    (:func:`window_keys`, ``window``) is its own, and holds the row-sum
-    plan it was built with in ``row_sums`` and its ``spans``: the row
-    ranges (start, stop, first key, step) over which row i's keys begin
-    at first + step * (i - start), step 0 or 1. A block list (:func:`_block_keys`:
-    top-k, and explicit masks as blocks of one token) keeps its
-    ``(keep, block_size)`` in ``blocks``. A bare ``KeyList(keys, valid)``
-    is neither, and has no transpose.
+    (:func:`window_keys`, or a stack of one, :meth:`stacked`) is its own,
+    and keeps its ``spans``: the row ranges (start, stop, first key, step)
+    of one N-row element over which row i's keys begin at first + step *
+    (i - start), step 0 or 1; its row sums and wide products read them. A
+    block list (:func:`_block_keys`: top-k, and explicit masks as blocks
+    of one token) keeps its ``(keep, block_size)`` in ``blocks``. A bare
+    ``KeyList(keys, valid)`` is neither, and has no transpose.
     """
 
     keys: Array
     valid: Array
-    window: bool = False
     blocks: tuple[Array, int] | None = field(default=None, compare=False, repr=False)
-    row_sums: _RowSums | None = field(default=None, compare=False, repr=False)
     spans: tuple[tuple[int, int, int, int], ...] | None = field(
         default=None, compare=False, repr=False)
 
@@ -418,9 +391,9 @@ class KeyList:
         columns (``axis=1``: k a channel, j a slot). A broadcast list
         (every query attends every key, in order) reads x as it is, as
         values every row shares. A window list whose gathered operand
-        would fill more than one ``ORDERED_SUM_BLOCK`` reads each of its
-        spans through a view of x whose rows slide along the keys, so
-        nothing is gathered; a smaller one gathers, as one gather costs
+        would fill more than one ``ORDERED_SUM_BLOCK`` reads each span of
+        each element through a view of x whose rows slide along the keys,
+        so nothing is gathered; a smaller one gathers, as one gather costs
         less than the two extra kernel calls of three spans. Any other
         list gathers x at its keys."""
         if self.keys.strides[0] == 0:
@@ -429,11 +402,12 @@ class KeyList:
             x = np.ascontiguousarray(x)
             row, key = x.strides[0], x.strides[axis]
             runs = []
-            for start, stop, first, step in self.spans:
-                view = np.ndarray((len(coef), stop - start, cols), x.dtype, x, first * key,
-                                  (row, step * key, x.itemsize))
-                view.flags.writeable = False
-                runs.append((start, stop, view))
+            for base in range(0, len(self.keys), self.spans[-1][1]):
+                for start, stop, first, step in self.spans:
+                    view = np.ndarray((len(coef), stop - start, cols), x.dtype, x,
+                                      (base + first) * key, (row, step * key, x.itemsize))
+                    view.flags.writeable = False
+                    runs.append((base + start, base + stop, view))
             return ordered_sum(coef, runs, cols)
 
         def gather(s: int, e: int, out: Array) -> None:
@@ -475,16 +449,16 @@ class KeyList:
 
         numpy sums each row pairwise over its full length. A broadcast
         list's slots already are the dense row, so its rows are summed in
-        place. A window list sums only the pairwise leaves its keys touch,
-        with the plan it holds in ``row_sums`` (:class:`_RowSums`). Any
-        other list, and a window list whose plan is None because numpy's
-        sum does not follow the model, scatters its rows into zeroed
-        length-N rows, ``ROW_SUM_CHUNK`` at a time, and sums them there.
+        place. A window list sums only the pairwise leaves its keys reach,
+        from its spans (:func:`_window_row_sum`). Any other list, and a
+        lone window list when numpy's sum does not follow that model,
+        scatters its rows into zeroed length-N rows, ``ROW_SUM_CHUNK`` at
+        a time, and sums them there.
         """
         if self.keys.strides[0] == 0:
             return np.ascontiguousarray(w).sum(axis=1)
-        if self.row_sums is not None:
-            return self.row_sums(w)
+        if self.spans is not None and _window_row_sum_holds():
+            return _window_row_sum(self, w)
         n = self.keys.shape[0]
         out = np.empty(n)
         for start in range(0, n, ROW_SUM_CHUNK):
@@ -506,18 +480,24 @@ class KeyList:
             weights = np.exp(shifted) * self.valid
         return weights / self.row_sum(weights)[:, None]
 
+    @property
+    def stacks(self) -> bool:
+        """Whether :meth:`stacked` takes this list: a window list, while
+        numpy's sum follows :func:`_window_row_sum`'s model."""
+        return self.spans is not None and _window_row_sum_holds()
+
     def stacked(self, count: int) -> "KeyList":
         """``count`` copies of this window list as one block-diagonal list
         over count x N queries and keys: query s*N + i attends keys s*N +
-        ``keys[i]``. It shares this list's row-sum plan, which sums each
-        copy's rows over that copy's own N-long dense rows, so every copy's
-        rows get the bits this list gives them; the list needs a plan."""
+        ``keys[i]``. It keeps this list's spans, from which its row sums
+        sum each copy's rows over that copy's own N-long dense rows, so
+        every copy's rows get the bits this list gives them."""
         n = self.keys.shape[0]
-        if self.row_sums is None:
-            raise StateError("only a window list with a row-sum plan stacks")
+        if not self.stacks:
+            raise StateError("only a window list stacks, and only while its row sums hold")
         keys = (self.keys + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
         valid = np.broadcast_to(self.valid, (count, *self.valid.shape)).reshape(count * n, -1)
-        return KeyList(keys, valid, window=True, row_sums=self.row_sums)
+        return KeyList(keys, valid, spans=self.spans)
 
     def transposed(self, *weights: Array) -> tuple["KeyList", list[Array]]:
         """For each key, the queries that attend it in ascending order, and
@@ -533,7 +513,7 @@ class KeyList:
         if self.keys.strides[0] == 0:
             return self, [w.T for w in weights]
         n, width = self.keys.shape
-        if self.window:
+        if self.spans is not None:
             back = self
             first = np.arange(n) * width - self.keys[:, 0]  # flat index of w[i, j] is first[i] + j
             gather = first.take(self.keys) + np.arange(n)[:, None]
@@ -561,8 +541,8 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList,
     arrays. That moves no bit: each row's scores, max, exponentials, row
     sum and product read only that row, and :func:`ordered_sum` adds each
     element's terms in ascending order however its rows are blocked. A
-    window or block list is O(N * W) already, and a window list's row-sum
-    plan spans all its rows, so it runs as one block."""
+    window or block list is O(N * W) already, and a window list's row sum
+    reads its spans, which cover all its rows, so it runs as one block."""
     n = keys.keys.shape[0]
     scale = 1.0 / math.sqrt(q.shape[1])
     step = max(1, ORDERED_SUM_BLOCK // n) if keys.keys.strides[0] == 0 else n
@@ -602,19 +582,21 @@ def window_keys(n: int, radius: int) -> KeyList:
     """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
     slots that start where the window does, shifted inside the sequence at
     either end; slots outside the window are invalid. Cached; read-only.
-    A window narrower than the sequence is built with its row-sum plan (or
-    None when numpy's sum does not follow the model); a full one is
-    :meth:`KeyList.full`."""
+    A window narrower than the sequence keeps its spans (the first one
+    built also runs the row-sum probe, :func:`_window_row_sum_holds`); a
+    full one is :meth:`KeyList.full`."""
     if radius >= n - 1:
         return KeyList.full(n)
+    _window_row_sum_holds()
+    return _window_list(n, radius)
+
+
+def _window_list(n: int, radius: int) -> KeyList:
+    """:func:`window_keys` for a radius below n - 1, built anew."""
     width = min(2 * radius + 1, n)
     queries = np.arange(n)[:, None]
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
     valid = np.abs(keys - queries) <= radius
-    row_sums = None
-    if _row_sum_model_holds():
-        rows, slots = np.nonzero(valid)
-        row_sums = _RowSums(n, rows, keys[rows, slots], rows * width + slots, n * width)
     keys.flags.writeable = valid.flags.writeable = False
     # Windows start at key 0 up to row lo, slide one key a row up to row
     # hi, and end at key n - 1 from there.
@@ -622,7 +604,7 @@ def window_keys(n: int, radius: int) -> KeyList:
     hi = max(lo, int(np.searchsorted(keys[:, 0], n - width)))
     spans = tuple(span for span in ((0, lo, 0, 0), (lo, hi, lo - radius, 1), (hi, n, n - width, 0))
                   if span[1] > span[0])
-    return KeyList(keys, valid, window=True, row_sums=row_sums, spans=spans)
+    return KeyList(keys, valid, spans=spans)
 
 
 def _transposed_copy(a: Array) -> Array:
@@ -717,9 +699,11 @@ def sparse_head_attention(
     Any of Q, K and V may be an (S, N, d) stack, the 2-D ones shared by
     every element; then the (S, N, d) outputs come back with each
     element's record, in a list, and each element gets the bits it gets
-    alone. A window with a row-sum plan runs the whole stack as one
-    block-diagonal list (:meth:`KeyList.stacked`), a reordered one
-    permuting within each element; other entries run element by element.
+    alone. A window list that stacks (:attr:`KeyList.stacks`) runs the
+    whole stack as one block-diagonal list (:meth:`KeyList.stacked`), a
+    reordered one permuting within each element; other entries, and every
+    entry when numpy's sum fails the row-sum probe, run element by
+    element.
     """
     if q.ndim == k.ndim == v.ndim == 2:
         count = None
@@ -729,7 +713,7 @@ def sparse_head_attention(
         count = max(len(a) for a in (q, k, v) if a.ndim == 3)
         q, k, v = (np.broadcast_to(a, (count, *a.shape[-2:])) for a in (q, k, v))
         keys, perm = head_keys(entry, grid) if isinstance(entry, Window) else (None, None)
-        if keys is None or keys.row_sums is None:
+        if keys is None or not keys.stacks:
             outs, records = zip(*(sparse_head_attention(q[s], k[s], v[s], entry, grid, weights)
                                   for s in range(count)))
             return np.stack(outs), list(records)

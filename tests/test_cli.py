@@ -177,9 +177,9 @@ class TestRun:
         assert a == b
 
     def test_threads_match_sequential_with_fresh_window_plans(self, tmp_path):
-        """Four threads ask for a new window list and its row-sum plan at
-        once; one thread builds them alone. N=256 with radius 8 spans
-        several pairwise leaves."""
+        """Four threads ask for a new window list at once; one thread
+        builds it alone. N=256 with radius 8 spans several pairwise
+        leaves."""
         from salad.masking import window_keys
 
         grid = ["--set", "grid.frames=4", "--set", "grid.height=8", "--set", "grid.width=8",
@@ -535,33 +535,51 @@ def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeyp
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
-@pytest.mark.parametrize("probe", ["column_major", "row_sum"])
+@pytest.mark.parametrize("probe", ["column_major", "row_sum", "row_sum_topk", "row_sum_check"])
 def test_probe_fallbacks_are_noted_on_stderr_only(tmp_path, capsys, monkeypatch, probe):
     """A run whose fused kernel fails the column-major probe, or whose
     window lists scatter their row sums, says so in one stderr line; stdout
-    and the report are the same."""
+    and the report are the same. A run that builds no window list takes
+    no row-sum fallback, and notes none. A check whose window lists are
+    built only in a forked worker notes it too."""
     from salad import masking, numerics
 
-    args = ["run", *small_args(tmp_path), "--no-timestamp"]
+    topk = ["--set", "mask.kind=topk", "--set", "mask.block_size=2", "--set", "mask.k=2"]
+    args = ["run", *small_args(tmp_path, "out", *(topk if probe == "row_sum_topk" else [])),
+            "--no-timestamp"]
+    if probe == "row_sum_check":  # the caller runs param_count, a worker the window oracle
+        args = ["check", "--only", "param_count,sparse_oracle"]
     assert run_cli(*args) == 0
     probed = capsys.readouterr()
-    report = (tmp_path / "out" / "report.json").read_bytes()
+    report = (tmp_path / "out" / "report.json").read_bytes() if args[0] == "run" else None
     assert "probe" not in probed.err
+    caches = (masking.window_keys, masking._pairwise_tree, masking._window_row_sum_holds)
     if probe == "column_major":
         monkeypatch.setattr(numerics, "FUSED_COLUMN_MAJOR", False)
     else:
-        monkeypatch.setattr(masking, "_row_sum_model_holds", lambda: False)
-        masking.window_keys.cache_clear()  # rebuild the lists without their plans
+        monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
+        for cache in caches:  # rebuild the lists, and probe again when one is built
+            cache.cache_clear()
     try:
         assert run_cli(*args) == 0
+        if probe == "row_sum":
+            assert not masking._window_row_sum_holds()
+        elif probe == "row_sum_topk":
+            assert masking._window_row_sum_holds.cache_info().currsize == 0
     finally:
-        masking.window_keys.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     fallen = capsys.readouterr()
-    assert fallen.out == probed.out
+    times = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)  # a check line's time
+    assert times.sub("", fallen.out) == times.sub("", probed.out)
     notes = fallen.err.splitlines()
-    phrase = "row-major blocks" if probe == "column_major" else "scatter their row sums"
-    assert len(notes) == 1 and phrase in notes[0] and np.__version__ in notes[0]
-    assert (tmp_path / "out" / "report.json").read_bytes() == report
+    if probe == "row_sum_topk":
+        assert notes == []
+    else:
+        phrase = "row-major blocks" if probe == "column_major" else "scatter their row sums"
+        assert len(notes) == 1 and phrase in notes[0] and np.__version__ in notes[0]
+    if report is not None:
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
 class TestAnalyze:
@@ -1082,6 +1100,17 @@ def test_full_list_run_at_n4096_keeps_no_attention_weights(tmp_path):
                                   "grid.head_dim=32", "layers=1", "timesteps=1")
     assert code == 0
     assert peak_kib < 158 * 1024
+
+
+def test_window_run_at_n4096_holds_no_per_pair_row_sum_plan(tmp_path):
+    """A window run at N=4096 and r=205 (about 90% sparse) peaked at 202 MB
+    when each window list held a row-sum plan of index arrays for every
+    pair; summing from the list's spans it peaks near 132 MB."""
+    code, peak_kib = run_peak_kib(tmp_path, "mask.radius=205", "grid.frames=16",
+                                  "grid.height=16", "grid.width=16", "grid.heads=2",
+                                  "grid.head_dim=32", "layers=1", "timesteps=1")
+    assert code == 0
+    assert peak_kib < 160 * 1024
 
 
 def one_matrix_rank(x, rel_tol):

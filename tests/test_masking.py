@@ -486,9 +486,10 @@ def test_key_list_kernel_stack_fallback_gives_the_fused_bits(case, monkeypatch):
 def test_window_products_read_views_with_the_loops_bits(n, radius, monkeypatch):
     """A window list whose gathered operand would fill more than one block
     (here any) reads its operands through views whose rows slide along the
-    keys, one per span of rows, and gathers nothing: narrow and wide
-    windows, radius 0 and windows as wide as the sequence give the loops'
-    bits, on contiguous operands and on column slices."""
+    keys, one per span of rows (of each element, in a stack of two), and
+    gathers nothing: narrow and wide windows, radius 0 and windows as wide
+    as the sequence give the loops' bits, on contiguous operands and on
+    column slices."""
     monkeypatch.setattr(masking, "ORDERED_SUM_BLOCK", 0)
     keys = window_keys(n, radius)
     if radius < n - 1:
@@ -502,13 +503,14 @@ def test_window_products_read_views_with_the_loops_bits(n, radius, monkeypatch):
     monkeypatch.setattr(masking, "ordered_sum",
                         lambda coef, values, cols: operands.append(values) or real(coef, values, cols))
     r = Rng(n + radius)
-    width = keys.keys.shape[1]
-    for channels in (1, 5):
-        wide = signed_values(r, (n, 3 * channels))
-        a, b, x = (wide[:, i * channels:(i + 1) * channels] for i in range(3))
-        w = signed_values(r, (n, width))
-        assert same_bits(keys.scores(a, b), loop_scores(keys, a, b)), channels
-        assert same_bits(keys.apply(w, x), loop_apply(keys, w, x)), channels
+    for lists in ([keys, keys.stacked(2)] if keys.stacks else [keys]):
+        rows, width = lists.keys.shape
+        for channels in (1, 5):
+            wide = signed_values(r, (rows, 3 * channels))
+            a, b, x = (wide[:, i * channels:(i + 1) * channels] for i in range(3))
+            w = signed_values(r, (rows, width))
+            assert same_bits(lists.scores(a, b), loop_scores(lists, a, b)), channels
+            assert same_bits(lists.apply(w, x), loop_apply(lists, w, x)), channels
     assert not any(callable(values) for values in operands)
 
 
@@ -585,26 +587,29 @@ def test_full_key_list_apply_memory_stays_within_a_row_block():
 # ---------------------------------------------------------------------------
 # Row sums, and the transposes each list's structure gives
 
-ROW_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, 150, 1000, 1024, 1500]
+ROW_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, 150, 264, 1000, 1024, 1500, 2048]
 
 
 def row_sum_values(r, shape):
     """Slot values over magnitudes 2^-30..2^30, about 10% of them -0.0 and
-    10% +0.0, with a first row of only -0.0."""
+    10% +0.0, with a first and a middle row of only -0.0. Invalid slots
+    hold values too, which a row sum must not read."""
     w = signed_values(r, shape) * 2.0 ** np.floor(60.0 * r.uniform(shape) - 30.0)
     w = np.where(r.uniform(shape) < 0.1, 0.0, w)
-    w[0] = -0.0
+    w[0] = w[shape[0] // 2] = -0.0
     return w
 
 
 def row_sum_lists(n):
-    """Window (several radii), top-k and explicit key lists over n keys."""
+    """Window (several radii: one wider than a pairwise leaf, and one
+    at least N - 1, which is the full list), top-k and explicit key lists
+    over n keys."""
     r = Rng(n)
     q, k = r.normal((n, 4)), r.normal((n, 4))
     mask = r.uniform((n, n)) < 0.1
     np.fill_diagonal(mask, True)
     return {
-        **{f"window_r{radius}": window_keys(n, radius) for radius in (0, 3, 8, 70)},
+        **{f"window_r{radius}": window_keys(n, radius) for radius in (0, 3, 8, 70, 130, n - 1)},
         "topk": head_keys(TopK(block_size=8, k=min(2, -(-n // 8))), grid_of(1, 1, n), q, k)[0],
         "explicit": head_keys(Explicit(mask), grid_of(1, 1, n))[0],
     }
@@ -628,47 +633,59 @@ def assert_transpose_matches_the_pair_sort(keys, w):
 
 @pytest.fixture
 def fresh_window_lists():
-    """The window lists and the row-sum model check, built anew in the
-    test and again after it."""
-    masking.window_keys.cache_clear()
-    masking._row_sum_model_holds.cache_clear()
+    """The window lists, the pairwise trees and the row-sum probe, built
+    anew in the test and again after it."""
+    caches = (masking.window_keys, masking._pairwise_tree, masking._window_row_sum_holds)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    masking.window_keys.cache_clear()
-    masking._row_sum_model_holds.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
 def test_row_sum_matches_the_dense_sum(n):
     r = Rng(n + 1)
     for name, keys in row_sum_lists(n).items():
-        for _ in range(2):  # a cached window list sums again with the plan it holds
+        for _ in range(2):  # a cached window list sums again
             w = row_sum_values(r, keys.keys.shape)
+            assert np.any(np.where(keys.valid, 0.0, w) != 0.0) or keys.valid.all(), name
             want = keys.to_dense(w).sum(axis=1)
             assert same_bits(keys.row_sum(w), want), name
             assert same_bits(keys.row_sum(w), want), name
 
 
 def test_row_sum_model_splits_rows_as_numpy_does():
-    starts, levels = masking._pairwise_tree(150)
-    assert starts.tolist() == [0, 72] and len(levels) == 1
-    starts, levels = masking._pairwise_tree(264)  # a 128 leaf beside a split 136
-    assert starts.tolist() == [0, 128, 192] and [level[0].tolist() for level in levels] == [[3], [4]]
-    assert masking._pairwise_tree(128)[0].tolist() == [0] and masking._row_sum_model_holds()
+    leaves, joins = masking._pairwise_tree(150)
+    assert leaves == ((0, 72), (72, 150)) and joins == ((0, 1),)
+    leaves, joins = masking._pairwise_tree(264)  # a 128 leaf beside a split 136
+    assert leaves == ((0, 128), (128, 192), (192, 264)) and joins == ((1, 2), (0, 3))
+    assert masking._pairwise_tree(128) == (((0, 128),), ()) and masking._window_row_sum_holds()
 
 
 def test_row_sum_falls_back_to_the_scatter_when_the_model_disagrees(monkeypatch,
                                                                       fresh_window_lists):
-    """Without a plan a window list scatters its row sums, and still
-    transposes itself, to the same bits."""
+    """When the probe fails, a window list scatters its row sums, and still
+    transposes itself, to the same bits; it does not stack, so a stacked
+    head runs element by element."""
     monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
-    assert not masking._row_sum_model_holds()
+    assert not masking._window_row_sum_holds()
     for n in (150, 1024):
         keys = window_keys(n, 8)
-        assert keys.row_sums is None and keys.window
+        assert keys.spans is not None and not keys.stacks
         w = row_sum_values(Rng(n), keys.keys.shape)
         assert same_bits(keys.row_sum(w), keys.to_dense(w).sum(axis=1))
         back, (moved,) = keys.transposed(w)
         assert back is keys and same_bits(back.to_dense(moved), keys.to_dense(w).T)
+        with pytest.raises(StateError, match="only a window list stacks"):
+            keys.stacked(2)
+    r = Rng(3)
+    q, k, v = (r.normal((2, 64, 4)) for _ in range(3))
+    out, records = sparse_head_attention(q, k, v, Window(8), grid_of(4, 4, 4))
+    for s, rec in enumerate(records):
+        lone, lone_rec = sparse_head_attention(q[s], k[s], v[s], Window(8), grid_of(4, 4, 4))
+        assert same_bits(out[s], lone) and same_bits(rec.weights, lone_rec.weights)
+        assert len(rec.keys.keys) == 64
 
 
 @pytest.mark.parametrize("n, radius", [(7, 2), (33, 0), (64, 8), (150, 3), (150, 4), (300, 70),
@@ -681,7 +698,7 @@ def test_window_transpose_matches_the_dense_transpose(n, radius):
     r = Rng(n + radius)
     w = row_sum_values(r, keys.keys.shape)
     back, moved = keys.transposed(w, -w)
-    assert back is keys and keys.window
+    assert back is keys and keys.spans is not None
     for got, want in zip(moved, (w, -w)):
         assert same_bits(back.to_dense(got), keys.to_dense(want).T)
         assert same_bits(np.where(back.valid, 0.0, got), np.zeros(got.shape))
@@ -701,7 +718,7 @@ def test_topk_transpose_matches_the_pair_sort(n):
             if top_k == nb and n * nb > 2048 * 128:
                 continue  # a full 2048 x 2048 list below blocks of 16: 0.7 s of pair sort each
             keys, _ = head_keys(TopK(block_size, top_k), grid_of(1, 1, n), q, k)
-            assert keys.blocks is not None and not keys.window
+            assert keys.blocks is not None and keys.spans is None
             assert_transpose_matches_the_pair_sort(keys, signed_values(r, keys.keys.shape))
 
 
@@ -732,16 +749,11 @@ def test_topk_and_explicit_lists_keep_no_plans():
     for entry in (TopK(block_size=8, k=2), Explicit(mask)):
         _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 4, 4))
         head_attention_backward(q, k, v, rec, go)
-        assert rec.keys.row_sums is None and rec.keys.blocks is not None and not rec.keys.window
+        assert rec.keys.spans is None and rec.keys.blocks is not None and not rec.keys.stacks
 
 
-def test_window_plans_are_built_once(monkeypatch, fresh_window_lists):
-    """Each window list builds its row-sum plan with itself, and no forward
-    or backward over it builds another."""
-    assert masking._row_sum_model_holds()  # its probe builds plans of its own
-    built = []
-    row_sums = masking._RowSums
-    monkeypatch.setattr(masking, "_RowSums", lambda n, *a: built.append(n) or row_sums(n, *a))
+def test_window_plans_are_built_once(fresh_window_lists):
+    """No forward or backward over a window list builds it again."""
     r = Rng(4)
     q, k, v, go = (r.normal((256, 4)) for _ in range(4))
     for _ in range(3):
@@ -749,8 +761,7 @@ def test_window_plans_are_built_once(monkeypatch, fresh_window_lists):
             _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 8, 8))
             head_attention_backward(q, k, v, rec, go)
             assert rec.keys.transposed()[0] is rec.keys  # a reordered entry runs on permuted tokens
-    assert built == [256, 256]  # window_keys(256, 8) and (256, 3)
-    assert masking.window_keys.cache_info().misses == 2
+    assert masking.window_keys.cache_info().misses == 2  # window_keys(256, 8) and (256, 3)
 
 
 def test_window_plans_are_built_once_under_racing_threads(fresh_window_lists):
@@ -800,6 +811,20 @@ def test_window_transpose_keeps_nothing():
     assert kept < 1024
 
 
+def test_window_list_build_and_row_sum_hold_no_per_pair_plan(fresh_window_lists):
+    """N = 2048, r = 102: building the list peaked at 12x its keys array,
+    and a row sum at 3.5x its slot values, while each list built and
+    applied a row-sum plan of index arrays for every pair. Now the list
+    holds its keys and valid flags, and a row sum one buffer of the slots
+    with a leaf's length of zeros after each row."""
+    assert masking._window_row_sum_holds()  # its probe builds lists of its own
+    n, radius = 2048, 102
+    assert traced_peak(window_keys, n, radius) < 4 * n * (2 * radius + 1) * 8
+    keys = window_keys(n, radius)
+    w = row_sum_values(Rng(6), keys.keys.shape)
+    assert traced_peak(keys.row_sum, w) < 2 * w.nbytes
+
+
 def test_topk_transpose_memory_stays_within_its_outputs():
     """N = 2048, blocks of 8, k = 4 (a 2048 x 384 back list): the back
     keys, valid flags and gather take 17 bytes a back slot and the two
@@ -824,7 +849,7 @@ def test_full_window_list_is_its_own_transpose_and_keeps_nothing():
     back, moved = keys.transposed(w, w)
     assert back is keys and all(same_bits(m, w.T) for m in moved)
     keys.row_sum(w)
-    assert keys.row_sums is None and keys.blocks is None
+    assert keys.spans is None and keys.blocks is None
 
 
 def test_window_row_sum_and_transpose_make_no_reference_cycles():
@@ -842,12 +867,13 @@ def test_window_row_sum_and_transpose_make_no_reference_cycles():
 
 
 def test_window_plan_arrays_are_read_only():
+    """A cached window list holds two read-only arrays and tuples; the
+    cached pairwise tree is tuples only."""
     keys = window_keys(1500, 70)
-    sums = keys.row_sums
-    arrays = [a for a in vars(sums).values() if isinstance(a, np.ndarray)]
-    arrays += [a for group in sums.groups for a in group if isinstance(a, np.ndarray)]
-    arrays += [a for level in sums.levels for a in level] + [keys.keys, keys.valid]
-    assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+    assert not keys.keys.flags.writeable and not keys.valid.flags.writeable
+    assert keys.blocks is None and isinstance(keys.spans, tuple)
+    assert all(type(part) is tuple for tree in [masking._pairwise_tree(1500)]
+               for part in (tree, *tree, *tree[0], *tree[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -857,17 +883,18 @@ def test_window_plan_arrays_are_read_only():
 @pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
 def test_stacked_window_row_sums_are_each_lists_own(n):
     """A stack of three copies of a window list sums each copy's rows over
-    that copy's own N-long dense rows (not the stack's 3N-long ones)."""
+    that copy's own N-long dense rows (not the stack's 3N-long ones), to
+    the bits of that copy's lone dense sum."""
     r = Rng(n + 3)
-    for radius in (0, 3, 8, 70):
-        keys = window_keys(n, radius)
-        if keys.row_sums is None:
-            continue  # a full window is broadcast, and does not stack
+    for name, keys in row_sum_lists(n).items():
+        if keys.spans is None:
+            assert not keys.stacks  # a full window is broadcast, and does not stack
+            continue
         w = [row_sum_values(r, keys.keys.shape) for _ in range(3)]
         stacked = keys.stacked(3)
-        assert stacked.keys.shape == (3 * n, keys.keys.shape[1]) and stacked.window
+        assert stacked.keys.shape == (3 * n, keys.keys.shape[1]) and stacked.spans == keys.spans
         assert same_bits(stacked.row_sum(np.concatenate(w)),
-                         np.concatenate([keys.to_dense(v).sum(axis=1) for v in w]))
+                         np.concatenate([keys.to_dense(v).sum(axis=1) for v in w])), name
 
 
 def test_stacked_window_list_is_block_diagonal():
@@ -880,7 +907,7 @@ def test_stacked_window_list_is_block_diagonal():
 
 def test_only_a_window_list_with_a_plan_stacks():
     for keys in (KeyList.full(8), head_keys(Explicit(np.eye(8, dtype=bool)), grid_of(2, 2, 2))[0]):
-        with pytest.raises(StateError, match="row-sum plan"):
+        with pytest.raises(StateError, match="only a window list stacks"):
             keys.stacked(2)
 
 
