@@ -308,11 +308,8 @@ class BlockTrace:
     band structure is visible). ``linear`` holds per head
     the linear branch's streaming state (:class:`LinearState`), which the
     backward pass reads rather than forming again; it is None when the
-    branch is dropped.
-
-    The record of :func:`stacked_forward` keeps the stack axis on every
-    value that varies along it (a gate becomes an (S,) array), and a head
-    whose attention varies holds the list of each element's records.
+    branch is dropped. Only :func:`salad_forward` returns a record;
+    :func:`stacked_forward` returns its outputs alone.
     """
 
     o_s: Array
@@ -323,15 +320,12 @@ class BlockTrace:
     fused: Array
     proj_out: Array | None
     projection: Projection
-    heads: list[HeadAttention | list[HeadAttention]]
+    heads: tuple[HeadAttention, ...]
     linear: list[LinearState] | None
 
     @property
-    def attended_pairs(self) -> list[int] | list[list[int]]:
-        """Pairs each head attends; for a stacked record whose heads vary,
-        one such list per element (every head of such a record varies)."""
-        if isinstance(self.heads[0], list):
-            return [[info.keys.pairs for info in element] for element in zip(*self.heads)]
+    def attended_pairs(self) -> list[int]:
+        """Pairs each head attends."""
         return [info.keys.pairs for info in self.heads]
 
 
@@ -385,16 +379,14 @@ def stacked_forward(
     rope_cfg: RopeConfig | None,
     name: str,
     values: Array,
-    weights: bool = True,
-) -> tuple[Array, BlockTrace]:
+) -> Array:
     """Run the block on S variants at once: ``values`` is an (S, *shape)
     stack of the input (``name`` "x") or of the parameter
     :meth:`SaladParams.param` calls ``name`` ("gate_b" as (S, 1)), and
-    everything else is shared. Returns the (S, N, D) outputs and the
-    stacked record (see :class:`BlockTrace`); element s has the bits
+    everything else is shared. Returns the (S, N, D) outputs only, and
+    keeps no attention weights; element s has the bits
     :func:`salad_forward` gives its variant. ``x`` and ``params`` are
-    validated once, not once per element. ``weights`` is as for
-    :func:`salad_forward`.
+    validated once, not once per element.
 
     In the style of JAX's ``vmap``, the forward is written once and a value
     that varies carries the leading stack axis: a stacked operand makes a
@@ -418,28 +410,30 @@ def stacked_forward(
         params = replace(params, gate_b=values[:, 0])
     else:
         params = params.with_param(name, values)
-    out, trace = _forward(x, params, plan, grid, rope_cfg, weights)
-    return np.broadcast_to(out, (len(values), *out.shape[-2:])), trace
+    out, _ = _forward(x, params, plan, grid, rope_cfg, False)
+    return np.broadcast_to(out, (len(values), *out.shape[-2:]))
 
 
 def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
              rope_cfg: RopeConfig, weights: bool) -> tuple[Array, BlockTrace]:
     """The block on validated inputs, any of which may carry a leading
-    stack axis (see :func:`stacked_forward`)."""
+    stack axis (see :func:`stacked_forward`); the record of such a stack
+    holds None for each head whose attention ran stacked, and only
+    :func:`stacked_forward`, which drops it, sees it."""
     pr = project(x, params, grid, rope_cfg)
     # A head's output carries the stack axis when any of its inputs does.
     o_s = np.zeros(max(pr.q.shape, pr.k.shape, pr.v.shape, key=len))
     o_l = None if params.dropped else np.zeros(
         max(pr.q_lin.shape, pr.k_lin.shape, pr.v_lin.shape, key=len))
-    heads: list[HeadAttention | list[HeadAttention]] = []
+    heads = []
     linear: list[LinearState] | None = None if o_l is None else []
 
     for head, s in enumerate(head_slices(params.channels, grid.heads)):
         o_s[..., s], info = sparse_head_attention(pr.q[..., s], pr.k[..., s], pr.v[..., s],
                                                   plan[head], grid, weights)
         if o_l is not None:
-            o_l[..., s], state = linear_attention_streaming(
-                pr.q_lin[..., s], pr.k_lin[..., s], pr.v_lin[..., s], return_state=True)
+            o_l[..., s], state = linear_attention_streaming(pr.q_lin[..., s], pr.k_lin[..., s],
+                                                            pr.v_lin[..., s])
             linear.append(state)
         heads.append(info)
 
@@ -453,7 +447,8 @@ def _forward(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
         proj_out = stacked_matmul(o_l, params.proj)
         scale = gate_applied if np.ndim(gate_applied) == 0 else gate_applied[:, None, None]
         fused = o_s + scale * proj_out
-    trace = BlockTrace(o_s, o_l, gate, gate_pre, gate_applied, fused, proj_out, pr, heads, linear)
+    trace = BlockTrace(o_s, o_l, gate, gate_pre, gate_applied, fused, proj_out, pr, tuple(heads),
+                       linear)
     return stacked_matmul(fused, pr.wo), trace
 
 

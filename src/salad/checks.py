@@ -214,7 +214,7 @@ def check_linear_oracle() -> Outcome:
         n, d = combos[i % len(combos)]
         q, k, v = (rng.normal((n, d)) for _ in range(3))
         naive = linear_attention_naive(q, k, v)
-        stream = linear_attention_streaming(q, k, v)
+        stream, _ = linear_attention_streaming(q, k, v)
         scale = 1.0 + float(np.max(np.abs(naive)))
         worst = max(worst, float(np.max(np.abs(stream - naive))) / scale)
     return _fail_unless(worst < 1e-10), worst

@@ -172,6 +172,7 @@ def cmd_export_maps(cfg: RunConfig) -> int:
     cfg.maps.export = True
     cfg.validate()
     run_pipeline(cfg, out_dir=cfg.out)
+    _note_fallbacks()
     maps_dir = Path(cfg.out) / "maps"
     for path in sorted(maps_dir.iterdir()):
         print(path)

@@ -271,8 +271,7 @@ def fd_gradient(
 
     The 2 x size perturbations (+step, then -step, for each element in
     order) run as a few stacked forwards (:func:`stacked_forward`), each
-    with the bits of its lone forward and without attention weights,
-    as only the outputs are read. A stack holds at most
+    with the bits of its lone forward. A stack holds at most
     ``ORDERED_SUM_BLOCK`` input-sized values (N x max(D, H) each), so every
     parameter of a 2 x 2 x 2 grid with 8 channels runs in one forward, and
     one at N = 64 with 16 channels in stacks of 64. A forward that raises
@@ -289,12 +288,11 @@ def fd_gradient(
         values[np.arange(bumps.size), bumps // 2] += np.where(bumps % 2, -step, step)
         values = values.reshape(bumps.size, *base.shape)
         try:
-            y, _ = stacked_forward(x, params, plan, grid, rope_cfg, name, values, weights=False)
+            y = stacked_forward(x, params, plan, grid, rope_cfg, name, values)
         except NumericError:
             for value, bump in zip(values, bumps.tolist()):  # the first bump that fails alone
                 try:
-                    stacked_forward(x, params, plan, grid, rope_cfg, name, value[None],
-                                    weights=False)
+                    stacked_forward(x, params, plan, grid, rope_cfg, name, value[None])
                 except NumericError as exc:
                     raise NumericError(f"finite differences of {name}, element {bump // 2}, "
                                        f"{'-' if bump % 2 else '+'}{step:g} step: {exc}") from None

@@ -151,39 +151,30 @@ class LinearState:
     den: Array
 
 
-def linear_attention_streaming(q: Array, k: Array, v: Array,
-                               return_state: bool = False) -> Array | tuple[Array, LinearState]:
-    """Linear-cost ReLU linear attention.
+def linear_attention_streaming(q: Array, k: Array, v: Array) -> tuple[Array, LinearState]:
+    """Linear-cost ReLU linear attention: the output and the
+    :class:`LinearState` it formed.
 
     Folds the keys once into the d x d state H = relu(K)^T V and the
     normalizer Z = relu(K)^T 1, then evaluates each query against the
     state: O_i = relu(Q_i) H / (relu(Q_i) Z + EPSILON). Algebraically
-    identical to the quadratic form at Theta(N d^2) cost. With
-    ``return_state`` it returns (output, :class:`LinearState`).
-    """
-    _, _, h, z, num, den = streaming_terms(q, k, v)
-    out = num / den[..., None]
-    return (out, LinearState(h, z, num, den)) if return_state else out
-
-
-def streaming_terms(q: Array, k: Array, v: Array) -> tuple[Array, ...]:
-    """(relu(Q), relu(K), H, Z, numerators, guarded denominators) of the
-    streaming form.
+    identical to the quadratic form at Theta(N d^2) cost.
 
     Each of Q, K and V may be an (S, N, d) stack, the 2-D ones shared by
     every element, and each element gets the bits it gets alone: the
     products run through :func:`stacked_matmul`, and Z sums relu(K) down
     its token axis, which is never the fastest in memory, so each column
     adds its tokens in order. The numerators and the normalizer are one
-    product, relu(Q) [H | Z], whose columns keep the bits of two."""
+    product, relu(Q) [H | Z], whose columns keep the bits of two.
+    """
     _check_qkv(q, k, v)
-    fq = relu(q)
     fk = relu(k)
     h = stacked_matmul(fk.swapaxes(-1, -2), v)
     z = fk.sum(axis=-2)
     hz = np.concatenate([h, np.broadcast_to(z[..., None], (*h.shape[:-1], 1))], axis=-1)
-    terms = stacked_matmul(fq, hz)
-    return fq, fk, h, z, terms[..., :-1], terms[..., -1] + EPSILON
+    terms = stacked_matmul(relu(q), hz)
+    num, den = terms[..., :-1], terms[..., -1] + EPSILON
+    return num / den[..., None], LinearState(h, z, num, den)
 
 
 def _check_qkv(q: Array, k: Array, v: Array) -> None:

@@ -596,7 +596,7 @@ def _window_list(n: int, radius: int) -> KeyList:
     width = min(2 * radius + 1, n)
     queries = np.arange(n)[:, None]
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
-    valid = np.abs(keys - queries) <= radius
+    valid = (keys >= queries - radius) & (keys <= queries + radius)
     keys.flags.writeable = valid.flags.writeable = False
     # Windows start at key 0 up to row lo, slide one key a row up to row
     # hi, and end at key n - 1 from there.
@@ -689,7 +689,7 @@ def sparse_head_attention(
     entry: HeadPlan,
     grid: LatentGrid,
     weights: bool = True,
-) -> tuple[Array, HeadAttention | list[HeadAttention]]:
+) -> tuple[Array, HeadAttention | None]:
     """One head of masked softmax attention under a plan entry. The record
     keeps the slot weights only if ``weights`` (see :func:`attend_keys`).
 
@@ -697,8 +697,8 @@ def sparse_head_attention(
     scattered back to the original token order.
 
     Any of Q, K and V may be an (S, N, d) stack, the 2-D ones shared by
-    every element; then the (S, N, d) outputs come back with each
-    element's record, in a list, and each element gets the bits it gets
+    every element; then the (S, N, d) outputs come back with no record
+    (None) and no weights formed, and each element gets the bits it gets
     alone. A window list that stacks (:attr:`KeyList.stacks`) runs the
     whole stack as one block-diagonal list (:meth:`KeyList.stacked`), a
     reordered one permuting within each element; other entries, and every
@@ -706,7 +706,6 @@ def sparse_head_attention(
     element.
     """
     if q.ndim == k.ndim == v.ndim == 2:
-        count = None
         keys, perm = head_keys(entry, grid, q, k)
         attend = keys
     else:
@@ -714,10 +713,9 @@ def sparse_head_attention(
         q, k, v = (np.broadcast_to(a, (count, *a.shape[-2:])) for a in (q, k, v))
         keys, perm = head_keys(entry, grid) if isinstance(entry, Window) else (None, None)
         if keys is None or not keys.stacks:
-            outs, records = zip(*(sparse_head_attention(q[s], k[s], v[s], entry, grid, weights)
-                                  for s in range(count)))
-            return np.stack(outs), list(records)
-        attend = keys.stacked(count)
+            return np.stack([sparse_head_attention(q[s], k[s], v[s], entry, grid, False)[0]
+                             for s in range(count)]), None
+        attend, weights = keys.stacked(count), False
     if perm is not None:
         q, k, v = (a[..., perm, :] for a in (q, k, v))
     out, attn = attend_keys(*(a.reshape(-1, a.shape[-1]) for a in (q, k, v)), attend, weights)
@@ -725,10 +723,7 @@ def sparse_head_attention(
     if perm is not None:
         permuted, out = out, np.empty_like(out)
         out[..., perm, :] = permuted
-    if count is None:
-        return out, HeadAttention(attn, keys, perm)
-    each = [None] * count if attn is None else attn.reshape(count, -1, attn.shape[1])
-    return out, [HeadAttention(w, keys, perm) for w in each]
+    return out, None if out.ndim == 3 else HeadAttention(attn, keys, perm)
 
 
 # ---------------------------------------------------------------------------

