@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError
 from .linear_attention import (
     LinearState,
     RopeConfig,
@@ -246,9 +246,8 @@ class Projection:
 
     ``q_lin``/``k_lin``/``v_lin`` feed the linear branch; in the shared
     variant they are the same arrays as ``q``/``k``/``v``, and a dropped
-    non-shared branch leaves them None (see :func:`linear_projection`).
-    ``rope_cfg`` is the rotation that was applied, kept so the backward
-    pass can undo it.
+    non-shared branch leaves them None. ``rope_cfg`` is the rotation that
+    was applied, kept so the backward pass can undo it.
     """
 
     wq: Array
@@ -262,15 +261,6 @@ class Projection:
     k_lin: Array | None
     v_lin: Array | None
     rope_cfg: RopeConfig
-
-
-def linear_projection(x: Array, params: SaladParams, grid: LatentGrid,
-                      rope_cfg: RopeConfig) -> tuple[Array, Array, Array]:
-    """The non-shared linear branch's own rotated queries and keys and its
-    values."""
-    q_lin = rope3d_apply(stacked_matmul(x, params.w_q_lin), grid, rope_cfg)
-    k_lin = rope3d_apply(stacked_matmul(x, params.w_k_lin), grid, rope_cfg)
-    return q_lin, k_lin, stacked_matmul(x, params.w_v_lin)
 
 
 def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfig) -> Projection:
@@ -287,14 +277,16 @@ def project(x: Array, params: SaladParams, grid: LatentGrid, rope_cfg: RopeConfi
     elif params.dropped:
         linear = (None, None, None)
     else:
-        linear = linear_projection(x, params, grid, rope_cfg)
+        linear = (rope3d_apply(stacked_matmul(x, params.w_q_lin), grid, rope_cfg),
+                  rope3d_apply(stacked_matmul(x, params.w_k_lin), grid, rope_cfg),
+                  stacked_matmul(x, params.w_v_lin))
     return Projection(wq, wk, wv, wo, q, k, v, *linear, rope_cfg)
 
 
 @dataclass
 class BlockTrace:
     """The record of one forward pass: everything the hand-derived backward
-    pass, rank analysis and attention-map export read.
+    pass, rank analysis and the run's gate and cost ledger read.
 
     ``gate`` is the scalar the gate path computed, and ``gate_pre`` its
     per-token pre-activations (None for a constant gate), which the
@@ -363,8 +355,8 @@ def salad_forward(
     forward :func:`stacked_forward` runs, with nothing stacked.
 
     The record keeps each head's attention weights only if ``weights``;
-    only the backward pass and map export read them, and a full list's
-    are N x N per head.
+    only the backward pass reads them, and a full list's are N x N per
+    head.
     """
     x = np.asarray(x, dtype=np.float64)
     return _forward(x, params, plan, grid, _validate_forward(x, params, plan, grid, rope_cfg),
@@ -463,24 +455,22 @@ def write_pgm(mat: Array, path: Path) -> None:
         fh.write(pixels.tobytes())
 
 
-def export_attention_maps(trace: BlockTrace, head: int, out_prefix: str | Path) -> list[Path]:
+def export_attention_maps(x: Array, params: SaladParams, plan: MaskPlan, grid: LatentGrid,
+                          rope_cfg: RopeConfig | None, head: int,
+                          out_prefix: str | Path) -> list[Path]:
     """Write one head's sparse and linear maps as CSV plus 8-bit PGM.
 
-    CSV keeps full precision; the PGM scales each row by its maximum. The
-    record must keep its attention weights (see :func:`salad_forward`),
-    and that of a dropped non-shared branch must first get its
-    linear-branch inputs from :func:`linear_projection`.
+    The head is run again on ``x``, keeping its attention weights, and the
+    linear branch is projected even where ``params`` drops it. CSV keeps
+    full precision; the PGM scales each row by its maximum.
     """
-    pr = trace.projection
-    if not 0 <= head < len(trace.heads):
-        raise ConfigError(f"head {head} out of range for {len(trace.heads)} recorded heads")
-    info = trace.heads[head]
-    if info.weights is None:
-        raise StateError("the record's attention weights were not kept; "
-                         "export maps from a forward run with weights=True")
-    if pr.q_lin is None:
-        raise StateError("the record's dropped linear branch was never projected")
-    s = head_slices(pr.q.shape[1], len(trace.heads))[head]
+    x = np.asarray(x, dtype=np.float64)
+    rope_cfg = _validate_forward(x, params, plan, grid, rope_cfg)
+    if not 0 <= head < grid.heads:
+        raise ConfigError(f"head {head} out of range for {grid.heads} heads")
+    pr = project(x, replace(params, dropped=False), grid, rope_cfg)
+    s = head_slices(params.channels, grid.heads)[head]
+    _, info = sparse_head_attention(pr.q[:, s], pr.k[:, s], pr.v[:, s], plan[head], grid)
     linear = linear_attention_map(pr.q_lin[:, s], pr.k_lin[:, s])
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -317,31 +317,27 @@ def gradcheck_salad(
     plan: MaskPlan,
     grid: LatentGrid,
     rope_cfg: RopeConfig | None = None,
-    step: float = FD_STEP,
-    tol: float = FD_TOL,
-    names: list[str] | None = None,
 ) -> list[GradCheckReport]:
-    """Compare every analytic gradient against central differences.
+    """Compare every analytic gradient against central differences of step
+    ``FD_STEP``; a parameter passes below relative error ``FD_TOL``.
 
     Sizes should stay small (N <= 64, head_dim <= 16): the finite
     differences run two forwards per parameter element, stacked a few
     hundred at a time (at most ``ORDERED_SUM_BLOCK`` input-sized values per
     stack; see :func:`fd_gradient`), so a small grid checks each parameter
-    in one stacked forward.
+    in one stacked forward. A gradient whose norm or error is not finite
+    raises :class:`NumericError` naming its parameter.
     """
     _, grads = salad_loss_grads(x, params, plan, grid, rope_cfg)
     reports = []
-    for name in names if names is not None else checkable_params(params):
+    for name in checkable_params(params):
         an = np.asarray(grads[name], dtype=np.float64)
-        fd = fd_gradient(x, params, plan, grid, rope_cfg, name, step)
-        err = max_rel_err(fd, an)
-        reports.append(
-            GradCheckReport(
-                param=name,
-                analytic_norm=float(math.sqrt(np.sum(an * an))),
-                max_rel_err=err,
-                passed=err < tol,
-                step=step,
-            )
-        )
+        fd = fd_gradient(x, params, plan, grid, rope_cfg, name, FD_STEP)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            norm, err = float(math.sqrt(np.sum(an * an))), max_rel_err(fd, an)
+        if not (math.isfinite(norm) and math.isfinite(err)):
+            raise NumericError(f"gradient of {name} has norm {norm:g} and relative error "
+                               f"{err:g}; both must be finite")
+        reports.append(GradCheckReport(param=name, analytic_norm=norm, max_rel_err=err,
+                                       passed=err < FD_TOL, step=FD_STEP))
     return reports

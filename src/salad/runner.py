@@ -5,9 +5,8 @@ Everything is a pure function of (config, seed). The per-(layer,
 timestep) forwards run in order in the caller at ``threads`` 1; otherwise
 the caller and a pool of ``threads - 1`` workers take them from one queue
 in order. Either way they land in index order, so the report bytes do not
-depend on the thread count. A task returns only what the report reads;
-the maps task alone keeps its forward's whole record, attention weights
-included.
+depend on the thread count. A task returns only what the report reads,
+and no task keeps attention weights: map export runs its one head again.
 """
 
 from __future__ import annotations
@@ -35,18 +34,13 @@ from .analysis import (
     price_drop,
     price_run,
 )
-from .block import (
-    export_attention_maps,
-    head_slices,
-    linear_projection,
-    project,
-    salad_forward,
-)
+from .block import export_attention_maps, head_slices, project, salad_forward
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError, NumericError
 from .gradients import gradcheck_salad
 from .masking import MaskPlan, calibrate_plan, invert_permutation, st_reorder_permutation
-from .tensor_io import check_json, dumps_json, load_json, record_from_dict, record_to_dict
+from .tensor_io import (check_json, dumps_json, load_json, read_params, record_from_dict,
+                        record_to_dict)
 from .workload import Workload, generate_workload, load_workload
 
 REPORT_NAME = "report.json"
@@ -84,8 +78,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     else:
         workload = generate_workload(cfg)
     if cfg.block.params_bundle is not None:
-        from .tensor_io import read_params
-
         # One block everywhere.
         workload.params = [read_params(cfg.block.params_bundle, grid)] * cfg.layers
     plan, calibration = resolve_plan(cfg, workload)
@@ -97,14 +89,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
     explicit_dropped |= {i for i, p in enumerate(workload.params) if p.dropped}
 
     # A task returns only what the report reads: its gate and attended
-    # pairs, the branch outputs of each rank layer at the rank timestep, the
-    # output of task (0, 0), and the whole record of the maps task, the only
-    # forward that keeps its attention weights.
+    # pairs, the branch outputs of each rank layer at the rank timestep, and
+    # the output of task (0, 0).
     rank_layers = cfg.analysis.rank_layers if cfg.analysis.rank_layers is not None \
         else list(range(cfg.layers))
     rt = cfg.analysis.rank_timestep
     rank_tasks = {(layer, rt) for layer in rank_layers}
-    maps_task = (cfg.maps.layer, cfg.maps.timestep) if cfg.maps.export else None
 
     def one(lt: tuple[int, int]):
         layer, t = lt
@@ -113,16 +103,15 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             params = replace(params, dropped=True)
         x = workload.inputs[layer, t] * sigmas[t]
         try:
-            out, trace = salad_forward(x, params, plan, grid, rope_cfg, weights=lt == maps_task)
+            out, trace = salad_forward(x, params, plan, grid, rope_cfg, weights=False)
         except NumericError as exc:
             raise NumericError(f"forward at timestep {t}, layer {layer}: {exc}") from None
         return (trace.gate, trace.attended_pairs,
                 BranchOutputs(trace.o_s, trace.o_l) if lt in rank_tasks else None,
-                trace if lt == maps_task else None, out if lt == (0, 0) else None)
+                out if lt == (0, 0) else None)
 
     tasks = [(layer, t) for layer in range(cfg.layers) for t in range(cfg.timesteps)]
     results = dict(zip(tasks, _run_in_order(one, tasks, cfg.threads)))
-    maps_trace = results[maps_task][3] if maps_task is not None else None
 
     # Gate records and the cost ledger over the layers as actually run.
     records = [GateRecord(layer, t, results[(layer, t)][0]) for layer, t in tasks]
@@ -150,7 +139,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         raise NumericError(f"rank analysis at timestep {rt}, {exc}") from None
 
     oracle_checks = _inline_checks(workload, plan, grid, rope_cfg, sigmas,
-                                   results[(0, 0)][4], 0 in explicit_dropped)
+                                   results[(0, 0)][3], 0 in explicit_dropped)
 
     gradcheck_section: dict = {"run": False, "all_passed": None, "reports": []}
     if cfg.checks.gradcheck_in_run:
@@ -159,7 +148,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
             gradcheck_section["note"] = f"skipped: N={n}, head_dim={d} exceeds the N<=64, d<=16 budget"
         else:
             x0 = workload.inputs[0, 0] * sigmas[0]
-            reports = gradcheck_salad(x0, workload.params[0], plan, grid, rope_cfg)
+            try:
+                reports = gradcheck_salad(x0, workload.params[0], plan, grid, rope_cfg)
+            except NumericError as exc:
+                raise NumericError(f"gradcheck at timestep 0, layer 0: {exc}") from None
             gradcheck_section = {
                 "run": True,
                 "all_passed": all(r.passed for r in reports),
@@ -191,12 +183,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport
         (out / REPORT_NAME).write_text(dumps_json(record_to_dict(report)))
         if cfg.maps.export:
             layer, t = cfg.maps.layer, cfg.maps.timestep
-            pr = maps_trace.projection
-            if pr.q_lin is None:  # a dropped non-shared branch skipped its projections
-                x = workload.inputs[layer, t] * sigmas[t]
-                pr.q_lin, pr.k_lin, pr.v_lin = linear_projection(x, workload.params[layer],
-                                                                 grid, rope_cfg)
-            export_attention_maps(maps_trace, cfg.maps.head, out / "maps" / f"l{layer}_t{t}")
+            export_attention_maps(workload.inputs[layer, t] * sigmas[t], workload.params[layer], plan,
+                                  grid, rope_cfg, cfg.maps.head, out / "maps" / f"l{layer}_t{t}")
     return report
 
 

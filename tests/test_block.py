@@ -13,14 +13,13 @@ from salad.block import (
     export_attention_maps,
     gate_pre_activations,
     head_slices,
-    linear_projection,
     lora_apply,
     merged_weight,
     salad_forward,
     sparse_head_attention,
     stacked_forward,
 )
-from salad.errors import ConfigError, DimensionError, StateError
+from salad.errors import ConfigError, DimensionError
 from salad.linear_attention import RopeConfig
 from salad.masking import Explicit, LatentGrid, MaskPlan, TopK, Window, window_attended_pairs
 from salad.numerics import Rng, matmul, numerical_rank
@@ -272,8 +271,7 @@ class TestAttentionMaps:
         plan = MaskPlan([Window(radius=1)])
         # Shift the input positive so no linear-branch query row dies.
         x = np.abs(rng.normal((n, grid.channels))) + 0.2
-        _, trace = salad_forward(x, p, plan, grid)
-        written = export_attention_maps(trace, 0, tmp_path / "map")
+        written = export_attention_maps(x, p, plan, grid, None, 0, tmp_path / "map")
         names = sorted(path.name for path in written)
         assert names == ["map_linear_h0.csv", "map_linear_h0.pgm",
                          "map_sparse_h0.csv", "map_sparse_h0.pgm"]
@@ -290,42 +288,30 @@ class TestAttentionMaps:
         sums = [sum(float(cell) for cell in line.split(",")) for line in rows]
         assert max(abs(s - 1.0) for s in sums) < 1e-9
 
-    def test_unprojected_dropped_branch_needs_its_projection(self, rng, tmp_path):
+    def test_dropped_branch_exports_the_undropped_maps(self, rng, tmp_path):
+        """A dropped non-shared branch is projected for its map, so it
+        exports the bytes of the same block undropped."""
         grid = small_grid(heads=1, d=4)
         h = grid.channels
         p = random_params(rng, grid, variant="non_shared", dropped=True,
                           w_q_lin=rng.normal((h, h)), w_k_lin=rng.normal((h, h)),
                           w_v_lin=rng.normal((h, h)))
         x = np.abs(rng.normal((grid.seq_len, h))) + 0.2
-        _, trace = salad_forward(x, p, MaskPlan([Window(radius=1)]), grid)
-        with pytest.raises(StateError):
-            export_attention_maps(trace, 0, tmp_path / "map")
-        pr = trace.projection
-        pr.q_lin, pr.k_lin, pr.v_lin = linear_projection(x, p, grid, RopeConfig.default(4))
-        undropped = dataclasses.replace(p, dropped=False)
-        _, full = salad_forward(x, undropped, MaskPlan([Window(radius=1)]), grid)
-        export_attention_maps(trace, 0, tmp_path / "lazy")
-        export_attention_maps(full, 0, tmp_path / "full")
+        plan = MaskPlan([Window(radius=1)])
+        export_attention_maps(x, p, plan, grid, None, 0, tmp_path / "dropped")
+        export_attention_maps(x, dataclasses.replace(p, dropped=False), plan, grid, None, 0,
+                              tmp_path / "full")
         for kind in ("sparse", "linear"):
-            assert ((tmp_path / f"lazy_{kind}_h0.csv").read_bytes()
+            assert ((tmp_path / f"dropped_{kind}_h0.csv").read_bytes()
                     == (tmp_path / f"full_{kind}_h0.csv").read_bytes())
-
-    def test_a_record_without_weights_is_refused(self, rng, tmp_path):
-        grid = small_grid(heads=1, d=4)
-        p = random_params(rng, grid)
-        x = rng.normal((grid.seq_len, grid.channels))
-        _, trace = salad_forward(x, p, MaskPlan([Window(radius=1)]), grid, weights=False)
-        with pytest.raises(StateError, match="weights were not kept"):
-            export_attention_maps(trace, 0, tmp_path / "map")
-        assert not any(tmp_path.iterdir())
 
     def test_head_out_of_range(self, rng, tmp_path):
         grid = small_grid()
         p = random_params(rng, grid)
         plan = MaskPlan.uniform(Window(radius=1), grid.heads)
-        _, trace = salad_forward(rng.normal((grid.seq_len, grid.channels)), p, plan, grid)
+        x = rng.normal((grid.seq_len, grid.channels))
         with pytest.raises(ConfigError):
-            export_attention_maps(trace, 5, tmp_path / "map")
+            export_attention_maps(x, p, plan, grid, None, 5, tmp_path / "map")
 
     def test_uniform_logits_give_uniform_gray(self, rng, tmp_path):
         grid = small_grid(heads=1, d=4)
@@ -333,8 +319,7 @@ class TestAttentionMaps:
         p = random_params(rng, grid, w_q=np.zeros((grid.channels,) * 2))  # logits all zero
         plan = MaskPlan([Window(radius=n)])
         x = rng.normal((n, grid.channels))
-        _, trace = salad_forward(x, p, plan, grid)
-        export_attention_maps(trace, 0, tmp_path / "m")
+        export_attention_maps(x, p, plan, grid, None, 0, tmp_path / "m")
         raw = (tmp_path / "m_sparse_h0.pgm").read_bytes().split(b"255\n", 1)[1]
         img = np.frombuffer(raw, dtype=np.uint8)
         assert np.all(img == 255)  # every row is constant, scaled by its max

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -789,6 +788,8 @@ def exit_three_cases():
         "heads_x": (["--set", "grid.heads=x"], {}),
         "seed_above_u64": (["--set", "seed=18446744073709551621"], {}),
         "sigma_overflow": (["--set", "sigma.values=[1e200,1,1,1,1]"], {}),
+        "gradcheck_norm_overflow": (["--set", "checks.gradcheck_in_run=true",
+                                     "--set", "sigma.max=1e100"], {}),
         "sigma_max_zero": (["--set", "sigma.max=0"], {}),
         "sigma_max_negative": (["--set", "sigma.max=-1"], {}),
         "calibrate_negative_candidate": (["--set", "mask.kind=calibrate",
@@ -937,15 +938,16 @@ def test_config_too_large_for_memory_exits_3_without_traceback(tmp_path, capsys,
 @pytest.mark.parametrize("maps", [False, True])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, threads, maps):
-    """On the default 4x5 run, the only forward record alive when rank
-    analysis starts is the maps task's: the rank layer's task returns just
-    its branch outputs, and no other task keeps its record. Only the maps
-    task's record holds attention weights."""
-    from salad import runner
+    """On the default 4x5 run, no forward record is alive when rank
+    analysis starts: the rank layer's task returns just its branch
+    outputs. No task forward asks for attention weights, and map export
+    runs its one head's attention again."""
+    from salad import block, runner
 
     live, ran, lock = set(), [], threading.Lock()
-    seen, kept = [], []
+    seen, asked, exported = [], [], []
     forward, rank_analysis = runner.salad_forward, runner.branch_rank_analysis
+    export, head_attention = runner.export_attention_maps, block.sparse_head_attention
 
     def watched_forward(*args, **kwargs):
         out, trace = forward(*args, **kwargs)
@@ -953,7 +955,7 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
             key = len(ran)
             ran.append(key)
             live.add(key)
-            kept.append(all(info.weights is not None for info in trace.heads))
+            asked.append(kwargs.get("weights", args[5] if len(args) > 5 else True))
         weakref.finalize(trace, live.discard, key)
         return out, trace
 
@@ -961,13 +963,25 @@ def test_run_keeps_only_the_records_its_report_reads(tmp_path, monkeypatch, thre
         seen.append((len(ran), len(live)))
         return rank_analysis(*args, **kwargs)
 
+    def counting_export(*args, **kwargs):
+        exported.append(0)
+        return export(*args, **kwargs)
+
+    def counted_head_attention(*args, **kwargs):
+        if exported:
+            exported[-1] += 1
+        return head_attention(*args, **kwargs)
+
     monkeypatch.setattr(runner, "salad_forward", watched_forward)
     monkeypatch.setattr(runner, "branch_rank_analysis", counting_rank_analysis)
+    monkeypatch.setattr(runner, "export_attention_maps", counting_export)
+    monkeypatch.setattr(block, "sparse_head_attention", counted_head_attention)
     args = ["--out", str(tmp_path), "--threads", str(threads), "--set", "analysis.rank_layers=[1]",
             "--set", f"maps.export={json.dumps(maps)}"]
     assert run_cli("run", *args) == 0
-    assert seen == [(4 * 5, maps)]
-    assert sum(kept) == maps
+    assert seen == [(4 * 5, 0)]
+    assert len(asked) == 4 * 5 + 1 and not any(asked)  # the tasks and the zero-init check
+    assert exported == ([1] if maps else [])
 
 
 def test_one_thread_runs_the_tasks_without_a_pool(tmp_path, monkeypatch):
@@ -1063,13 +1077,23 @@ def test_forward_numeric_error_names_its_layer_and_timestep(tmp_path, capsys):
 def test_in_run_gradcheck_overflow_names_its_bump(tmp_path, capsys, monkeypatch):
     """A finite-difference bump that overflows inside a stacked forward
     exits 3, naming the parameter, its element and the sign of the step."""
-    from salad import gradients, runner
+    from salad import gradients
 
-    monkeypatch.setattr(runner, "gradcheck_salad",
-                        functools.partial(gradients.gradcheck_salad, step=1e300))
+    monkeypatch.setattr(gradients, "FD_STEP", 1e300)
     assert run_cli("run", *small_args(tmp_path), "--set", "checks.gradcheck_in_run=true") == 3
-    assert capsys.readouterr().err == ("error: finite differences of x, element 0, +1e+300 step: "
+    assert capsys.readouterr().err == ("error: gradcheck at timestep 0, layer 0: finite differences "
+                                       "of x, element 0, +1e+300 step: "
                                        "attention scores contains non-finite values\n")
+
+
+@QUIET_OVERFLOW
+def test_in_run_gradcheck_norm_overflow_names_its_parameter(tmp_path, capsys):
+    """At sigma 1e100 the gradients stay finite but the norm of w_v's
+    overflows; the report is refused with exit 3, not left unwritable."""
+    assert run_cli("run", *small_args(tmp_path), "--set", "checks.gradcheck_in_run=true",
+                   "--set", "sigma.max=1e100") == 3
+    assert capsys.readouterr().err.startswith("error: gradcheck at timestep 0, layer 0: "
+                                              "gradient of w_v has norm inf")
 
 
 def run_peak_kib(tmp_path, *overrides):

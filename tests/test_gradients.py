@@ -9,6 +9,7 @@ from salad.block import LoraUpdate, SaladParams, head_slices, salad_forward
 from salad.checks import build_window_mask
 from salad.errors import NumericError, StateError
 from salad.gradients import (
+    FD_TOL,
     GradCheckReport,
     checkable_params,
     elementwise_backward,
@@ -200,9 +201,10 @@ class TestBlockGradients:
 
         x, params, plan, grid = small_setup(seed=33)
         plan = MaskPlan([TopK(block_size=2, k=2), Window(radius=1)])
-        reports = gradcheck_salad(x, params, plan, grid,
-                                  names=["x", "w_q", "w_v", "proj"])
-        assert all(r.passed for r in reports)
+        _, grads = salad_loss_grads(x, params, plan, grid)
+        for name in ("x", "w_q", "w_v", "proj"):
+            fd = fd_gradient(x, params, plan, grid, None, name)
+            assert max_rel_err(fd, grads[name]) < FD_TOL, name
 
     def test_dropped_branch_kills_branch_gradients(self):
         x, params, plan, grid = small_setup(dropped=True)
