@@ -49,7 +49,6 @@ from .masking import (
     MaskPlan,
     TopK,
     Window,
-    _window_row_sum_holds,
     calibrate_window,
     invert_permutation,
     select_topk_blocks,
@@ -798,9 +797,6 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
 
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # The workers inherit the row-sum probe's verdict, so the caller can note
-    # a fallback that their window lists take.
-    _window_row_sum_holds()
     # Fork, not spawn: a worker starts without importing numpy again and
     # sees the registry as the caller holds it. The pool forks every worker
     # at the first submit, before it starts its own thread.

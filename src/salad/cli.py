@@ -103,10 +103,7 @@ def _note_fallbacks() -> None:
     elif not numerics.FUSED_COLUMN_MAJOR:
         print(f"note: numpy {np.__version__} einsum failed the column-major bit probe; "
               "products write row-major blocks", file=sys.stderr)
-    # The row-sum probe runs when the first window list is built, so a run
-    # that built none took no row-sum fallback.
-    probe = masking._window_row_sum_holds
-    if probe.cache_info().currsize and not probe():
+    if not masking.WINDOW_ROW_SUMS:
         print(f"note: numpy {np.__version__} sum failed the row-sum probe; "
               "window lists scatter their row sums", file=sys.stderr)
 

@@ -115,7 +115,11 @@ def relu_linear_attention_backward(
     h, z, num, den = state.h, state.z, state.num, state.den
     fq = relu(q)
     dnum = go / den[:, None]
-    dden = -np.sum(num * go, axis=1) / (den * den)
+    total = -np.sum(num * go, axis=1)
+    with np.errstate(over="ignore"):
+        square = den * den
+    dden, big = total / square, np.isinf(square)  # den past ~1e154: divide twice there
+    dden[big] = total[big] / den[big] / den[big]
     dfq = matmul(dnum, h.T) + dden[:, None] * z[None, :]
     dhz = matmul(fq.T, np.concatenate([dnum, dden[:, None]], axis=1))
     dh, dz = dhz[:, :-1], dhz[:, -1]

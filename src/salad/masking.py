@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -323,10 +323,9 @@ def _window_row_sum(keys: "KeyList", w: Array) -> Array:
     return sums[-1].reshape(-1)
 
 
-@lru_cache(maxsize=1)
 def _window_row_sum_holds() -> bool:
     """Whether :func:`_window_row_sum` gives ``np.sum``'s bits on a fixed
-    probe; :func:`window_keys` asks when it builds its first window list.
+    probe, run once at import to set ``WINDOW_ROW_SUMS``.
 
     Windows over 7, 150 and 264 keys make one leaf, two unequal leaves,
     and a leaf beside a split half, with rows of one key, windows as wide
@@ -335,9 +334,10 @@ def _window_row_sum_holds() -> bool:
     row is all -0.0, the terms' signs and magnitudes (2^-30..2^30) follow
     fixed sequences, and each list sums as a stack of two, so a wrong
     tree, leaf, shear or stride shows in the bits. It is kept small, as
-    every process that builds a window list runs it."""
+    every process that imports this module runs it, and it builds its
+    lists uncached."""
     for n, radius in ((7, 0), (7, 5), (150, 3), (150, 20), (264, 8)):
-        keys = _window_list(n, radius)
+        keys = _window_list.__wrapped__(n, radius)
         k = np.arange(2 * n * keys.keys.shape[1]).reshape(2 * n, -1)
         w = np.ldexp(k * 0.6180339887498949 % 1.0 - 0.5, k * 7 % 61 - 30)
         w[:, 1::3] = 0.0
@@ -457,7 +457,7 @@ class KeyList:
         """
         if self.keys.strides[0] == 0:
             return np.ascontiguousarray(w).sum(axis=1)
-        if self.spans is not None and _window_row_sum_holds():
+        if self.spans is not None and WINDOW_ROW_SUMS:
             return _window_row_sum(self, w)
         n = self.keys.shape[0]
         out = np.empty(n)
@@ -484,7 +484,7 @@ class KeyList:
     def stacks(self) -> bool:
         """Whether :meth:`stacked` takes this list: a window list, while
         numpy's sum follows :func:`_window_row_sum`'s model."""
-        return self.spans is not None and _window_row_sum_holds()
+        return self.spans is not None and WINDOW_ROW_SUMS
 
     def stacked(self, count: int) -> "KeyList":
         """``count`` copies of this window list as one block-diagonal list
@@ -567,32 +567,21 @@ def attend_keys(q: Array, k: Array, v: Array, keys: KeyList,
 _WINDOW_LOCK = threading.Lock()
 
 
-def _locked(cached: Callable) -> Callable:
-    """The ``lru_cache`` ``cached``, each call under ``_WINDOW_LOCK``."""
-    def call(*args):
-        with _WINDOW_LOCK:
-            return cached(*args)
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return wraps(cached)(call)
-
-
-@_locked
-@lru_cache(maxsize=64)
 def window_keys(n: int, radius: int) -> KeyList:
     """Keys i-r..i+r of each query i, as W = min(2r+1, N) consecutive
     slots that start where the window does, shifted inside the sequence at
     either end; slots outside the window are invalid. Cached; read-only.
-    A window narrower than the sequence keeps its spans (the first one
-    built also runs the row-sum probe, :func:`_window_row_sum_holds`); a
-    full one is :meth:`KeyList.full`."""
+    A window narrower than the sequence keeps its spans; a full one is
+    :meth:`KeyList.full`."""
+    with _WINDOW_LOCK:
+        return _window_list(n, radius)
+
+
+@lru_cache(maxsize=64)
+def _window_list(n: int, radius: int) -> KeyList:
+    """:func:`window_keys` without the lock."""
     if radius >= n - 1:
         return KeyList.full(n)
-    _window_row_sum_holds()
-    return _window_list(n, radius)
-
-
-def _window_list(n: int, radius: int) -> KeyList:
-    """:func:`window_keys` for a radius below n - 1, built anew."""
     width = min(2 * radius + 1, n)
     queries = np.arange(n)[:, None]
     keys = np.clip(queries - radius, 0, n - width) + np.arange(width)
@@ -605,6 +594,11 @@ def _window_list(n: int, radius: int) -> KeyList:
     spans = tuple(span for span in ((0, lo, 0, 0), (lo, hi, lo - radius, 1), (hi, n, n - width, 0))
                   if span[1] > span[0])
     return KeyList(keys, valid, spans=spans)
+
+
+#: Whether :func:`_window_row_sum` gives numpy's row-sum bits here; when
+#: not, window lists scatter their row sums and do not stack.
+WINDOW_ROW_SUMS = _window_row_sum_holds()
 
 
 def _transposed_copy(a: Array) -> Array:

@@ -39,12 +39,13 @@ their terms by memory layout.
 
 An einsum that fuses multiply-add (numpy built for an FMA baseline) or
 iterates in another order would change bits, so at import
-:func:`choose_block_kernel` runs the fused kernel on a small fixed probe
-and keeps it only if it gives the stack kernel's bits on every case (a
-sum of -0.0 terms must come out +0.0); otherwise ``BLOCK_KERNEL`` is the
-stack kernel. The probe runs once more with column-major outputs, and
-``FUSED_COLUMN_MAJOR`` records whether the fused kernel keeps those bits
-there too; if not, every product writes row-major blocks.
+:func:`_gives_stack_bits` runs the fused kernel on a small fixed probe,
+and ``BLOCK_KERNEL`` is the fused kernel only if it gives the stack
+kernel's bits on every case (a sum of -0.0 terms must come out +0.0);
+otherwise it is the stack kernel. The probe runs once more with
+column-major outputs, and ``FUSED_COLUMN_MAJOR`` records whether the
+fused kernel keeps those bits there too; if not, every product writes
+row-major blocks.
 
 :func:`jacobi_singular_values` solves a stack of matrices at once. Each of
 its sums runs over the rows of one matrix, in that matrix's memory layout,
@@ -217,14 +218,8 @@ def _gives_stack_bits(kernel: Callable[[Array, Array, Array], None], column_majo
     return True
 
 
-def choose_block_kernel(candidate: Callable[[Array, Array, Array], None] = fused_block):
-    """``candidate`` if it gives :func:`stacked_block`'s bits on every
-    probe case, else :func:`stacked_block`."""
-    return candidate if _gives_stack_bits(candidate, column_major=False) else stacked_block
-
-
 #: The kernel :func:`ordered_sum` runs row blocks through.
-BLOCK_KERNEL = choose_block_kernel()
+BLOCK_KERNEL = fused_block if _gives_stack_bits(fused_block, column_major=False) else stacked_block
 #: Whether :func:`fused_block` keeps its bits writing column-major blocks,
 #: where :func:`ordered_sum` puts shared-operand products with tall blocks.
 FUSED_COLUMN_MAJOR = BLOCK_KERNEL is fused_block and _gives_stack_bits(fused_block, column_major=True)
@@ -496,8 +491,6 @@ class Rng:
     every platform and the stream can be produced in vectorized batches.
     Floating-point derivations (uniform, normal) are built on that stream.
     """
-
-    algorithm = "splitmix64"
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64

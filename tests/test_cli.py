@@ -179,12 +179,12 @@ class TestRun:
         """Four threads ask for a new window list at once; one thread
         builds it alone. N=256 with radius 8 spans several pairwise
         leaves."""
-        from salad.masking import window_keys
+        from salad.masking import _window_list
 
         grid = ["--set", "grid.frames=4", "--set", "grid.height=8", "--set", "grid.width=8",
                 "--set", "mask.radius=8"]
         for name, threads in (("r4", "4"), ("r1", "1")):
-            window_keys.cache_clear()
+            _window_list.cache_clear()
             assert run_cli("run", *small_args(tmp_path, name, *grid),
                            "--threads", threads, "--no-timestamp") == 0
         a = (tmp_path / "r4" / "report.json").read_bytes()
@@ -535,13 +535,14 @@ def test_stack_kernel_fallback_is_noted_on_stderr_only(tmp_path, capsys, monkeyp
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
-@pytest.mark.parametrize("probe", ["column_major", "row_sum", "row_sum_topk", "row_sum_check"])
+@pytest.mark.parametrize("probe", ["column_major", "row_sum", "row_sum_topk", "row_sum_check",
+                                   "row_sum_maps"])
 def test_probe_fallbacks_are_noted_on_stderr_only(tmp_path, capsys, monkeypatch, probe):
     """A run whose fused kernel fails the column-major probe, or whose
     window lists scatter their row sums, says so in one stderr line; stdout
-    and the report are the same. A run that builds no window list takes
-    no row-sum fallback, and notes none. A check whose window lists are
-    built only in a forked worker notes it too."""
+    and the report are the same. The row-sum note does not depend on the
+    plan, so a top-k run notes it too, and so does a check whose window
+    lists are built only in a forked worker, and a map export."""
     from salad import masking, numerics
 
     topk = ["--set", "mask.kind=topk", "--set", "mask.block_size=2", "--set", "mask.k=2"]
@@ -549,35 +550,23 @@ def test_probe_fallbacks_are_noted_on_stderr_only(tmp_path, capsys, monkeypatch,
             "--no-timestamp"]
     if probe == "row_sum_check":  # the caller runs param_count, a worker the window oracle
         args = ["check", "--only", "param_count,sparse_oracle"]
+    elif probe == "row_sum_maps":
+        args = ["export-maps", *small_args(tmp_path)]
     assert run_cli(*args) == 0
     probed = capsys.readouterr()
     report = (tmp_path / "out" / "report.json").read_bytes() if args[0] == "run" else None
     assert "probe" not in probed.err
-    caches = (masking.window_keys, masking._pairwise_tree, masking._window_row_sum_holds)
     if probe == "column_major":
         monkeypatch.setattr(numerics, "FUSED_COLUMN_MAJOR", False)
     else:
-        monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
-        for cache in caches:  # rebuild the lists, and probe again when one is built
-            cache.cache_clear()
-    try:
-        assert run_cli(*args) == 0
-        if probe == "row_sum":
-            assert not masking._window_row_sum_holds()
-        elif probe == "row_sum_topk":
-            assert masking._window_row_sum_holds.cache_info().currsize == 0
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+        monkeypatch.setattr(masking, "WINDOW_ROW_SUMS", False)
+    assert run_cli(*args) == 0
     fallen = capsys.readouterr()
     times = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)  # a check line's time
     assert times.sub("", fallen.out) == times.sub("", probed.out)
     notes = fallen.err.splitlines()
-    if probe == "row_sum_topk":
-        assert notes == []
-    else:
-        phrase = "row-major blocks" if probe == "column_major" else "scatter their row sums"
-        assert len(notes) == 1 and phrase in notes[0] and np.__version__ in notes[0]
+    phrase = "row-major blocks" if probe == "column_major" else "scatter their row sums"
+    assert len(notes) == 1 and phrase in notes[0] and np.__version__ in notes[0]
     if report is not None:
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
@@ -851,6 +840,18 @@ def exit_three_cases():
         **{f"analyze_reports_of_other_{what}": (
             ["--report", "{tmp}/a.json", "--report", "{tmp}/b.json"], report_pair(override),
             "analyze") for what, override in (("layers", "layers=3"), ("grids", "grid.frames=4"))},
+        **{f"maps_{key}_out_of_range": (["--set", f"maps.{key}=9"], {}, "export-maps")
+           for key in ("layer", "timestep", "head")},
+        "rank_timestep_out_of_range": (["--set", "analysis.rank_timestep=9"], {}),
+        "per_head_one_entry_for_two_heads": (["--set", "mask.kind=per_head", "--set",
+                                              'mask.per_head=[{"kind": "window", "radius": 1}]'], {}),
+        "explicit_without_plan_path": (["--set", "mask.kind=explicit"], {}),
+        "set_key_empty_segment": (["--set", ".a=1"], {}),
+        "set_path_through_a_number": (["--set", "layers.x=1"], {}),
+        "grid_frames_zero": (["--set", "grid.frames=0"], {}),
+        "mask_radius_negative": (["--set", "mask.radius=-1"], {}),
+        **{f"topk_{key}_zero": (["--set", "mask.kind=topk", "--set", f"mask.{key}=0"], {})
+           for key in ("block_size", "k")},
         "sidecar_rows_past_payload": (PLAN_ARGS, {
             "plan.json": json.dumps({**PLAN_HEADER, "heads": plan_records(
                 {"head": 0, "kind": "explicit", "sidecar": "m.smsk"})}),
@@ -1086,7 +1087,6 @@ def test_in_run_gradcheck_overflow_names_its_bump(tmp_path, capsys, monkeypatch)
                                        "attention scores contains non-finite values\n")
 
 
-@QUIET_OVERFLOW
 def test_in_run_gradcheck_norm_overflow_names_its_parameter(tmp_path, capsys):
     """At sigma 1e100 the gradients stay finite but the norm of w_v's
     overflows; the report is refused with exit 3, not left unwritable."""
@@ -1094,6 +1094,16 @@ def test_in_run_gradcheck_norm_overflow_names_its_parameter(tmp_path, capsys):
                    "--set", "sigma.max=1e100") == 3
     assert capsys.readouterr().err.startswith("error: gradcheck at timestep 0, layer 0: "
                                               "gradient of w_v has norm inf")
+
+
+def test_in_run_gradcheck_past_its_budget_is_skipped_with_a_note(tmp_path):
+    assert run_cli("run", "--out", str(tmp_path), "--no-timestamp", "--set", "layers=1",
+                   "--set", "timesteps=1", "--set", "grid.frames=2", "--set", "grid.height=8",
+                   "--set", "grid.width=8", "--set", "grid.heads=1", "--set", "grid.head_dim=8",
+                   "--set", "checks.gradcheck_in_run=true") == 0
+    section = json.loads((tmp_path / "report.json").read_text())["gradcheck"]
+    assert section["run"] is False
+    assert section["note"] == "skipped: N=128, head_dim=8 exceeds the N<=64, d<=16 budget"
 
 
 def run_peak_kib(tmp_path, *overrides):

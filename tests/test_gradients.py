@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from salad.gradients import (
     salad_loss_grads,
     softmax_backward,
 )
-from salad.linear_attention import RopeConfig, linear_attention_streaming, rope3d_apply
+from salad.linear_attention import LinearState, RopeConfig, linear_attention_streaming, rope3d_apply
 from salad import block, checks, gradients, linear_attention, masking
 from salad.masking import (
     Explicit,
@@ -172,6 +173,22 @@ class TestPrimitiveBackward:
         assert max_rel_err(fd_scalar(loss, k), dk) < 1e-6
         assert max_rel_err(fd_scalar(loss, v), dv) < 1e-6
         assert dq[0, 0] == 0.0  # gradient does not cross the relu gate
+
+    def test_linear_backward_divides_twice_where_the_denominator_squares_past_range(self, rng):
+        """Denominators near 1e160 square to inf: there dden is -sum(num * go)
+        / den / den, with no overflow warning, and a finite square keeps its
+        one division. With H = 0 and Z = 1, dQ's columns are dden."""
+        n, d = 6, 4
+        q, k, v, go = (np.abs(rng.normal((n, d))) + 0.5 for _ in range(4))
+        den = np.array([1e160, 3e159, 2.5, 1e150, 7e160, 1.0])
+        num = rng.normal((n, d)) * den[:, None]
+        state = LinearState(np.zeros((d, d)), np.ones(d), num, den)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dq, _, _ = relu_linear_attention_backward(q, k, v, go, state)
+        total, big = np.sum(num * go, axis=1), den > 1e155
+        assert same_bits(dq[big, 0], -total[big] / den[big] / den[big])
+        assert same_bits(dq[~big, 0], -total[~big] / (den[~big] * den[~big]))
 
     def test_gate_fd(self, rng):
         from salad.block import compute_gate, gate_pre_activations
@@ -408,12 +425,12 @@ def test_gradcheck_builds_grid_constants_once(monkeypatch):
     meshgrid, rope_tables = np.meshgrid, linear_attention._rope_tables
     monkeypatch.setattr(np, "meshgrid", lambda *a, **k: built.append(tuple(map(len, a))) or meshgrid(*a, **k))
     monkeypatch.setattr(linear_attention, "_rope_tables", lambda *a: tables.append(1) or rope_tables(*a))
-    for cache in (masking.grid_coords, linear_attention.grid_rope_tables, masking.window_keys):
+    for cache in (masking.grid_coords, linear_attention.grid_rope_tables, masking._window_list):
         cache.cache_clear()
     assert checks.check_gradients().passed
     assert built == [(2, 2, 2)]
     assert len(tables) == 2
-    assert masking.window_keys.cache_info().misses == 2
+    assert masking._window_list.cache_info().misses == 2
 
 
 def test_topk_path_never_builds_a_dense_mask(monkeypatch):

@@ -345,6 +345,14 @@ class TestSparsityStats:
         assert keys.pairs >= model.attended_pairs  # forced diagonal adds
         assert keys.pairs == int(keys.mask().sum())
 
+    def test_explicit_plan_counts_its_mask(self):
+        g = grid_of(2, 2, 2, heads=1, d=4)
+        mask = np.eye(8, dtype=bool)
+        mask[0, 5] = mask[3, 1] = mask[7, 0] = True
+        stats, aggregate = plan_sparsity_stats(MaskPlan([Explicit(mask)]), g)
+        assert stats[0].attended_pairs == int(mask.sum()) == 11
+        assert aggregate == 1.0 - 11 / 64
+
     def test_plan_length_mismatch(self):
         g = grid_of(2, 2, 2, heads=2, d=4)
         with pytest.raises(ConfigError):
@@ -633,9 +641,9 @@ def assert_transpose_matches_the_pair_sort(keys, w):
 
 @pytest.fixture
 def fresh_window_lists():
-    """The window lists, the pairwise trees and the row-sum probe, built
-    anew in the test and again after it."""
-    caches = (masking.window_keys, masking._pairwise_tree, masking._window_row_sum_holds)
+    """The window lists and the pairwise trees, built anew in the test and
+    again after it."""
+    caches = (masking._window_list, masking._pairwise_tree)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -660,16 +668,19 @@ def test_row_sum_model_splits_rows_as_numpy_does():
     assert leaves == ((0, 72), (72, 150)) and joins == ((0, 1),)
     leaves, joins = masking._pairwise_tree(264)  # a 128 leaf beside a split 136
     assert leaves == ((0, 128), (128, 192), (192, 264)) and joins == ((1, 2), (0, 3))
-    assert masking._pairwise_tree(128) == (((0, 128),), ()) and masking._window_row_sum_holds()
+    assert masking._pairwise_tree(128) == (((0, 128),), ()) and masking.WINDOW_ROW_SUMS
 
 
-def test_row_sum_falls_back_to_the_scatter_when_the_model_disagrees(monkeypatch,
-                                                                      fresh_window_lists):
+def test_row_sum_probe_fails_on_a_wrong_leaf(monkeypatch, fresh_window_lists):
+    monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
+    assert not masking._window_row_sum_holds()
+
+
+def test_row_sum_falls_back_to_the_scatter_when_the_model_disagrees(monkeypatch):
     """When the probe fails, a window list scatters its row sums, and still
     transposes itself, to the same bits; it does not stack, so a stacked
     head runs element by element."""
-    monkeypatch.setattr(masking, "PAIRWISE_LEAF", 64)  # numpy's leaves hold up to 128
-    assert not masking._window_row_sum_holds()
+    monkeypatch.setattr(masking, "WINDOW_ROW_SUMS", False)
     for n in (150, 1024):
         keys = window_keys(n, 8)
         assert keys.spans is not None and not keys.stacks
@@ -761,7 +772,7 @@ def test_window_plans_are_built_once(fresh_window_lists):
             _, rec = sparse_head_attention(q, k, v, entry, grid_of(4, 8, 8))
             head_attention_backward(q, k, v, rec, go)
             assert rec.keys.transposed()[0] is rec.keys  # a reordered entry runs on permuted tokens
-    assert masking.window_keys.cache_info().misses == 2  # window_keys(256, 8) and (256, 3)
+    assert masking._window_list.cache_info().misses == 2  # window_keys(256, 8) and (256, 3)
 
 
 def test_window_plans_are_built_once_under_racing_threads(fresh_window_lists):
@@ -788,7 +799,7 @@ def test_window_plans_are_built_once_under_racing_threads(fresh_window_lists):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(results) == 8
-    assert masking.window_keys.cache_info().misses == 1
+    assert masking._window_list.cache_info().misses == 1
     keys = window_keys(1024, 8)
     want_sum = KeyList(keys.keys, keys.valid).row_sum(w)  # the scatter
     assert same_bits(keys.to_dense(results[0][2]), keys.to_dense(w).T)
@@ -817,7 +828,7 @@ def test_window_list_build_and_row_sum_hold_no_per_pair_plan(fresh_window_lists)
     applied a row-sum plan of index arrays for every pair. Now the list
     holds its keys and valid flags, and a row sum one buffer of the slots
     with a leaf's length of zeros after each row."""
-    assert masking._window_row_sum_holds()  # its probe builds lists of its own
+    assert masking.WINDOW_ROW_SUMS
     n, radius = 2048, 102
     assert traced_peak(window_keys, n, radius) < 4 * n * (2 * radius + 1) * 8
     keys = window_keys(n, radius)
@@ -830,10 +841,10 @@ def test_window_list_build_holds_its_flags_without_wide_temporaries():
     build peaks under 1.5x the keys and flags it returns. Forming them
     from |keys - queries| made two N x W int64 temporaries, a 2.7x peak."""
     n, radius = 4096, 205
-    keys = masking._window_list(n, radius)
+    build = masking._window_list.__wrapped__  # uncached
+    keys = build(n, radius)
     assert np.array_equal(keys.valid, np.abs(keys.keys - np.arange(n)[:, None]) <= radius)
-    assert traced_peak(masking._window_list, n, radius) < 1.5 * (keys.keys.nbytes
-                                                                   + keys.valid.nbytes)
+    assert traced_peak(build, n, radius) < 1.5 * (keys.keys.nbytes + keys.valid.nbytes)
 
 
 def test_topk_transpose_memory_stays_within_its_outputs():
